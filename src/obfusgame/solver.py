@@ -210,12 +210,15 @@ def best_response_curve(
     return BestResponseCurve(tuple(grid), values, dissuasion_threshold(i, config))
 
 
-def _grid(sigma_max: float, step: float) -> list[float]:
+def _grid_steps(sigma_max: float, step: float) -> tuple[int, bool]:
+    """(n, pad): _grid holds k * step for k = 0..n, then sigma_max if pad."""
     n = int(math.floor(sigma_max / step + 1e-9))
-    pts = [k * step for k in range(n + 1)]
-    if pts[-1] < sigma_max - 1e-12:
-        pts.append(sigma_max)
-    return pts
+    return n, n * step < sigma_max - 1e-12
+
+
+def _grid(sigma_max: float, step: float) -> list[float]:
+    n, pad = _grid_steps(sigma_max, step)
+    return [k * step for k in range(n + 1)] + [sigma_max] * pad
 
 
 def _golden_max(
@@ -314,13 +317,14 @@ def brute_force_equilibrium(config: GameConfig, fine_step: float) -> Equilibrium
     if fine_step <= 0:
         raise ValueError("fine_step must be > 0")
     settings = config.solver
-    sigma_grid = np.asarray(_grid(settings.sigma_max, fine_step))
-    m = len(sigma_grid)
+    steps, pad = _grid_steps(settings.sigma_max, fine_step)
+    m = steps + 1 + pad
     if m * m * config.n_users > _BRUTE_FORCE_BUDGET:
         raise GridTooLargeError(
             f"{m}x{m} grid over {config.n_users} users exceeds the evaluation "
             "budget; increase fine_step or reduce sigma_max"
         )
+    sigma_grid = np.asarray(_grid(settings.sigma_max, fine_step))
 
     n = config.n_users
     br = np.empty((m, n))

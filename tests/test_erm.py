@@ -5,6 +5,7 @@ import pytest
 from scipy import optimize, stats
 
 from obfusgame import erm
+from obfusgame.errors import ConvergenceError
 from obfusgame.erm import (
     Classifier,
     Dataset,
@@ -71,6 +72,36 @@ class TestTrainErm:
         _, obj_ref = scipy_minimizer(data, 0.1)
         obj = empirical_risk(f, data, 0.1)
         assert obj == pytest.approx(obj_ref, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "seed, n, d, separation, lam",
+        [
+            (30, 200, 5, 4.0, 0.1),
+            (31, 150, 3, 2.0, 0.5),
+            (32, 300, 5, 0.0, 0.05),
+            (33, 100, 8, 3.0, 1.0),
+            (34, 400, 2, 1.0, 0.2),
+            (35, 300, 3, 9.0, 0.01),  # near-separable: weak curvature away from 0
+        ],
+    )
+    def test_weights_match_independent_optimizer(self, seed, n, d, separation, lam):
+        data = generate_synthetic(n, d, separation, seed)
+        f = train_erm(data, lam)
+        w_ref, _ = scipy_minimizer(data, lam)
+        # the objective is lam-strongly convex, so any w lies within
+        # ||gradient(w)|| / lam of the minimizer
+        bound = (
+            np.linalg.norm(erm._gradient(f.weights, data, lam))
+            + np.linalg.norm(erm._gradient(w_ref, data, lam))
+        ) / lam
+        assert np.linalg.norm(f.weights - w_ref) <= bound
+
+    def test_max_iter_exhausted_raises(self):
+        data = generate_synthetic(200, 5, 4.0, seed=36)
+        with pytest.raises(ConvergenceError):
+            train_erm(data, lam=0.1, max_iter=1)
+        with pytest.raises(ValueError):
+            train_erm(data, lam=0.1, max_iter=0)
 
     def test_gradient_norm_below_tol(self):
         data = generate_synthetic(150, 4, 2.0, seed=4)
@@ -193,15 +224,15 @@ class TestEmpiricalGap:
 class TestExpectedLoss:
     def test_zero_classifier_exact(self):
         value, stderr = expected_loss_estimate(
-            Classifier(np.zeros(3)), 3, 2.0, 0.1, 1000, seed=21
+            Classifier(np.zeros(3)), generate_synthetic(1000, 3, 2.0, seed=21), 0.1
         )
         assert value == pytest.approx(math.log(2), rel=1e-12)
         assert stderr == pytest.approx(0.0, abs=1e-15)
 
     def test_standard_error_scaling(self):
         f = Classifier(np.array([1.0, 0.0, 0.0]))
-        _, se1 = expected_loss_estimate(f, 3, 2.0, 0.1, 4000, seed=22)
-        _, se4 = expected_loss_estimate(f, 3, 2.0, 0.1, 16000, seed=22)
+        _, se1 = expected_loss_estimate(f, generate_synthetic(4000, 3, 2.0, seed=22), 0.1)
+        _, se4 = expected_loss_estimate(f, generate_synthetic(16000, 3, 2.0, seed=22), 0.1)
         assert se4 == pytest.approx(se1 / 2, rel=0.2)
 
     def test_trained_at_least_population_optimum(self):
@@ -209,8 +240,9 @@ class TestExpectedLoss:
         f_star = train_erm(big, lam=0.1, tol=1e-7)
         data = generate_synthetic(200, 3, 3.0, seed=24)
         f_d = train_erm(data, lam=0.1)
-        j_d, se_d = expected_loss_estimate(f_d, 3, 3.0, 0.1, 50_000, seed=25)
-        j_star, se_star = expected_loss_estimate(f_star, 3, 3.0, 0.1, 50_000, seed=25)
+        sample = generate_synthetic(50_000, 3, 3.0, seed=25)
+        j_d, se_d = expected_loss_estimate(f_d, sample, 0.1)
+        j_star, se_star = expected_loss_estimate(f_star, sample, 0.1)
         assert j_d >= j_star - 2 * (se_d + se_star)
 
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from obfusgame import solver
 from obfusgame.config_io import load_shipped_config
-from obfusgame.errors import NoFiniteOptimumError
+from obfusgame.errors import GridTooLargeError, NoFiniteOptimumError
 from obfusgame.game import (
     GameConfig,
     LearnerParams,
@@ -211,6 +212,14 @@ class TestBruteForce:
         result = brute_force_equilibrium(config, 0.1)
         assert result.sigma_L_star == 0.0
         assert result.sigma_S_star == (0.0,)
+
+    def test_oversized_grid_rejected_before_it_is_built(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("grid built before the budget check")
+
+        monkeypatch.setattr(solver, "_grid", build)
+        with pytest.raises(GridTooLargeError):
+            brute_force_equilibrium(simple_config(sigma_max=20.0), 1e-6)
 
     def test_agrees_with_solver_on_random_configs(self):
         for seed in range(5):
