@@ -16,9 +16,7 @@ from .game import (  # noqa: F401
     user_utility,
 )
 from .solver import (  # noqa: F401
-    BestResponseCurve,
     EquilibriumResult,
-    best_response_curve,
     brute_force_equilibrium,
     dissuasion_threshold,
     interior_candidate,
@@ -31,7 +29,6 @@ from .dp import (  # noqa: F401
     NormBoundReport,
     chi_square_cdf,
     epsilon_from_sigma,
-    gaussian_perturb,
     norm_bound_probability,
     sigma_from_epsilon,
 )

@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failure, 2 usage/config error,
 3 internal solver error.  All file outputs are byte-reproducible for a
-fixed (config, seed, version); only the manifest timestamp varies.
+fixed (config, version), and for validate also a fixed seed; only the
+manifest timestamp varies.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from pathlib import Path
 from . import __version__, dp, solver, validate
 from .config_io import load_config
 from .errors import ConfigError, GridTooLargeError, SolverError
+from .game import learner_utility, user_utility
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -37,7 +39,7 @@ EXIT_SOLVER = 3
 class RunManifest:
     command: str
     config: str | None
-    seed: int
+    seed: int | None  # set by validate only; solve and sweep are not random
     out: str
     version: str
     timestamp: str
@@ -61,7 +63,7 @@ def _write_manifest(out: Path, args, command: str) -> None:
     manifest = RunManifest(
         command=command,
         config=getattr(args, "config", None),
-        seed=getattr(args, "seed", 0),
+        seed=getattr(args, "seed", None),
         out=str(out),
         version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
@@ -144,8 +146,6 @@ def _cmd_sweep(args) -> int:
     rows_b, rows_c = [], []
     for sigma_L in grid:
         profile = solver.best_response_profile(sigma_L, config)
-        from .game import learner_utility, user_utility
-
         rows_b.append([sigma_L] + list(profile.sigma_S))
         rows_c.append(
             [sigma_L]
@@ -234,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="compute the Stackelberg equilibrium")
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--out", default="out")
-    p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument(
         "--oracle", action="store_true", help="use the brute-force grid oracle"
     )
@@ -244,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="emit CSV sweeps over sigma_L")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default="out")
-    p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--min", type=float, default=None)
     p_sweep.add_argument("--max", type=float, default=None)
     p_sweep.add_argument("--step", type=float, default=None)

@@ -1,20 +1,18 @@
 """Gaussian mechanism guarantees and chi-square norm-bound probabilities.
 
 The (epsilon, delta) guarantee follows the Gaussian-mechanism formula
-epsilon = 2 * sqrt(2 * ln(1.25 / delta)) / sigma, where sigma is the total
-noise standard deviation sqrt(sigma_L^2 + sigma_S^2) and the L2
-sensitivity is absorbed into the leading constant.  The guarantee is
-stated for epsilon in (0, 1); values outside that range are computed
-anyway and flagged rather than refused, since parameter sweeps naturally
-cross the boundary.
+epsilon = 2 * sqrt(2 * ln(1.25 / delta)) / sigma (Dwork & Roth 2014,
+Thm A.1), where sigma is the total noise standard deviation
+sqrt(sigma_L^2 + sigma_S^2) and the L2 sensitivity is absorbed into the
+leading constant.  delta must lie in (0, 1).  The guarantee is stated for
+epsilon in (0, 1); values outside that range are computed anyway and
+flagged rather than refused, since parameter sweeps naturally cross the
+boundary.
 
-The chi-square CDF is the regularized lower incomplete gamma function,
-implemented in-repo with the usual split: power series for x < a + 1,
-modified Lentz continued fraction otherwise.  Target accuracy 1e-10
-absolute.
-
-Noise generation uses numpy's PCG64 generator with its ziggurat
-standard-normal transform; a fixed seed gives bit-identical output.
+The chi-square CDF is only ever needed at an integer number of degrees of
+freedom d, where the upper incomplete gamma function is a finite sum
+(Abramowitz & Stegun 26.4.4-5); the lower tail uses the power series
+instead, which does not cancel.  Target accuracy 1e-10 absolute.
 """
 
 from __future__ import annotations
@@ -22,11 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 _EPS_CONSTANT = 2.0  # absorbed L2 sensitivity
-_GAMMA_TOL = 1e-15
-_GAMMA_MAX_ITER = 10_000
+_SUM_TOL = 1e-15  # relative size of the last term kept in a CDF sum
 
 
 @dataclass(frozen=True)
@@ -53,8 +48,8 @@ class NormBoundReport:
 
 
 def _check_delta(delta: float) -> None:
-    if not 0 < delta < 1.25:
-        raise ValueError(f"delta must be in (0, 1.25), got {delta}")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
 
 
 def epsilon_from_sigma(total_sigma: float, delta: float) -> DpGuarantee:
@@ -79,73 +74,43 @@ def sigma_from_epsilon(epsilon: float, delta: float) -> float:
     return _EPS_CONSTANT * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 
-def gaussian_perturb(vector: np.ndarray, sigma: float, seed: int) -> np.ndarray:
-    """Add i.i.d. mean-zero Gaussian noise of std-dev sigma to each component."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    vector = np.asarray(vector, dtype=float)
-    if sigma == 0:
-        return vector.copy()
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return vector + sigma * rng.standard_normal(vector.shape)
-
-
-def _lower_gamma_series(a: float, x: float) -> float:
-    """Regularized P(a, x) by power series; accurate for x < a + 1."""
-    term = 1.0 / a
-    total = term
-    for k in range(1, _GAMMA_MAX_ITER):
-        term *= x / (a + k)
-        total += term
-        if abs(term) < abs(total) * _GAMMA_TOL:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    """Regularized Q(a, x) by continued fraction (modified Lentz);
-    accurate for x >= a + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for k in range(1, _GAMMA_MAX_ITER):
-        an = -k * (k - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_TOL:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def regularized_lower_gamma(a: float, x: float) -> float:
-    """gamma(a, x) / Gamma(a) for a > 0, x >= 0."""
-    if a <= 0:
-        raise ValueError(f"a must be > 0, got {a}")
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x == 0:
-        return 0.0
-    if x < a + 1.0:
-        return min(1.0, _lower_gamma_series(a, x))
-    return min(1.0, max(0.0, 1.0 - _upper_gamma_cf(a, x)))
-
-
 def chi_square_cdf(d: int, zeta: float) -> float:
-    """CDF of a chi-square variable with d degrees of freedom at zeta."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if zeta < 0:
+    """CDF of a chi-square variable with d degrees of freedom at zeta.
+
+    This is P(a, x), the regularized lower incomplete gamma function, at
+    a = d / 2 and x = zeta / 2.  Below x = a + 1 it sums the power series
+    (A&S 6.5.29) to convergence.  Above, it takes 1 - Q(a, x), where for
+    integer d Q is the finite sum of e^{-x} x^k / k! over k = a - 1,
+    a - 2, ... >= 0, plus erfc(sqrt(x)) when d is odd (A&S 26.4.4-5).
+    The sum runs downward and stops once a term is negligible.
+    """
+    if d < 1 or d != int(d):
+        raise ValueError(f"d must be an integer >= 1, got {d}")
+    if not zeta >= 0:
         raise ValueError(f"zeta must be >= 0, got {zeta}")
-    return regularized_lower_gamma(d / 2.0, zeta / 2.0)
+    if zeta == 0:
+        return 0.0
+    if zeta == math.inf:
+        return 1.0
+    a, x = d / 2.0, zeta / 2.0
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        k = 0
+        while term >= total * _SUM_TOL:
+            k += 1
+            term *= x / (a + k)
+            total += term
+        # log(zeta) - log 2, not log(x): a subnormal zeta halves to x = 0
+        log_x = math.log(zeta) - math.log(2.0)
+        return min(1.0, total * math.exp(-x + a * log_x - math.lgamma(a)))
+    k = a - 1.0
+    term = math.exp(-x + k * math.log(x) - math.lgamma(a)) if k >= 0 else 0.0
+    upper = math.erfc(math.sqrt(x)) if d % 2 else 0.0
+    while k >= 0 and term > upper * _SUM_TOL:
+        upper += term
+        term *= k / x
+        k -= 1.0
+    return min(1.0, max(0.0, 1.0 - upper))
 
 
 def norm_bound_probability(
@@ -158,10 +123,9 @@ def norm_bound_probability(
     Both the product-form combination (independent failures) and the more
     conservative union bound are reported.
     """
+    _check_delta(delta)
     if sigma_L < 0 or sigma_S_i < 0:
         raise ValueError("noise standard deviations must be >= 0")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
     p = chi_square_cdf(d, zeta)
     return NormBoundReport(
         dimension=d,

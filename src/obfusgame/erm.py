@@ -1,12 +1,13 @@
 """Regularized ERM training on clean and noise-perturbed data, plus the
 inequality checks relating the two classifiers.
 
-The loss is fixed to logistic: it is the standard loss whose derivative is
-bounded by 1 and whose curvature is bounded by c = 1/4, which the
-classifier-difference inequality requires.  The regularizer is
-(Lambda / 2) * ||f||^2, making the objective strictly convex with a unique
-minimizer; training is damped Newton with backtracking line search on the
-Newton decrement, run to a gradient-norm tolerance.
+The loss is fixed to logistic: its derivative is bounded by 1 and its
+curvature by c = 1/4, the constants the classifier-difference and
+empirical-gap inequalities take from Chaudhuri, Monteleoni & Sarwate
+(JMLR 2011).  The regularizer is (Lambda / 2) * ||f||^2, making the
+objective strictly convex with a unique minimizer; training is damped
+Newton with backtracking line search on the Newton decrement, run to a
+gradient-norm tolerance.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
+
+_CURVATURE_BOUND = 0.25  # c: the logistic loss's second derivative is at most 1/4
 
 
 @dataclass(frozen=True)
@@ -63,20 +66,6 @@ class Classifier:
 
 
 @dataclass(frozen=True)
-class LossSpec:
-    kind: str = "logistic"
-    curvature_bound: float = 0.25
-    derivative_bound: float = 1.0
-
-    def __post_init__(self):
-        if self.kind != "logistic":
-            raise ValueError(f"unsupported loss kind {self.kind!r}")
-
-
-LOGISTIC = LossSpec()
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """One side-by-side inequality check: holds iff lhs <= rhs + 1e-9."""
 
@@ -85,18 +74,6 @@ class BoundReport:
     holds: bool
     slack: float
     context: str
-
-
-@dataclass(frozen=True)
-class AccuracyBoundReport:
-    """Expected-loss gap against the explicit part of the conservative
-    bound.  The O(log(1/delta) / (Lambda n)) remainder has an unknown
-    constant, so it is reported as a magnitude and never asserted."""
-
-    measured_gap: float
-    explicit_term: float
-    big_o_magnitude: float
-    quadratic_noise_level: float  # sigma_L^2 + (1/n) sum_i sigma_S_i^2
 
 
 def _logistic_loss(margins: np.ndarray) -> np.ndarray:
@@ -121,9 +98,7 @@ def generate_synthetic(n: int, d: int, separation: float, seed: int) -> Dataset:
     return Dataset(features, labels)
 
 
-def empirical_risk(
-    f: Classifier, data: Dataset, lam: float, loss: LossSpec = LOGISTIC
-) -> float:
+def empirical_risk(f: Classifier, data: Dataset, lam: float) -> float:
     """Lambda/2 ||f||^2 + mean logistic loss over the dataset."""
     margins = data.labels * (data.features @ f.weights)
     return 0.5 * lam * float(f.weights @ f.weights) + float(
@@ -146,7 +121,6 @@ def _hessian(w: np.ndarray, data: Dataset, lam: float) -> np.ndarray:
 def train_erm(
     data: Dataset,
     lam: float,
-    loss: LossSpec = LOGISTIC,
     tol: float = 1e-8,
     max_iter: int = 200,
 ) -> Classifier:
@@ -157,7 +131,7 @@ def train_erm(
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol and max_iter must be > 0")
     w = np.zeros(data.d)
-    obj = empirical_risk(Classifier(w), data, lam, loss)
+    obj = empirical_risk(Classifier(w), data, lam)
     for _ in range(max_iter):
         g = _gradient(w, data, lam)
         gnorm = float(np.linalg.norm(g))
@@ -168,7 +142,7 @@ def train_erm(
         step = 1.0
         for _ in range(60):
             w_new = w - step * direction
-            obj_new = empirical_risk(Classifier(w_new), data, lam, loss)
+            obj_new = empirical_risk(Classifier(w_new), data, lam)
             # stop at sufficient decrease, or once the predicted decrease is
             # below the objective's float resolution
             if obj_new <= obj - 1e-4 * step * decrement or step * decrement < 1e-14 * max(1.0, abs(obj)):
@@ -207,11 +181,11 @@ def check_classifier_gap(
     pert_f: Classifier,
     noise: np.ndarray,
     lam: float,
-    n: int,
-    c: float = LOGISTIC.curvature_bound,
 ) -> BoundReport:
     """||f_clean - f_pert||^2 against
-    (1 + c^2 ||f_pert||^2) / (n^2 Lambda^2) * sum_i ||u_i||^2."""
+    (1 + c^2 ||f_pert||^2) / (n^2 Lambda^2) * sum_i ||u_i||^2, with one
+    noise row u_i per training row."""
+    c, n = _CURVATURE_BOUND, noise.shape[0]
     diff = clean_f.weights - pert_f.weights
     lhs = float(diff @ diff)
     rhs = (
@@ -227,14 +201,12 @@ def check_empirical_gap(
     f_dagger: Classifier,
     data: Dataset,
     lam: float,
-    loss: LossSpec = LOGISTIC,
-    c: float = LOGISTIC.curvature_bound,
 ) -> BoundReport:
     """Empirical-risk gap on the clean data (whose minimizer is f_dagger)
     against ||f_d - f_dagger||^2 * (1 + c)."""
-    lhs = empirical_risk(f_d, data, lam, loss) - empirical_risk(f_dagger, data, lam, loss)
+    lhs = empirical_risk(f_d, data, lam) - empirical_risk(f_dagger, data, lam)
     diff = f_d.weights - f_dagger.weights
-    rhs = float(diff @ diff) * (1.0 + c)
+    rhs = float(diff @ diff) * (1.0 + _CURVATURE_BOUND)
     return BoundReport(lhs, rhs, lhs <= rhs + 1e-9, rhs - lhs, "empirical_gap")
 
 
@@ -247,34 +219,3 @@ def expected_loss_estimate(f: Classifier, sample: Dataset, lam: float) -> tuple[
     mean = float(np.mean(losses)) + 0.5 * lam * float(f.weights @ f.weights)
     stderr = float(np.std(losses, ddof=1) / math.sqrt(sample.n)) if sample.n > 1 else math.inf
     return mean, stderr
-
-
-def accuracy_bound_report(
-    f_d: Classifier,
-    measured_gap: float,
-    zeta: float,
-    delta: float,
-    sigma_L: float,
-    sigma_S: "list[float] | np.ndarray",
-    n: int,
-    lam: float,
-    c: float = LOGISTIC.curvature_bound,
-) -> AccuracyBoundReport:
-    """Explicit part of the conservative expected-loss bound for one trial.
-
-    explicit_term = (2 + 2 c^2 ||f_d||^2) / (n^2 Lambda^2)
-                    * sum_i zeta (sigma_L^2 + sigma_S_i^2) * (1 + c)
-    """
-    sigma_S = np.asarray(sigma_S, dtype=float)
-    explicit = (
-        (2.0 + 2.0 * c**2 * float(f_d.weights @ f_d.weights))
-        / (n**2 * lam**2)
-        * float(np.sum(zeta * (sigma_L**2 + sigma_S**2)))
-        * (1.0 + c)
-    )
-    return AccuracyBoundReport(
-        measured_gap=measured_gap,
-        explicit_term=explicit,
-        big_o_magnitude=math.log(1.0 / delta) / (lam * n),
-        quadratic_noise_level=sigma_L**2 + float(np.sum(sigma_S**2)) / n,
-    )

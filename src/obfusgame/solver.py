@@ -39,19 +39,6 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
-class BestResponseCurve:
-    """Sampled best response of one user against the learner's noise."""
-
-    sigma_L_grid: tuple[float, ...]
-    br_values: tuple[float, ...]
-    threshold: Optional[float]
-
-    def __post_init__(self):
-        if len(self.sigma_L_grid) != len(self.br_values):
-            raise ValueError("sigma_L_grid and br_values lengths differ")
-
-
-@dataclass(frozen=True)
 class EquilibriumResult:
     """Equilibrium strategies with the utilities they induce."""
 
@@ -197,17 +184,6 @@ def best_response_profile(sigma_L: float, config: GameConfig) -> StrategyProfile
 def leader_objective(sigma_L: float, config: GameConfig) -> float:
     """Learner utility when every user plays their best response."""
     return learner_utility(config, best_response_profile(sigma_L, config))
-
-
-def best_response_curve(
-    i: int, config: GameConfig, step: Optional[float] = None
-) -> BestResponseCurve:
-    """Sample user i's best response on a sigma_L grid."""
-    settings = config.solver
-    step = settings.grid_step if step is None else step
-    grid = _grid(settings.sigma_max, step)
-    values = tuple(user_best_response(s, i, config) for s in grid)
-    return BestResponseCurve(tuple(grid), values, dissuasion_threshold(i, config))
 
 
 def _grid_steps(sigma_max: float, step: float) -> tuple[int, bool]:

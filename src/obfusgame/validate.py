@@ -66,7 +66,7 @@ def run_lemma_suite(
             seed, n, d, lam, separation
         )
         if which == "lemma1":
-            report = erm.check_classifier_gap(f_clean, f_pert, noise, lam, n)
+            report = erm.check_classifier_gap(f_clean, f_pert, noise, lam)
         else:
             report = erm.check_empirical_gap(f_pert, f_clean, data, lam)
         ok = report.slack >= -1e-6

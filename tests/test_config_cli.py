@@ -1,9 +1,14 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import obfusgame
 from obfusgame.cli import main
 from obfusgame.config_io import (
     SHIPPED_CONFIGS,
@@ -91,7 +96,16 @@ class TestCliSolve:
         assert (out / "thresholds.csv").read_text().startswith("user,threshold")
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "solve"
+        assert manifest["seed"] is None
         assert "sigma_L_star" in capsys.readouterr().out
+
+    def test_solve_takes_no_seed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "solve", "--config", str(shipped_config_path("default")),
+                "--out", str(tmp_path), "--seed", "1",
+            ])
+        assert exc.value.code == 2
 
     def test_solve_is_byte_reproducible(self, tmp_path):
         outs = []
@@ -237,6 +251,11 @@ class TestCliDp:
         assert main(["dp", "--sigma", "1", "--delta", "1.5"]) == 2
         assert "delta" in capsys.readouterr().err
 
+    def test_delta_domain_same_with_and_without_zeta(self, capsys):
+        assert main(["dp", "--sigma", "1", "--delta", "1.1"]) == 2
+        assert main(["dp", "--sigma", "1", "--delta", "1.1", "--zeta", "5"]) == 2
+        assert "delta must be in (0, 1)" in capsys.readouterr().err
+
 
 class TestCliValidate:
     def test_chi2_suite_passes(self, tmp_path, capsys):
@@ -252,6 +271,11 @@ class TestCliValidate:
         assert code == 1
         assert "seeds" in capsys.readouterr().err
 
+    def test_manifest_records_seed(self, tmp_path):
+        assert main(["validate", "--suite", "lemma1", "--trials", "2", "--seed", "7",
+                     "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["seed"] == 7
+
     def test_oracle_suite_small(self, tmp_path):
         assert main(["validate", "--suite", "oracle", "--trials", "3",
                      "--out", str(tmp_path)]) == 0
@@ -259,3 +283,13 @@ class TestCliValidate:
     def test_lemma1_suite_small(self, tmp_path):
         assert main(["validate", "--suite", "lemma1", "--trials", "5",
                      "--out", str(tmp_path)]) == 0
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it would cost start-up time
+    code = "import sys, obfusgame.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(obfusgame.__file__).parents[1])}
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout.strip()
+    assert loaded == "[]"

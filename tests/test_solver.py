@@ -16,7 +16,6 @@ from obfusgame.game import (
     user_utility,
 )
 from obfusgame.solver import (
-    best_response_curve,
     brute_force_equilibrium,
     dissuasion_threshold,
     interior_candidate,
@@ -274,11 +273,11 @@ class TestStructuralProperties:
 class TestBestResponseCurve:
     def test_curve_matches_pointwise_calls(self):
         config = load_shipped_config("default")
-        curve = best_response_curve(0, config, step=0.5)
-        assert len(curve.sigma_L_grid) == len(curve.br_values)
-        for s, b in zip(curve.sigma_L_grid[:10], curve.br_values[:10]):
-            assert b == user_best_response(s, 0, config)
-        assert curve.threshold == pytest.approx(dissuasion_threshold(0, config))
-        for s, b in zip(curve.sigma_L_grid, curve.br_values):
-            if s > curve.threshold:
+        threshold = dissuasion_threshold(0, config)
+        grid = np.arange(0.0, config.solver.sigma_max + 1e-9, 0.5)
+        curve = [user_best_response(float(s), 0, config) for s in grid]
+        assert threshold is not None and 0 < threshold < grid[-1]
+        assert curve[0] > 0.0
+        for s, b in zip(grid, curve):
+            if s > threshold:
                 assert b == 0.0
