@@ -20,6 +20,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -27,12 +28,15 @@ from pathlib import Path
 from . import __version__, dp, solver, validate
 from .config_io import load_config
 from .errors import ConfigError, GridTooLargeError, SolverError
-from .game import learner_utility, user_utility
+from .game import _learner_utility, _spread, _user_utility
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
+
+# the default sweep has 1,001 points
+_SWEEP_MAX_POINTS = 1_000_000
 
 
 @dataclasses.dataclass
@@ -115,26 +119,33 @@ def _cmd_sweep(args) -> int:
     lo = 0.0 if args.min is None else args.min
     hi = settings.sigma_max if args.max is None else args.max
     step = settings.grid_step if args.step is None else args.step
-    if not (lo <= hi and step > 0):
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ConfigError("--min, --max and --step must be finite")
+    if not (0 <= lo <= hi and step > 0):
         raise ConfigError(f"invalid sweep range [{lo}, {hi}] with step {step}")
+    top = hi + 1e-12
+    if (top - lo) / step + 1 > _SWEEP_MAX_POINTS:
+        raise GridTooLargeError(
+            f"sweep of [{lo}, {hi}] by {step} exceeds {_SWEEP_MAX_POINTS} points"
+        )
+    if step < math.ulp(top):
+        raise ConfigError(f"--step {step} is below the float spacing at --max {hi}")
     out = _outdir(args)
     n = config.n_users
 
     grid = []
     s = lo
-    while s <= hi + 1e-12:
+    while s <= top:
         grid.append(round(s, 12))
         s += step
 
-    # (a) user utility vs own sigma_S at a handful of sigma_L samples
+    # (a) user utility vs own sigma_S (others at 0) at a handful of sigma_L samples
     sample_count = min(5, len(grid))
     sigma_L_samples = [grid[int(k * (len(grid) - 1) / max(sample_count - 1, 1))] for k in range(sample_count)]
     rows_a = []
     for sigma_L in sigma_L_samples:
         for sigma_S in grid:
-            util = [
-                solver._utility_at(config, i, sigma_L, sigma_S) for i in range(n)
-            ]
+            util = [solver._own_noise_utility(config, i, sigma_L, sigma_S) for i in range(n)]
             rows_a.append([sigma_L, sigma_S] + util)
     _write_csv(
         out / "sweep_user_utility.csv",
@@ -143,15 +154,17 @@ def _cmd_sweep(args) -> int:
     )
 
     # (b) best response and (c) induced leader utility vs sigma_L
+    s_stars = solver._s_stars(config)
     rows_b, rows_c = [], []
     for sigma_L in grid:
-        profile = solver.best_response_profile(sigma_L, config)
-        rows_b.append([sigma_L] + list(profile.sigma_S))
+        brs = solver._responses(sigma_L, config, s_stars)
+        spread = _spread(sigma_L, brs, n)
+        rows_b.append([sigma_L] + brs)
         rows_c.append(
             [sigma_L]
-            + list(profile.sigma_S)
-            + [learner_utility(config, profile)]
-            + [user_utility(config, i, profile) for i in range(n)]
+            + brs
+            + [_learner_utility(config, sigma_L, brs)]
+            + [_user_utility(config, i, sigma_L, brs[i], spread) for i in range(n)]
         )
     _write_csv(
         out / "sweep_best_response.csv",

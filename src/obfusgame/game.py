@@ -144,6 +144,18 @@ class StrategyProfile:
                 raise ValueError(f"sigma_S[{i}] must be finite and >= 0, got {s}")
 
 
+def _spread(sigma_L: float, sigma_S: Sequence[float], n_users: int) -> float:
+    """sigma_L^2 + sum_i sigma_S[i]^2 / N, summed in user order."""
+    total = sigma_L**2
+    for s in sigma_S:
+        total += s**2 / n_users
+    return total
+
+
+def _privacy_loss(p_bar: float, rate: float, sigma_L: float, sigma_S_i: float) -> float:
+    return p_bar / (1.0 + rate * math.hypot(sigma_L, sigma_S_i))
+
+
 def accuracy_gap_term(
     sigma_L: float,
     sigma_S: Sequence[float],
@@ -159,10 +171,8 @@ def accuracy_gap_term(
     weight = _require_finite("weight", weight)
     if regularizer <= 0:
         raise ValueError("regularizer must be > 0")
-    total = sigma_L**2
-    for s in sigma_S:
-        total += _require_finite("sigma_S entry", s) ** 2 / n_users
-    return weight / (n_users * regularizer**2) * total
+    sigma_S = [_require_finite("sigma_S entry", s) for s in sigma_S]
+    return weight / (n_users * regularizer**2) * _spread(sigma_L, sigma_S, n_users)
 
 
 def privacy_loss_term(
@@ -178,8 +188,7 @@ def privacy_loss_term(
     sigma_S_i = _require_finite("sigma_S_i", sigma_S_i)
     if rate <= 0:
         raise ValueError("rate must be > 0")
-    effective = math.hypot(sigma_L, sigma_S_i)
-    return max_privacy_loss / (1.0 + rate * effective)
+    return _privacy_loss(max_privacy_loss, rate, sigma_L, sigma_S_i)
 
 
 def perturbation_cost_term(cost: float, sigma: float) -> float:
@@ -187,6 +196,38 @@ def perturbation_cost_term(cost: float, sigma: float) -> float:
     cost = _require_finite("cost", cost)
     sigma = _require_finite("sigma", sigma)
     return cost if sigma > 0 else 0.0
+
+
+def _user_utility(
+    config: GameConfig, i: int, sigma_L: float, sigma_S_i: float, spread: float
+) -> float:
+    """user_utility's arithmetic, unchecked; spread is _spread of the profile."""
+    u = config.users[i]
+    return (
+        u.baseline_gain
+        - u.accuracy_weight / (config.n_users * config.learner.regularizer**2) * spread
+        - _privacy_loss(u.max_privacy_loss, u.privacy_rate, sigma_L, sigma_S_i)
+        - (u.perturbation_cost if sigma_S_i > 0 else 0.0)
+    )
+
+
+def _learner_utility(config: GameConfig, sigma_L: float, sigma_S: Sequence[float]) -> float:
+    """learner_utility's arithmetic, unchecked."""
+    n = config.n_users
+    lp = config.learner
+    avg_privacy = (
+        sum(
+            _privacy_loss(u.max_privacy_loss, u.privacy_rate, sigma_L, s)
+            for u, s in zip(config.users, sigma_S)
+        )
+        / n
+    )
+    return (
+        lp.baseline_gain
+        - lp.accuracy_weight / (n * lp.regularizer**2) * _spread(sigma_L, sigma_S, n)
+        - avg_privacy
+        - (lp.perturbation_cost if sigma_L > 0 else 0.0)
+    )
 
 
 def user_utility(config: GameConfig, i: int, profile: StrategyProfile) -> float:
@@ -198,46 +239,17 @@ def user_utility(config: GameConfig, i: int, profile: StrategyProfile) -> float:
         raise ValueError(
             f"profile has {len(profile.sigma_S)} user strategies, expected {n}"
         )
-    u = config.users[i]
-    return (
-        u.baseline_gain
-        - accuracy_gap_term(
-            profile.sigma_L,
-            profile.sigma_S,
-            u.accuracy_weight,
-            config.learner.regularizer,
-            n,
-        )
-        - privacy_loss_term(
-            u.max_privacy_loss, u.privacy_rate, profile.sigma_L, profile.sigma_S[i]
-        )
-        - perturbation_cost_term(u.perturbation_cost, profile.sigma_S[i])
+    sigma_L = float(profile.sigma_L)
+    return _user_utility(
+        config, i, sigma_L, profile.sigma_S[i], _spread(sigma_L, profile.sigma_S, n)
     )
 
 
 def learner_utility(config: GameConfig, profile: StrategyProfile) -> float:
     """Utility of the learner: baseline minus accuracy penalty, minus the
     average privacy loss over users, minus the flat perturbation cost."""
-    n = config.n_users
-    if len(profile.sigma_S) != n:
+    if len(profile.sigma_S) != config.n_users:
         raise ValueError(
-            f"profile has {len(profile.sigma_S)} user strategies, expected {n}"
+            f"profile has {len(profile.sigma_S)} user strategies, expected {config.n_users}"
         )
-    lp = config.learner
-    avg_privacy = (
-        sum(
-            privacy_loss_term(
-                u.max_privacy_loss, u.privacy_rate, profile.sigma_L, s
-            )
-            for u, s in zip(config.users, profile.sigma_S)
-        )
-        / n
-    )
-    return (
-        lp.baseline_gain
-        - accuracy_gap_term(
-            profile.sigma_L, profile.sigma_S, lp.accuracy_weight, lp.regularizer, n
-        )
-        - avg_privacy
-        - perturbation_cost_term(lp.perturbation_cost, profile.sigma_L)
-    )
+    return _learner_utility(config, float(profile.sigma_L), profile.sigma_S)

@@ -8,8 +8,11 @@ user utility is
 
 a strictly increasing cubic with a unique root s_star.  The best response
 is bang-bang: either sigma_S = sqrt(s_star^2 - sigma_L^2) (paying the flat
-cost) or exactly 0, whichever gives higher utility.  The leader's induced
-objective is piecewise smooth with upward jumps where users stop
+cost) or exactly 0, whichever gives higher utility.  s_star depends on the
+user alone, so a solve or sweep finds it once per user, and the gain of
+perturbing is taken in closed form (other users' terms cancel); the public
+per-user queries are wrappers that solve s_star themselves.  The leader's
+induced objective is piecewise smooth with upward jumps where users stop
 perturbing; it is maximized over grid candidates, the jump points and
 golden-section refinements inside each smooth piece.
 """
@@ -28,6 +31,8 @@ from .game import (
     LearnerParams,
     StrategyProfile,
     UserParams,
+    _learner_utility,
+    _user_utility,
     learner_utility,
     user_utility,
 )
@@ -99,6 +104,11 @@ def effective_noise_target(
     return _bisect_root(g, 0.0, hi, root_tol)
 
 
+def _check_sigma_L(sigma_L: float) -> None:
+    if sigma_L < 0 or not math.isfinite(sigma_L):
+        raise ValueError(f"sigma_L must be finite and >= 0, got {sigma_L}")
+
+
 def interior_candidate(
     sigma_L: float,
     user: UserParams,
@@ -111,44 +121,72 @@ def interior_candidate(
     exceeds the user's preferred effective level, so no interior candidate
     above 0 exists.
     """
-    if sigma_L < 0 or not math.isfinite(sigma_L):
-        raise ValueError(f"sigma_L must be finite and >= 0, got {sigma_L}")
+    _check_sigma_L(sigma_L)
     s_star = effective_noise_target(user, learner, root_tol)
     if s_star <= sigma_L:
         return None
     return math.sqrt(s_star**2 - sigma_L**2)
 
 
-def _utility_at(config: GameConfig, i: int, sigma_L: float, sigma_S_i: float) -> float:
-    """User i's utility with every other user at 0 (their levels do not
-    affect i's optimal choice, only shift the value by a constant)."""
-    sigma = [0.0] * config.n_users
-    sigma[i] = sigma_S_i
-    return user_utility(config, i, StrategyProfile(sigma_L, tuple(sigma)))
+def _s_stars(config: GameConfig) -> list[float]:
+    """Every user's s_star.  The kernel below takes these from its caller and
+    trusts sigma_L to be finite and >= 0."""
+    return [
+        effective_noise_target(u, config.learner, config.solver.root_tol)
+        for u in config.users
+    ]
 
 
-def _perturbation_gain(config: GameConfig, i: int, sigma_L: float) -> float:
-    """Utility advantage of the interior candidate over not perturbing;
-    -cost when no interior candidate exists."""
-    user = config.users[i]
-    cand = interior_candidate(
-        sigma_L, user, config.learner, config.solver.root_tol
+def _perturbation(
+    sigma_L: float, user: UserParams, s_star: float, config: GameConfig
+) -> tuple[float, float]:
+    """(cand, gain): the interior candidate and its utility advantage over
+    not perturbing, in closed form (every other user's term cancels);
+    (0.0, -cost) when sigma_L >= s_star."""
+    if s_star <= sigma_L:
+        return 0.0, -user.perturbation_cost
+    cand = math.sqrt(s_star**2 - sigma_L**2)
+    n = config.n_users
+    p, rho = user.max_privacy_loss, user.privacy_rate
+    gain = (
+        -user.accuracy_weight / (n**2 * config.learner.regularizer**2) * cand**2
+        - p / (1.0 + rho * math.hypot(sigma_L, cand))
+        + p / (1.0 + rho * sigma_L)
+        - user.perturbation_cost
     )
-    if cand is None:
-        return -user.perturbation_cost
-    return _utility_at(config, i, sigma_L, cand) - _utility_at(config, i, sigma_L, 0.0)
+    return cand, gain
+
+
+def _response(sigma_L: float, user: UserParams, s_star: float, config: GameConfig) -> float:
+    cand, gain = _perturbation(sigma_L, user, s_star, config)
+    return cand if gain > config.solver.tie_epsilon else 0.0
+
+
+def _responses(sigma_L: float, config: GameConfig, s_stars: list[float]) -> list[float]:
+    return [_response(sigma_L, u, s, config) for u, s in zip(config.users, s_stars)]
+
+
+def _threshold(user: UserParams, s_star: float, config: GameConfig) -> Optional[float]:
+    settings = config.solver
+
+    def margin(sigma_L: float) -> float:
+        return _perturbation(sigma_L, user, s_star, config)[1] - settings.tie_epsilon
+
+    if margin(0.0) <= 0:
+        return 0.0
+    hi = min(s_star, settings.sigma_max)
+    if margin(hi) > 0:
+        return None
+    # margin is strictly decreasing on [0, s_star], so the sign change is unique
+    return _bisect_root(margin, 0.0, hi, settings.root_tol)
 
 
 def user_best_response(sigma_L: float, i: int, config: GameConfig) -> float:
     """Utility-maximizing sigma_S for user i; ties go to 0 (not perturbing)."""
+    _check_sigma_L(sigma_L)
     user = config.users[i]
-    cand = interior_candidate(
-        sigma_L, user, config.learner, config.solver.root_tol
-    )
-    if cand is None:
-        return 0.0
-    gain = _utility_at(config, i, sigma_L, cand) - _utility_at(config, i, sigma_L, 0.0)
-    return cand if gain > config.solver.tie_epsilon else 0.0
+    s_star = effective_noise_target(user, config.learner, config.solver.root_tol)
+    return _response(sigma_L, user, s_star, config)
 
 
 def dissuasion_threshold(i: int, config: GameConfig) -> Optional[float]:
@@ -158,27 +196,14 @@ def dissuasion_threshold(i: int, config: GameConfig) -> Optional[float]:
     response is still positive at sigma_max (no dissuasion within the
     search bound).
     """
-    settings = config.solver
-    tie = settings.tie_epsilon
-
-    def margin(sigma_L: float) -> float:
-        return _perturbation_gain(config, i, sigma_L) - tie
-
-    if margin(0.0) <= 0:
-        return 0.0
-    s_star = effective_noise_target(config.users[i], config.learner, settings.root_tol)
-    hi = min(s_star, settings.sigma_max)
-    if margin(hi) > 0:
-        return None
-    # margin is strictly decreasing on [0, s_star], so the sign change is unique
-    return _bisect_root(margin, 0.0, hi, settings.root_tol)
+    user = config.users[i]
+    s_star = effective_noise_target(user, config.learner, config.solver.root_tol)
+    return _threshold(user, s_star, config)
 
 
 def best_response_profile(sigma_L: float, config: GameConfig) -> StrategyProfile:
-    return StrategyProfile(
-        sigma_L,
-        tuple(user_best_response(sigma_L, i, config) for i in range(config.n_users)),
-    )
+    _check_sigma_L(sigma_L)
+    return StrategyProfile(sigma_L, _responses(sigma_L, config, _s_stars(config)))
 
 
 def leader_objective(sigma_L: float, config: GameConfig) -> float:
@@ -225,7 +250,11 @@ def stackelberg_solve(config: GameConfig) -> EquilibriumResult:
     """
     settings = config.solver
     n = config.n_users
-    thresholds = [dissuasion_threshold(i, config) for i in range(n)]
+    s_stars = _s_stars(config)
+    thresholds = [_threshold(u, t, config) for u, t in zip(config.users, s_stars)]
+
+    def objective(sigma_L: float) -> float:
+        return _learner_utility(config, sigma_L, _responses(sigma_L, config, s_stars))
 
     candidates: set[float] = {0.0, settings.sigma_max}
     breakpoints = sorted(
@@ -241,15 +270,11 @@ def stackelberg_solve(config: GameConfig) -> EquilibriumResult:
     edges = [0.0] + breakpoints + [settings.sigma_max]
     for lo, hi in zip(edges, edges[1:]):
         if hi - lo > settings.root_tol:
-            candidates.add(
-                _golden_max(
-                    lambda s: leader_objective(s, config), lo, hi, settings.root_tol
-                )
-            )
+            candidates.add(_golden_max(objective, lo, hi, settings.root_tol))
 
     evaluated = []
     for s in sorted(candidates):
-        u = leader_objective(s, config)
+        u = objective(s)
         if not math.isfinite(u):
             raise SolverError(f"non-finite leader utility {u} at sigma_L={s}")
         evaluated.append((s, u))
@@ -257,7 +282,7 @@ def stackelberg_solve(config: GameConfig) -> EquilibriumResult:
     # smallest sigma_L among near-ties
     sigma_L_star = min(s for s, u in evaluated if u >= best_u - settings.tie_epsilon)
 
-    profile = best_response_profile(sigma_L_star, config)
+    profile = StrategyProfile(sigma_L_star, _responses(sigma_L_star, config, s_stars))
     return EquilibriumResult(
         sigma_L_star=sigma_L_star,
         sigma_S_star=profile.sigma_S,
@@ -267,10 +292,16 @@ def stackelberg_solve(config: GameConfig) -> EquilibriumResult:
     )
 
 
+def _own_noise_utility(config: GameConfig, i: int, sigma_L: float, sigma_S: float) -> float:
+    """User i's utility at own noise sigma_S with every other user at 0."""
+    spread = sigma_L**2 + sigma_S**2 / config.n_users
+    return _user_utility(config, i, sigma_L, sigma_S, spread)
+
+
 def _vector_user_utility(
     config: GameConfig, i: int, sigma_L: float, sigma_S: np.ndarray
 ) -> np.ndarray:
-    """User i's utility over a vector of own noise levels, others at 0."""
+    """_own_noise_utility over a vector of own noise levels."""
     u = config.users[i]
     lam = config.learner.regularizer
     n = config.n_users

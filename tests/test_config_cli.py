@@ -31,6 +31,29 @@ users[0].rho   = 1
 users[0].N_bar = 0
 """
 
+# users 0 and 1 are dissuaded at sigma_L = 4.85 and 3.41, user 2 never perturbs
+THREE_USERS = """
+learner.G_bar  = 100
+learner.gamma  = 4
+learner.N_bar  = 75
+learner.Lambda = 1
+learner.N      = 3
+users[0].G_bar = 100
+users[0].gamma = 1
+users[0].P_bar = 45
+users[0].rho   = 0.1
+users[0].N_bar = 1
+users[1].G_bar = 90
+users[1].gamma = 2
+users[1].P_bar = 60
+users[1].rho   = 0.2
+users[1].N_bar = 3
+users[2].G_bar = 80
+users[2].gamma = 1
+users[2].P_bar = 0
+users[2].rho   = 1
+users[2].N_bar = 0
+"""
 
 class TestConfigParsing:
     def test_minimal_round_trip(self):
@@ -218,11 +241,64 @@ class TestCliSweep:
             dropoffs.append(min(float(r[0]) for r in rows if float(r[1]) == 0.0))
         assert dropoffs[0] > dropoffs[1] > dropoffs[2]
 
-    def test_invalid_range_exit_2(self, tmp_path):
+    def test_rows_match_public_path(self, tmp_path):
+        from obfusgame.cli import _fmt
+        from obfusgame.game import StrategyProfile, learner_utility, user_utility
+        from obfusgame.solver import best_response_profile
+
+        (tmp_path / "three.cfg").write_text(THREE_USERS)
+        config = parse_config_text(THREE_USERS)
+        assert main([
+            "sweep", "--config", str(tmp_path / "three.cfg"),
+            "--out", str(tmp_path), "--max", "6", "--step", "0.05",
+        ]) == 0
+        leader = (tmp_path / "sweep_leader.csv").read_text().splitlines()[1:]
+        for line in leader:
+            sigma_L = float(line.split(",")[0])
+            profile = best_response_profile(sigma_L, config)
+            values = [sigma_L, *profile.sigma_S, learner_utility(config, profile)]
+            values += [user_utility(config, i, profile) for i in range(3)]
+            assert line == ",".join(_fmt(v) for v in values)
+        assert {line.split(",")[1] == "0" for line in leader} == {True, False}
+        own = (tmp_path / "sweep_user_utility.csv").read_text().splitlines()[1:]
+        assert len(own) == 5 * len(leader)
+        for line in own:
+            sigma_L, sigma_S = (float(v) for v in line.split(",")[:2])
+            utilities = []
+            for i in range(3):
+                sigma = [0.0, 0.0, 0.0]
+                sigma[i] = sigma_S
+                utilities.append(user_utility(config, i, StrategyProfile(sigma_L, sigma)))
+            assert line == ",".join(_fmt(v) for v in (sigma_L, sigma_S, *utilities))
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            pytest.param(["--min", "2", "--max", "1"], 2, id="min_above_max"),
+            pytest.param(["--min", "-1"], 2, id="negative_min"),
+            pytest.param(["--min", "nan"], 2, id="nan_min"),
+            pytest.param(["--max", "inf"], 2, id="infinite_max"),
+            pytest.param(["--step", "inf"], 2, id="infinite_step"),
+            pytest.param(["--step", "0"], 2, id="zero_step"),
+            # the accumulated grid point would never pass --max
+            pytest.param(["--min", "1e20", "--max", "1e20", "--step", "1"], 2, id="step_below_spacing"),
+            pytest.param(["--step", "1e-300"], 3, id="tiny_step"),
+            pytest.param(["--max", "1e6", "--step", "0.5"], 3, id="over_point_cap"),
+        ],
+    )
+    def test_invalid_range_exit_2(self, tmp_path, capsys, monkeypatch, args, code):
+        import obfusgame.cli
+
+        # fail at once, rather than hang, if an invalid range gets to the grid
+        def no_output(args):
+            raise AssertionError("sweep went past its input checks")
+
+        monkeypatch.setattr(obfusgame.cli, "_outdir", no_output)
         assert main([
             "sweep", "--config", str(shipped_config_path("default")),
-            "--out", str(tmp_path), "--min", "2", "--max", "1",
-        ]) == 2
+            "--out", str(tmp_path), *args,
+        ]) == code
+        assert "error" in capsys.readouterr().err
 
 
 class TestCliDp:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obfusgame import solver
 from obfusgame.config_io import load_shipped_config
@@ -16,6 +18,7 @@ from obfusgame.game import (
     user_utility,
 )
 from obfusgame.solver import (
+    best_response_profile,
     brute_force_equilibrium,
     dissuasion_threshold,
     interior_candidate,
@@ -281,3 +284,124 @@ class TestBestResponseCurve:
         for s, b in zip(grid, curve):
             if s > threshold:
                 assert b == 0.0
+
+
+def mixed_population(n, seed, sigma_max=20.0):
+    """An n-user game in which users i % 3 == 0 and 1 have s_star inside
+    [0, sigma_max] and a flat cost below their gain from perturbing at
+    sigma_L = 0 (the learner can dissuade them), and users i % 3 == 2 have
+    s_star beyond sigma_max and a cost below their gain there (no sigma_L in
+    range dissuades them)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    scale = float(n * n)  # N^2 Lambda^2 with Lambda = 1
+    users = []
+    for i in range(n):
+        gamma, rho = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.05, 0.5))
+        at = sigma_max if i % 3 == 2 else 0.0
+        s_star = float(rng.uniform(1.5, 3.0) if i % 3 == 2 else rng.uniform(0.3, 0.9)) * sigma_max
+        p_bar = 2.0 * gamma * s_star * (1.0 + rho * s_star) ** 2 / (rho * scale)
+        gain = (
+            p_bar / (1.0 + rho * at)
+            - p_bar / (1.0 + rho * s_star)
+            - gamma * (s_star**2 - at**2) / scale
+        )
+        users.append(UserParams(100.0, gamma, p_bar, rho, float(rng.uniform(0.1, 0.9)) * gain))
+    return GameConfig(
+        learner=LearnerParams(100.0, 1.0, 0.2, 1.0, n),
+        users=tuple(users),
+        solver=SolverSettings(sigma_max=sigma_max, grid_step=0.02),
+    )
+
+
+@st.composite
+def games(draw):
+    n = draw(st.integers(1, 4))
+
+    def real(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    users = tuple(
+        UserParams(real(0.0, 10.0), real(0.1, 3.0), real(0.0, 20.0), real(0.05, 2.0), real(0.0, 3.0))
+        for _ in range(n)
+    )
+    learner = LearnerParams(real(0.0, 10.0), real(0.0, 2.0), real(0.0, 1.0), real(0.5, 2.0), n)
+    tie = draw(st.sampled_from([0.0, 1e-9]))
+    return GameConfig(learner, users, solver=SolverSettings(10.0, 0.05, tie_epsilon=tie))
+
+
+sigma_levels = st.floats(0.0, 12.0)
+
+
+class TestBestResponseKernel:
+    def test_one_s_star_per_user_per_solve(self, monkeypatch):
+        config = mixed_population(8, seed=3)
+        calls = []
+        real = solver.effective_noise_target
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "effective_noise_target", counting)
+        result = stackelberg_solve(config)
+        assert len(calls) == config.n_users
+        monkeypatch.undo()
+        # the population mixes users the learner dissuades, users it leaves
+        # perturbing and users no sigma_L in range dissuades
+        thresholds = result.per_user_thresholds
+        assert None in thresholds and any(t is not None and t > 0 for t in thresholds)
+        assert any(s > 0 for s in result.sigma_S_star)
+        # the kernel's thresholds and responses are the public queries' values
+        assert thresholds == tuple(dissuasion_threshold(i, config) for i in range(8))
+        assert result.sigma_S_star == tuple(
+            user_best_response(result.sigma_L_star, i, config) for i in range(8)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(games(), sigma_levels)
+    def test_leader_objective_matches_per_user_path(self, config, sigma_L):
+        brs = tuple(user_best_response(sigma_L, i, config) for i in range(config.n_users))
+        expected = learner_utility(config, StrategyProfile(sigma_L, brs))
+        assert leader_objective(sigma_L, config) == expected
+        kernel = solver._responses(sigma_L, config, solver._s_stars(config))
+        assert solver._learner_utility(config, sigma_L, kernel) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(games(), sigma_levels, sigma_levels, st.integers(0, 3))
+    def test_own_noise_utility_matches_user_utility(self, config, sigma_L, sigma_S, i):
+        i %= config.n_users
+        sigma = [0.0] * config.n_users
+        sigma[i] = sigma_S
+        expected = user_utility(config, i, StrategyProfile(sigma_L, tuple(sigma)))
+        assert solver._own_noise_utility(config, i, sigma_L, sigma_S) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(games(), sigma_levels)
+    def test_best_response_is_argmax_of_user_utility(self, config, sigma_L):
+        tie = config.solver.tie_epsilon
+        for i in range(config.n_users):
+            br = user_best_response(sigma_L, i, config)
+            cand = interior_candidate(sigma_L, config.users[i], config.learner)
+            if cand is None:
+                assert br == 0.0
+                continue
+            sigma = [0.0] * config.n_users
+            u0 = user_utility(config, i, StrategyProfile(sigma_L, tuple(sigma)))
+            sigma[i] = cand
+            gain = user_utility(config, i, StrategyProfile(sigma_L, tuple(sigma))) - u0
+            if abs(gain - tie) > 1e-12:
+                assert br == (cand if gain > tie else 0.0)
+
+    @pytest.mark.parametrize("sigma_L", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda s, c: user_best_response(s, 0, c),
+            best_response_profile,
+            leader_objective,
+        ],
+        ids=["user_best_response", "best_response_profile", "leader_objective"],
+    )
+    def test_public_queries_reject_bad_sigma_L(self, query, sigma_L):
+        with pytest.raises(ValueError, match="sigma_L"):
+            query(sigma_L, simple_config())
