@@ -119,25 +119,16 @@ def _cmd_sweep(args) -> int:
     lo = 0.0 if args.min is None else args.min
     hi = settings.sigma_max if args.max is None else args.max
     step = settings.grid_step if args.step is None else args.step
-    if not all(map(math.isfinite, (lo, hi, step))):
-        raise ConfigError("--min, --max and --step must be finite")
+    if not all(map(math.isfinite, (lo, hi * hi, step))):
+        raise ConfigError("--min, --max and --step must be finite, and so must --max squared")
     if not (0 <= lo <= hi and step > 0):
         raise ConfigError(f"invalid sweep range [{lo}, {hi}] with step {step}")
-    top = hi + 1e-12
-    if (top - lo) / step + 1 > _SWEEP_MAX_POINTS:
-        raise GridTooLargeError(
-            f"sweep of [{lo}, {hi}] by {step} exceeds {_SWEEP_MAX_POINTS} points"
-        )
-    if step < math.ulp(top):
+    solver._grid_steps(lo, hi, step, _SWEEP_MAX_POINTS)  # exit 3 before any point is built
+    if step < math.ulp(hi):
         raise ConfigError(f"--step {step} is below the float spacing at --max {hi}")
     out = _outdir(args)
     n = config.n_users
-
-    grid = []
-    s = lo
-    while s <= top:
-        grid.append(round(s, 12))
-        s += step
+    grid = solver._grid(lo, hi, step, _SWEEP_MAX_POINTS)
 
     # (a) user utility vs own sigma_S (others at 0) at a handful of sigma_L samples
     sample_count = min(5, len(grid))

@@ -77,13 +77,15 @@ class SolverSettings:
     """Search bounds and tolerances for the best-response solver."""
 
     sigma_max: float = 50.0
-    grid_step: float = 0.05
+    grid_step: float = 0.05  # the sweep's default step; the solve uses no grid
     root_tol: float = 1e-9
     tie_epsilon: float = 1e-9
 
     def __post_init__(self):
         if _require_finite("sigma_max", self.sigma_max) <= 0:
             raise ValueError("sigma_max must be > 0")
+        if not math.isfinite(self.sigma_max * self.sigma_max):
+            raise ValueError(f"sigma_max {self.sigma_max} has no finite square")
         if not 0 < self.grid_step < self.sigma_max:
             raise ValueError("grid_step must be in (0, sigma_max)")
         if _require_finite("root_tol", self.root_tol) <= 0:

@@ -11,10 +11,22 @@ is bang-bang: either sigma_S = sqrt(s_star^2 - sigma_L^2) (paying the flat
 cost) or exactly 0, whichever gives higher utility.  s_star depends on the
 user alone, so a solve or sweep finds it once per user, and the gain of
 perturbing is taken in closed form (other users' terms cancel); the public
-per-user queries are wrappers that solve s_star themselves.  The leader's
-induced objective is piecewise smooth with upward jumps where users stop
-perturbing; it is maximized over grid candidates, the jump points and
-golden-section refinements inside each smooth piece.
+per-user queries are wrappers that solve s_star themselves.
+
+The leader's induced objective jumps where a user stops perturbing (a
+dissuasion threshold) and at sigma_L = 0 (the leader's flat cost).
+Between two consecutive thresholds the set S of users who perturb is
+fixed, each of them tops up to its own s_star, and the objective is
+
+    const - gamma_L / (N Lambda^2) * (1 - |S| / N) * sigma_L^2
+          - (1 / N) * sum_{i not in S} P_bar_i / (1 + rho_i * sigma_L),
+
+a sum of concave terms.  So its maximum over [0, sigma_max] lies at 0, at
+sigma_max, at a threshold (or just beside one), or at the maximum of one
+concave piece, which golden-section search finds to root_tol; those are
+the only candidates the solve evaluates.  This is the one-dimensional
+form of enumerating the follower's best-response regions in optimal
+commitment (Conitzer & Sandholm, EC 2006).
 """
 
 from __future__ import annotations
@@ -56,11 +68,14 @@ class EquilibriumResult:
 
 def _bisect_root(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
     """Root of a continuous f with f(lo) and f(hi) of opposite sign (f(lo) >= 0
-    >= f(hi) or the reverse), located to absolute tolerance tol."""
+    >= f(hi) or the reverse), located to absolute tolerance tol, or to float
+    resolution where that is coarser than tol."""
     flo = f(lo)
     sign = 1.0 if flo >= 0 else -1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # no float left between lo and hi
+            break
         if sign * f(mid) >= 0:
             lo = mid
         else:
@@ -211,27 +226,31 @@ def leader_objective(sigma_L: float, config: GameConfig) -> float:
     return learner_utility(config, best_response_profile(sigma_L, config))
 
 
-def _grid_steps(sigma_max: float, step: float) -> tuple[int, bool]:
-    """(n, pad): _grid holds k * step for k = 0..n, then sigma_max if pad."""
-    n = int(math.floor(sigma_max / step + 1e-9))
-    return n, n * step < sigma_max - 1e-12
+def _grid_steps(lo: float, hi: float, step: float, max_points: int) -> tuple[int, bool]:
+    """(n, pad): _grid holds lo + k * step for k = 0..n, then hi if pad;
+    GridTooLargeError if that is more than max_points points."""
+    n = math.floor(min((hi - lo) / step + 1e-9, max_points))  # the quotient may be inf
+    pad = lo + n * step < hi - 1e-12
+    if n + 1 + pad > max_points:
+        raise GridTooLargeError(f"grid over [{lo}, {hi}] by {step} exceeds {max_points} points")
+    return n, pad
 
 
-def _grid(sigma_max: float, step: float) -> list[float]:
-    n, pad = _grid_steps(sigma_max, step)
-    return [k * step for k in range(n + 1)] + [sigma_max] * pad
+def _grid(lo: float, hi: float, step: float, max_points: int) -> list[float]:
+    n, pad = _grid_steps(lo, hi, step, max_points)
+    return [lo + k * step for k in range(n + 1)] + [hi] * pad
 
 
 def _golden_max(
     f: Callable[[float], float], lo: float, hi: float, tol: float
 ) -> float:
-    """Argmax of f on [lo, hi] by golden-section search (unimodality is not
-    guaranteed on every piece; grid candidates cover the rest)."""
+    """Argmax of a concave f on [lo, hi] by golden-section search, to
+    absolute tolerance tol or to float resolution where that is coarser."""
     a, b = lo, hi
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    while b - a > tol and a < x1 < x2 < b:
         if f1 > f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INV_GOLDEN * (b - a)
@@ -244,7 +263,9 @@ def _golden_max(
 
 
 def stackelberg_solve(config: GameConfig) -> EquilibriumResult:
-    """Leader-optimal sigma_L over {0} + thresholds + grid + per-piece refinements.
+    """Leader-optimal sigma_L over 0, sigma_max, each threshold t and
+    t +- root_tol, and the maximum of each concave piece between thresholds;
+    the module docstring shows that no other sigma_L does better.
 
     Utility ties within tie_epsilon resolve to the smaller sigma_L.
     """
@@ -264,9 +285,8 @@ def stackelberg_solve(config: GameConfig) -> EquilibriumResult:
         for c in (t - settings.root_tol, t, t + settings.root_tol):
             if 0.0 <= c <= settings.sigma_max:
                 candidates.add(c)
-    candidates.update(_grid(settings.sigma_max, settings.grid_step))
 
-    # refine inside each smooth piece of the induced objective
+    # the maximum of each concave piece of the induced objective
     edges = [0.0] + breakpoints + [settings.sigma_max]
     for lo, hi in zip(edges, edges[1:]):
         if hi - lo > settings.root_tol:
@@ -319,21 +339,20 @@ def brute_force_equilibrium(config: GameConfig, fine_step: float) -> Equilibrium
 
     For every sigma_L grid point each user's best response is found by a
     dense 1-D grid over [0, sigma_max]; the learner then picks the grid
-    point with the highest utility (ties to the smaller sigma_L).
+    point with the highest utility (ties to the smaller sigma_L).  A
+    user's threshold is read off the same table: 0.0 if the user never
+    perturbs, None if they still perturb at sigma_max, and otherwise the
+    grid point after the last sigma_L at which they perturb.
     """
     if fine_step <= 0:
         raise ValueError("fine_step must be > 0")
     settings = config.solver
-    steps, pad = _grid_steps(settings.sigma_max, fine_step)
-    m = steps + 1 + pad
-    if m * m * config.n_users > _BRUTE_FORCE_BUDGET:
-        raise GridTooLargeError(
-            f"{m}x{m} grid over {config.n_users} users exceeds the evaluation "
-            "budget; increase fine_step or reduce sigma_max"
-        )
-    sigma_grid = np.asarray(_grid(settings.sigma_max, fine_step))
-
     n = config.n_users
+    max_points = math.isqrt(_BRUTE_FORCE_BUDGET // n)  # m points cost m * m * n evaluations
+    _grid_steps(0.0, settings.sigma_max, fine_step, max_points)  # before the grid is built
+    sigma_grid = np.asarray(_grid(0.0, settings.sigma_max, fine_step, max_points))
+    m = len(sigma_grid)
+
     br = np.empty((m, n))
     for j, sigma_L in enumerate(sigma_grid):
         for i in range(n):
@@ -349,10 +368,18 @@ def brute_force_equilibrium(config: GameConfig, fine_step: float) -> Equilibrium
     best = leader.max()
     j_star = int(np.argmax(leader >= best - settings.tie_epsilon))
     profile = StrategyProfile(float(sigma_grid[j_star]), tuple(br[j_star]))
+
+    def table_threshold(column: np.ndarray) -> Optional[float]:
+        perturbing = np.flatnonzero(column > 0)
+        if perturbing.size == 0:
+            return 0.0
+        last = int(perturbing[-1])
+        return None if last == m - 1 else float(sigma_grid[last + 1])
+
     return EquilibriumResult(
         sigma_L_star=profile.sigma_L,
         sigma_S_star=profile.sigma_S,
         learner_utility=learner_utility(config, profile),
         user_utilities=tuple(user_utility(config, i, profile) for i in range(n)),
-        per_user_thresholds=tuple(dissuasion_threshold(i, config) for i in range(n)),
+        per_user_thresholds=tuple(table_threshold(br[:, i]) for i in range(n)),
     )

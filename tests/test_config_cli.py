@@ -176,10 +176,18 @@ class TestCliSolve:
         assert main(["solve", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path)]) == 2
 
-    def test_oversized_oracle_grid_exit_3(self, tmp_path, capsys):
+    def test_sigma_max_with_overflowing_square_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(MINIMAL + "solver.sigma_max = 1e200\nsolver.grid_step = 1e199\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "square" in capsys.readouterr().err
+
+    # at 1e-320, sigma_max / fine_step overflows to inf
+    @pytest.mark.parametrize("fine_step", ["1e-6", "1e-320"])
+    def test_oversized_oracle_grid_exit_3(self, tmp_path, capsys, fine_step):
         assert main([
             "solve", "--config", str(shipped_config_path("default")),
-            "--out", str(tmp_path), "--oracle", "--fine-step", "1e-6",
+            "--out", str(tmp_path), "--oracle", "--fine-step", fine_step,
         ]) == 3
         assert "solver error" in capsys.readouterr().err
 
@@ -271,6 +279,15 @@ class TestCliSweep:
                 utilities.append(user_utility(config, i, StrategyProfile(sigma_L, sigma)))
             assert line == ",".join(_fmt(v) for v in (sigma_L, sigma_S, *utilities))
 
+    def test_grid_ends_at_max(self, tmp_path):
+        # 0.3 does not divide 1; the last row is --max itself
+        assert main([
+            "sweep", "--config", str(shipped_config_path("default")),
+            "--out", str(tmp_path), "--max", "1", "--step", "0.3",
+        ]) == 0
+        rows = (tmp_path / "sweep_best_response.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "0.3", "0.6", "0.9", "1"]
+
     @pytest.mark.parametrize(
         "args, code",
         [
@@ -282,6 +299,8 @@ class TestCliSweep:
             pytest.param(["--step", "0"], 2, id="zero_step"),
             # the accumulated grid point would never pass --max
             pytest.param(["--min", "1e20", "--max", "1e20", "--step", "1"], 2, id="step_below_spacing"),
+            # --max squared overflows a float
+            pytest.param(["--min", "1e200", "--max", "1e200", "--step", "1e190"], 2, id="max_square_overflows"),
             pytest.param(["--step", "1e-300"], 3, id="tiny_step"),
             pytest.param(["--max", "1e6", "--step", "0.5"], 3, id="over_point_cap"),
         ],

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obfusgame import solver
-from obfusgame.config_io import load_shipped_config
+from obfusgame.config_io import load_shipped_config, parse_config_text, shipped_config_path
 from obfusgame.errors import GridTooLargeError, NoFiniteOptimumError
 from obfusgame.game import (
     GameConfig,
@@ -223,6 +223,27 @@ class TestBruteForce:
         with pytest.raises(GridTooLargeError):
             brute_force_equilibrium(simple_config(sigma_max=20.0), 1e-6)
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: load_shipped_config("default"), lambda: mixed_population(4, seed=3)],
+        ids=["default", "mixed_4"],
+    )
+    def test_thresholds_read_off_its_own_table(self, monkeypatch, make):
+        config, fine_step = make(), 0.01
+        expected = [dissuasion_threshold(i, config) for i in range(config.n_users)]
+
+        def analytic(*args):
+            raise AssertionError("the oracle asked the analytic solver")
+
+        monkeypatch.setattr(solver, "dissuasion_threshold", analytic)
+        monkeypatch.setattr(solver, "_threshold", analytic)
+        table = brute_force_equilibrium(config, fine_step).per_user_thresholds
+        assert any(t is not None and t > 0 for t in table)
+        for t, e in zip(table, expected):
+            assert (t is None) == (e is None)
+            if t is not None:
+                assert abs(t - e) <= fine_step
+
     def test_agrees_with_solver_on_random_configs(self):
         for seed in range(5):
             config = random_small_config(seed)
@@ -405,3 +426,91 @@ class TestBestResponseKernel:
     def test_public_queries_reject_bad_sigma_L(self, query, sigma_L):
         with pytest.raises(ValueError, match="sigma_L"):
             query(sigma_L, simple_config())
+
+
+def assert_no_grid_point_beats_the_solve(config, points):
+    """No sigma_L of a grid on [0, sigma_max] beats the solve by more than
+    tie_epsilon (near-ties go to the smaller sigma_L, so the solve may sit
+    that far below its best candidate), up to float rounding: on a piece
+    where every user perturbs the objective is flat, and its evaluations
+    differ in the last bit."""
+    s_stars = solver._s_stars(config)
+    best = max(
+        solver._learner_utility(config, s, solver._responses(s, config, s_stars))
+        for s in np.linspace(0.0, config.solver.sigma_max, points).tolist()
+    )
+    solved = stackelberg_solve(config).learner_utility
+    assert best - solved <= config.solver.tie_epsilon + 1e-12 * max(1.0, abs(solved))
+
+
+class TestCandidateSet:
+    def test_solve_builds_no_grid(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("stackelberg_solve built a grid")
+
+        monkeypatch.setattr(solver, "_grid", build)
+        monkeypatch.setattr(solver, "_grid_steps", build)
+        for config in (load_shipped_config("default"), mixed_population(8, seed=3)):
+            result = stackelberg_solve(config)
+            assert result.sigma_S_star == tuple(
+                user_best_response(result.sigma_L_star, i, config)
+                for i in range(config.n_users)
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(games())
+    def test_no_grid_point_beats_the_solve(self, config):
+        assert_no_grid_point_beats_the_solve(config, 1001)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_no_grid_point_beats_the_solve_on_mixed_populations(self, n, seed):
+        assert_no_grid_point_beats_the_solve(mixed_population(n, seed), 2001)
+
+
+def counted(f, limit=2000):
+    """f, raising once it has been called more than limit times."""
+    calls = [0]
+
+    def wrapped(x):
+        calls[0] += 1
+        if calls[0] > limit:
+            raise AssertionError(f"no stop after {limit} evaluations")
+        return f(x)
+
+    return wrapped
+
+
+class TestFloatResolution:
+    """Both searches stop once no float lies inside the bracket, also when
+    that spacing is coarser than the requested tolerance."""
+
+    @pytest.mark.parametrize("root", [6.956207695883, 1.7e100])
+    def test_bisect_root(self, root):
+        x = solver._bisect_root(counted(lambda s: root - s), 0.0, 2.0 * root, 1e-16)
+        assert x == pytest.approx(root, rel=1e-15)
+
+    @pytest.mark.parametrize("peak", [6.956207695883, 1.7e100])
+    def test_golden_max(self, peak):
+        x = solver._golden_max(counted(lambda s: -abs(s - peak)), 0.0, 2.0 * peak, 1e-16)
+        assert x == pytest.approx(peak, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "line, value",
+        [("solver.tol", "1e-16"), ("users[0].P_bar", "1e300")],
+        ids=["tol_below_spacing", "huge_s_star"],
+    )
+    def test_solve_terminates(self, monkeypatch, line, value):
+        text = "\n".join(
+            f"{line} = {value}" if raw.startswith(line) else raw
+            for raw in shipped_config_path("default").read_text().splitlines()
+        )
+        bisect, golden = solver._bisect_root, solver._golden_max
+        monkeypatch.setattr(
+            solver, "_bisect_root", lambda f, lo, hi, tol: bisect(counted(f), lo, hi, tol)
+        )
+        monkeypatch.setattr(
+            solver, "_golden_max", lambda f, lo, hi, tol: golden(counted(f), lo, hi, tol)
+        )
+        result = stackelberg_solve(parse_config_text(text))
+        assert math.isfinite(result.learner_utility)
