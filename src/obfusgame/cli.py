@@ -20,7 +20,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -28,15 +27,11 @@ from pathlib import Path
 from . import __version__, dp, solver, validate
 from .config_io import load_config
 from .errors import ConfigError, GridTooLargeError, SolverError
-from .game import _learner_utility, _spread, _user_utility
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
-
-# the default sweep has 1,001 points
-_SWEEP_MAX_POINTS = 1_000_000
 
 
 @dataclasses.dataclass
@@ -119,56 +114,26 @@ def _cmd_sweep(args) -> int:
     lo = 0.0 if args.min is None else args.min
     hi = settings.sigma_max if args.max is None else args.max
     step = settings.grid_step if args.step is None else args.step
-    if not all(map(math.isfinite, (lo, hi * hi, step))):
-        raise ConfigError("--min, --max and --step must be finite, and so must --max squared")
-    if not (0 <= lo <= hi and step > 0):
-        raise ConfigError(f"invalid sweep range [{lo}, {hi}] with step {step}")
-    solver._grid_steps(lo, hi, step, _SWEEP_MAX_POINTS)  # exit 3 before any point is built
-    if step < math.ulp(hi):
-        raise ConfigError(f"--step {step} is below the float spacing at --max {hi}")
+    own, responses, leader = solver.sweep(config, lo, hi, step)
     out = _outdir(args)
-    n = config.n_users
-    grid = solver._grid(lo, hi, step, _SWEEP_MAX_POINTS)
-
-    # (a) user utility vs own sigma_S (others at 0) at a handful of sigma_L samples
-    sample_count = min(5, len(grid))
-    sigma_L_samples = [grid[int(k * (len(grid) - 1) / max(sample_count - 1, 1))] for k in range(sample_count)]
-    rows_a = []
-    for sigma_L in sigma_L_samples:
-        for sigma_S in grid:
-            util = [solver._own_noise_utility(config, i, sigma_L, sigma_S) for i in range(n)]
-            rows_a.append([sigma_L, sigma_S] + util)
+    users = range(config.n_users)
     _write_csv(
         out / "sweep_user_utility.csv",
-        ["sigma_L", "sigma_S"] + [f"U_S_{i}" for i in range(n)],
-        rows_a,
+        ["sigma_L", "sigma_S"] + [f"U_S_{i}" for i in users],
+        own,
     )
-
-    # (b) best response and (c) induced leader utility vs sigma_L
-    s_stars = solver._s_stars(config)
-    rows_b, rows_c = [], []
-    for sigma_L in grid:
-        brs = solver._responses(sigma_L, config, s_stars)
-        spread = _spread(sigma_L, brs, n)
-        rows_b.append([sigma_L] + brs)
-        rows_c.append(
-            [sigma_L]
-            + brs
-            + [_learner_utility(config, sigma_L, brs)]
-            + [_user_utility(config, i, sigma_L, brs[i], spread) for i in range(n)]
-        )
     _write_csv(
         out / "sweep_best_response.csv",
-        ["sigma_L"] + [f"br_user_{i}" for i in range(n)],
-        rows_b,
+        ["sigma_L"] + [f"br_user_{i}" for i in users],
+        responses,
     )
     _write_csv(
         out / "sweep_leader.csv",
         ["sigma_L"]
-        + [f"br_user_{i}" for i in range(n)]
+        + [f"br_user_{i}" for i in users]
         + ["U_L"]
-        + [f"U_S_{i}" for i in range(n)],
-        rows_c,
+        + [f"U_S_{i}" for i in users],
+        leader,
     )
     _write_manifest(out, args, "sweep")
     print(f"wrote 3 sweep files to {out}")

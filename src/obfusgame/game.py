@@ -47,6 +47,9 @@ class LearnerParams:
             raise ValueError("regularizer must be > 0")
         if self.population_size < 1:
             raise ValueError("population_size must be >= 1")
+        scale = self.population_size * self.regularizer
+        if not math.isfinite(scale * scale):
+            raise ValueError(f"regularizer {self.regularizer} has no finite (N * regularizer)^2")
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ from .game import (
     StrategyProfile,
     UserParams,
     _learner_utility,
+    _spread,
     _user_utility,
     learner_utility,
     user_utility,
@@ -51,6 +52,8 @@ from .game import (
 
 # cap on utility evaluations for the brute-force oracle
 _BRUTE_FORCE_BUDGET = 2_000_000_000
+# cap on sweep grid points; the default sweep has 1,001
+_SWEEP_MAX_POINTS = 1_000_000
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -99,7 +102,8 @@ def effective_noise_target(
 ) -> float:
     """The unique s_star solving s * (1 + rho s)^2 = P_bar rho N^2 Lambda^2 / (2 gamma).
 
-    Returns 0.0 when the user has no privacy stake.
+    Returns 0.0 when the user has no privacy stake; SolverError when
+    s_star has no finite square.
     """
     if user.max_privacy_loss == 0:
         return 0.0
@@ -111,12 +115,16 @@ def effective_noise_target(
     rho = user.privacy_rate
 
     def g(s: float) -> float:
-        return s * (1.0 + rho * s) ** 2 - rhs
+        t = 1.0 + rho * s
+        return s * (t * t) - rhs  # t ** 2 raises OverflowError where t * t is inf
 
     hi = 1.0
     while g(hi) < 0:
         hi *= 2.0
-    return _bisect_root(g, 0.0, hi, root_tol)
+    s_star = _bisect_root(g, 0.0, hi, root_tol)
+    if not math.isfinite(s_star * s_star):
+        raise SolverError(f"effective noise target {s_star} has no finite square")
+    return s_star
 
 
 def _check_sigma_L(sigma_L: float) -> None:
@@ -165,7 +173,7 @@ def _perturbation(
     p, rho = user.max_privacy_loss, user.privacy_rate
     gain = (
         -user.accuracy_weight / (n**2 * config.learner.regularizer**2) * cand**2
-        - p / (1.0 + rho * math.hypot(sigma_L, cand))
+        - p / (1.0 + rho * s_star)  # hypot(sigma_L, cand) is s_star
         + p / (1.0 + rho * sigma_L)
         - user.perturbation_cost
     )
@@ -227,8 +235,9 @@ def leader_objective(sigma_L: float, config: GameConfig) -> float:
 
 
 def _grid_steps(lo: float, hi: float, step: float, max_points: int) -> tuple[int, bool]:
-    """(n, pad): _grid holds lo + k * step for k = 0..n, then hi if pad;
-    GridTooLargeError if that is more than max_points points."""
+    """(n, pad): the grid holds lo + k * step for k = 0..n, then hi if pad;
+    GridTooLargeError if that is more than max_points points.  Callers check
+    this before they build the grid with _grid."""
     n = math.floor(min((hi - lo) / step + 1e-9, max_points))  # the quotient may be inf
     pad = lo + n * step < hi - 1e-12
     if n + 1 + pad > max_points:
@@ -236,8 +245,8 @@ def _grid_steps(lo: float, hi: float, step: float, max_points: int) -> tuple[int
     return n, pad
 
 
-def _grid(lo: float, hi: float, step: float, max_points: int) -> list[float]:
-    n, pad = _grid_steps(lo, hi, step, max_points)
+def _grid(lo: float, hi: float, step: float, steps: tuple[int, bool]) -> list[float]:
+    n, pad = steps
     return [lo + k * step for k in range(n + 1)] + [hi] * pad
 
 
@@ -312,16 +321,12 @@ def stackelberg_solve(config: GameConfig) -> EquilibriumResult:
     )
 
 
-def _own_noise_utility(config: GameConfig, i: int, sigma_L: float, sigma_S: float) -> float:
-    """User i's utility at own noise sigma_S with every other user at 0."""
-    spread = sigma_L**2 + sigma_S**2 / config.n_users
-    return _user_utility(config, i, sigma_L, sigma_S, spread)
-
-
 def _vector_user_utility(
     config: GameConfig, i: int, sigma_L: float, sigma_S: np.ndarray
 ) -> np.ndarray:
-    """_own_noise_utility over a vector of own noise levels."""
+    """User i's utility at each own noise level in sigma_S with every other
+    user at 0: user_utility's arithmetic in the same order, with np.hypot,
+    which can differ from math.hypot in the last bit."""
     u = config.users[i]
     lam = config.learner.regularizer
     n = config.n_users
@@ -332,6 +337,47 @@ def _vector_user_utility(
         - u.max_privacy_loss / (1.0 + u.privacy_rate * eff)
         - u.perturbation_cost * (sigma_S > 0)
     )
+
+
+def sweep(
+    config: GameConfig, lo: float, hi: float, step: float
+) -> tuple[list[list[float]], list[list[float]], list[list[float]]]:
+    """Rows of the three sweep tables over the grid lo + k * step, then hi:
+    own noise [sigma_L, sigma_S, U_S_0, ...] (every other user at 0, at five
+    sampled sigma_L), responses [sigma_L, br_0, ...] and leader [sigma_L,
+    br_0, ..., U_L, U_S_0, ...].  ValueError for a non-finite lo, step or hi
+    squared, a range outside 0 <= lo <= hi with step > 0, or a step below
+    the float spacing at hi; before that check and before any point is
+    built, GridTooLargeError for more than _SWEEP_MAX_POINTS points."""
+    if not all(map(math.isfinite, (lo, hi * hi, step))):
+        raise ValueError(f"sweep bounds, step and hi squared must be finite, got [{lo}, {hi}] by {step}")
+    if not (0 <= lo <= hi and step > 0):
+        raise ValueError(f"invalid sweep range [{lo}, {hi}] with step {step}")
+    steps = _grid_steps(lo, hi, step, _SWEEP_MAX_POINTS)
+    if step < math.ulp(hi):
+        raise ValueError(f"sweep step {step} is below the float spacing at {hi}")
+    grid = _grid(lo, hi, step, steps)
+    n = config.n_users
+
+    count = min(5, len(grid))
+    samples = [grid[int(k * (len(grid) - 1) / max(count - 1, 1))] for k in range(count)]
+    column = np.asarray(grid)
+    own = []
+    for sigma_L in samples:
+        utilities = [_vector_user_utility(config, i, sigma_L, column).tolist() for i in range(n)]
+        own += [[sigma_L, *row] for row in zip(grid, *utilities)]
+
+    s_stars = _s_stars(config)
+    responses, leader = [], []
+    for sigma_L in grid:
+        brs = _responses(sigma_L, config, s_stars)
+        spread = _spread(sigma_L, brs, n)
+        responses.append([sigma_L, *brs])
+        leader.append(
+            [sigma_L, *brs, _learner_utility(config, sigma_L, brs)]
+            + [_user_utility(config, i, sigma_L, brs[i], spread) for i in range(n)]
+        )
+    return own, responses, leader
 
 
 def brute_force_equilibrium(config: GameConfig, fine_step: float) -> EquilibriumResult:
@@ -349,8 +395,8 @@ def brute_force_equilibrium(config: GameConfig, fine_step: float) -> Equilibrium
     settings = config.solver
     n = config.n_users
     max_points = math.isqrt(_BRUTE_FORCE_BUDGET // n)  # m points cost m * m * n evaluations
-    _grid_steps(0.0, settings.sigma_max, fine_step, max_points)  # before the grid is built
-    sigma_grid = np.asarray(_grid(0.0, settings.sigma_max, fine_step, max_points))
+    steps = _grid_steps(0.0, settings.sigma_max, fine_step, max_points)
+    sigma_grid = np.asarray(_grid(0.0, settings.sigma_max, fine_step, steps))
     m = len(sigma_grid)
 
     br = np.empty((m, n))

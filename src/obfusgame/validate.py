@@ -27,6 +27,21 @@ SUITES = ("lemma1", "lemma2", "chi2", "scaling", "oracle")
 # mixed noise levels cycled through the ERM trials
 _TRIAL_SIGMA_L = (0.0, 0.05, 0.1, 0.2, 0.4)
 _TRIAL_SIGMA_S = (0.0, 0.1, 0.2, 0.3, 0.5)
+# the lemma and scaling suites' ERM problem: sample size, dimension,
+# regularizer and class separation
+_ERM_N = 200
+_ERM_D = 5
+_ERM_LAM = 0.1
+_ERM_SEPARATION = 4.0
+
+_CHI2_DIMS = (1, 2, 5, 10)
+_CHI2_TOLERANCE = 0.01
+
+_SCALING_POINTS = 10
+_MIN_SPEARMAN = 0.9
+
+_ORACLE_FINE_STEP = 1e-3
+_ORACLE_UTILITY_TOL = 1e-6
 
 
 @dataclass
@@ -35,46 +50,36 @@ class SuiteResult:
     passed: bool
     rows: list[dict] = field(default_factory=list)
     summary: str = ""
-    worst_slack: float = math.inf
     failed_seeds: list[int] = field(default_factory=list)
 
 
-def _erm_trial(seed: int, n: int, d: int, lam: float, separation: float):
+def _erm_trial(seed: int):
     rng = np.random.Generator(np.random.PCG64(seed))
     sigma_L = _TRIAL_SIGMA_L[seed % len(_TRIAL_SIGMA_L)]
-    sigma_S = rng.choice(_TRIAL_SIGMA_S, size=n)
-    data = erm.generate_synthetic(n, d, separation, seed)
-    f_clean = erm.train_erm(data, lam)
+    sigma_S = rng.choice(_TRIAL_SIGMA_S, size=_ERM_N)
+    data = erm.generate_synthetic(_ERM_N, _ERM_D, _ERM_SEPARATION, seed)
+    f_clean = erm.train_erm(data, _ERM_LAM)
     perturbed, noise = erm.perturb_inputs(data, sigma_L, sigma_S, seed + 10_000)
-    f_pert = erm.train_erm(perturbed, lam)
+    f_pert = erm.train_erm(perturbed, _ERM_LAM)
     return data, f_clean, f_pert, noise, sigma_L, sigma_S
 
 
-def run_lemma_suite(
-    which: str,
-    trials: int = 100,
-    base_seed: int = 0,
-    n: int = 200,
-    d: int = 5,
-    lam: float = 0.1,
-    separation: float = 4.0,
-) -> SuiteResult:
+def run_lemma_suite(which: str, trials: int = 100, base_seed: int = 0) -> SuiteResult:
     result = SuiteResult(name=which, passed=True)
+    worst_slack = math.inf
     for t in range(trials):
         seed = base_seed + t
-        data, f_clean, f_pert, noise, sigma_L, sigma_S = _erm_trial(
-            seed, n, d, lam, separation
-        )
+        data, f_clean, f_pert, noise, sigma_L, sigma_S = _erm_trial(seed)
         if which == "lemma1":
-            report = erm.check_classifier_gap(f_clean, f_pert, noise, lam)
+            report = erm.check_classifier_gap(f_clean, f_pert, noise, _ERM_LAM)
         else:
-            report = erm.check_empirical_gap(f_pert, f_clean, data, lam)
+            report = erm.check_empirical_gap(f_pert, f_clean, data, _ERM_LAM)
         ok = report.slack >= -1e-6
         result.rows.append(
             {
                 "seed": seed,
-                "n": n,
-                "d": d,
+                "n": _ERM_N,
+                "d": _ERM_D,
                 "sigma_L": sigma_L,
                 "sigma_S_rms": float(np.sqrt(np.mean(sigma_S**2))),
                 "lhs": report.lhs,
@@ -83,28 +88,23 @@ def run_lemma_suite(
                 "holds": int(ok),
             }
         )
-        result.worst_slack = min(result.worst_slack, report.slack)
+        worst_slack = min(worst_slack, report.slack)
         if not ok:
             result.passed = False
             result.failed_seeds.append(seed)
     result.summary = (
         f"{which}: {sum(r['holds'] for r in result.rows)}/{trials} trials hold, "
-        f"worst slack {result.worst_slack:.3e}"
+        f"worst slack {worst_slack:.3e}"
     )
     return result
 
 
-def run_chi2_suite(
-    samples: int = 100_000,
-    base_seed: int = 0,
-    dims: tuple[int, ...] = (1, 2, 5, 10),
-    tolerance: float = 0.01,
-) -> SuiteResult:
+def run_chi2_suite(samples: int = 100_000, base_seed: int = 0) -> SuiteResult:
     result = SuiteResult(name="chi2", passed=True)
     sigma_L, sigma_S = 3.0, 4.0
     s2 = sigma_L**2 + sigma_S**2
     worst = 0.0
-    for d in dims:
+    for d in _CHI2_DIMS:
         rng = np.random.Generator(np.random.PCG64(base_seed + d))
         draws = math.sqrt(s2) * rng.standard_normal((samples, d))
         norms2 = np.sum(draws**2, axis=1)
@@ -113,7 +113,7 @@ def run_chi2_suite(
             empirical = float(np.mean(norms2 <= zeta * s2))
             err = abs(empirical - expected)
             worst = max(worst, err)
-            ok = err <= tolerance
+            ok = err <= _CHI2_TOLERANCE
             result.rows.append(
                 {
                     "d": d,
@@ -127,8 +127,7 @@ def run_chi2_suite(
             if not ok:
                 result.passed = False
                 result.failed_seeds.append(base_seed + d)
-    result.worst_slack = tolerance - worst
-    result.summary = f"chi2: worst |empirical - cdf| = {worst:.4f} (tolerance {tolerance})"
+    result.summary = f"chi2: worst |empirical - cdf| = {worst:.4f} (tolerance {_CHI2_TOLERANCE})"
     return result
 
 
@@ -141,37 +140,28 @@ def _spearman(x, y) -> float:
     return float(np.corrcoef(*ranks)[0, 1])
 
 
-def run_scaling_suite(
-    points: int = 10,
-    trials_per_point: int = 50,
-    base_seed: int = 0,
-    n: int = 200,
-    d: int = 5,
-    lam: float = 0.1,
-    separation: float = 4.0,
-    min_spearman: float = 0.9,
-) -> SuiteResult:
+def run_scaling_suite(trials_per_point: int = 50, base_seed: int = 0) -> SuiteResult:
     """Average expected-loss gap across a noise sweep must increase with
     sigma_L^2 + (1/n) sum sigma_S^2 (Spearman rank correlation)."""
     result = SuiteResult(name="scaling", passed=True)
-    big = erm.generate_synthetic(100_000, d, separation, base_seed + 999_983)
-    f_star = erm.train_erm(big, lam, tol=1e-7)
-    sample = erm.generate_synthetic(100_000, d, separation, base_seed + 424_242)
-    j_star, _ = erm.expected_loss_estimate(f_star, sample, lam)
+    big = erm.generate_synthetic(100_000, _ERM_D, _ERM_SEPARATION, base_seed + 999_983)
+    f_star = erm.train_erm(big, _ERM_LAM, tol=1e-7)
+    sample = erm.generate_synthetic(100_000, _ERM_D, _ERM_SEPARATION, base_seed + 424_242)
+    j_star, _ = erm.expected_loss_estimate(f_star, sample, _ERM_LAM)
     levels, gaps = [], []
-    for k in range(points):
+    for k in range(_SCALING_POINTS):
         sigma_L = 0.12 * k
         sigma_S_level = 0.18 * k
         level = sigma_L**2 + sigma_S_level**2
         trial_gaps = []
         for t in range(trials_per_point):
             seed = base_seed + 1000 * k + t
-            data = erm.generate_synthetic(n, d, separation, seed)
+            data = erm.generate_synthetic(_ERM_N, _ERM_D, _ERM_SEPARATION, seed)
             perturbed, _ = erm.perturb_inputs(
-                data, sigma_L, np.full(n, sigma_S_level), seed + 20_000
+                data, sigma_L, np.full(_ERM_N, sigma_S_level), seed + 20_000
             )
-            f_d = erm.train_erm(perturbed, lam, tol=1e-6)
-            j_d, _ = erm.expected_loss_estimate(f_d, sample, lam)
+            f_d = erm.train_erm(perturbed, _ERM_LAM, tol=1e-6)
+            j_d, _ = erm.expected_loss_estimate(f_d, sample, _ERM_LAM)
             trial_gaps.append(j_d - j_star)
         mean_gap = float(np.mean(trial_gaps))
         levels.append(level)
@@ -187,9 +177,8 @@ def run_scaling_suite(
             }
         )
     rho = _spearman(levels, gaps)
-    result.passed = rho >= min_spearman
-    result.worst_slack = rho - min_spearman
-    result.summary = f"scaling: Spearman rho = {rho:.3f} (threshold {min_spearman})"
+    result.passed = rho >= _MIN_SPEARMAN
+    result.summary = f"scaling: Spearman rho = {rho:.3f} (threshold {_MIN_SPEARMAN})"
     return result
 
 
@@ -233,23 +222,16 @@ def random_small_config(seed: int) -> GameConfig:
     )
 
 
-def run_oracle_suite(
-    configs: int = 20,
-    base_seed: int = 0,
-    fine_step: float = 1e-3,
-    sigma_tol: float | None = None,
-    utility_tol: float = 1e-6,
-) -> SuiteResult:
+def run_oracle_suite(configs: int = 20, base_seed: int = 0) -> SuiteResult:
     result = SuiteResult(name="oracle", passed=True)
     for t in range(configs):
         seed = base_seed + t
         config = random_small_config(seed)
         fast = stackelberg_solve(config)
-        slow = brute_force_equilibrium(config, fine_step)
-        stol = config.solver.grid_step if sigma_tol is None else sigma_tol
+        slow = brute_force_equilibrium(config, _ORACLE_FINE_STEP)
         sigma_err = abs(fast.sigma_L_star - slow.sigma_L_star)
         util_err = abs(fast.learner_utility - slow.learner_utility)
-        ok = sigma_err <= stol and util_err <= utility_tol
+        ok = sigma_err <= config.solver.grid_step and util_err <= _ORACLE_UTILITY_TOL
         result.rows.append(
             {
                 "seed": seed,
@@ -263,7 +245,6 @@ def run_oracle_suite(
                 "holds": int(ok),
             }
         )
-        result.worst_slack = min(result.worst_slack, utility_tol - util_err)
         if not ok:
             result.passed = False
             result.failed_seeds.append(seed)

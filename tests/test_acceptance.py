@@ -235,7 +235,7 @@ def test_06_solver_matches_brute_force_oracle():
     20 random games: sigma_L within one coarse grid step, learner utility
     within 1e-6."""
     timer = _Timer(120.0)
-    result = run_oracle_suite(configs=20, fine_step=1e-3)
+    result = run_oracle_suite(configs=20)
     ok = result.passed and timer.within_budget()
     report("solver vs brute-force oracle", ok,
            f"{result.summary}, {timer.detail()}")

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -190,6 +191,37 @@ class TestCliSolve:
             "--out", str(tmp_path), "--oracle", "--fine-step", fine_step,
         ]) == 3
         assert "solver error" in capsys.readouterr().err
+
+
+# (N * Lambda)^2, (1 + rho * s)^2 and s_star^2 overflow a Python float
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize(
+    "edits, code, message",
+    [
+        ({"learner.Lambda": "1e200"}, 2, "regularizer"),
+        ({"users[0].rho": "1e300"}, 0, None),
+        # s_star = 5e199
+        ({"learner.Lambda": "1e100", "users[0].rho": "1e-300", "users[0].P_bar": "1e300"}, 3, "square"),
+    ],
+    ids=["huge_Lambda", "huge_rho", "huge_s_star"],
+)
+def test_huge_parameter_ends_cleanly(tmp_path, capsys, command, edits, code, message):
+    text = shipped_config_path("default").read_text()
+    for key, value in edits.items():
+        text, count = re.subn(rf"^{re.escape(key)}\s*=.*$", f"{key} = {value}", text, flags=re.M)
+        assert count == 1
+    (tmp_path / "huge.cfg").write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(tmp_path / "huge.cfg"), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert len(err.splitlines()) == 1 and message in err
+        return
+    assert err == ""
+    for path in [*out.glob("*.csv"), *out.glob("*.txt")]:
+        fields = re.split(r"[,\n]| = ", path.read_text())
+        values = [float(f) for f in fields if re.fullmatch(r"[-+.\deinfa]+", f)]
+        assert values and all(math.isfinite(v) for v in values), path.name
 
 
 @pytest.fixture(scope="module")
@@ -388,3 +420,33 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout.strip()
     assert loaded == "[]"
+
+
+def test_cli_imports_nothing_private():
+    # the CLI parses arguments and writes files; the arithmetic stays
+    # behind the package's public names
+    import obfusgame.cli
+
+    tree = ast.parse(Path(obfusgame.cli.__file__).read_text(encoding="utf-8"))
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "obfusgame"
+        ):
+            found += [a.name for a in node.names if private(a.name)]
+            if not node.module or node.module == "obfusgame":
+                modules.update(a.asname or a.name for a in node.names)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and private(node.attr)
+        ):
+            found.append(f"{node.value.id}.{node.attr}")
+    assert "solver" in modules
+    assert found == []

@@ -387,14 +387,18 @@ class TestBestResponseKernel:
         kernel = solver._responses(sigma_L, config, solver._s_stars(config))
         assert solver._learner_utility(config, sigma_L, kernel) == expected
 
+    # np.hypot and math.hypot can differ in the last bit
     @settings(max_examples=100, deadline=None)
-    @given(games(), sigma_levels, sigma_levels, st.integers(0, 3))
-    def test_own_noise_utility_matches_user_utility(self, config, sigma_L, sigma_S, i):
+    @given(games(), sigma_levels, st.lists(sigma_levels, min_size=1, max_size=5), st.integers(0, 3))
+    def test_vector_user_utility_matches_user_utility(self, config, sigma_L, own, i):
         i %= config.n_users
-        sigma = [0.0] * config.n_users
-        sigma[i] = sigma_S
-        expected = user_utility(config, i, StrategyProfile(sigma_L, tuple(sigma)))
-        assert solver._own_noise_utility(config, i, sigma_L, sigma_S) == expected
+        expected = []
+        for sigma_S in own:
+            sigma = [0.0] * config.n_users
+            sigma[i] = sigma_S
+            expected.append(user_utility(config, i, StrategyProfile(sigma_L, tuple(sigma))))
+        vector = solver._vector_user_utility(config, i, sigma_L, np.array(own)).tolist()
+        assert vector == pytest.approx(expected, rel=1e-14, abs=1e-14)
 
     @settings(max_examples=100, deadline=None)
     @given(games(), sigma_levels)
