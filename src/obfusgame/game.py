@@ -87,8 +87,9 @@ class SolverSettings:
     def __post_init__(self):
         if _require_finite("sigma_max", self.sigma_max) <= 0:
             raise ValueError("sigma_max must be > 0")
-        if not math.isfinite(self.sigma_max * self.sigma_max):
-            raise ValueError(f"sigma_max {self.sigma_max} has no finite square")
+        square = self.sigma_max * self.sigma_max
+        if not math.isfinite(square + square):  # the oracle's sigma_L^2 + sigma_S^2
+            raise ValueError(f"sigma_max {self.sigma_max} has no finite doubled square")
         if not 0 < self.grid_step < self.sigma_max:
             raise ValueError("grid_step must be in (0, sigma_max)")
         if _require_finite("root_tol", self.root_tol) <= 0:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -100,7 +100,8 @@ def _stationarity_rhs(user: UserParams, learner: LearnerParams) -> float:
 def effective_noise_target(
     user: UserParams, learner: LearnerParams, root_tol: float = 1e-9
 ) -> float:
-    """The unique s_star solving s * (1 + rho s)^2 = P_bar rho N^2 Lambda^2 / (2 gamma).
+    """The unique s_star solving s * (1 + rho s)^2 = P_bar rho N^2 Lambda^2 / (2 gamma),
+    to absolute tolerance root_tol, or to float resolution when s_star <= root_tol.
 
     Returns 0.0 when the user has no privacy stake; SolverError when
     s_star has no finite square.
@@ -118,10 +119,19 @@ def effective_noise_target(
         t = 1.0 + rho * s
         return s * (t * t) - rhs  # t ** 2 raises OverflowError where t * t is inf
 
-    hi = 1.0
-    while g(hi) < 0:
-        hi *= 2.0
-    s_star = _bisect_root(g, 0.0, hi, root_tol)
+    if g(root_tol) < 0:
+        hi = 1.0
+        while g(hi) < 0:
+            hi *= 2.0
+        s_star = _bisect_root(g, 0.0, hi, root_tol)
+    elif rhs > 0:
+        # s_star <= root_tol: bisect to float resolution, not to root_tol, with
+        # (s * t) * t, which stays finite where t * t overflows near the root
+        s_star = _bisect_root(
+            lambda s: s * (1.0 + rho * s) * (1.0 + rho * s) - rhs, 0.0, root_tol, 0.0
+        )
+    else:  # rhs underflowed: s_star <= rhs is below the smallest float
+        s_star = 0.0
     if not math.isfinite(s_star * s_star):
         raise SolverError(f"effective noise target {s_star} has no finite square")
     return s_star
@@ -321,22 +331,43 @@ def stackelberg_solve(config: GameConfig) -> EquilibriumResult:
     )
 
 
-def _vector_user_utility(
-    config: GameConfig, i: int, sigma_L: float, sigma_S: np.ndarray
-) -> np.ndarray:
-    """User i's utility at each own noise level in sigma_S with every other
-    user at 0: user_utility's arithmetic in the same order, with np.hypot,
-    which can differ from math.hypot in the last bit."""
-    u = config.users[i]
-    lam = config.learner.regularizer
+def _shared_rows(
+    sigma_L: float, squares: np.ndarray, squares_n: np.ndarray, eff: np.ndarray, spread: np.ndarray
+) -> None:
+    """Fill the rows every user shares at sigma_L: eff = sqrt(sigma_L^2 + g^2)
+    and spread = sigma_L^2 + g^2 / N, from the column's cached squares."""
+    sigma_L2 = sigma_L**2
+    np.sqrt(np.add(squares, sigma_L2, out=eff), out=eff)
+    np.add(squares_n, sigma_L2, out=spread)
+
+
+def _own_noise_rows(
+    config: GameConfig, column: np.ndarray, sigma_Ls: Iterable[float]
+) -> Iterator[np.ndarray]:
+    """For each sigma_L in sigma_Ls and each user i in order, user i's utility
+    at every own noise level g in column with every other user at 0.
+
+    user_utility's arithmetic in the same order, except that the effective
+    noise is sqrt(sigma_L^2 + g^2), which can differ from math.hypot in the
+    last bit.  Terms of the column alone are computed once, the effective
+    noise and spread once per sigma_L.  Every row is the same buffer,
+    overwritten by the next one.
+    """
     n = config.n_users
-    eff = np.hypot(sigma_L, sigma_S)
-    return (
-        u.baseline_gain
-        - u.accuracy_weight / (n * lam**2) * (sigma_L**2 + sigma_S**2 / n)
-        - u.max_privacy_loss / (1.0 + u.privacy_rate * eff)
-        - u.perturbation_cost * (sigma_S > 0)
-    )
+    lam = config.learner.regularizer
+    squares = column * column
+    squares_n = squares / n
+    coefs = [u.accuracy_weight / (n * lam**2) for u in config.users]
+    costs = [u.perturbation_cost * (column > 0) for u in config.users]
+    eff, spread, out, privacy = (np.empty_like(column) for _ in range(4))
+    for sigma_L in sigma_Ls:
+        _shared_rows(sigma_L, squares, squares_n, eff, spread)
+        for u, coef, cost in zip(config.users, coefs, costs):
+            np.subtract(u.baseline_gain, np.multiply(coef, spread, out=out), out=out)
+            np.add(1.0, np.multiply(u.privacy_rate, eff, out=privacy), out=privacy)
+            np.divide(u.max_privacy_loss, privacy, out=privacy)
+            np.subtract(np.subtract(out, privacy, out=out), cost, out=out)
+            yield out
 
 
 def sweep(
@@ -345,12 +376,12 @@ def sweep(
     """Rows of the three sweep tables over the grid lo + k * step, then hi:
     own noise [sigma_L, sigma_S, U_S_0, ...] (every other user at 0, at five
     sampled sigma_L), responses [sigma_L, br_0, ...] and leader [sigma_L,
-    br_0, ..., U_L, U_S_0, ...].  ValueError for a non-finite lo, step or hi
-    squared, a range outside 0 <= lo <= hi with step > 0, or a step below
+    br_0, ..., U_L, U_S_0, ...].  ValueError for a non-finite lo, step or
+    2 * hi^2, a range outside 0 <= lo <= hi with step > 0, or a step below
     the float spacing at hi; before that check and before any point is
     built, GridTooLargeError for more than _SWEEP_MAX_POINTS points."""
-    if not all(map(math.isfinite, (lo, hi * hi, step))):
-        raise ValueError(f"sweep bounds, step and hi squared must be finite, got [{lo}, {hi}] by {step}")
+    if not all(map(math.isfinite, (lo, hi * hi + hi * hi, step))):
+        raise ValueError(f"sweep bounds, step and 2 * hi^2 must be finite, got [{lo}, {hi}] by {step}")
     if not (0 <= lo <= hi and step > 0):
         raise ValueError(f"invalid sweep range [{lo}, {hi}] with step {step}")
     steps = _grid_steps(lo, hi, step, _SWEEP_MAX_POINTS)
@@ -361,11 +392,10 @@ def sweep(
 
     count = min(5, len(grid))
     samples = [grid[int(k * (len(grid) - 1) / max(count - 1, 1))] for k in range(count)]
-    column = np.asarray(grid)
+    utilities = [row.tolist() for row in _own_noise_rows(config, np.asarray(grid), samples)]
     own = []
-    for sigma_L in samples:
-        utilities = [_vector_user_utility(config, i, sigma_L, column).tolist() for i in range(n)]
-        own += [[sigma_L, *row] for row in zip(grid, *utilities)]
+    for k, sigma_L in enumerate(samples):
+        own += [[sigma_L, *row] for row in zip(grid, *utilities[k * n : (k + 1) * n])]
 
     s_stars = _s_stars(config)
     responses, leader = [], []
@@ -378,6 +408,16 @@ def sweep(
             + [_user_utility(config, i, sigma_L, brs[i], spread) for i in range(n)]
         )
     return own, responses, leader
+
+
+def _best_response_table(config: GameConfig, grid: list[float]) -> np.ndarray:
+    """(m, N) table of each user's best own noise level on grid at each
+    sigma_L of grid, every other user at 0; ties go to the smaller one."""
+    m, n = len(grid), config.n_users
+    column = np.asarray(grid)
+    rows = _own_noise_rows(config, column, grid)
+    picks = np.fromiter((row.argmax() for row in rows), dtype=np.intp, count=m * n)
+    return column[picks].reshape(m, n)
 
 
 def brute_force_equilibrium(config: GameConfig, fine_step: float) -> EquilibriumResult:
@@ -396,31 +436,21 @@ def brute_force_equilibrium(config: GameConfig, fine_step: float) -> Equilibrium
     n = config.n_users
     max_points = math.isqrt(_BRUTE_FORCE_BUDGET // n)  # m points cost m * m * n evaluations
     steps = _grid_steps(0.0, settings.sigma_max, fine_step, max_points)
-    sigma_grid = np.asarray(_grid(0.0, settings.sigma_max, fine_step, steps))
-    m = len(sigma_grid)
+    grid = _grid(0.0, settings.sigma_max, fine_step, steps)
+    m = len(grid)
 
-    br = np.empty((m, n))
-    for j, sigma_L in enumerate(sigma_grid):
-        for i in range(n):
-            utilities = _vector_user_utility(config, i, float(sigma_L), sigma_grid)
-            br[j, i] = sigma_grid[np.argmax(utilities)]
-
-    leader = np.array(
-        [
-            learner_utility(config, StrategyProfile(float(sigma_grid[j]), tuple(br[j])))
-            for j in range(m)
-        ]
-    )
+    br = _best_response_table(config, grid)
+    leader = np.array([_learner_utility(config, s, row.tolist()) for s, row in zip(grid, br)])
     best = leader.max()
     j_star = int(np.argmax(leader >= best - settings.tie_epsilon))
-    profile = StrategyProfile(float(sigma_grid[j_star]), tuple(br[j_star]))
+    profile = StrategyProfile(grid[j_star], tuple(br[j_star]))
 
     def table_threshold(column: np.ndarray) -> Optional[float]:
         perturbing = np.flatnonzero(column > 0)
         if perturbing.size == 0:
             return 0.0
         last = int(perturbing[-1])
-        return None if last == m - 1 else float(sigma_grid[last + 1])
+        return None if last == m - 1 else grid[last + 1]
 
     return EquilibriumResult(
         sigma_L_star=profile.sigma_L,

@@ -193,6 +193,24 @@ class TestCliSolve:
         assert "solver error" in capsys.readouterr().err
 
 
+# 1.2e154 squared is finite, but sigma_L^2 + sigma_S^2 at the grid's top is not
+@pytest.mark.parametrize(
+    "command, config_edits, args",
+    [
+        ("solve", "solver.sigma_max = 1.2e154\nsolver.grid_step = 1e153\n", ["--oracle", "--fine-step", "1e153"]),
+        ("sweep", "", ["--max", "1.2e154", "--step", "1e153"]),
+    ],
+    ids=["solve_oracle", "sweep"],
+)
+def test_doubled_square_overflow_exit_2(tmp_path, capsys, command, config_edits, args):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(MINIMAL + config_edits)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *args]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "1.2e+154" in err
+    assert not (tmp_path / "out").exists()
+
+
 # (N * Lambda)^2, (1 + rho * s)^2 and s_star^2 overflow a Python float
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -80,6 +81,24 @@ class TestInteriorCandidate:
         learner = LearnerParams(1.0, 1.0, 0.0, 1.0, 1)
         with pytest.raises(NoFiniteOptimumError):
             interior_candidate(0.0, user, learner)
+
+
+class TestEffectiveNoiseTarget:
+    @pytest.mark.parametrize("rho", [1e100, 1e200, 1e300])
+    def test_root_below_root_tol_to_relative_precision(self, rho):
+        config = load_shipped_config("default")
+        user = dataclasses.replace(config.users[0], privacy_rate=rho)
+        rhs = solver._stationarity_rhs(user, config.learner)
+        s_star = solver.effective_noise_target(user, config.learner, config.solver.root_tol)
+        assert s_star < config.solver.root_tol
+        # rho * s_star > 1e60, so (rhs / rho^2)^(1/3) is the root to 1e-60 relative
+        assert s_star == pytest.approx((rhs / rho / rho) ** (1 / 3), rel=1e-9)
+
+    def test_underflowed_rhs_gives_zero(self):
+        user = UserParams(1.0, 1.0, 1e-300, 1e-300, 0.0)
+        learner = LearnerParams(1.0, 1.0, 0.0, 1.0, 1)
+        assert solver._stationarity_rhs(user, learner) == 0.0
+        assert solver.effective_noise_target(user, learner) == 0.0
 
 
 class TestUserBestResponse:
@@ -244,6 +263,29 @@ class TestBruteForce:
             if t is not None:
                 assert abs(t - e) <= fine_step
 
+    # exact oracle outputs: a change to the row kernel's arithmetic must not move them
+    @pytest.mark.parametrize(
+        "make, fine_step, sigma_L, sigma_S, thresholds, perturbing",
+        [
+            (lambda: load_shipped_config("default"), 0.01, 3.81, (0.0,), (3.81,), [381]),
+            (
+                lambda: mixed_population(4, seed=3), 0.01, 8.84, (0.0, 0.0, 20.0, 0.0),
+                (2.32, 4.29, None, 0.36), [232, 429, 2001, 36],
+            ),
+            (lambda: random_small_config(0), 1e-3, 0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), [0, 0, 0]),
+        ],
+        ids=["default", "mixed_4", "random_0"],
+    )
+    def test_pinned_results(self, make, fine_step, sigma_L, sigma_S, thresholds, perturbing):
+        config = make()
+        result = brute_force_equilibrium(config, fine_step)
+        assert result.sigma_L_star == sigma_L
+        assert result.sigma_S_star == sigma_S
+        assert result.per_user_thresholds == thresholds
+        steps = solver._grid_steps(0.0, config.solver.sigma_max, fine_step, 10**6)
+        table = solver._best_response_table(config, solver._grid(0.0, config.solver.sigma_max, fine_step, steps))
+        assert (table > 0).sum(axis=0).tolist() == perturbing
+
     def test_agrees_with_solver_on_random_configs(self):
         for seed in range(5):
             config = random_small_config(seed)
@@ -387,18 +429,18 @@ class TestBestResponseKernel:
         kernel = solver._responses(sigma_L, config, solver._s_stars(config))
         assert solver._learner_utility(config, sigma_L, kernel) == expected
 
-    # np.hypot and math.hypot can differ in the last bit
+    # sqrt(sigma_L^2 + sigma_S^2) and math.hypot can differ in the last bit
     @settings(max_examples=100, deadline=None)
     @given(games(), sigma_levels, st.lists(sigma_levels, min_size=1, max_size=5), st.integers(0, 3))
-    def test_vector_user_utility_matches_user_utility(self, config, sigma_L, own, i):
+    def test_own_noise_rows_match_user_utility(self, config, sigma_L, own, i):
         i %= config.n_users
         expected = []
         for sigma_S in own:
             sigma = [0.0] * config.n_users
             sigma[i] = sigma_S
             expected.append(user_utility(config, i, StrategyProfile(sigma_L, tuple(sigma))))
-        vector = solver._vector_user_utility(config, i, sigma_L, np.array(own)).tolist()
-        assert vector == pytest.approx(expected, rel=1e-14, abs=1e-14)
+        rows = [row.tolist() for row in solver._own_noise_rows(config, np.array(own), [sigma_L])]
+        assert rows[i] == pytest.approx(expected, rel=1e-14, abs=1e-14)
 
     @settings(max_examples=100, deadline=None)
     @given(games(), sigma_levels)
@@ -430,6 +472,45 @@ class TestBestResponseKernel:
     def test_public_queries_reject_bad_sigma_L(self, query, sigma_L):
         with pytest.raises(ValueError, match="sigma_L"):
             query(sigma_L, simple_config())
+
+
+class TestOwnNoiseKernel:
+    def test_one_shared_row_build_per_sigma_L(self, monkeypatch):
+        config, fine_step = mixed_population(3, seed=1), 0.5
+        builds = []
+        real = solver._shared_rows
+
+        def counting(sigma_L, *rows):
+            builds.append(sigma_L)
+            return real(sigma_L, *rows)
+
+        monkeypatch.setattr(solver, "_shared_rows", counting)
+        brute_force_equilibrium(config, fine_step)
+        m = round(config.solver.sigma_max / fine_step) + 1
+        assert builds == [k * fine_step for k in range(m)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(games(), st.builds(mixed_population, st.integers(1, 6), st.integers(0, 2**32 - 1))),
+        st.integers(1, 40),
+    )
+    def test_table_is_argmax_of_user_utility(self, config, intervals):
+        """Each entry is the first grid point at which user i's utility, with
+        every other user at 0, is highest."""
+        sigma_max = config.solver.sigma_max
+        step = sigma_max / intervals
+        grid = solver._grid(0.0, sigma_max, step, solver._grid_steps(0.0, sigma_max, step, 41))
+        table = solver._best_response_table(config, grid)
+        n = config.n_users
+        for sigma_L, row in zip(grid, table.tolist()):
+            for i in range(n):
+
+                def utility(s):
+                    return user_utility(
+                        config, i, StrategyProfile(sigma_L, tuple(s if k == i else 0.0 for k in range(n)))
+                    )
+
+                assert row[i] == max(grid, key=utility)
 
 
 def assert_no_grid_point_beats_the_solve(config, points):
