@@ -9,17 +9,13 @@ from .game import (  # noqa: F401
     SolverSettings,
     StrategyProfile,
     UserParams,
-    accuracy_gap_term,
     learner_utility,
-    perturbation_cost_term,
-    privacy_loss_term,
     user_utility,
 )
 from .solver import (  # noqa: F401
     EquilibriumResult,
     brute_force_equilibrium,
     dissuasion_threshold,
-    interior_candidate,
     leader_objective,
     stackelberg_solve,
     user_best_response,

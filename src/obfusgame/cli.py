@@ -158,12 +158,7 @@ def _cmd_dp(args) -> int:
     lines.append(f"delta   = {_fmt(args.delta)}")
 
     if args.zeta is not None:
-        sigma_val = args.sigma if args.sigma is not None else dp.sigma_from_epsilon(
-            args.epsilon, args.delta
-        )
-        report = dp.norm_bound_probability(
-            args.d, args.zeta, sigma_val, 0.0, args.delta
-        )
+        report = dp.norm_bound_probability(args.d, args.zeta, args.delta)
         lines.append(f"d                   = {report.dimension}")
         lines.append(f"zeta                = {_fmt(report.zeta)}")
         lines.append(f"norm_bound_prob     = {_fmt(report.probability)}")

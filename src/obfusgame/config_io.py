@@ -5,7 +5,6 @@ ignored.  Keys follow the symbol names used throughout the package:
 
     learner.G_bar  learner.gamma  learner.N_bar  learner.Lambda  learner.N
     users[i].G_bar users[i].gamma users[i].P_bar users[i].rho users[i].N_bar
-    dp.delta  dp.d
     solver.sigma_max  solver.grid_step  solver.tol
 
 Unknown keys are errors (no silent typo acceptance); every error message
@@ -23,7 +22,6 @@ from .game import GameConfig, LearnerParams, SolverSettings, UserParams
 
 _LEARNER_KEYS = {"G_bar", "gamma", "N_bar", "Lambda", "N"}
 _USER_KEYS = {"G_bar", "gamma", "P_bar", "rho", "N_bar"}
-_DP_KEYS = {"delta", "d"}
 _SOLVER_KEYS = {"sigma_max", "grid_step", "tol"}
 
 _USER_RE = re.compile(r"^users\[(\d+)\]\.(\w+)$")
@@ -34,7 +32,6 @@ SHIPPED_CONFIGS = ("default", "low_cost", "mid_cost", "high_cost")
 def parse_config_text(text: str, source: str = "<string>") -> GameConfig:
     learner: dict[str, float] = {}
     users: dict[int, dict[str, float]] = {}
-    dp: dict[str, float] = {}
     solver: dict[str, float] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -56,11 +53,6 @@ def parse_config_text(text: str, source: str = "<string>") -> GameConfig:
             if sub not in _LEARNER_KEYS:
                 raise ConfigError(f"unknown key {key!r}", line=lineno)
             _set_once(learner, sub, value, key, lineno)
-        elif key.startswith("dp."):
-            sub = key[len("dp."):]
-            if sub not in _DP_KEYS:
-                raise ConfigError(f"unknown key {key!r}", line=lineno)
-            _set_once(dp, sub, value, key, lineno)
         elif key.startswith("solver."):
             sub = key[len("solver."):]
             if sub not in _SOLVER_KEYS:
@@ -107,8 +99,6 @@ def parse_config_text(text: str, source: str = "<string>") -> GameConfig:
                 )
                 for i in range(n)
             ),
-            dp_delta=dp.get("delta", 0.05),
-            data_dim=int(dp.get("d", 5)),
             solver=SolverSettings(
                 sigma_max=solver.get("sigma_max", 50.0),
                 grid_step=solver.get("grid_step", 0.05),

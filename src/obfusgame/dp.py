@@ -26,10 +26,9 @@ _SUM_TOL = 1e-15  # relative size of the last term kept in a CDF sum
 
 @dataclass(frozen=True)
 class DpGuarantee:
-    """An (epsilon, delta) pair tied to a total noise standard deviation."""
+    """The epsilon a total noise standard deviation buys at a given delta."""
 
     epsilon: float
-    delta: float
     total_sigma: float
     in_stated_range: bool  # True when epsilon lies in (0, 1)
 
@@ -61,9 +60,9 @@ def epsilon_from_sigma(total_sigma: float, delta: float) -> DpGuarantee:
     if total_sigma < 0 or not math.isfinite(total_sigma):
         raise ValueError(f"total_sigma must be finite and >= 0, got {total_sigma}")
     if total_sigma == 0:
-        return DpGuarantee(math.inf, delta, 0.0, False)
+        return DpGuarantee(math.inf, 0.0, False)
     eps = _EPS_CONSTANT * math.sqrt(2.0 * math.log(1.25 / delta)) / total_sigma
-    return DpGuarantee(eps, delta, total_sigma, 0.0 < eps < 1.0)
+    return DpGuarantee(eps, total_sigma, 0.0 < eps < 1.0)
 
 
 def sigma_from_epsilon(epsilon: float, delta: float) -> float:
@@ -113,19 +112,15 @@ def chi_square_cdf(d: int, zeta: float) -> float:
     return min(1.0, max(0.0, 1.0 - upper))
 
 
-def norm_bound_probability(
-    d: int, zeta: float, sigma_L: float, sigma_S_i: float, delta: float
-) -> NormBoundReport:
-    """Chance that a d-dimensional noise row with per-component variance
-    sigma_L^2 + sigma_S_i^2 has squared norm below zeta times that variance,
-    with the combined success probability of the accuracy bound.
+def norm_bound_probability(d: int, zeta: float, delta: float) -> NormBoundReport:
+    """Chance that a d-dimensional Gaussian noise row has squared norm below
+    zeta times its per-component variance, whatever that variance is, with
+    the combined success probability of the accuracy bound.
 
     Both the product-form combination (independent failures) and the more
     conservative union bound are reported.
     """
     _check_delta(delta)
-    if sigma_L < 0 or sigma_S_i < 0:
-        raise ValueError("noise standard deviations must be >= 0")
     p = chi_square_cdf(d, zeta)
     return NormBoundReport(
         dimension=d,

@@ -67,13 +67,11 @@ class Classifier:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One side-by-side inequality check: holds iff lhs <= rhs + 1e-9."""
+    """One side-by-side inequality check, lhs <= rhs, with slack rhs - lhs."""
 
     lhs: float
     rhs: float
-    holds: bool
     slack: float
-    context: str
 
 
 def _logistic_loss(margins: np.ndarray) -> np.ndarray:
@@ -150,8 +148,7 @@ def train_erm(
             step *= 0.5
         w, obj = w_new, obj_new
     raise ConvergenceError(
-        f"gradient norm {gnorm:.3e} above tol {tol:.3e} after {max_iter} iterations",
-        residual=gnorm,
+        f"gradient norm {gnorm:.3e} above tol {tol:.3e} after {max_iter} iterations"
     )
 
 
@@ -193,7 +190,7 @@ def check_classifier_gap(
         / (n**2 * lam**2)
         * float(np.sum(noise**2))
     )
-    return BoundReport(lhs, rhs, lhs <= rhs + 1e-9, rhs - lhs, "classifier_gap")
+    return BoundReport(lhs, rhs, rhs - lhs)
 
 
 def check_empirical_gap(
@@ -207,7 +204,7 @@ def check_empirical_gap(
     lhs = empirical_risk(f_d, data, lam) - empirical_risk(f_dagger, data, lam)
     diff = f_d.weights - f_dagger.weights
     rhs = float(diff @ diff) * (1.0 + _CURVATURE_BOUND)
-    return BoundReport(lhs, rhs, lhs <= rhs + 1e-9, rhs - lhs, "empirical_gap")
+    return BoundReport(lhs, rhs, rhs - lhs)
 
 
 def expected_loss_estimate(f: Classifier, sample: Dataset, lam: float) -> tuple[float, float]:

@@ -23,10 +23,6 @@ class NoFiniteOptimumError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iterative solve ran out of its iteration budget."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class GridTooLargeError(RuntimeError):
     """A brute-force grid would exceed the evaluation budget."""

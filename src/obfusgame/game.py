@@ -100,13 +100,10 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Full game instance: learner, user list, DP parameters, solver
-    settings."""
+    """Full game instance: learner, user list, solver settings."""
 
     learner: LearnerParams
     users: tuple[UserParams, ...]
-    dp_delta: float = 0.05
-    data_dim: int = 5
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
@@ -116,10 +113,6 @@ class GameConfig:
                 f"learner.N = {self.learner.population_size} but "
                 f"{len(self.users)} users were given"
             )
-        if not 0 < self.dp_delta < 1:
-            raise ConfigError(f"dp.delta must be in (0, 1), got {self.dp_delta}")
-        if self.data_dim < 1:
-            raise ConfigError(f"dp.d must be >= 1, got {self.data_dim}")
         for i, u in enumerate(self.users):
             # zero accuracy weight with a positive privacy stake has no
             # finite best response; reject up front
@@ -160,48 +153,6 @@ def _spread(sigma_L: float, sigma_S: Sequence[float], n_users: int) -> float:
 
 def _privacy_loss(p_bar: float, rate: float, sigma_L: float, sigma_S_i: float) -> float:
     return p_bar / (1.0 + rate * math.hypot(sigma_L, sigma_S_i))
-
-
-def accuracy_gap_term(
-    sigma_L: float,
-    sigma_S: Sequence[float],
-    weight: float,
-    regularizer: float,
-    n_users: int,
-) -> float:
-    """Accuracy penalty (weight / (N * Lambda^2)) * (sigma_L^2 + sum_i sigma_S[i]^2 / N).
-
-    Shared by learner and users up to the weight coefficient.
-    """
-    sigma_L = _require_finite("sigma_L", sigma_L)
-    weight = _require_finite("weight", weight)
-    if regularizer <= 0:
-        raise ValueError("regularizer must be > 0")
-    sigma_S = [_require_finite("sigma_S entry", s) for s in sigma_S]
-    return weight / (n_users * regularizer**2) * _spread(sigma_L, sigma_S, n_users)
-
-
-def privacy_loss_term(
-    max_privacy_loss: float, rate: float, sigma_L: float, sigma_S_i: float
-) -> float:
-    """Privacy loss P_bar / (1 + rate * sqrt(sigma_L^2 + sigma_S_i^2)).
-
-    Equals the full P_bar with no noise and decays toward 0 as either
-    noise level grows.
-    """
-    max_privacy_loss = _require_finite("max_privacy_loss", max_privacy_loss)
-    sigma_L = _require_finite("sigma_L", sigma_L)
-    sigma_S_i = _require_finite("sigma_S_i", sigma_S_i)
-    if rate <= 0:
-        raise ValueError("rate must be > 0")
-    return _privacy_loss(max_privacy_loss, rate, sigma_L, sigma_S_i)
-
-
-def perturbation_cost_term(cost: float, sigma: float) -> float:
-    """Flat cost paid for any strictly positive sigma; exactly 0 at sigma = 0."""
-    cost = _require_finite("cost", cost)
-    sigma = _require_finite("sigma", sigma)
-    return cost if sigma > 0 else 0.0
 
 
 def _user_utility(

@@ -142,25 +142,6 @@ def _check_sigma_L(sigma_L: float) -> None:
         raise ValueError(f"sigma_L must be finite and >= 0, got {sigma_L}")
 
 
-def interior_candidate(
-    sigma_L: float,
-    user: UserParams,
-    learner: LearnerParams,
-    root_tol: float = 1e-9,
-) -> Optional[float]:
-    """Positive stationary point of the user utility in sigma_S, or None.
-
-    None means the effective noise already present (sigma_L) meets or
-    exceeds the user's preferred effective level, so no interior candidate
-    above 0 exists.
-    """
-    _check_sigma_L(sigma_L)
-    s_star = effective_noise_target(user, learner, root_tol)
-    if s_star <= sigma_L:
-        return None
-    return math.sqrt(s_star**2 - sigma_L**2)
-
-
 def _s_stars(config: GameConfig) -> list[float]:
     """Every user's s_star.  The kernel below takes these from its caller and
     trusts sigma_L to be finite and >= 0."""
@@ -210,8 +191,9 @@ def _threshold(user: UserParams, s_star: float, config: GameConfig) -> Optional[
     hi = min(s_star, settings.sigma_max)
     if margin(hi) > 0:
         return None
-    # margin is strictly decreasing on [0, s_star], so the sign change is unique
-    return _bisect_root(margin, 0.0, hi, settings.root_tol)
+    # margin is strictly decreasing on [0, s_star], so the sign change is
+    # unique; a bracket within root_tol is bisected to float resolution
+    return _bisect_root(margin, 0.0, hi, settings.root_tol if hi > settings.root_tol else 0.0)
 
 
 def user_best_response(sigma_L: float, i: int, config: GameConfig) -> float:
@@ -430,8 +412,8 @@ def brute_force_equilibrium(config: GameConfig, fine_step: float) -> Equilibrium
     perturbs, None if they still perturb at sigma_max, and otherwise the
     grid point after the last sigma_L at which they perturb.
     """
-    if fine_step <= 0:
-        raise ValueError("fine_step must be > 0")
+    if not (math.isfinite(fine_step) and fine_step > 0):
+        raise ValueError(f"fine_step must be finite and > 0, got {fine_step}")
     settings = config.solver
     n = config.n_users
     max_points = math.isqrt(_BRUTE_FORCE_BUDGET // n)  # m points cost m * m * n evaluations

@@ -46,7 +46,6 @@ _ORACLE_UTILITY_TOL = 1e-6
 
 @dataclass
 class SuiteResult:
-    name: str
     passed: bool
     rows: list[dict] = field(default_factory=list)
     summary: str = ""
@@ -65,7 +64,7 @@ def _erm_trial(seed: int):
 
 
 def run_lemma_suite(which: str, trials: int = 100, base_seed: int = 0) -> SuiteResult:
-    result = SuiteResult(name=which, passed=True)
+    result = SuiteResult(passed=True)
     worst_slack = math.inf
     for t in range(trials):
         seed = base_seed + t
@@ -100,7 +99,7 @@ def run_lemma_suite(which: str, trials: int = 100, base_seed: int = 0) -> SuiteR
 
 
 def run_chi2_suite(samples: int = 100_000, base_seed: int = 0) -> SuiteResult:
-    result = SuiteResult(name="chi2", passed=True)
+    result = SuiteResult(passed=True)
     sigma_L, sigma_S = 3.0, 4.0
     s2 = sigma_L**2 + sigma_S**2
     worst = 0.0
@@ -143,7 +142,7 @@ def _spearman(x, y) -> float:
 def run_scaling_suite(trials_per_point: int = 50, base_seed: int = 0) -> SuiteResult:
     """Average expected-loss gap across a noise sweep must increase with
     sigma_L^2 + (1/n) sum sigma_S^2 (Spearman rank correlation)."""
-    result = SuiteResult(name="scaling", passed=True)
+    result = SuiteResult(passed=True)
     big = erm.generate_synthetic(100_000, _ERM_D, _ERM_SEPARATION, base_seed + 999_983)
     f_star = erm.train_erm(big, _ERM_LAM, tol=1e-7)
     sample = erm.generate_synthetic(100_000, _ERM_D, _ERM_SEPARATION, base_seed + 424_242)
@@ -223,7 +222,7 @@ def random_small_config(seed: int) -> GameConfig:
 
 
 def run_oracle_suite(configs: int = 20, base_seed: int = 0) -> SuiteResult:
-    result = SuiteResult(name="oracle", passed=True)
+    result = SuiteResult(passed=True)
     for t in range(configs):
         seed = base_seed + t
         config = random_small_config(seed)
@@ -256,6 +255,8 @@ def run_oracle_suite(configs: int = 20, base_seed: int = 0) -> SuiteResult:
 
 
 def run_suite(name: str, trials: int | None = None, base_seed: int = 0) -> SuiteResult:
+    if trials is not None and trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {trials}")
     if name in ("lemma1", "lemma2"):
         return run_lemma_suite(name, trials=trials or 100, base_seed=base_seed)
     if name == "chi2":

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import math
 import os
@@ -80,11 +81,20 @@ class TestConfigParsing:
 
     def test_non_numeric_value(self):
         with pytest.raises(ConfigError, match="non-numeric"):
-            parse_config_text(MINIMAL + "dp.delta = abc\n")
+            parse_config_text(MINIMAL + "solver.tol = abc\n")
 
     def test_comments_and_blank_lines_ignored(self):
-        config = parse_config_text("# top\n\n" + MINIMAL + "dp.delta = 0.1 # inline\n")
-        assert config.dp_delta == 0.1
+        config = parse_config_text("# top\n\n" + MINIMAL + "solver.tol = 0.1 # inline\n")
+        assert config.solver.root_tol == 0.1
+
+    @pytest.mark.parametrize("key", ["dp.delta", "dp.d"])
+    def test_dp_keys_are_unknown(self, tmp_path, capsys, key):
+        # delta and d are flags of the dp subcommand; no game quantity reads them
+        cfg = tmp_path / "dp.cfg"
+        cfg.write_text(MINIMAL + f"{key} = 0.05\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        line = MINIMAL.count("\n") + 1
+        assert capsys.readouterr().err == f"error: line {line}: unknown key '{key}'\n"
 
     def test_all_shipped_configs_load(self):
         for name in SHIPPED_CONFIGS:
@@ -191,6 +201,15 @@ class TestCliSolve:
             "--out", str(tmp_path), "--oracle", "--fine-step", fine_step,
         ]) == 3
         assert "solver error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fine_step", ["nan", "inf", "0", "-1"])
+    def test_bad_oracle_fine_step_exit_2(self, tmp_path, capsys, fine_step):
+        assert main([
+            "solve", "--config", str(shipped_config_path("default")),
+            "--out", str(tmp_path), "--oracle", "--fine-step", fine_step,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: fine_step must be finite and > 0, got {float(fine_step)}\n"
 
 
 # 1.2e154 squared is finite, but sigma_L^2 + sigma_S^2 at the grid's top is not
@@ -429,6 +448,14 @@ class TestCliValidate:
         assert main(["validate", "--suite", "lemma1", "--trials", "5",
                      "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    @pytest.mark.parametrize("suite", ["lemma1", "lemma2", "chi2", "scaling", "oracle"])
+    def test_trials_below_one_exit_2(self, tmp_path, capsys, suite, trials):
+        assert main(["validate", "--suite", suite, "--trials", trials,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: --trials must be >= 1, got {trials}\n"
+        assert not (tmp_path / "out").exists()
+
 
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only dependency; importing it would cost start-up time
@@ -468,3 +495,13 @@ def test_cli_imports_nothing_private():
             found.append(f"{node.value.id}.{node.attr}")
     assert "solver" in modules
     assert found == []
+
+
+def test_find_default_config_script_verifies_shipped_value(capsys):
+    # the script behind the shipped configs calls the public solver API
+    path = Path(__file__).parents[1] / "scripts" / "find_default_config.py"
+    spec = importlib.util.spec_from_file_location("find_default_config", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main()
+    assert "shipped N_bar_L = 75 is inside the window" in capsys.readouterr().out

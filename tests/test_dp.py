@@ -131,14 +131,14 @@ class TestChiSquareCdf:
 
 class TestNormBoundProbability:
     def test_hand_substitution(self):
-        report = norm_bound_probability(2, 2 * math.log(2), 1.0, 1.0, 0.1)
+        report = norm_bound_probability(2, 2 * math.log(2), 0.1)
         assert report.probability == pytest.approx(0.5, abs=1e-12)
         assert report.combined_success == pytest.approx(0.95, abs=1e-12)
         assert report.union_bound_success == pytest.approx(0.4, abs=1e-12)
 
     def test_union_bound_never_exceeds_product_form(self):
         for zeta in (0.5, 2.0, 10.0):
-            r = norm_bound_probability(5, zeta, 1.0, 2.0, 0.2)
+            r = norm_bound_probability(5, zeta, 0.2)
             assert r.union_bound_success <= r.combined_success
 
     def test_monte_carlo_oracle(self):
@@ -148,7 +148,7 @@ class TestNormBoundProbability:
         rng = np.random.Generator(np.random.PCG64(11))
         draws = math.sqrt(s2) * rng.standard_normal((100_000, d))
         for zeta in (2.0, 5.0, 8.0):
-            report = norm_bound_probability(d, zeta, sigma_L, sigma_S, 0.05)
+            report = norm_bound_probability(d, zeta, 0.05)
             empirical = float(np.mean(np.sum(draws**2, axis=1) <= zeta * s2))
             assert abs(empirical - report.probability) < 0.01
 

@@ -10,10 +10,7 @@ from obfusgame.game import (
     LearnerParams,
     StrategyProfile,
     UserParams,
-    accuracy_gap_term,
     learner_utility,
-    perturbation_cost_term,
-    privacy_loss_term,
     user_utility,
 )
 
@@ -26,22 +23,47 @@ def make_config(n=1, g_bar=1.0, gamma_s=1.0, p_bar=1.0, rho=1.0, nbar_s=0.1,
     )
 
 
+def accuracy_gap(sigma_L, sigma_S, weight, regularizer, n_users):
+    """(weight / (N * Lambda^2)) * (sigma_L^2 + sum_i sigma_S[i]^2 / N), read
+    off user 0's utility with no baseline gain, privacy stake or flat cost."""
+    config = make_config(n=n_users, g_bar=0.0, gamma_s=weight, p_bar=0.0, nbar_s=0.0,
+                         lam=regularizer)
+    return -user_utility(config, 0, StrategyProfile(sigma_L, tuple(sigma_S)))
+
+
+def privacy_loss(max_privacy_loss, rate, sigma_L, sigma_S_i):
+    """P_bar / (1 + rate * sqrt(sigma_L^2 + sigma_S_i^2)), read off a lone
+    user's share of the learner's utility with no baseline gain, accuracy
+    weight or flat cost."""
+    config = make_config(p_bar=max_privacy_loss, rho=rate, g_bar_l=0.0, gamma_l=0.0,
+                         nbar_l=0.0)
+    return -learner_utility(config, StrategyProfile(sigma_L, (sigma_S_i,)))
+
+
+def perturbation_cost(cost, sigma):
+    """The flat cost a user with no baseline gain, privacy stake or accuracy
+    weight pays at own noise sigma."""
+    config = make_config(g_bar=0.0, gamma_s=0.0, p_bar=0.0, nbar_s=cost)
+    return -user_utility(config, 0, StrategyProfile(0.0, (sigma,)))
+
+
 class TestAccuracyGapTerm:
     def test_zero_noise(self):
-        assert accuracy_gap_term(0.0, [0.0], 1.0, 1.0, 1) == 0.0
+        assert accuracy_gap(0.0, [0.0], 1.0, 1.0, 1) == 0.0
 
     def test_hand_substitution(self):
-        assert accuracy_gap_term(1.0, [0.0], 1.0, 1.0, 1) == pytest.approx(1.0)
+        assert accuracy_gap(1.0, [0.0], 1.0, 1.0, 1) == pytest.approx(1.0)
 
     def test_derived_two_users(self):
         # (2 / (2 * 0.25)) * (1 + (1 + 1) / 2) = 8
-        assert accuracy_gap_term(1.0, [1.0, 1.0], 2.0, 0.5, 2) == pytest.approx(8.0)
+        assert accuracy_gap(1.0, [1.0, 1.0], 2.0, 0.5, 2) == pytest.approx(8.0)
 
     def test_rejects_nonfinite(self):
+        # a profile with non-finite noise never reaches the utilities
         with pytest.raises(ValueError):
-            accuracy_gap_term(math.inf, [0.0], 1.0, 1.0, 1)
+            accuracy_gap(math.inf, [0.0], 1.0, 1.0, 1)
         with pytest.raises(ValueError):
-            accuracy_gap_term(0.0, [math.nan], 1.0, 1.0, 1)
+            accuracy_gap(0.0, [math.nan], 1.0, 1.0, 1)
 
     @given(
         st.floats(0.01, 10),
@@ -49,41 +71,41 @@ class TestAccuracyGapTerm:
         st.floats(0, 5),
     )
     def test_strictly_increasing_in_each_sigma(self, lam, s_l, s_s):
-        base = accuracy_gap_term(s_l, [s_s], 1.0, lam, 1)
-        assert accuracy_gap_term(s_l + 0.1, [s_s], 1.0, lam, 1) > base
-        assert accuracy_gap_term(s_l, [s_s + 0.1], 1.0, lam, 1) > base
+        base = accuracy_gap(s_l, [s_s], 1.0, lam, 1)
+        assert accuracy_gap(s_l + 0.1, [s_s], 1.0, lam, 1) > base
+        assert accuracy_gap(s_l, [s_s + 0.1], 1.0, lam, 1) > base
 
 
 class TestPrivacyLossTerm:
     def test_unperturbed_maximum(self):
-        assert privacy_loss_term(1.0, 1.0, 0.0, 0.0) == 1.0
+        assert privacy_loss(1.0, 1.0, 0.0, 0.0) == 1.0
 
     def test_hand_substitution(self):
-        assert privacy_loss_term(1.0, 1.0, 0.0, 1.0) == pytest.approx(0.5)
+        assert privacy_loss(1.0, 1.0, 0.0, 1.0) == pytest.approx(0.5)
 
     def test_derived(self):
         # 4 / (1 + 0.5 * 5) = 8/7
-        assert privacy_loss_term(4.0, 0.5, 3.0, 4.0) == pytest.approx(8.0 / 7.0)
+        assert privacy_loss(4.0, 0.5, 3.0, 4.0) == pytest.approx(8.0 / 7.0)
 
     @given(st.floats(0.1, 10), st.floats(0, 5), st.floats(0, 5))
     def test_strictly_decreasing(self, rho, s_l, s_s):
-        base = privacy_loss_term(1.0, rho, s_l, s_s)
-        assert privacy_loss_term(1.0, rho, s_l + 0.1, s_s) < base
-        assert privacy_loss_term(1.0, rho, s_l, s_s + 0.1) < base
+        base = privacy_loss(1.0, rho, s_l, s_s)
+        assert privacy_loss(1.0, rho, s_l + 0.1, s_s) < base
+        assert privacy_loss(1.0, rho, s_l, s_s + 0.1) < base
 
     def test_range(self):
-        assert 0 < privacy_loss_term(3.0, 2.0, 100.0, 100.0) < 3.0
+        assert 0 < privacy_loss(3.0, 2.0, 100.0, 100.0) < 3.0
 
 
 class TestPerturbationCostTerm:
     def test_indicator_off(self):
-        assert perturbation_cost_term(10.0, 0.0) == 0.0
+        assert perturbation_cost(10.0, 0.0) == 0.0
 
     def test_indicator_on_for_tiny_sigma(self):
-        assert perturbation_cost_term(10.0, 1e-12) == 10.0
+        assert perturbation_cost(10.0, 1e-12) == 10.0
 
     def test_zero_cost(self):
-        assert perturbation_cost_term(0.0, 5.0) == 0.0
+        assert perturbation_cost(0.0, 5.0) == 0.0
 
 
 class TestUserUtility:
@@ -146,10 +168,10 @@ class TestLearnerUtility:
         profile = StrategyProfile(s_l, (s1, s2))
         expected = (
             5.0
-            - accuracy_gap_term(s_l, (s1, s2), 1.5, 0.8, 2)
-            - 0.5 * (privacy_loss_term(2.0, 0.7, s_l, s1)
-                     + privacy_loss_term(2.0, 0.7, s_l, s2))
-            - perturbation_cost_term(0.3, s_l)
+            - 1.5 / (2 * 0.8**2) * (s_l**2 + (s1**2 + s2**2) / 2)
+            - 0.5 * (2.0 / (1 + 0.7 * math.hypot(s_l, s1))
+                     + 2.0 / (1 + 0.7 * math.hypot(s_l, s2)))
+            - (0.3 if s_l > 0 else 0.0)
         )
         value = learner_utility(config, profile)
         assert value == pytest.approx(expected, rel=1e-12)
@@ -158,10 +180,10 @@ class TestLearnerUtility:
         config = make_config(n=2, g_bar_l=5.0)
         lo = learner_utility(config, StrategyProfile(0.5, (0.2, 0.3)))
         # raising one user's noise lowers accuracy term and privacy term
-        acc_lo = accuracy_gap_term(0.5, (0.2, 0.3), 1.0, 1.0, 2)
-        acc_hi = accuracy_gap_term(0.5, (0.2, 0.9), 1.0, 1.0, 2)
-        priv_lo = privacy_loss_term(1.0, 1.0, 0.5, 0.3)
-        priv_hi = privacy_loss_term(1.0, 1.0, 0.5, 0.9)
+        acc_lo = 1.0 / (2 * 1.0**2) * (0.5**2 + (0.2**2 + 0.3**2) / 2)
+        acc_hi = 1.0 / (2 * 1.0**2) * (0.5**2 + (0.2**2 + 0.9**2) / 2)
+        priv_lo = 1.0 / (1 + 1.0 * math.hypot(0.5, 0.3))
+        priv_hi = 1.0 / (1 + 1.0 * math.hypot(0.5, 0.9))
         assert acc_hi > acc_lo and priv_hi < priv_lo
         hi = learner_utility(config, StrategyProfile(0.5, (0.2, 0.9)))
         assert hi - lo == pytest.approx(

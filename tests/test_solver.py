@@ -22,7 +22,6 @@ from obfusgame.solver import (
     best_response_profile,
     brute_force_equilibrium,
     dissuasion_threshold,
-    interior_candidate,
     leader_objective,
     stackelberg_solve,
     user_best_response,
@@ -52,15 +51,22 @@ def dense_grid_argmax(config, i, sigma_L, step=1e-3):
     return best_s, best_u
 
 
+def interior_point(sigma_L, config, i=0):
+    """User i's positive stationary point sqrt(s_star^2 - sigma_L^2), or None
+    when the learner's noise already reaches s_star."""
+    s_star = solver.effective_noise_target(config.users[i], config.learner, config.solver.root_tol)
+    return math.sqrt(s_star**2 - sigma_L**2) if s_star > sigma_L else None
+
+
 class TestInteriorCandidate:
     def test_no_privacy_incentive(self):
         config = simple_config(p_bar=0.0)
-        assert interior_candidate(0.0, config.users[0], config.learner) is None
+        assert interior_point(0.0, config) is None
 
     def test_unit_root(self):
         # s (1 + s)^2 = 8 * 1 / 2 = 4 has root s = 1
         config = simple_config(p_bar=8.0, rho=1.0, gamma_s=1.0)
-        cand = interior_candidate(0.0, config.users[0], config.learner)
+        cand = interior_point(0.0, config)
         assert cand == pytest.approx(1.0, abs=1e-8)
 
     def test_unit_root_verified_by_substitution(self):
@@ -74,16 +80,16 @@ class TestInteriorCandidate:
 
     def test_excess_learner_noise_gives_none(self):
         config = simple_config(p_bar=8.0)
-        assert interior_candidate(2.0, config.users[0], config.learner) is None
+        assert interior_point(2.0, config) is None
 
+
+class TestEffectiveNoiseTarget:
     def test_zero_gamma_raises(self):
         user = UserParams(1.0, 0.0, 1.0, 1.0, 0.0)
         learner = LearnerParams(1.0, 1.0, 0.0, 1.0, 1)
         with pytest.raises(NoFiniteOptimumError):
-            interior_candidate(0.0, user, learner)
+            solver.effective_noise_target(user, learner)
 
-
-class TestEffectiveNoiseTarget:
     @pytest.mark.parametrize("rho", [1e100, 1e200, 1e300])
     def test_root_below_root_tol_to_relative_precision(self, rho):
         config = load_shipped_config("default")
@@ -92,7 +98,7 @@ class TestEffectiveNoiseTarget:
         s_star = solver.effective_noise_target(user, config.learner, config.solver.root_tol)
         assert s_star < config.solver.root_tol
         # rho * s_star > 1e60, so (rhs / rho^2)^(1/3) is the root to 1e-60 relative
-        assert s_star == pytest.approx((rhs / rho / rho) ** (1 / 3), rel=1e-9)
+        assert s_star == pytest.approx((rhs / rho / rho) ** (1 / 3), rel=1e-9, abs=0.0)
 
     def test_underflowed_rhs_gives_zero(self):
         user = UserParams(1.0, 1.0, 1e-300, 1e-300, 0.0)
@@ -122,7 +128,7 @@ class TestUserBestResponse:
         config = load_shipped_config("default")
         for sigma_L in np.arange(0.0, 6.0, 0.25):
             br = user_best_response(float(sigma_L), 0, config)
-            cand = interior_candidate(float(sigma_L), config.users[0], config.learner)
+            cand = interior_point(float(sigma_L), config)
             assert br == 0.0 or br == pytest.approx(cand)
 
 
@@ -150,6 +156,21 @@ class TestDissuasionThreshold:
         # zero flat cost keeps the interior branch active through sigma_max
         config = simple_config(p_bar=500.0, rho=0.05, nbar_s=0.0, sigma_max=5.0)
         assert dissuasion_threshold(0, config) is None
+
+    @pytest.mark.parametrize("rho", [1e100, 1e200, 1e300])
+    def test_threshold_below_root_tol_to_relative_precision(self, rho):
+        config = load_shipped_config("default")
+        config = dataclasses.replace(
+            config, users=(dataclasses.replace(config.users[0], privacy_rate=rho),)
+        )
+        u = config.users[0]
+        t = dissuasion_threshold(0, config)
+        assert 0 < t < config.solver.root_tol
+        # rho * s_star > 1e60, so the privacy term at s_star and the accuracy
+        # cost of topping up vanish, and the margin changes sign where
+        # P_bar / (1 + rho * t) = N_bar + tie_epsilon
+        expected = (u.max_privacy_loss / (u.perturbation_cost + config.solver.tie_epsilon) - 1) / rho
+        assert t == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 class TestLeaderObjective:
@@ -448,7 +469,7 @@ class TestBestResponseKernel:
         tie = config.solver.tie_epsilon
         for i in range(config.n_users):
             br = user_best_response(sigma_L, i, config)
-            cand = interior_candidate(sigma_L, config.users[i], config.learner)
+            cand = interior_point(sigma_L, config, i)
             if cand is None:
                 assert br == 0.0
                 continue
