@@ -147,7 +147,7 @@ def _cmd_dp(args) -> int:
     lines = []
     if args.sigma is not None:
         guarantee = dp.epsilon_from_sigma(args.sigma, args.delta)
-        lines.append(f"sigma   = {_fmt(guarantee.total_sigma)}")
+        lines.append(f"sigma   = {_fmt(abs(args.sigma))}")  # -0.0 prints as 0
         lines.append(f"epsilon = {_fmt(guarantee.epsilon)}")
         if not guarantee.in_stated_range:
             lines.append("warning: epsilon outside (0, 1), guarantee range exceeded")
@@ -159,8 +159,8 @@ def _cmd_dp(args) -> int:
 
     if args.zeta is not None:
         report = dp.norm_bound_probability(args.d, args.zeta, args.delta)
-        lines.append(f"d                   = {report.dimension}")
-        lines.append(f"zeta                = {_fmt(report.zeta)}")
+        lines.append(f"d                   = {args.d}")
+        lines.append(f"zeta                = {_fmt(args.zeta)}")
         lines.append(f"norm_bound_prob     = {_fmt(report.probability)}")
         lines.append(f"combined_success    = {_fmt(report.combined_success)}")
         lines.append(f"union_bound_success = {_fmt(report.union_bound_success)}")

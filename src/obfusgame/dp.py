@@ -29,7 +29,6 @@ class DpGuarantee:
     """The epsilon a total noise standard deviation buys at a given delta."""
 
     epsilon: float
-    total_sigma: float
     in_stated_range: bool  # True when epsilon lies in (0, 1)
 
 
@@ -39,8 +38,6 @@ class NormBoundReport:
     zeta * (sigma_L^2 + sigma_S^2), plus the combined success probability
     of the accuracy bound."""
 
-    dimension: int
-    zeta: float
     probability: float
     combined_success: float  # 1 - delta * (1 - probability), product form
     union_bound_success: float  # 1 - delta - (1 - probability), clipped at 0
@@ -60,9 +57,9 @@ def epsilon_from_sigma(total_sigma: float, delta: float) -> DpGuarantee:
     if total_sigma < 0 or not math.isfinite(total_sigma):
         raise ValueError(f"total_sigma must be finite and >= 0, got {total_sigma}")
     if total_sigma == 0:
-        return DpGuarantee(math.inf, 0.0, False)
+        return DpGuarantee(math.inf, False)
     eps = _EPS_CONSTANT * math.sqrt(2.0 * math.log(1.25 / delta)) / total_sigma
-    return DpGuarantee(eps, total_sigma, 0.0 < eps < 1.0)
+    return DpGuarantee(eps, 0.0 < eps < 1.0)
 
 
 def sigma_from_epsilon(epsilon: float, delta: float) -> float:
@@ -123,8 +120,6 @@ def norm_bound_probability(d: int, zeta: float, delta: float) -> NormBoundReport
     _check_delta(delta)
     p = chi_square_cdf(d, zeta)
     return NormBoundReport(
-        dimension=d,
-        zeta=zeta,
         probability=p,
         combined_success=1.0 - delta * (1.0 - p),
         union_bound_success=max(0.0, 1.0 - delta - (1.0 - p)),

@@ -21,18 +21,26 @@ fixed, each of them tops up to its own s_star, and the objective is
     const - gamma_L / (N Lambda^2) * (1 - |S| / N) * sigma_L^2
           - (1 / N) * sum_{i not in S} P_bar_i / (1 + rho_i * sigma_L),
 
-a sum of concave terms.  So its maximum over [0, sigma_max] lies at 0, at
-sigma_max, at a threshold (or just beside one), or at the maximum of one
-concave piece, which golden-section search finds to root_tol; those are
-the only candidates the solve evaluates.  This is the one-dimensional
-form of enumerating the follower's best-response regions in optimal
-commitment (Conitzer & Sandholm, EC 2006).
+a sum of concave terms whose slope
+
+    (1 / N) * sum_{i not in S} (P_bar_i / t_i) * (rho_i / t_i)
+          - 2 * gamma_L / (N Lambda^2) * (1 - |S| / N) * sigma_L,
+
+with t_i = 1 + rho_i * sigma_L, never increases and is constant only on a
+flat piece.  So the maximum over [0, sigma_max] lies at 0, at sigma_max,
+at one side of a threshold, or at the root of one piece's slope, which
+bisection finds to root_tol.  Each threshold is bisected to float
+resolution, so the floats beside it are the objective's exact one-sided
+limits there.  Those are the only candidates the solve evaluates.  This
+is the one-dimensional form of enumerating the follower's best-response
+regions in optimal commitment (Conitzer & Sandholm, EC 2006).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -54,8 +62,6 @@ from .game import (
 _BRUTE_FORCE_BUDGET = 2_000_000_000
 # cap on sweep grid points; the default sweep has 1,001
 _SWEEP_MAX_POINTS = 1_000_000
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -192,8 +198,9 @@ def _threshold(user: UserParams, s_star: float, config: GameConfig) -> Optional[
     if margin(hi) > 0:
         return None
     # margin is strictly decreasing on [0, s_star], so the sign change is
-    # unique; a bracket within root_tol is bisected to float resolution
-    return _bisect_root(margin, 0.0, hi, settings.root_tol if hi > settings.root_tol else 0.0)
+    # unique; it is bisected to float resolution, so that the solve can
+    # evaluate the objective on both sides of the jump
+    return _bisect_root(margin, 0.0, hi, 0.0)
 
 
 def user_best_response(sigma_L: float, i: int, config: GameConfig) -> float:
@@ -226,76 +233,76 @@ def leader_objective(sigma_L: float, config: GameConfig) -> float:
     return learner_utility(config, best_response_profile(sigma_L, config))
 
 
-def _grid_steps(lo: float, hi: float, step: float, max_points: int) -> tuple[int, bool]:
-    """(n, pad): the grid holds lo + k * step for k = 0..n, then hi if pad;
-    GridTooLargeError if that is more than max_points points.  Callers check
-    this before they build the grid with _grid."""
+def _grid(lo: float, hi: float, step: float, max_points: int) -> list[float]:
+    """lo + k * step for k = 0, 1, ... up to hi, then hi.  Before any point is
+    built: GridTooLargeError for more than max_points points, then
+    ValueError for a step below the float spacing at hi."""
     n = math.floor(min((hi - lo) / step + 1e-9, max_points))  # the quotient may be inf
     pad = lo + n * step < hi - 1e-12
     if n + 1 + pad > max_points:
         raise GridTooLargeError(f"grid over [{lo}, {hi}] by {step} exceeds {max_points} points")
-    return n, pad
-
-
-def _grid(lo: float, hi: float, step: float, steps: tuple[int, bool]) -> list[float]:
-    n, pad = steps
+    if step < math.ulp(hi):
+        raise ValueError(f"grid step {step} is below the float spacing at {hi}")
     return [lo + k * step for k in range(n + 1)] + [hi] * pad
 
 
-def _golden_max(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> float:
-    """Argmax of a concave f on [lo, hi] by golden-section search, to
-    absolute tolerance tol or to float resolution where that is coarser."""
-    a, b = lo, hi
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol and a < x1 < x2 < b:
-        if f1 > f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
+def _piece_slope(sigma_L: float, config: GameConfig, outside: list[UserParams]) -> float:
+    """Slope of the leader objective at sigma_L on a piece where the users in
+    outside do not perturb and every other user tops up to its s_star."""
+    n = config.n_users
+    lp = config.learner
+    privacy = 0.0
+    for u in outside:
+        t = 1.0 + u.privacy_rate * sigma_L
+        privacy += (u.max_privacy_loss / t) * (u.privacy_rate / t)  # t * t may overflow
+    accuracy = 2.0 * lp.accuracy_weight / (n * lp.regularizer**2) * (len(outside) / n) * sigma_L
+    return privacy / n - accuracy
+
+
+def _result(
+    config: GameConfig, profile: StrategyProfile, thresholds: Iterable[Optional[float]]
+) -> EquilibriumResult:
+    """The equilibrium at profile, with the utilities it induces."""
+    return EquilibriumResult(
+        sigma_L_star=profile.sigma_L,
+        sigma_S_star=profile.sigma_S,
+        learner_utility=learner_utility(config, profile),
+        user_utilities=tuple(user_utility(config, i, profile) for i in range(config.n_users)),
+        per_user_thresholds=tuple(thresholds),
+    )
 
 
 def stackelberg_solve(config: GameConfig) -> EquilibriumResult:
-    """Leader-optimal sigma_L over 0, sigma_max, each threshold t and
-    t +- root_tol, and the maximum of each concave piece between thresholds;
-    the module docstring shows that no other sigma_L does better.
+    """Leader-optimal sigma_L over 0, sigma_max, each threshold t and the
+    floats beside it, and the slope root of each concave piece between
+    thresholds; the module docstring shows that no other sigma_L does better.
 
     Utility ties within tie_epsilon resolve to the smaller sigma_L.
     """
     settings = config.solver
-    n = config.n_users
     s_stars = _s_stars(config)
     thresholds = [_threshold(u, t, config) for u, t in zip(config.users, s_stars)]
-
-    def objective(sigma_L: float) -> float:
-        return _learner_utility(config, sigma_L, _responses(sigma_L, config, s_stars))
 
     candidates: set[float] = {0.0, settings.sigma_max}
     breakpoints = sorted(
         {t for t in thresholds if t is not None and 0.0 < t < settings.sigma_max}
     )
     for t in breakpoints:
-        for c in (t - settings.root_tol, t, t + settings.root_tol):
-            if 0.0 <= c <= settings.sigma_max:
-                candidates.add(c)
+        # the objective's one-sided limits at t
+        candidates.update((math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)))
 
-    # the maximum of each concave piece of the induced objective
+    # the maximum of each concave piece: its endpoints, or its slope's root
     edges = [0.0] + breakpoints + [settings.sigma_max]
     for lo, hi in zip(edges, edges[1:]):
-        if hi - lo > settings.root_tol:
-            candidates.add(_golden_max(objective, lo, hi, settings.root_tol))
+        responses = _responses(0.5 * (lo + hi), config, s_stars)
+        outside = [u for u, r in zip(config.users, responses) if r == 0]
+        slope = partial(_piece_slope, config=config, outside=outside)
+        if slope(lo) > 0 > slope(hi):
+            candidates.add(_bisect_root(slope, lo, hi, settings.root_tol))
 
     evaluated = []
     for s in sorted(candidates):
-        u = objective(s)
+        u = _learner_utility(config, s, _responses(s, config, s_stars))
         if not math.isfinite(u):
             raise SolverError(f"non-finite leader utility {u} at sigma_L={s}")
         evaluated.append((s, u))
@@ -304,13 +311,7 @@ def stackelberg_solve(config: GameConfig) -> EquilibriumResult:
     sigma_L_star = min(s for s, u in evaluated if u >= best_u - settings.tie_epsilon)
 
     profile = StrategyProfile(sigma_L_star, _responses(sigma_L_star, config, s_stars))
-    return EquilibriumResult(
-        sigma_L_star=sigma_L_star,
-        sigma_S_star=profile.sigma_S,
-        learner_utility=learner_utility(config, profile),
-        user_utilities=tuple(user_utility(config, i, profile) for i in range(n)),
-        per_user_thresholds=tuple(thresholds),
-    )
+    return _result(config, profile, thresholds)
 
 
 def _shared_rows(
@@ -366,10 +367,7 @@ def sweep(
         raise ValueError(f"sweep bounds, step and 2 * hi^2 must be finite, got [{lo}, {hi}] by {step}")
     if not (0 <= lo <= hi and step > 0):
         raise ValueError(f"invalid sweep range [{lo}, {hi}] with step {step}")
-    steps = _grid_steps(lo, hi, step, _SWEEP_MAX_POINTS)
-    if step < math.ulp(hi):
-        raise ValueError(f"sweep step {step} is below the float spacing at {hi}")
-    grid = _grid(lo, hi, step, steps)
+    grid = _grid(lo, hi, step, _SWEEP_MAX_POINTS)
     n = config.n_users
 
     count = min(5, len(grid))
@@ -417,8 +415,7 @@ def brute_force_equilibrium(config: GameConfig, fine_step: float) -> Equilibrium
     settings = config.solver
     n = config.n_users
     max_points = math.isqrt(_BRUTE_FORCE_BUDGET // n)  # m points cost m * m * n evaluations
-    steps = _grid_steps(0.0, settings.sigma_max, fine_step, max_points)
-    grid = _grid(0.0, settings.sigma_max, fine_step, steps)
+    grid = _grid(0.0, settings.sigma_max, fine_step, max_points)
     m = len(grid)
 
     br = _best_response_table(config, grid)
@@ -434,10 +431,4 @@ def brute_force_equilibrium(config: GameConfig, fine_step: float) -> Equilibrium
         last = int(perturbing[-1])
         return None if last == m - 1 else grid[last + 1]
 
-    return EquilibriumResult(
-        sigma_L_star=profile.sigma_L,
-        sigma_S_star=profile.sigma_S,
-        learner_utility=learner_utility(config, profile),
-        user_utilities=tuple(user_utility(config, i, profile) for i in range(n)),
-        per_user_thresholds=tuple(table_threshold(br[:, i]) for i in range(n)),
-    )
+    return _result(config, profile, (table_threshold(br[:, i]) for i in range(n)))

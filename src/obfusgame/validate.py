@@ -163,6 +163,8 @@ def run_scaling_suite(trials_per_point: int = 50, base_seed: int = 0) -> SuiteRe
             j_d, _ = erm.expected_loss_estimate(f_d, sample, _ERM_LAM)
             trial_gaps.append(j_d - j_star)
         mean_gap = float(np.mean(trial_gaps))
+        # a single trial has no spread estimate
+        spread = np.std(trial_gaps, ddof=1) if trials_per_point > 1 else math.inf
         levels.append(level)
         gaps.append(mean_gap)
         result.rows.append(
@@ -172,7 +174,7 @@ def run_scaling_suite(trials_per_point: int = 50, base_seed: int = 0) -> SuiteRe
                 "sigma_S": sigma_S_level,
                 "noise_level": level,
                 "mean_gap": mean_gap,
-                "stderr": float(np.std(trial_gaps, ddof=1) / math.sqrt(trials_per_point)),
+                "stderr": float(spread / math.sqrt(trials_per_point)),
             }
         )
     rho = _spearman(levels, gaps)

@@ -1,4 +1,5 @@
 import ast
+import csv
 import importlib.util
 import json
 import math
@@ -447,6 +448,15 @@ class TestCliValidate:
     def test_lemma1_suite_small(self, tmp_path):
         assert main(["validate", "--suite", "lemma1", "--trials", "5",
                      "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would print to stderr
+    def test_scaling_suite_single_trial_has_infinite_stderr(self, tmp_path, capsys):
+        assert main(["validate", "--suite", "scaling", "--trials", "1",
+                     "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        with (tmp_path / "validate_scaling.csv").open(newline="") as fh:
+            cells = [row["stderr"] for row in csv.DictReader(fh)]
+        assert len(cells) == 10 and set(cells) == {"inf"}
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     @pytest.mark.parametrize("suite", ["lemma1", "lemma2", "chi2", "scaling", "oracle"])

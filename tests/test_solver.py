@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obfusgame import solver
-from obfusgame.config_io import load_shipped_config, parse_config_text, shipped_config_path
+from obfusgame.config_io import (
+    SHIPPED_CONFIGS,
+    load_shipped_config,
+    parse_config_text,
+    shipped_config_path,
+)
 from obfusgame.errors import GridTooLargeError, NoFiniteOptimumError
 from obfusgame.game import (
     GameConfig,
@@ -255,13 +262,16 @@ class TestBruteForce:
         assert result.sigma_L_star == 0.0
         assert result.sigma_S_star == (0.0,)
 
-    def test_oversized_grid_rejected_before_it_is_built(self, monkeypatch):
-        def build(*args):
-            raise AssertionError("grid built before the budget check")
-
-        monkeypatch.setattr(solver, "_grid", build)
-        with pytest.raises(GridTooLargeError):
-            brute_force_equilibrium(simple_config(sigma_max=20.0), 1e-6)
+    def test_oversized_grid_rejected_before_it_is_built(self):
+        # 2e7 points would take hundreds of MB as a list of floats
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridTooLargeError):
+                brute_force_equilibrium(simple_config(sigma_max=20.0), 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize(
         "make",
@@ -303,8 +313,7 @@ class TestBruteForce:
         assert result.sigma_L_star == sigma_L
         assert result.sigma_S_star == sigma_S
         assert result.per_user_thresholds == thresholds
-        steps = solver._grid_steps(0.0, config.solver.sigma_max, fine_step, 10**6)
-        table = solver._best_response_table(config, solver._grid(0.0, config.solver.sigma_max, fine_step, steps))
+        table = solver._best_response_table(config, solver._grid(0.0, config.solver.sigma_max, fine_step, 10**6))
         assert (table > 0).sum(axis=0).tolist() == perturbing
 
     def test_agrees_with_solver_on_random_configs(self):
@@ -520,7 +529,7 @@ class TestOwnNoiseKernel:
         every other user at 0, is highest."""
         sigma_max = config.solver.sigma_max
         step = sigma_max / intervals
-        grid = solver._grid(0.0, sigma_max, step, solver._grid_steps(0.0, sigma_max, step, 41))
+        grid = solver._grid(0.0, sigma_max, step, 41)
         table = solver._best_response_table(config, grid)
         n = config.n_users
         for sigma_L, row in zip(grid, table.tolist()):
@@ -555,7 +564,6 @@ class TestCandidateSet:
             raise AssertionError("stackelberg_solve built a grid")
 
         monkeypatch.setattr(solver, "_grid", build)
-        monkeypatch.setattr(solver, "_grid_steps", build)
         for config in (load_shipped_config("default"), mixed_population(8, seed=3)):
             result = stackelberg_solve(config)
             assert result.sigma_S_star == tuple(
@@ -588,18 +596,13 @@ def counted(f, limit=2000):
 
 
 class TestFloatResolution:
-    """Both searches stop once no float lies inside the bracket, also when
+    """The search stops once no float lies inside the bracket, also when
     that spacing is coarser than the requested tolerance."""
 
     @pytest.mark.parametrize("root", [6.956207695883, 1.7e100])
     def test_bisect_root(self, root):
         x = solver._bisect_root(counted(lambda s: root - s), 0.0, 2.0 * root, 1e-16)
         assert x == pytest.approx(root, rel=1e-15)
-
-    @pytest.mark.parametrize("peak", [6.956207695883, 1.7e100])
-    def test_golden_max(self, peak):
-        x = solver._golden_max(counted(lambda s: -abs(s - peak)), 0.0, 2.0 * peak, 1e-16)
-        assert x == pytest.approx(peak, rel=1e-12)
 
     @pytest.mark.parametrize(
         "line, value",
@@ -611,12 +614,83 @@ class TestFloatResolution:
             f"{line} = {value}" if raw.startswith(line) else raw
             for raw in shipped_config_path("default").read_text().splitlines()
         )
-        bisect, golden = solver._bisect_root, solver._golden_max
+        bisect = solver._bisect_root
         monkeypatch.setattr(
             solver, "_bisect_root", lambda f, lo, hi, tol: bisect(counted(f), lo, hi, tol)
         )
-        monkeypatch.setattr(
-            solver, "_golden_max", lambda f, lo, hi, tol: golden(counted(f), lo, hi, tol)
-        )
         result = stackelberg_solve(parse_config_text(text))
         assert math.isfinite(result.learner_utility)
+
+
+class TestFloatExactCandidates:
+    """Thresholds are bisected to float resolution, so the floats beside one
+    are the one-sided limits of the leader objective there, and each
+    piece's maximum is its slope's root to root_tol."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [*(partial(load_shipped_config, name) for name in SHIPPED_CONFIGS),
+         partial(mixed_population, 8, 3), partial(mixed_population, 12, 5)],
+        ids=[*SHIPPED_CONFIGS, "mixed_8", "mixed_12"],
+    )
+    def test_best_response_flips_between_adjacent_floats(self, make):
+        config = make()
+        flips = [
+            (i, t)
+            for i in range(config.n_users)
+            if (t := dissuasion_threshold(i, config)) is not None and 0 < t < config.solver.sigma_max
+        ]
+        assert flips
+        for i, t in flips:
+            assert user_best_response(math.nextafter(t, 0.0), i, config) > 0
+            assert user_best_response(math.nextafter(t, math.inf), i, config) == 0.0
+
+    @pytest.mark.parametrize("name", ["default", "high_cost"])
+    def test_solve_picks_the_first_dissuading_float(self, name):
+        config = load_shipped_config(name)
+        sigma_L = stackelberg_solve(config).sigma_L_star
+        assert user_best_response(sigma_L, 0, config) == 0.0
+        assert user_best_response(math.nextafter(sigma_L, 0.0), 0, config) > 0
+
+    @pytest.mark.parametrize("n, seed", [(8, 3), (12, 5)])
+    def test_piece_slope_is_the_objective_derivative(self, n, seed):
+        config = mixed_population(n, seed)
+        s_stars = solver._s_stars(config)
+        sigma_max = config.solver.sigma_max
+        thresholds = {dissuasion_threshold(i, config) for i in range(n)}
+        edges = [0.0, *sorted(t for t in thresholds if t is not None and 0 < t < sigma_max), sigma_max]
+
+        def objective(x):
+            return solver._learner_utility(config, x, solver._responses(x, config, s_stars))
+
+        for lo, hi in zip(edges, edges[1:]):
+            x, h = 0.5 * (lo + hi), 1e-4 * (hi - lo)
+            responses = solver._responses(x, config, s_stars)
+            outside = [u for u, r in zip(config.users, responses) if r == 0]
+            central = (objective(x + h) - objective(x - h)) / (2.0 * h)
+            assert solver._piece_slope(x, config, outside) == pytest.approx(central, rel=1e-6, abs=1e-8)
+
+    def test_interior_maximum_is_the_slope_root(self):
+        from scipy.optimize import brentq
+
+        checked = 0
+        for seed in range(40):
+            config = random_small_config(seed)
+            result = stackelberg_solve(config)
+            if not 0 < result.sigma_L_star < config.solver.sigma_max:
+                continue
+            # nobody perturbs in these games, so the objective is one concave piece
+            assert result.per_user_thresholds == (0.0,) * config.n_users
+            n, lp = config.n_users, config.learner
+
+            def slope(x):
+                privacy = sum(
+                    u.max_privacy_loss * u.privacy_rate / (1.0 + u.privacy_rate * x) ** 2
+                    for u in config.users
+                )
+                return privacy / n - 2.0 * lp.accuracy_weight / (n * lp.regularizer**2) * x
+
+            root = brentq(slope, 0.0, config.solver.sigma_max, xtol=1e-15)
+            assert abs(result.sigma_L_star - root) <= 10 * config.solver.root_tol
+            checked += 1
+        assert checked == 21
