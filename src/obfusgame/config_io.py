@@ -52,6 +52,10 @@ def parse_config_text(text: str, source: str = "<string>") -> GameConfig:
             sub = key[len("learner."):]
             if sub not in _LEARNER_KEYS:
                 raise ConfigError(f"unknown key {key!r}", line=lineno)
+            if sub == "N":
+                if not (value >= 1 and value.is_integer()):
+                    raise ConfigError(f"learner.N must be an integer >= 1, got {value_str}", line=lineno)
+                n_line = lineno
             _set_once(learner, sub, value, key, lineno)
         elif key.startswith("solver."):
             sub = key[len("solver."):]
@@ -70,10 +74,11 @@ def parse_config_text(text: str, source: str = "<string>") -> GameConfig:
     if missing:
         raise ConfigError(f"{source}: missing learner keys {sorted(missing)}")
     n = int(learner["N"])
-    if sorted(users.keys()) != list(range(n)):
+    # the count first: learner.N may be far larger than the file
+    if len(users) != n or sorted(users) != list(range(n)):
         raise ConfigError(
-            f"{source}: learner.N = {n} requires users[0..{n - 1}], "
-            f"got indices {sorted(users.keys())}"
+            f"learner.N = {n:g} requires users[0..{n - 1:g}], got indices {sorted(users)}",
+            line=n_line,
         )
     for i, fields in users.items():
         missing = _USER_KEYS - fields.keys()

@@ -8,10 +8,14 @@ user utility is
 
 a strictly increasing cubic with a unique root s_star.  The best response
 is bang-bang: either sigma_S = sqrt(s_star^2 - sigma_L^2) (paying the flat
-cost) or exactly 0, whichever gives higher utility.  s_star depends on the
-user alone, so a solve or sweep finds it once per user, and the gain of
-perturbing is taken in closed form (other users' terms cancel); the public
-per-user queries are wrappers that solve s_star themselves.
+cost) or exactly 0, whichever gives higher utility.  The gain of topping up
+over not perturbing is taken in closed form (other users' terms cancel)
+and falls strictly in sigma_L, so the user perturbs exactly below its
+dissuasion threshold t, the root of that gain less tie_epsilon, bisected
+to float resolution.  The pair (s_star, t) is the user's whole best
+response: sqrt(s_star^2 - sigma_L^2) if sigma_L < t, else 0.  It depends
+on the user alone, so a solve or sweep finds it once per user; the public
+per-user queries are wrappers that find it themselves.
 
 The leader's induced objective jumps where a user stops perturbing (a
 dissuasion threshold) and at sigma_L = 0 (the leader's flat cost).
@@ -23,17 +27,18 @@ fixed, each of them tops up to its own s_star, and the objective is
 
 a sum of concave terms whose slope
 
-    (1 / N) * sum_{i not in S} (P_bar_i / t_i) * (rho_i / t_i)
+    (1 / N) * sum_{i not in S} (P_bar_i / q_i) * (rho_i / q_i)
           - 2 * gamma_L / (N Lambda^2) * (1 - |S| / N) * sigma_L,
 
-with t_i = 1 + rho_i * sigma_L, never increases and is constant only on a
+with q_i = 1 + rho_i * sigma_L, never increases and is constant only on a
 flat piece.  So the maximum over [0, sigma_max] lies at 0, at sigma_max,
 at one side of a threshold, or at the root of one piece's slope, which
-bisection finds to root_tol.  Each threshold is bisected to float
-resolution, so the floats beside it are the objective's exact one-sided
-limits there.  Those are the only candidates the solve evaluates.  This
-is the one-dimensional form of enumerating the follower's best-response
-regions in optimal commitment (Conitzer & Sandholm, EC 2006).
+bisection finds to root_tol.  The float below a threshold and the
+threshold itself are the objective's exact one-sided limits there, so
+each threshold adds those two candidates, and they are the only
+candidates the solve evaluates.  This is the one-dimensional form of
+enumerating the follower's best-response regions in optimal commitment
+(Conitzer & Sandholm, EC 2006).
 """
 
 from __future__ import annotations
@@ -157,50 +162,30 @@ def _s_stars(config: GameConfig) -> list[float]:
     ]
 
 
-def _perturbation(
-    sigma_L: float, user: UserParams, s_star: float, config: GameConfig
-) -> tuple[float, float]:
-    """(cand, gain): the interior candidate and its utility advantage over
-    not perturbing, in closed form (every other user's term cancels);
-    (0.0, -cost) when sigma_L >= s_star."""
-    if s_star <= sigma_L:
-        return 0.0, -user.perturbation_cost
-    cand = math.sqrt(s_star**2 - sigma_L**2)
-    n = config.n_users
+def _cut(user: UserParams, s_star: float, config: GameConfig) -> float:
+    """The sigma_L from which the user plays 0: the root, to float resolution,
+    of its gain from topping up to s_star over not perturbing (in closed form;
+    every other user's term cancels) less tie_epsilon, or 0.0 when that margin
+    is <= 0 at sigma_L = 0.  The margin falls strictly on [0, s_star] to
+    -cost - tie_epsilon <= 0 at s_star, so the bracket always holds."""
+    coef = user.accuracy_weight / (config.n_users**2 * config.learner.regularizer**2)
     p, rho = user.max_privacy_loss, user.privacy_rate
-    gain = (
-        -user.accuracy_weight / (n**2 * config.learner.regularizer**2) * cand**2
-        - p / (1.0 + rho * s_star)  # hypot(sigma_L, cand) is s_star
-        + p / (1.0 + rho * sigma_L)
-        - user.perturbation_cost
-    )
-    return cand, gain
-
-
-def _response(sigma_L: float, user: UserParams, s_star: float, config: GameConfig) -> float:
-    cand, gain = _perturbation(sigma_L, user, s_star, config)
-    return cand if gain > config.solver.tie_epsilon else 0.0
-
-
-def _responses(sigma_L: float, config: GameConfig, s_stars: list[float]) -> list[float]:
-    return [_response(sigma_L, u, s, config) for u, s in zip(config.users, s_stars)]
-
-
-def _threshold(user: UserParams, s_star: float, config: GameConfig) -> Optional[float]:
-    settings = config.solver
+    floor = p / (1.0 + rho * s_star) + user.perturbation_cost + config.solver.tie_epsilon
 
     def margin(sigma_L: float) -> float:
-        return _perturbation(sigma_L, user, s_star, config)[1] - settings.tie_epsilon
+        return p / (1.0 + rho * sigma_L) - coef * (s_star**2 - sigma_L**2) - floor
 
-    if margin(0.0) <= 0:
-        return 0.0
-    hi = min(s_star, settings.sigma_max)
-    if margin(hi) > 0:
-        return None
-    # margin is strictly decreasing on [0, s_star], so the sign change is
-    # unique; it is bisected to float resolution, so that the solve can
-    # evaluate the objective on both sides of the jump
-    return _bisect_root(margin, 0.0, hi, 0.0)
+    return 0.0 if margin(0.0) <= 0 else _bisect_root(margin, 0.0, s_star, 0.0)
+
+
+def _cuts(config: GameConfig, s_stars: list[float]) -> list[float]:
+    return [_cut(u, s, config) for u, s in zip(config.users, s_stars)]
+
+
+def _responses(sigma_L: float, s_stars: list[float], cuts: list[float]) -> list[float]:
+    """Each user's best response: it tops up to its s_star below its cut, and
+    plays 0 from the cut on."""
+    return [math.sqrt(s**2 - sigma_L**2) if sigma_L < t else 0.0 for s, t in zip(s_stars, cuts)]
 
 
 def user_best_response(sigma_L: float, i: int, config: GameConfig) -> float:
@@ -208,24 +193,26 @@ def user_best_response(sigma_L: float, i: int, config: GameConfig) -> float:
     _check_sigma_L(sigma_L)
     user = config.users[i]
     s_star = effective_noise_target(user, config.learner, config.solver.root_tol)
-    return _response(sigma_L, user, s_star, config)
+    return _responses(sigma_L, [s_star], [_cut(user, s_star, config)])[0]
 
 
 def dissuasion_threshold(i: int, config: GameConfig) -> Optional[float]:
-    """Smallest sigma_L at which user i's best response becomes (and stays) 0.
+    """Smallest sigma_L at which user i's best response becomes (and stays) 0:
+    below it the user tops up to its s_star, from it on the user plays 0.
 
-    Returns 0.0 when the user never perturbs, and None when the best
-    response is still positive at sigma_max (no dissuasion within the
-    search bound).
+    Returns 0.0 when the user never perturbs, and None when the threshold
+    lies beyond sigma_max (no dissuasion within the search bound).
     """
     user = config.users[i]
     s_star = effective_noise_target(user, config.learner, config.solver.root_tol)
-    return _threshold(user, s_star, config)
+    t = _cut(user, s_star, config)
+    return None if t > config.solver.sigma_max else t
 
 
 def best_response_profile(sigma_L: float, config: GameConfig) -> StrategyProfile:
     _check_sigma_L(sigma_L)
-    return StrategyProfile(sigma_L, _responses(sigma_L, config, _s_stars(config)))
+    s_stars = _s_stars(config)
+    return StrategyProfile(sigma_L, _responses(sigma_L, s_stars, _cuts(config, s_stars)))
 
 
 def leader_objective(sigma_L: float, config: GameConfig) -> float:
@@ -253,8 +240,8 @@ def _piece_slope(sigma_L: float, config: GameConfig, outside: list[UserParams]) 
     lp = config.learner
     privacy = 0.0
     for u in outside:
-        t = 1.0 + u.privacy_rate * sigma_L
-        privacy += (u.max_privacy_loss / t) * (u.privacy_rate / t)  # t * t may overflow
+        q = 1.0 + u.privacy_rate * sigma_L
+        privacy += (u.max_privacy_loss / q) * (u.privacy_rate / q)  # q * q may overflow
     accuracy = 2.0 * lp.accuracy_weight / (n * lp.regularizer**2) * (len(outside) / n) * sigma_L
     return privacy / n - accuracy
 
@@ -274,35 +261,32 @@ def _result(
 
 def stackelberg_solve(config: GameConfig) -> EquilibriumResult:
     """Leader-optimal sigma_L over 0, sigma_max, each threshold t and the
-    floats beside it, and the slope root of each concave piece between
+    float below it, and the slope root of each concave piece between
     thresholds; the module docstring shows that no other sigma_L does better.
 
     Utility ties within tie_epsilon resolve to the smaller sigma_L.
     """
     settings = config.solver
     s_stars = _s_stars(config)
-    thresholds = [_threshold(u, t, config) for u, t in zip(config.users, s_stars)]
+    cuts = _cuts(config, s_stars)
 
     candidates: set[float] = {0.0, settings.sigma_max}
-    breakpoints = sorted(
-        {t for t in thresholds if t is not None and 0.0 < t < settings.sigma_max}
-    )
+    breakpoints = sorted({t for t in cuts if 0.0 < t < settings.sigma_max})
     for t in breakpoints:
         # the objective's one-sided limits at t
-        candidates.update((math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)))
+        candidates.update((math.nextafter(t, 0.0), t))
 
     # the maximum of each concave piece: its endpoints, or its slope's root
     edges = [0.0] + breakpoints + [settings.sigma_max]
     for lo, hi in zip(edges, edges[1:]):
-        responses = _responses(0.5 * (lo + hi), config, s_stars)
-        outside = [u for u, r in zip(config.users, responses) if r == 0]
+        outside = [u for u, t in zip(config.users, cuts) if t <= lo]
         slope = partial(_piece_slope, config=config, outside=outside)
         if slope(lo) > 0 > slope(hi):
             candidates.add(_bisect_root(slope, lo, hi, settings.root_tol))
 
     evaluated = []
     for s in sorted(candidates):
-        u = _learner_utility(config, s, _responses(s, config, s_stars))
+        u = _learner_utility(config, s, _responses(s, s_stars, cuts))
         if not math.isfinite(u):
             raise SolverError(f"non-finite leader utility {u} at sigma_L={s}")
         evaluated.append((s, u))
@@ -310,8 +294,8 @@ def stackelberg_solve(config: GameConfig) -> EquilibriumResult:
     # smallest sigma_L among near-ties
     sigma_L_star = min(s for s, u in evaluated if u >= best_u - settings.tie_epsilon)
 
-    profile = StrategyProfile(sigma_L_star, _responses(sigma_L_star, config, s_stars))
-    return _result(config, profile, thresholds)
+    profile = StrategyProfile(sigma_L_star, _responses(sigma_L_star, s_stars, cuts))
+    return _result(config, profile, (None if t > settings.sigma_max else t for t in cuts))
 
 
 def _shared_rows(
@@ -378,9 +362,10 @@ def sweep(
         own += [[sigma_L, *row] for row in zip(grid, *utilities[k * n : (k + 1) * n])]
 
     s_stars = _s_stars(config)
+    cuts = _cuts(config, s_stars)
     responses, leader = [], []
     for sigma_L in grid:
-        brs = _responses(sigma_L, config, s_stars)
+        brs = _responses(sigma_L, s_stars, cuts)
         spread = _spread(sigma_L, brs, n)
         responses.append([sigma_L, *brs])
         leader.append(

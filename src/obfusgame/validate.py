@@ -107,6 +107,7 @@ def run_chi2_suite(samples: int = 100_000, base_seed: int = 0) -> SuiteResult:
         rng = np.random.Generator(np.random.PCG64(base_seed + d))
         draws = math.sqrt(s2) * rng.standard_normal((samples, d))
         norms2 = np.sum(draws**2, axis=1)
+        holds = True
         for zeta in (0.5 * d, 1.0 * d, 1.5 * d, 2.0 * d, 3.0 * d):
             expected = chi_square_cdf(d, zeta)
             empirical = float(np.mean(norms2 <= zeta * s2))
@@ -123,9 +124,10 @@ def run_chi2_suite(samples: int = 100_000, base_seed: int = 0) -> SuiteResult:
                     "holds": int(ok),
                 }
             )
-            if not ok:
-                result.passed = False
-                result.failed_seeds.append(base_seed + d)
+            holds = holds and ok
+        if not holds:
+            result.passed = False
+            result.failed_seeds.append(base_seed + d)
     result.summary = f"chi2: worst |empirical - cdf| = {worst:.4f} (tolerance {_CHI2_TOLERANCE})"
     return result
 

@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import importlib.util
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -79,6 +81,28 @@ class TestConfigParsing:
         bad = MINIMAL.replace("learner.N      = 1", "learner.N      = 2")
         with pytest.raises(ConfigError, match="users"):
             parse_config_text(bad)
+
+    @pytest.mark.parametrize("value", ["1.5", "inf", "nan", "1e300", "0"])
+    def test_bad_population_size_is_line_anchored(self, tmp_path, capsys, value):
+        cfg = tmp_path / "n.cfg"
+        cfg.write_text(MINIMAL.replace("learner.N      = 1", f"learner.N      = {value}"))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        line = MINIMAL.splitlines().index("learner.N      = 1") + 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: learner.N ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_population_size_checked_before_index_list(self):
+        # an index list of 2e6 ints would take tens of MB
+        text = MINIMAL.replace("learner.N      = 1", "learner.N      = 2000000")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="users"):
+                parse_config_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_non_numeric_value(self):
         with pytest.raises(ConfigError, match="non-numeric"):
@@ -349,6 +373,27 @@ class TestCliSweep:
                 utilities.append(user_utility(config, i, StrategyProfile(sigma_L, sigma)))
             assert line == ",".join(_fmt(v) for v in (sigma_L, sigma_S, *utilities))
 
+    def test_responses_past_sigma_max(self, tmp_path):
+        # user 0 is dissuaded at 4.85, beyond sigma_max: no threshold is
+        # reported, but the sweep past sigma_max still sees the user stop
+        from obfusgame.cli import _fmt
+        from obfusgame.solver import dissuasion_threshold, user_best_response
+
+        text = THREE_USERS + "solver.sigma_max = 4\n"
+        (tmp_path / "three.cfg").write_text(text)
+        config = parse_config_text(text)
+        assert dissuasion_threshold(0, config) is None
+        assert main([
+            "sweep", "--config", str(tmp_path / "three.cfg"),
+            "--out", str(tmp_path), "--max", "6", "--step", "0.05",
+        ]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "sweep_best_response.csv").read_text().splitlines()[1:]]
+        for row in rows:
+            sigma_L = float(row[0])
+            assert row[1:] == [_fmt(user_best_response(sigma_L, i, config)) for i in range(3)]
+            assert (row[1] == "0") == (sigma_L >= 4.9)
+
     def test_grid_ends_at_max(self, tmp_path):
         # 0.3 does not divide 1; the last row is --max itself
         assert main([
@@ -388,6 +433,65 @@ class TestCliSweep:
             "--out", str(tmp_path), *args,
         ]) == code
         assert "error" in capsys.readouterr().err
+
+
+# sha256 of each output of `solve` and a default-grid `sweep`, in this order;
+# a change that is meant to leave the outputs alone must not move them
+PINNED_FILES = (
+    "equilibrium.txt", "thresholds.csv",
+    "sweep_user_utility.csv", "sweep_best_response.csv", "sweep_leader.csv",
+)
+PINNED_DIGESTS = {
+    "default": (
+        "fe5be2741b2e9240ac0203ca3e79cc11e57ac7e1231d4255df2d004ed581900d",
+        "b956630bc6ee9d06b412efc23430b90f06b081845de5aa8eea5a73d5fdab2dca",
+        "c5696635eb7620e68fda6ee0dc1e6bc9de54e1ae59be716313bb6e67e6aa5ce0",
+        "65a7085c36f322d2de09d4b876d06d70d5f2e95e71558c22a943457ace84959d",
+        "e69a31135eacc4eec1e19e7f77ae367d40884af0cfabf506cd386e9505f74bb3",
+    ),
+    "low_cost": (
+        "8866899cdace5d24c79e3d67c77c4aabee2c09e47378df78a6066577c1fd5e98",
+        "155df2d3cfb66ffa93939edf1d2bc0e797fdbf3394ddae57e37745421ebbcf26",
+        "b3f1692e62ce2880ae37d93d638af9d3888fac40ac5a51c242f67d49c381e9f3",
+        "c6f1a066e865ad4d8e0f1d796ee8a9ea1c844aff74f6fdd4e5fea3f0e783e110",
+        "76d7f818ff159f5739b2d4d80560e20b3e59a87d0b782739e782f01c5374f327",
+    ),
+    # the same game as default
+    "mid_cost": (
+        "fe5be2741b2e9240ac0203ca3e79cc11e57ac7e1231d4255df2d004ed581900d",
+        "b956630bc6ee9d06b412efc23430b90f06b081845de5aa8eea5a73d5fdab2dca",
+        "c5696635eb7620e68fda6ee0dc1e6bc9de54e1ae59be716313bb6e67e6aa5ce0",
+        "65a7085c36f322d2de09d4b876d06d70d5f2e95e71558c22a943457ace84959d",
+        "e69a31135eacc4eec1e19e7f77ae367d40884af0cfabf506cd386e9505f74bb3",
+    ),
+    "high_cost": (
+        "980545b5c1d52b281a2a55020f18748a97a6691a5e9b93e45412cf6fbcefdc97",
+        "ce50fef61a1a224aca614383a89e6fcb5751e1bba30fc1e25e7c23fea17aa74a",
+        "522c9980d16a7184e3a1924da75e81ecee47d1f637c294d9e84c5806d89b95af",
+        "da8d584da17e3e9bcff7d195deda89603022be746ab419e005f583831038c287",
+        "175a44479232faacdbc5e6f1e9f711c506ff2e276c455c87cc3ef7c498de8bb8",
+    ),
+    "three_users": (
+        "c579119c956a21ac3295512dbe151f9531e50784568026c85fa249d458e99569",
+        "c5ff20f43ab3f2b36ef5545774fa4fe2f6e3a261bcd3612fda21103181e3cff6",
+        "4e946ee4c823d9c27d9fdeb5b041d2073dd3e7dfe2eaaf29ace5b1653bb9b79f",
+        "9028fe5b23ce0de06f3093407387d846ab58ea8e367277ddb8cd6eec142b9846",
+        "6a1a7f3424a79ee95686e7178051a9f63e962ee930b7fb495093c91d0bdcae8a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_DIGESTS))
+def test_outputs_match_pinned_digests(tmp_path, capsys, name):
+    if name == "three_users":
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text(THREE_USERS)
+    else:
+        cfg = shipped_config_path(name)
+    for command in ("solve", "sweep"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in PINNED_FILES)
+    assert digests == PINNED_DIGESTS[name]
 
 
 class TestCliDp:
@@ -435,6 +539,11 @@ class TestCliValidate:
                      "--out", str(tmp_path)])
         assert code == 1
         assert "seeds" in capsys.readouterr().err
+
+    def test_chi2_failed_seeds_listed_once(self, tmp_path, capsys):
+        assert main(["validate", "--suite", "chi2", "--trials", "3",
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "failed seeds (for replay): [1, 2, 5, 10]\n"
 
     def test_manifest_records_seed(self, tmp_path):
         assert main(["validate", "--suite", "lemma1", "--trials", "2", "--seed", "7",

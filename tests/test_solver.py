@@ -286,7 +286,7 @@ class TestBruteForce:
             raise AssertionError("the oracle asked the analytic solver")
 
         monkeypatch.setattr(solver, "dissuasion_threshold", analytic)
-        monkeypatch.setattr(solver, "_threshold", analytic)
+        monkeypatch.setattr(solver, "_cut", analytic)
         table = brute_force_equilibrium(config, fine_step).per_user_thresholds
         assert any(t is not None and t > 0 for t in table)
         for t, e in zip(table, expected):
@@ -456,7 +456,8 @@ class TestBestResponseKernel:
         brs = tuple(user_best_response(sigma_L, i, config) for i in range(config.n_users))
         expected = learner_utility(config, StrategyProfile(sigma_L, brs))
         assert leader_objective(sigma_L, config) == expected
-        kernel = solver._responses(sigma_L, config, solver._s_stars(config))
+        s_stars = solver._s_stars(config)
+        kernel = solver._responses(sigma_L, s_stars, solver._cuts(config, s_stars))
         assert solver._learner_utility(config, sigma_L, kernel) == expected
 
     # sqrt(sigma_L^2 + sigma_S^2) and math.hypot can differ in the last bit
@@ -550,8 +551,9 @@ def assert_no_grid_point_beats_the_solve(config, points):
     where every user perturbs the objective is flat, and its evaluations
     differ in the last bit."""
     s_stars = solver._s_stars(config)
+    cuts = solver._cuts(config, s_stars)
     best = max(
-        solver._learner_utility(config, s, solver._responses(s, config, s_stars))
+        solver._learner_utility(config, s, solver._responses(s, s_stars, cuts))
         for s in np.linspace(0.0, config.solver.sigma_max, points).tolist()
     )
     solved = stackelberg_solve(config).learner_utility
@@ -623,15 +625,19 @@ class TestFloatResolution:
 
 
 class TestFloatExactCandidates:
-    """Thresholds are bisected to float resolution, so the floats beside one
-    are the one-sided limits of the leader objective there, and each
+    """A user perturbs exactly below its threshold, which is bisected to
+    float resolution, so the float below a threshold and the threshold
+    itself are the one-sided limits of the leader objective there, and each
     piece's maximum is its slope's root to root_tol."""
 
     @pytest.mark.parametrize(
         "make",
         [*(partial(load_shipped_config, name) for name in SHIPPED_CONFIGS),
-         partial(mixed_population, 8, 3), partial(mixed_population, 12, 5)],
-        ids=[*SHIPPED_CONFIGS, "mixed_8", "mixed_12"],
+         partial(mixed_population, 8, 3), partial(mixed_population, 12, 5),
+         # the closed-form gain is not monotone within a few ulps of these thresholds
+         partial(mixed_population, 6, 1), partial(mixed_population, 12, 0),
+         partial(mixed_population, 15, 0)],
+        ids=[*SHIPPED_CONFIGS, "mixed_8", "mixed_12", "mixed_6_1", "mixed_12_0", "mixed_15_0"],
     )
     def test_best_response_flips_between_adjacent_floats(self, make):
         config = make()
@@ -643,6 +649,7 @@ class TestFloatExactCandidates:
         assert flips
         for i, t in flips:
             assert user_best_response(math.nextafter(t, 0.0), i, config) > 0
+            assert user_best_response(t, i, config) == 0.0
             assert user_best_response(math.nextafter(t, math.inf), i, config) == 0.0
 
     @pytest.mark.parametrize("name", ["default", "high_cost"])
@@ -656,16 +663,17 @@ class TestFloatExactCandidates:
     def test_piece_slope_is_the_objective_derivative(self, n, seed):
         config = mixed_population(n, seed)
         s_stars = solver._s_stars(config)
+        cuts = solver._cuts(config, s_stars)
         sigma_max = config.solver.sigma_max
         thresholds = {dissuasion_threshold(i, config) for i in range(n)}
         edges = [0.0, *sorted(t for t in thresholds if t is not None and 0 < t < sigma_max), sigma_max]
 
         def objective(x):
-            return solver._learner_utility(config, x, solver._responses(x, config, s_stars))
+            return solver._learner_utility(config, x, solver._responses(x, s_stars, cuts))
 
         for lo, hi in zip(edges, edges[1:]):
             x, h = 0.5 * (lo + hi), 1e-4 * (hi - lo)
-            responses = solver._responses(x, config, s_stars)
+            responses = solver._responses(x, s_stars, cuts)
             outside = [u for u, r in zip(config.users, responses) if r == 0]
             central = (objective(x + h) - objective(x - h)) / (2.0 * h)
             assert solver._piece_slope(x, config, outside) == pytest.approx(central, rel=1e-6, abs=1e-8)
