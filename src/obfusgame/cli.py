@@ -50,12 +50,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _row_template(types: tuple[type, ...]) -> str:
+    """The `%` template that writes a row of these value types as csv.writer
+    writes the row's `_fmt` strings: %.12g for a float, %s for anything
+    else.  Fields are not quoted, so a string value must hold no comma,
+    quote or line break."""
+    return ",".join("%.12g" if issubclass(t, float) else "%s" for t in types) + "\r\n"
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    templates = {}  # one per row shape; a table has one or two
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        csv.writer(fh).writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            row = tuple(row)
+            types = (*map(type, row),)  # tuple(map(...)) held more peak RSS
+            template = templates.get(types)
+            if template is None:
+                template = templates[types] = _row_template(types)
+            fh.write(template % row)
 
 
 def _write_manifest(out: Path, args, command: str) -> None:
@@ -234,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:  # OSError: unusable --config or --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SolverError, GridTooLargeError) as exc:

@@ -65,8 +65,9 @@ from .game import (
 
 # cap on utility evaluations for the brute-force oracle
 _BRUTE_FORCE_BUDGET = 2_000_000_000
-# cap on sweep grid points; the default sweep has 1,001
-_SWEEP_MAX_POINTS = 1_000_000
+# cap on the floats a sweep holds, 8N + 13 per grid point: 10^6 points at
+# N = 1; the default sweep has 1,001 points
+_SWEEP_MAX_CELLS = 21_000_000
 
 
 @dataclass(frozen=True)
@@ -346,13 +347,14 @@ def sweep(
     br_0, ..., U_L, U_S_0, ...].  ValueError for a non-finite lo, step or
     2 * hi^2, a range outside 0 <= lo <= hi with step > 0, or a step below
     the float spacing at hi; before that check and before any point is
-    built, GridTooLargeError for more than _SWEEP_MAX_POINTS points."""
+    built, GridTooLargeError for more than _SWEEP_MAX_CELLS // (8N + 13)
+    points."""
     if not all(map(math.isfinite, (lo, hi * hi + hi * hi, step))):
         raise ValueError(f"sweep bounds, step and 2 * hi^2 must be finite, got [{lo}, {hi}] by {step}")
     if not (0 <= lo <= hi and step > 0):
         raise ValueError(f"invalid sweep range [{lo}, {hi}] with step {step}")
-    grid = _grid(lo, hi, step, _SWEEP_MAX_POINTS)
     n = config.n_users
+    grid = _grid(lo, hi, step, _SWEEP_MAX_CELLS // (8 * n + 13))
 
     count = min(5, len(grid))
     samples = [grid[int(k * (len(grid) - 1) / max(count - 1, 1))] for k in range(count)]

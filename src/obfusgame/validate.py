@@ -36,6 +36,8 @@ _ERM_SEPARATION = 4.0
 
 _CHI2_DIMS = (1, 2, 5, 10)
 _CHI2_TOLERANCE = 0.01
+# cap on samples * d normals per draw; the draw and its square take 8 bytes a value each
+_CHI2_MAX_DRAWS = 10**8
 
 _SCALING_POINTS = 10
 _MIN_SPEARMAN = 0.9
@@ -99,6 +101,8 @@ def run_lemma_suite(which: str, trials: int = 100, base_seed: int = 0) -> SuiteR
 
 
 def run_chi2_suite(samples: int = 100_000, base_seed: int = 0) -> SuiteResult:
+    if samples * max(_CHI2_DIMS) > _CHI2_MAX_DRAWS:
+        raise ValueError(f"chi2 --trials must be <= {_CHI2_MAX_DRAWS // max(_CHI2_DIMS)}, got {samples}")
     result = SuiteResult(passed=True)
     sigma_L, sigma_S = 3.0, 4.0
     s2 = sigma_L**2 + sigma_S**2

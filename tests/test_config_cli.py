@@ -60,6 +60,15 @@ users[2].rho   = 1
 users[2].N_bar = 0
 """
 
+
+def population_config(n):
+    """MINIMAL with n copies of its one user."""
+    head, _, user = MINIMAL.partition("users[0]")
+    user = "users[0]" + user
+    text = head.replace("learner.N      = 1", f"learner.N      = {n}")
+    return text + "".join(user.replace("users[0]", f"users[{i}]") for i in range(n))
+
+
 class TestConfigParsing:
     def test_minimal_round_trip(self):
         config = parse_config_text(MINIMAL)
@@ -212,6 +221,23 @@ class TestCliSolve:
         assert main(["solve", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "command, config, out",
+        [
+            ("solve", "default", "file"),  # FileExistsError
+            ("solve", "dir", "out"),  # IsADirectoryError
+            ("sweep", "default", "file/sub"),  # NotADirectoryError
+        ],
+        ids=["out_is_file", "config_is_dir", "out_under_file"],
+    )
+    def test_unusable_path_exit_2(self, tmp_path, capsys, command, config, out):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        cfg = shipped_config_path("default") if config == "default" else tmp_path / config
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_sigma_max_with_overflowing_square_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(MINIMAL + "solver.sigma_max = 1e200\nsolver.grid_step = 1e199\n")
@@ -295,6 +321,17 @@ def sweep_out(tmp_path_factory):
     ])
     assert code == 0
     return out
+
+
+@pytest.fixture
+def no_sweep_output(monkeypatch):
+    # fail at once, rather than hang, if an invalid range gets to the grid
+    import obfusgame.cli
+
+    def no_output(args):
+        raise AssertionError("sweep went past its input checks")
+
+    monkeypatch.setattr(obfusgame.cli, "_outdir", no_output)
 
 
 class TestCliSweep:
@@ -420,19 +457,21 @@ class TestCliSweep:
             pytest.param(["--max", "1e6", "--step", "0.5"], 3, id="over_point_cap"),
         ],
     )
-    def test_invalid_range_exit_2(self, tmp_path, capsys, monkeypatch, args, code):
-        import obfusgame.cli
-
-        # fail at once, rather than hang, if an invalid range gets to the grid
-        def no_output(args):
-            raise AssertionError("sweep went past its input checks")
-
-        monkeypatch.setattr(obfusgame.cli, "_outdir", no_output)
+    def test_invalid_range_exit_2(self, tmp_path, capsys, no_sweep_output, args, code):
         assert main([
             "sweep", "--config", str(shipped_config_path("default")),
             "--out", str(tmp_path), *args,
         ]) == code
         assert "error" in capsys.readouterr().err
+
+    def test_over_cell_cap_exit_3(self, tmp_path, capsys, no_sweep_output):
+        # 500,001 points: under 10^6, over the 21e6 // (8 * 8 + 13) = 272,727 of 8 users
+        cfg = tmp_path / "eight.cfg"
+        cfg.write_text(population_config(8))
+        assert main([
+            "sweep", "--config", str(cfg), "--out", str(tmp_path), "--max", "50", "--step", "1e-4",
+        ]) == 3
+        assert "exceeds 272727 points" in capsys.readouterr().err
 
 
 # sha256 of each output of `solve` and a default-grid `sweep`, in this order;
@@ -492,6 +531,54 @@ def test_outputs_match_pinned_digests(tmp_path, capsys, name):
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
     digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in PINNED_FILES)
     assert digests == PINNED_DIGESTS[name]
+
+
+def reference_csv(path, header, rows):
+    """The reference writer: csv.writer over _fmt of each value."""
+    from obfusgame.cli import _fmt
+
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
+WRITER_TABLES = (
+    "sweep_user_utility", "sweep_best_response", "sweep_leader", "thresholds",
+    "validate_oracle", "validate_chi2", "validate_lemma1", "special",
+)
+
+
+@pytest.fixture(scope="module")
+def writer_tables():
+    import numpy as np
+
+    from obfusgame import solver, validate
+
+    three = parse_config_text(THREE_USERS)
+    tables = dict(zip(WRITER_TABLES, solver.sweep(three, 0.0, three.solver.sigma_max, three.solver.grid_step)))
+    # user 0's threshold lies past sigma_max and is written as an empty field
+    capped = solver.stackelberg_solve(parse_config_text(THREE_USERS + "solver.sigma_max = 4\n"))
+    assert capped.per_user_thresholds[0] is None
+    tables["thresholds"] = [[i, "" if t is None else t] for i, t in enumerate(capped.per_user_thresholds)]
+    for suite, trials in (("oracle", 2), ("chi2", 50), ("lemma1", 2)):
+        tables[f"validate_{suite}"] = [list(row.values()) for row in validate.run_suite(suite, trials=trials).rows]
+    special = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 10**20,
+               np.float64(1 / 3), np.int64(5), True]
+    tables["special"] = [special, special[::-1], [0, ""], [2.5]]
+    return tables
+
+
+@pytest.mark.parametrize("name", WRITER_TABLES)
+def test_writer_matches_reference_bytes(tmp_path, writer_tables, name):
+    from obfusgame.cli import _write_csv
+
+    rows = writer_tables[name]
+    header = [f"c{k}" for k in range(max(map(len, rows)))]
+    reference_csv(tmp_path / "reference.csv", header, rows)
+    _write_csv(tmp_path / "written.csv", header, rows)
+    assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestCliDp:
@@ -566,6 +653,19 @@ class TestCliValidate:
         with (tmp_path / "validate_scaling.csv").open(newline="") as fh:
             cells = [row["stderr"] for row in csv.DictReader(fh)]
         assert len(cells) == 10 and set(cells) == {"inf"}
+
+    def test_chi2_draw_budget_checked_before_any_draw(self, tmp_path, capsys):
+        # 10^12 samples would ask numpy for terabytes; 10^7 * 10 dimensions is the cap
+        tracemalloc.start()
+        try:
+            code = main(["validate", "--suite", "chi2", "--trials", "1000000000000",
+                         "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 1_000_000
+        assert capsys.readouterr().err == "error: chi2 --trials must be <= 10000000, got 1000000000000\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     @pytest.mark.parametrize("suite", ["lemma1", "lemma2", "chi2", "scaling", "oracle"])
