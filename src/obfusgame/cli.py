@@ -23,6 +23,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__, dp, solver, validate
 from .config_io import load_config
@@ -50,25 +51,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _row_template(types: tuple[type, ...]) -> str:
-    """The `%` template that writes a row of these value types as csv.writer
-    writes the row's `_fmt` strings: %.12g for a float, %s for anything
-    else.  Fields are not quoted, so a string value must hold no comma,
-    quote or line break."""
-    return ",".join("%.12g" if issubclass(t, float) else "%s" for t in types) + "\r\n"
+def _formatted(values) -> list[str]:
+    """_fmt of each value of a float array."""
+    return list(map("%.12g".__mod__, values.tolist()))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    templates = {}  # one per row shape; a table has one or two
+def _columns(rows: Iterable[list]) -> list[list[str]]:
+    """The columns of equal-length rows, each value formatted by _fmt."""
+    return [list(map(_fmt, column)) for column in zip(*rows)]
+
+
+def _write_csv(path: Path, header: list[str], blocks: Iterable[list[list[str]]]) -> None:
+    """Write header, then each block's rows: a block is a list of equal-length
+    columns of formatted strings.  Fields are not quoted, so a value must
+    hold no comma, quote or line break; lines end in \\r\\n as csv.writer's."""
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        for row in rows:
-            row = tuple(row)
-            types = (*map(type, row),)  # tuple(map(...)) held more peak RSS
-            template = templates.get(types)
-            if template is None:
-                template = templates[types] = _row_template(types)
-            fh.write(template % row)
+        for columns in blocks:
+            lines = "\r\n".join(map(",".join, zip(*columns)))
+            fh.write(lines and lines + "\r\n")
 
 
 def _write_manifest(out: Path, args, command: str) -> None:
@@ -111,10 +112,7 @@ def _cmd_solve(args) -> int:
     _write_csv(
         out / "thresholds.csv",
         ["user", "threshold"],
-        [
-            [i, "" if t is None else t]
-            for i, t in enumerate(result.per_user_thresholds)
-        ],
+        [_columns([i, "" if t is None else t] for i, t in enumerate(result.per_user_thresholds))],
     )
     _write_manifest(out, args, "solve")
     print("\n".join(lines))
@@ -127,27 +125,19 @@ def _cmd_sweep(args) -> int:
     lo = 0.0 if args.min is None else args.min
     hi = settings.sigma_max if args.max is None else args.max
     step = settings.grid_step if args.step is None else args.step
-    own, responses, leader = solver.sweep(config, lo, hi, step)
+    grid, samples, own, responses, leader, utilities = solver.sweep(config, lo, hi, step)
     out = _outdir(args)
-    users = range(config.n_users)
-    _write_csv(
-        out / "sweep_user_utility.csv",
-        ["sigma_L", "sigma_S"] + [f"U_S_{i}" for i in users],
-        own,
-    )
-    _write_csv(
-        out / "sweep_best_response.csv",
-        ["sigma_L"] + [f"br_user_{i}" for i in users],
-        responses,
-    )
-    _write_csv(
-        out / "sweep_leader.csv",
-        ["sigma_L"]
-        + [f"br_user_{i}" for i in users]
-        + ["U_L"]
-        + [f"U_S_{i}" for i in users],
-        leader,
-    )
+    # each value is formatted once; a column is shared by the tables that hold it
+    sigma, brs = _formatted(grid), list(map(_formatted, responses))
+    br_head = [f"br_user_{i}" for i in range(config.n_users)]
+    u_head = [f"U_S_{i}" for i in range(config.n_users)]
+    # one block per sampled sigma_L, formatted as it is written
+    samples = _formatted(samples)
+    own_blocks = ([[s] * len(sigma), sigma, *map(_formatted, block)] for s, block in zip(samples, own))
+    _write_csv(out / "sweep_user_utility.csv", ["sigma_L", "sigma_S", *u_head], own_blocks)
+    _write_csv(out / "sweep_best_response.csv", ["sigma_L", *br_head], [[sigma, *brs]])
+    leader_columns = [sigma, *brs, _formatted(leader), *map(_formatted, utilities)]
+    _write_csv(out / "sweep_leader.csv", ["sigma_L", *br_head, "U_L", *u_head], [leader_columns])
     _write_manifest(out, args, "sweep")
     print(f"wrote 3 sweep files to {out}")
     return EXIT_OK
@@ -189,7 +179,7 @@ def _cmd_validate(args) -> int:
         _write_csv(
             out / f"validate_{args.suite}.csv",
             header,
-            [[row[k] for k in header] for row in result.rows],
+            [_columns([row[k] for k in header] for row in result.rows)],
         )
     _write_manifest(out, args, f"validate {args.suite}")
     print(result.summary)

@@ -143,16 +143,22 @@ class StrategyProfile:
                 raise ValueError(f"sigma_S[{i}] must be finite and >= 0, got {s}")
 
 
+def _check_user(config: GameConfig, i: int) -> None:
+    if not 0 <= i < config.n_users:
+        raise IndexError(f"user index {i} out of range for N={config.n_users}")
+
+
 def _spread(sigma_L: float, sigma_S: Sequence[float], n_users: int) -> float:
     """sigma_L^2 + sum_i sigma_S[i]^2 / N, summed in user order."""
-    total = sigma_L**2
+    total = sigma_L * sigma_L
     for s in sigma_S:
-        total += s**2 / n_users
+        total += s * s / n_users
     return total
 
 
 def _privacy_loss(p_bar: float, rate: float, sigma_L: float, sigma_S_i: float) -> float:
-    return p_bar / (1.0 + rate * math.hypot(sigma_L, sigma_S_i))
+    # sqrt(a*a + b*b), not math.hypot: the same arithmetic as solver's numpy panels
+    return p_bar / (1.0 + rate * math.sqrt(sigma_L * sigma_L + sigma_S_i * sigma_S_i))
 
 
 def _user_utility(
@@ -169,20 +175,17 @@ def _user_utility(
 
 
 def _learner_utility(config: GameConfig, sigma_L: float, sigma_S: Sequence[float]) -> float:
-    """learner_utility's arithmetic, unchecked."""
+    """learner_utility's arithmetic, unchecked.  The privacy losses are summed
+    in user order by plain addition (sum() compensates from Python 3.12 on)."""
     n = config.n_users
     lp = config.learner
-    avg_privacy = (
-        sum(
-            _privacy_loss(u.max_privacy_loss, u.privacy_rate, sigma_L, s)
-            for u, s in zip(config.users, sigma_S)
-        )
-        / n
-    )
+    privacy = 0.0
+    for u, s in zip(config.users, sigma_S):
+        privacy += _privacy_loss(u.max_privacy_loss, u.privacy_rate, sigma_L, s)
     return (
         lp.baseline_gain
         - lp.accuracy_weight / (n * lp.regularizer**2) * _spread(sigma_L, sigma_S, n)
-        - avg_privacy
+        - privacy / n
         - (lp.perturbation_cost if sigma_L > 0 else 0.0)
     )
 
@@ -190,8 +193,7 @@ def _learner_utility(config: GameConfig, sigma_L: float, sigma_S: Sequence[float
 def user_utility(config: GameConfig, i: int, profile: StrategyProfile) -> float:
     """Utility of user i under the given strategy profile."""
     n = config.n_users
-    if not 0 <= i < n:
-        raise IndexError(f"user index {i} out of range for N={n}")
+    _check_user(config, i)
     if len(profile.sigma_S) != n:
         raise ValueError(
             f"profile has {len(profile.sigma_S)} user strategies, expected {n}"

@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -56,17 +56,17 @@ from .game import (
     LearnerParams,
     StrategyProfile,
     UserParams,
+    _check_user,
     _learner_utility,
-    _spread,
-    _user_utility,
     learner_utility,
     user_utility,
 )
 
 # cap on utility evaluations for the brute-force oracle
 _BRUTE_FORCE_BUDGET = 2_000_000_000
-# cap on the floats a sweep holds, 8N + 13 per grid point: 10^6 points at
-# N = 1; the default sweep has 1,001 points
+# cap on a sweep's grid points, _SWEEP_MAX_CELLS // (8N + 13): 10^6 points
+# at N = 1; the default sweep has 1,001.  A point holds 7N + 2 floats in
+# sweep's columns, and 3N + 2 strings while the CLI writes them
 _SWEEP_MAX_CELLS = 21_000_000
 
 
@@ -174,7 +174,7 @@ def _cut(user: UserParams, s_star: float, config: GameConfig) -> float:
     floor = p / (1.0 + rho * s_star) + user.perturbation_cost + config.solver.tie_epsilon
 
     def margin(sigma_L: float) -> float:
-        return p / (1.0 + rho * sigma_L) - coef * (s_star**2 - sigma_L**2) - floor
+        return p / (1.0 + rho * sigma_L) - coef * (s_star * s_star - sigma_L * sigma_L) - floor
 
     return 0.0 if margin(0.0) <= 0 else _bisect_root(margin, 0.0, s_star, 0.0)
 
@@ -186,12 +186,13 @@ def _cuts(config: GameConfig, s_stars: list[float]) -> list[float]:
 def _responses(sigma_L: float, s_stars: list[float], cuts: list[float]) -> list[float]:
     """Each user's best response: it tops up to its s_star below its cut, and
     plays 0 from the cut on."""
-    return [math.sqrt(s**2 - sigma_L**2) if sigma_L < t else 0.0 for s, t in zip(s_stars, cuts)]
+    return [math.sqrt(s * s - sigma_L * sigma_L) if sigma_L < t else 0.0 for s, t in zip(s_stars, cuts)]
 
 
 def user_best_response(sigma_L: float, i: int, config: GameConfig) -> float:
     """Utility-maximizing sigma_S for user i; ties go to 0 (not perturbing)."""
     _check_sigma_L(sigma_L)
+    _check_user(config, i)
     user = config.users[i]
     s_star = effective_noise_target(user, config.learner, config.solver.root_tol)
     return _responses(sigma_L, [s_star], [_cut(user, s_star, config)])[0]
@@ -204,6 +205,7 @@ def dissuasion_threshold(i: int, config: GameConfig) -> Optional[float]:
     Returns 0.0 when the user never perturbs, and None when the threshold
     lies beyond sigma_max (no dissuasion within the search bound).
     """
+    _check_user(config, i)
     user = config.users[i]
     s_star = effective_noise_target(user, config.learner, config.solver.root_tol)
     t = _cut(user, s_star, config)
@@ -299,27 +301,15 @@ def stackelberg_solve(config: GameConfig) -> EquilibriumResult:
     return _result(config, profile, (None if t > settings.sigma_max else t for t in cuts))
 
 
-def _shared_rows(
-    sigma_L: float, squares: np.ndarray, squares_n: np.ndarray, eff: np.ndarray, spread: np.ndarray
-) -> None:
-    """Fill the rows every user shares at sigma_L: eff = sqrt(sigma_L^2 + g^2)
-    and spread = sigma_L^2 + g^2 / N, from the column's cached squares."""
-    sigma_L2 = sigma_L**2
-    np.sqrt(np.add(squares, sigma_L2, out=eff), out=eff)
-    np.add(squares_n, sigma_L2, out=spread)
-
-
 def _own_noise_rows(
     config: GameConfig, column: np.ndarray, sigma_Ls: Iterable[float]
 ) -> Iterator[np.ndarray]:
     """For each sigma_L in sigma_Ls and each user i in order, user i's utility
-    at every own noise level g in column with every other user at 0.
-
-    user_utility's arithmetic in the same order, except that the effective
-    noise is sqrt(sigma_L^2 + g^2), which can differ from math.hypot in the
-    last bit.  Terms of the column alone are computed once, the effective
-    noise and spread once per sigma_L.  Every row is the same buffer,
-    overwritten by the next one.
+    at every own noise level g in column with every other user at 0:
+    user_utility's arithmetic in the same order, so equal to it bit for bit.
+    Terms of the column alone are computed once, the effective noise
+    sqrt(sigma_L^2 + g^2) and the spread sigma_L^2 + g^2 / N once per
+    sigma_L.  Every row is the same buffer, overwritten by the next one.
     """
     n = config.n_users
     lam = config.learner.regularizer
@@ -329,7 +319,8 @@ def _own_noise_rows(
     costs = [u.perturbation_cost * (column > 0) for u in config.users]
     eff, spread, out, privacy = (np.empty_like(column) for _ in range(4))
     for sigma_L in sigma_Ls:
-        _shared_rows(sigma_L, squares, squares_n, eff, spread)
+        np.sqrt(np.add(sigma_L * sigma_L, squares, out=eff), out=eff)
+        np.add(sigma_L * sigma_L, squares_n, out=spread)
         for u, coef, cost in zip(config.users, coefs, costs):
             np.subtract(u.baseline_gain, np.multiply(coef, spread, out=out), out=out)
             np.add(1.0, np.multiply(u.privacy_rate, eff, out=privacy), out=privacy)
@@ -338,43 +329,57 @@ def _own_noise_rows(
             yield out
 
 
-def sweep(
-    config: GameConfig, lo: float, hi: float, step: float
-) -> tuple[list[list[float]], list[list[float]], list[list[float]]]:
-    """Rows of the three sweep tables over the grid lo + k * step, then hi:
-    own noise [sigma_L, sigma_S, U_S_0, ...] (every other user at 0, at five
-    sampled sigma_L), responses [sigma_L, br_0, ...] and leader [sigma_L,
-    br_0, ..., U_L, U_S_0, ...].  ValueError for a non-finite lo, step or
-    2 * hi^2, a range outside 0 <= lo <= hi with step > 0, or a step below
-    the float spacing at hi; before that check and before any point is
-    built, GridTooLargeError for more than _SWEEP_MAX_CELLS // (8N + 13)
-    points."""
+def _utility_panel(
+    config: GameConfig, sigma_L: np.ndarray, responses: Sequence[np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The learner's and each user's utility at every sigma_L, user i playing
+    responses[i][k] at sigma_L[k]: _learner_utility's and _user_utility's
+    arithmetic in the same order, so equal to them bit for bit."""
+    n, lp = config.n_users, config.learner
+    squares = spread = sigma_L * sigma_L
+    total, privacy = 0.0, []
+    for u, r in zip(config.users, responses):  # in user order, as the scalar kernel adds
+        spread = spread + r * r / n
+        privacy.append(u.max_privacy_loss / (1.0 + u.privacy_rate * np.sqrt(squares + r * r)))
+        total = total + privacy[-1]
+    scale = n * lp.regularizer**2
+    leader = lp.baseline_gain - lp.accuracy_weight / scale * spread - total / n
+    users = [
+        u.baseline_gain - u.accuracy_weight / scale * spread - p - u.perturbation_cost * (r > 0)
+        for u, p, r in zip(config.users, privacy, responses)
+    ]
+    return leader - lp.perturbation_cost * (sigma_L > 0), users
+
+
+def sweep(config: GameConfig, lo: float, hi: float, step: float) -> tuple[np.ndarray, ...]:
+    """Columns of the three sweep tables over the grid lo + k * step, then hi:
+    the grid (M points); up to five sigma_L sampled from it; own, shape
+    (samples, N, M): each user's utility at every own noise level on the
+    grid, every other user at 0, at each sample; responses, shape (N, M):
+    each user's best response at every grid point; and the learner's
+    utility (M,) and each user's (N, M) when every user plays it.
+    ValueError for a non-finite lo, step or 2 * hi^2, a range outside
+    0 <= lo <= hi with step > 0, or a step below the float spacing at hi;
+    before that check and before any point is built, GridTooLargeError for
+    more than _SWEEP_MAX_CELLS // (8N + 13) points."""
     if not all(map(math.isfinite, (lo, hi * hi + hi * hi, step))):
         raise ValueError(f"sweep bounds, step and 2 * hi^2 must be finite, got [{lo}, {hi}] by {step}")
     if not (0 <= lo <= hi and step > 0):
         raise ValueError(f"invalid sweep range [{lo}, {hi}] with step {step}")
     n = config.n_users
-    grid = _grid(lo, hi, step, _SWEEP_MAX_CELLS // (8 * n + 13))
-
-    count = min(5, len(grid))
-    samples = [grid[int(k * (len(grid) - 1) / max(count - 1, 1))] for k in range(count)]
-    utilities = [row.tolist() for row in _own_noise_rows(config, np.asarray(grid), samples)]
-    own = []
-    for k, sigma_L in enumerate(samples):
-        own += [[sigma_L, *row] for row in zip(grid, *utilities[k * n : (k + 1) * n])]
+    grid = np.array(_grid(lo, hi, step, _SWEEP_MAX_CELLS // (8 * n + 13)))
+    m = len(grid)
+    count = min(5, m)
+    samples = grid[[int(k * (m - 1) / max(count - 1, 1)) for k in range(count)]]
+    rows = _own_noise_rows(config, grid, samples.tolist())
+    own = np.fromiter(rows, dtype=(float, m), count=count * n)  # copies each reused row
 
     s_stars = _s_stars(config)
-    cuts = _cuts(config, s_stars)
-    responses, leader = [], []
-    for sigma_L in grid:
-        brs = _responses(sigma_L, s_stars, cuts)
-        spread = _spread(sigma_L, brs, n)
-        responses.append([sigma_L, *brs])
-        leader.append(
-            [sigma_L, *brs, _learner_utility(config, sigma_L, brs)]
-            + [_user_utility(config, i, sigma_L, brs[i], spread) for i in range(n)]
-        )
-    return own, responses, leader
+    responses = np.zeros((n, m))
+    for row, s, t in zip(responses, s_stars, _cuts(config, s_stars)):
+        np.sqrt(s * s - grid * grid, out=row, where=grid < t)  # below the cut s >= sigma_L
+    leader, users = _utility_panel(config, grid, responses)
+    return grid, samples, own.reshape(count, n, m), responses, leader, np.array(users)
 
 
 def _best_response_table(config: GameConfig, grid: list[float]) -> np.ndarray:
@@ -406,7 +411,7 @@ def brute_force_equilibrium(config: GameConfig, fine_step: float) -> Equilibrium
     m = len(grid)
 
     br = _best_response_table(config, grid)
-    leader = np.array([_learner_utility(config, s, row.tolist()) for s, row in zip(grid, br)])
+    leader = _utility_panel(config, np.array(grid), br.T)[0]
     best = leader.max()
     j_star = int(np.argmax(leader >= best - settings.tie_epsilon))
     profile = StrategyProfile(grid[j_star], tuple(br[j_star]))

@@ -520,17 +520,69 @@ PINNED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", list(PINNED_DIGESTS))
-def test_outputs_match_pinned_digests(tmp_path, capsys, name):
+# sha256 of the three sweep files on a non-default grid
+SWEEP_GRIDS = {
+    "padded": ["--min", "0.3", "--max", "1", "--step", "0.3"],  # 4 samples, --max appended
+    "one_point": ["--min", "5", "--max", "5", "--step", "1"],
+    "step_past_max": ["--max", "1", "--step", "5"],  # 0, then --max
+}
+PINNED_SWEEP_DIGESTS = {
+    ("default", "padded"): (
+        "f0992ffc5863ae5e2a067054b2449cabb7797a5d1358dd81ba793e753b14f38a",
+        "856fed4ba19f6f966a88480ff091fdcd8282ababb88b2fbb026948dab89b1fad",
+        "c5d71b28168b12a50a964dd211e5ddc7abe9bd3e12a33749a562dde1b05158e0",
+    ),
+    ("default", "one_point"): (
+        "583c885c0e9be46789a4cd8a9c0a6dbb77d28946ac0f4c8fa2e28aa7017dbd77",
+        "efe79b7ed38fb1b87160abb41228ac245f4e35295ecde988ac76711d589d52d5",
+        "cb6fb6539095cfa9e3af3e19c79a6271b4542176b87cad68ee5c2be42902e644",
+    ),
+    ("default", "step_past_max"): (
+        "3d7ca2e1247d236b780ac5410f7c420d361cf3bafd917fda869142391a6b4572",
+        "dabd9cb28b34c02b7572b9f893c5d3f28c2f4c2327b0d2771ffedd6342bf9592",
+        "59fb74feb51835ad468d290db5d271884e07db9f192f841e82fb995d0bcf3bf3",
+    ),
+    ("three_users", "padded"): (
+        "53d49256c9904c166eb9f1bfc074805b15406a5946794d09df7f674e0c6edaa6",
+        "0930e4949e7e8ede920520856ca728e519a14974857a8804b6f6c1432c07fdff",
+        "3e6c8e224168541a0c5a6992d7bba5b41818b7547cf5c7b60a5fb8cc0545af57",
+    ),
+    ("three_users", "one_point"): (
+        "13623534222ccbeb6ab82b25d90d262858dfe8275c3cb78ea20c049c11b22cfc",
+        "edcd0ba496a1b13dd19abbc3e11d09d7c5a9861334a3a72b04ca0c12bdf57c11",
+        "6aaa891b84fc5f5f3c6bb2a1b21677b0355a5b706aad9d2859edc8186f7cb3ec",
+    ),
+    ("three_users", "step_past_max"): (
+        "983eb2ccaa4f13c007e5ed5b0c611cca6e9981efe8a99aa5765e389ba37e17af",
+        "08ceefaafd91ade1cbeab1fc7998569486bae2c06faa12eef6f2be04f6c522b8",
+        "04f7df1bf71e1e9986daca58285895d7ddc3276539fada358648d0a89de4bc77",
+    ),
+}
+
+
+def pinned_config(tmp_path, name):
     if name == "three_users":
         cfg = tmp_path / "three.cfg"
         cfg.write_text(THREE_USERS)
-    else:
-        cfg = shipped_config_path(name)
+        return cfg
+    return shipped_config_path(name)
+
+
+@pytest.mark.parametrize("name", list(PINNED_DIGESTS))
+def test_outputs_match_pinned_digests(tmp_path, capsys, name):
+    cfg = pinned_config(tmp_path, name)
     for command in ("solve", "sweep"):
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
     digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in PINNED_FILES)
     assert digests == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name, grid", list(PINNED_SWEEP_DIGESTS))
+def test_sweep_outputs_match_pinned_digests(tmp_path, capsys, name, grid):
+    cfg = pinned_config(tmp_path, name)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), *SWEEP_GRIDS[grid]]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in PINNED_FILES[2:])
+    assert digests == PINNED_SWEEP_DIGESTS[name, grid]
 
 
 def reference_csv(path, header, rows):
@@ -551,13 +603,24 @@ WRITER_TABLES = (
 
 
 @pytest.fixture(scope="module")
-def writer_tables():
+def writer_tables(tmp_path_factory):
+    """Each table's rows of values, and the directory of the CLI's sweep of
+    THREE_USERS, whose three files hold the sweep tables."""
     import numpy as np
 
     from obfusgame import solver, validate
 
     three = parse_config_text(THREE_USERS)
-    tables = dict(zip(WRITER_TABLES, solver.sweep(three, 0.0, three.solver.sigma_max, three.solver.grid_step)))
+    columns = solver.sweep(three, 0.0, three.solver.sigma_max, three.solver.grid_step)
+    grid, samples, own, responses, leader, users = (np.asarray(c).tolist() for c in columns)
+    tables = {
+        "sweep_user_utility": [[s, *row] for s, block in zip(samples, own) for row in zip(grid, *block)],
+        "sweep_best_response": [list(row) for row in zip(grid, *responses)],
+        "sweep_leader": [list(row) for row in zip(grid, *responses, leader, *users)],
+    }
+    sweep_out = tmp_path_factory.mktemp("sweep")
+    (sweep_out / "three.cfg").write_text(THREE_USERS)
+    assert main(["sweep", "--config", str(sweep_out / "three.cfg"), "--out", str(sweep_out)]) == 0
     # user 0's threshold lies past sigma_max and is written as an empty field
     capped = solver.stackelberg_solve(parse_config_text(THREE_USERS + "solver.sigma_max = 4\n"))
     assert capped.per_user_thresholds[0] is None
@@ -566,19 +629,28 @@ def writer_tables():
         tables[f"validate_{suite}"] = [list(row.values()) for row in validate.run_suite(suite, trials=trials).rows]
     special = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 10**20,
                np.float64(1 / 3), np.int64(5), True]
-    tables["special"] = [special, special[::-1], [0, ""], [2.5]]
-    return tables
+    tables["special"] = [special, special[::-1], [0, ""] * 5, [2.5] * 10]
+    return tables, sweep_out
 
 
 @pytest.mark.parametrize("name", WRITER_TABLES)
 def test_writer_matches_reference_bytes(tmp_path, writer_tables, name):
-    from obfusgame.cli import _write_csv
+    """The sweep files as the CLI writes them, and every other table through
+    the column writer as solve and validate call it, are byte for byte what
+    csv.writer writes from _fmt of each value."""
+    from obfusgame.cli import _columns, _write_csv
 
-    rows = writer_tables[name]
-    header = [f"c{k}" for k in range(max(map(len, rows)))]
+    tables, sweep_out = writer_tables
+    rows = tables[name]
+    if name.startswith("sweep_"):
+        written = sweep_out / f"{name}.csv"
+        header = written.read_text().splitlines()[0].split(",")
+    else:
+        written = tmp_path / "written.csv"
+        header = [f"c{k}" for k in range(len(rows[0]))]
+        _write_csv(written, header, [_columns(rows)])
     reference_csv(tmp_path / "reference.csv", header, rows)
-    _write_csv(tmp_path / "written.csv", header, rows)
-    assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert written.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestCliDp:

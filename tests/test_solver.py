@@ -22,6 +22,9 @@ from obfusgame.game import (
     SolverSettings,
     StrategyProfile,
     UserParams,
+    _learner_utility,
+    _spread,
+    _user_utility,
     learner_utility,
     user_utility,
 )
@@ -34,6 +37,7 @@ from obfusgame.solver import (
     user_best_response,
 )
 from obfusgame.validate import random_small_config
+from test_config_cli import THREE_USERS
 
 
 def simple_config(p_bar=8.0, rho=1.0, gamma_s=1.0, nbar_s=0.1, nbar_l=0.2,
@@ -460,7 +464,6 @@ class TestBestResponseKernel:
         kernel = solver._responses(sigma_L, s_stars, solver._cuts(config, s_stars))
         assert solver._learner_utility(config, sigma_L, kernel) == expected
 
-    # sqrt(sigma_L^2 + sigma_S^2) and math.hypot can differ in the last bit
     @settings(max_examples=100, deadline=None)
     @given(games(), sigma_levels, st.lists(sigma_levels, min_size=1, max_size=5), st.integers(0, 3))
     def test_own_noise_rows_match_user_utility(self, config, sigma_L, own, i):
@@ -471,7 +474,7 @@ class TestBestResponseKernel:
             sigma[i] = sigma_S
             expected.append(user_utility(config, i, StrategyProfile(sigma_L, tuple(sigma))))
         rows = [row.tolist() for row in solver._own_noise_rows(config, np.array(own), [sigma_L])]
-        assert rows[i] == pytest.approx(expected, rel=1e-14, abs=1e-14)
+        assert rows[i] == expected
 
     @settings(max_examples=100, deadline=None)
     @given(games(), sigma_levels)
@@ -504,21 +507,35 @@ class TestBestResponseKernel:
         with pytest.raises(ValueError, match="sigma_L"):
             query(sigma_L, simple_config())
 
+    @pytest.mark.parametrize("i", [-1, 1])
+    @pytest.mark.parametrize(
+        "query",
+        [partial(user_best_response, 0.0), dissuasion_threshold],
+        ids=["user_best_response", "dissuasion_threshold"],
+    )
+    def test_public_queries_reject_bad_user_index(self, query, i):
+        # default.cfg has one user; -1 must not answer for the last one
+        config = load_shipped_config("default")
+        with pytest.raises(IndexError, match=f"^user index {i} out of range for N=1$"):
+            query(i, config)
+
 
 class TestOwnNoiseKernel:
     def test_one_shared_row_build_per_sigma_L(self, monkeypatch):
+        # the kernel builds the rows its users share once per sigma_L it is
+        # given; the oracle gives it each grid point once, in one call
         config, fine_step = mixed_population(3, seed=1), 0.5
         builds = []
-        real = solver._shared_rows
+        real = solver._own_noise_rows
 
-        def counting(sigma_L, *rows):
-            builds.append(sigma_L)
-            return real(sigma_L, *rows)
+        def recording(config, column, sigma_Ls):
+            builds.append(list(sigma_Ls))
+            return real(config, column, builds[-1])
 
-        monkeypatch.setattr(solver, "_shared_rows", counting)
+        monkeypatch.setattr(solver, "_own_noise_rows", recording)
         brute_force_equilibrium(config, fine_step)
         m = round(config.solver.sigma_max / fine_step) + 1
-        assert builds == [k * fine_step for k in range(m)]
+        assert builds == [[k * fine_step for k in range(m)]]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -542,6 +559,63 @@ class TestOwnNoiseKernel:
                     )
 
                 assert row[i] == max(grid, key=utility)
+
+
+def panel_games():
+    games = [load_shipped_config(name) for name in SHIPPED_CONFIGS]
+    games.append(parse_config_text(THREE_USERS))
+    games += [mixed_population(n, s) for n in range(1, 17) for s in range(4)]
+    return games + [random_small_config(seed) for seed in range(40)]
+
+
+def scalar_columns(config, points):
+    """Best responses, U_L and each U_S at each sigma_L in points, by the
+    solve's scalar kernel."""
+    s_stars = solver._s_stars(config)
+    cuts = solver._cuts(config, s_stars)
+    responses, leader, users = [], [], []
+    for x in points:
+        brs = solver._responses(x, s_stars, cuts)
+        spread = _spread(x, brs, config.n_users)
+        responses.append(brs)
+        leader.append(_learner_utility(config, x, brs))
+        users.append([_user_utility(config, i, x, brs[i], spread) for i in range(config.n_users)])
+    return responses, leader, users
+
+
+class TestUtilityPanel:
+    """The sweep's and the oracle's numpy panel equals the scalar kernel
+    exactly, not approximately."""
+
+    @pytest.mark.parametrize("config", panel_games())
+    def test_sweep_equals_scalar_kernel(self, config):
+        settings = config.solver
+        grid, _, _, responses, leader, users = solver.sweep(config, 0.0, settings.sigma_max, settings.grid_step)
+        expected = scalar_columns(config, grid.tolist())
+        assert (responses.T.tolist(), leader.tolist(), users.T.tolist()) == expected
+        # the two one-sided limits at each cut, each as a one-point sweep
+        s_stars = solver._s_stars(config)
+        for t in solver._cuts(config, s_stars):
+            for x in (math.nextafter(t, 0.0), t):
+                _, _, _, responses, leader, users = solver.sweep(config, x, x, 1.0)
+                got = (responses.T.tolist(), leader.tolist(), users.T.tolist())
+                assert got == scalar_columns(config, [x])
+
+    @pytest.mark.parametrize("config", panel_games()[:5] + [mixed_population(8, 3)])
+    def test_oracle_leader_row_equals_scalar_kernel(self, config, monkeypatch):
+        calls = []
+        real = solver._utility_panel
+
+        def recording(config, sigma_L, responses):
+            result = real(config, sigma_L, responses)
+            calls.append((sigma_L.tolist(), np.transpose(responses).tolist(), result[0].tolist()))
+            return result
+
+        monkeypatch.setattr(solver, "_utility_panel", recording)
+        brute_force_equilibrium(config, config.solver.sigma_max / 400)
+        [(grid, table, leader)] = calls
+        assert len(grid) == 401
+        assert leader == [_learner_utility(config, s, row) for s, row in zip(grid, table)]
 
 
 def assert_no_grid_point_beats_the_solve(config, points):
