@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -62,8 +62,13 @@ from .game import (
     user_utility,
 )
 
-# cap on utility evaluations for the brute-force oracle
+# cap on the brute-force oracle's user utilities in the worst case, a flat
+# row where no block is pruned; most games evaluate a small share of them
 _BRUTE_FORCE_BUDGET = 2_000_000_000
+# the oracle's own-noise cells evaluated at once, 64 KB a float array, so
+# its worst case, a flat row, peaks at a few MB at any grid the budget
+# allows; larger chunks raised the oracle suite's peak RSS
+_ORACLE_CHUNK_CELLS = 2**13
 # cap on a sweep's grid points, _SWEEP_MAX_CELLS // (8N + 13): 10^6 points
 # at N = 1; the default sweep has 1,001.  A point holds 7N + 2 floats in
 # sweep's columns, and 3N + 2 strings while the CLI writes them
@@ -301,32 +306,20 @@ def stackelberg_solve(config: GameConfig) -> EquilibriumResult:
     return _result(config, profile, (None if t > settings.sigma_max else t for t in cuts))
 
 
-def _own_noise_rows(
-    config: GameConfig, column: np.ndarray, sigma_Ls: Iterable[float]
-) -> Iterator[np.ndarray]:
-    """For each sigma_L in sigma_Ls and each user i in order, user i's utility
-    at every own noise level g in column with every other user at 0:
-    user_utility's arithmetic in the same order, so equal to it bit for bit.
-    Terms of the column alone are computed once, the effective noise
-    sqrt(sigma_L^2 + g^2) and the spread sigma_L^2 + g^2 / N once per
-    sigma_L.  Every row is the same buffer, overwritten by the next one.
-    """
-    n = config.n_users
-    lam = config.learner.regularizer
-    squares = column * column
-    squares_n = squares / n
-    coefs = [u.accuracy_weight / (n * lam**2) for u in config.users]
-    costs = [u.perturbation_cost * (column > 0) for u in config.users]
-    eff, spread, out, privacy = (np.empty_like(column) for _ in range(4))
-    for sigma_L in sigma_Ls:
-        np.sqrt(np.add(sigma_L * sigma_L, squares, out=eff), out=eff)
-        np.add(sigma_L * sigma_L, squares_n, out=spread)
-        for u, coef, cost in zip(config.users, coefs, costs):
-            np.subtract(u.baseline_gain, np.multiply(coef, spread, out=out), out=out)
-            np.add(1.0, np.multiply(u.privacy_rate, eff, out=privacy), out=privacy)
-            np.divide(u.max_privacy_loss, privacy, out=privacy)
-            np.subtract(np.subtract(out, privacy, out=out), cost, out=out)
-            yield out
+def _own_noise(
+    config: GameConfig, i: int, sigma_sq: np.ndarray | float, acc: np.ndarray, priv: np.ndarray
+) -> np.ndarray:
+    """User i's utility with every other user at 0, at sigma_L^2 = sigma_sq
+    broadcast against own noise levels acc in the accuracy and cost terms
+    and priv in the privacy term: user_utility's arithmetic in the same
+    order, so where priv is acc equal to it bit for bit."""
+    u = config.users[i]
+    coef = u.accuracy_weight / (config.n_users * config.learner.regularizer**2)
+    squares = acc * acc
+    accuracy = u.baseline_gain - coef * (sigma_sq + squares / config.n_users)
+    effective = np.sqrt(sigma_sq + (squares if priv is acc else priv * priv))
+    privacy = u.max_privacy_loss / (1.0 + u.privacy_rate * effective)
+    return accuracy - privacy - u.perturbation_cost * (acc > 0)
 
 
 def _utility_panel(
@@ -371,33 +364,73 @@ def sweep(config: GameConfig, lo: float, hi: float, step: float) -> tuple[np.nda
     m = len(grid)
     count = min(5, m)
     samples = grid[[int(k * (m - 1) / max(count - 1, 1)) for k in range(count)]]
-    rows = _own_noise_rows(config, grid, samples.tolist())
-    own = np.fromiter(rows, dtype=(float, m), count=count * n)  # copies each reused row
+    own = np.empty((count, n, m))
+    for row, x in zip(own, samples.tolist()):
+        for i in range(n):
+            row[i] = _own_noise(config, i, x * x, grid, grid)
 
     s_stars = _s_stars(config)
     responses = np.zeros((n, m))
     for row, s, t in zip(responses, s_stars, _cuts(config, s_stars)):
         np.sqrt(s * s - grid * grid, out=row, where=grid < t)  # below the cut s >= sigma_L
     leader, users = _utility_panel(config, grid, responses)
-    return grid, samples, own.reshape(count, n, m), responses, leader, np.array(users)
+    return grid, samples, own, responses, leader, np.array(users)
 
 
 def _best_response_table(config: GameConfig, grid: list[float]) -> np.ndarray:
     """(m, N) table of each user's best own noise level on grid at each
-    sigma_L of grid, every other user at 0; ties go to the smaller one."""
+    sigma_L of grid, every other user at 0; ties go to the smaller one.
+
+    Exact branch and bound.  The column is cut into blocks of k = isqrt(m)
+    levels (the last one padded with the top level), and for each sigma_L
+    and user, L is the highest utility at a block's first level.  In
+    _own_noise every step (x*x, /N, +, sqrt, coef*, base -, rho*, 1 +,
+    P /, -) is correctly rounded and monotone in each argument; every
+    parameter is >= 0 and rho, Lambda > 0; and the column is non-decreasing.
+    So on a block [a, b] the accuracy term is highest at a, the privacy
+    loss lowest at b and the flat cost lowest at a, and no computed cell of
+    the block exceeds its bound (A(a) - priv(b)) - cost(a), _own_noise with
+    acc = a and priv = b.  A block whose bound is below L holds neither the
+    maximum nor a tie with it, so only the cells of blocks with bound >= L
+    are evaluated, and the pick is the first of their maxima: the same
+    argmax as a scan of the whole row.  In the worst case (a flat row) no
+    block is pruned, so m^2 * N cells remain the budget, evaluated
+    _ORACLE_CHUNK_CELLS at a time."""
     m, n = len(grid), config.n_users
+    k = math.isqrt(m)
     column = np.asarray(grid)
-    rows = _own_noise_rows(config, column, grid)
-    picks = np.fromiter((row.argmax() for row in rows), dtype=np.intp, count=m * n)
-    return column[picks].reshape(m, n)
+    blocks = np.append(column, [grid[-1]] * (-m % k)).reshape(-1, k)
+    firsts, lasts = blocks[:, 0], blocks[:, -1]
+    chunk = _ORACLE_CHUNK_CELLS // len(blocks)  # sigma_L rows bounded at once
+    batch = _ORACLE_CHUNK_CELLS // k  # live blocks evaluated at once
+    picks = np.empty((m, n), dtype=np.intp)
+    for start in range(0, m, chunk):
+        sigma_L = column[start : start + chunk]
+        sigma_sq = (sigma_L * sigma_L)[:, None]
+        for i in range(n):
+            lower = _own_noise(config, i, sigma_sq, firsts, firsts).max(axis=1, keepdims=True)
+            rows, live = np.nonzero(_own_noise(config, i, sigma_sq, firsts, lasts) >= lower)
+            best = np.full((len(sigma_L), len(blocks)), -np.inf)
+            at = np.zeros(best.shape, dtype=np.intp)
+            for j in range(0, len(rows), batch):
+                r, b = rows[j : j + batch], live[j : j + batch]
+                cells = blocks[b]
+                values = _own_noise(config, i, sigma_sq[r], cells, cells)
+                best[r, b] = values.max(axis=1)
+                at[r, b] = values.argmax(axis=1)
+            block = best.argmax(axis=1)
+            picks[start : start + chunk, i] = block * k + at[np.arange(len(block)), block]
+    return blocks.ravel()[picks]
 
 
 def brute_force_equilibrium(config: GameConfig, fine_step: float) -> EquilibriumResult:
     """Exhaustive two-level grid search used as a test oracle.
 
-    For every sigma_L grid point each user's best response is found by a
-    dense 1-D grid over [0, sigma_max]; the learner then picks the grid
-    point with the highest utility (ties to the smaller sigma_L).  A
+    For every sigma_L grid point each user's best response is the exact
+    argmax of a dense 1-D grid over [0, sigma_max], by branch and bound: at
+    most m^2 * N user utilities on m points, far fewer unless the utility is
+    flat.  The learner then picks the grid point with the highest utility
+    (ties to the smaller sigma_L).  A
     user's threshold is read off the same table: 0.0 if the user never
     perturbs, None if they still perturb at sigma_max, and otherwise the
     grid point after the last sigma_L at which they perturb.

@@ -265,6 +265,8 @@ def run_oracle_suite(configs: int = 20, base_seed: int = 0) -> SuiteResult:
 def run_suite(name: str, trials: int | None = None, base_seed: int = 0) -> SuiteResult:
     if trials is not None and trials < 1:
         raise ValueError(f"--trials must be >= 1, got {trials}")
+    if base_seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {base_seed}")
     if name in ("lemma1", "lemma2"):
         return run_lemma_suite(name, trials=trials or 100, base_seed=base_seed)
     if name == "chi2":

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import obfusgame
+from obfusgame import erm
 from obfusgame.cli import main
 from obfusgame.config_io import (
     SHIPPED_CONFIGS,
@@ -745,6 +746,17 @@ class TestCliValidate:
         assert main(["validate", "--suite", suite, "--trials", trials,
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: --trials must be >= 1, got {trials}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("suite", ["lemma1", "lemma2", "chi2", "scaling", "oracle"])
+    def test_negative_seed_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, suite):
+        def draw(*args):
+            raise AssertionError("a sample was drawn before the seed was checked")
+
+        monkeypatch.setattr(erm, "generate_synthetic", draw)
+        assert main(["validate", "--suite", suite, "--seed", "-5",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -5\n"
         assert not (tmp_path / "out").exists()
 
 

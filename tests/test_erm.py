@@ -243,3 +243,38 @@ class TestExpectedLoss:
         j_d, se_d = expected_loss_estimate(f_d, sample, 0.1)
         j_star, se_star = expected_loss_estimate(f_star, sample, 0.1)
         assert j_d >= j_star - 2 * (se_d + se_star)
+
+
+def exact_population_loss(f, separation, lam, nodes=80):
+    """Population loss plus regularizer under generate_synthetic: the margin
+    y * w.x is N((separation / 2) * w_1, ||w||^2) for either label, so the
+    loss is a 1-D Gaussian integral, here by Gauss-Hermite quadrature."""
+    x, weights = np.polynomial.hermite_e.hermegauss(nodes)
+    w = f.weights
+    margins = separation / 2.0 * w[0] + math.sqrt(float(w @ w)) * x
+    loss = float(weights @ np.logaddexp(0.0, -margins)) / math.sqrt(2.0 * math.pi)
+    return loss + 0.5 * lam * float(w @ w)
+
+
+class TestExactPopulationLoss:
+    """The Monte Carlo estimate against the closed form, an oracle
+    independent of expected_loss_estimate's arithmetic."""
+
+    def test_quadrature_converged(self):
+        for seed in range(3):
+            f = train_erm(generate_synthetic(200, 5, 4.0, seed=seed), lam=0.1)
+            assert exact_population_loss(f, 4.0, 0.1) == pytest.approx(
+                exact_population_loss(f, 4.0, 0.1, nodes=160), rel=1e-12
+            )
+        # the zero classifier's loss is log 2 at every margin
+        assert exact_population_loss(Classifier(np.zeros(5)), 4.0, 0.1) == pytest.approx(math.log(2), rel=1e-14)
+
+    def test_estimate_within_four_standard_errors(self):
+        sample = generate_synthetic(50_000, 5, 4.0, seed=424_242)
+        for seed in range(5):
+            data = generate_synthetic(200, 5, 4.0, seed=seed)
+            if seed % 2:  # a classifier trained on perturbed inputs, as the scaling suite's are
+                data, _ = perturb_inputs(data, 0.5, np.full(200, 0.7), seed + 20_000)
+            f = train_erm(data, lam=0.1)
+            mean, stderr = expected_loss_estimate(f, sample, 0.1)
+            assert abs(mean - exact_population_loss(f, 4.0, 0.1)) <= 4 * stderr

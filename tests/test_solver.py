@@ -473,8 +473,8 @@ class TestBestResponseKernel:
             sigma = [0.0] * config.n_users
             sigma[i] = sigma_S
             expected.append(user_utility(config, i, StrategyProfile(sigma_L, tuple(sigma))))
-        rows = [row.tolist() for row in solver._own_noise_rows(config, np.array(own), [sigma_L])]
-        assert rows[i] == expected
+        levels = np.array(own)
+        assert solver._own_noise(config, i, sigma_L * sigma_L, levels, levels).tolist() == expected
 
     @settings(max_examples=100, deadline=None)
     @given(games(), sigma_levels)
@@ -520,22 +520,129 @@ class TestBestResponseKernel:
             query(i, config)
 
 
+def full_scan_table(config, grid):
+    """The best-response table by a scan of every cell, the oracle's kernel
+    before its branch and bound: the reference the pruned table must equal."""
+    n = config.n_users
+    column = np.asarray(grid)
+    squares = column * column
+    squares_n = squares / n
+    coefs = [u.accuracy_weight / (n * config.learner.regularizer**2) for u in config.users]
+    costs = [u.perturbation_cost * (column > 0) for u in config.users]
+    table = []
+    for sigma_L in grid:
+        eff = np.sqrt(sigma_L * sigma_L + squares)
+        spread = sigma_L * sigma_L + squares_n
+        row = []
+        for u, coef, cost in zip(config.users, coefs, costs):
+            utility = u.baseline_gain - coef * spread - u.max_privacy_loss / (1.0 + u.privacy_rate * eff) - cost
+            row.append(column[utility.argmax()])
+        table.append(row)
+    return np.array(table)
+
+
+def flat_game(n, sigma_max=10.0):
+    """User 0 has no accuracy weight, privacy stake or cost, so its utility
+    is the same at every own noise level and no block of its rows is pruned;
+    the other users are peaked."""
+    flat = UserParams(1.0, 0.0, 0.0, 1.0, 0.0)
+    peaked = UserParams(5.0, 1.0, 8.0, 1.0, 0.1)
+    return GameConfig(
+        learner=LearnerParams(5.0, 1.0, 0.2, 1.0, n),
+        users=(flat,) + (peaked,) * (n - 1),
+        solver=SolverSettings(sigma_max=sigma_max, grid_step=0.05),
+    )
+
+
 class TestOwnNoiseKernel:
-    def test_one_shared_row_build_per_sigma_L(self, monkeypatch):
-        # the kernel builds the rows its users share once per sigma_L it is
-        # given; the oracle gives it each grid point once, in one call
-        config, fine_step = mixed_population(3, seed=1), 0.5
-        builds = []
-        real = solver._own_noise_rows
+    def test_table_evaluates_under_a_tenth_of_the_cells(self, monkeypatch):
+        # the bound prunes most blocks: a full scan evaluates all m^2 * N cells
+        config, fine_step = random_small_config(0), 1e-3
+        cells = []
+        real = solver._own_noise
 
-        def recording(config, column, sigma_Ls):
-            builds.append(list(sigma_Ls))
-            return real(config, column, builds[-1])
+        def counting(*args):
+            values = real(*args)
+            cells.append(values.size)
+            return values
 
-        monkeypatch.setattr(solver, "_own_noise_rows", recording)
+        monkeypatch.setattr(solver, "_own_noise", counting)
         brute_force_equilibrium(config, fine_step)
         m = round(config.solver.sigma_max / fine_step) + 1
-        assert builds == [[k * fine_step for k in range(m)]]
+        assert 0 < sum(cells) < 0.1 * m * m * config.n_users
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(games(), st.builds(mixed_population, st.integers(1, 6), st.integers(0, 2**32 - 1))),
+        st.floats(0.0, 30.0),
+        st.lists(st.floats(0.0, 30.0), min_size=1, max_size=8),
+        st.integers(0, 5),
+    )
+    def test_block_bound_is_sound(self, config, sigma_L, levels, i):
+        """No cell of a block of non-decreasing own noise levels exceeds the
+        block's bound, the kernel at its first level for the accuracy and
+        cost terms and at its last for the privacy term: exactly, not up to
+        rounding."""
+        i %= config.n_users
+        block = np.sort(levels)
+        sigma_sq = sigma_L * sigma_L
+        bound = solver._own_noise(config, i, sigma_sq, block[:1], block[-1:])
+        assert (solver._own_noise(config, i, sigma_sq, block, block) <= bound).all()
+
+    @pytest.mark.parametrize("intervals", [1, 2, 16, 99, 1999.5, 2000])
+    @pytest.mark.parametrize(
+        "make",
+        [partial(load_shipped_config, name) for name in SHIPPED_CONFIGS]
+        + [
+            partial(parse_config_text, THREE_USERS),
+            partial(mixed_population, 4, 3),
+            partial(mixed_population, 6, 1),
+            partial(random_small_config, 0),
+            partial(random_small_config, 7),
+            partial(flat_game, 1),
+            partial(flat_game, 3),
+        ],
+        ids=list(SHIPPED_CONFIGS) + ["three_users", "mixed_4", "mixed_6", "random_0", "random_7", "flat_1", "flat_3"],
+    )
+    def test_table_equals_full_scan(self, make, intervals):
+        config = make()
+        sigma_max = config.solver.sigma_max
+        grid = solver._grid(0.0, sigma_max, sigma_max / intervals, 2001)
+        table = solver._best_response_table(config, grid)
+        assert table.tolist() == full_scan_table(config, grid).tolist()
+        if config.users[0].accuracy_weight == 0:  # a flat row: ties go to the smallest level
+            assert not table[:, 0].any()
+
+    def test_flat_game_memory_is_bounded(self, monkeypatch):
+        # a flat row prunes no block, the worst case: every one of the
+        # 20,001^2 cells is evaluated.  Every sigma_L chunk but the last
+        # allocates the same arrays, so the first 3e7 cells (of 4e8, about
+        # 10 s in all) reach the run's peak
+        config = flat_game(1, sigma_max=20.0)
+        grid = solver._grid(0.0, 20.0, 1e-3, 10**6)
+        assert len(grid) == 20_001
+        cells = [0]
+        real = solver._own_noise
+
+        class Enough(Exception):
+            pass
+
+        def counting(*args):
+            values = real(*args)
+            cells[0] += values.size
+            if cells[0] > 3 * 10**7:
+                raise Enough
+            return values
+
+        monkeypatch.setattr(solver, "_own_noise", counting)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Enough):
+                solver._best_response_table(config, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
     @settings(max_examples=100, deadline=None)
     @given(
