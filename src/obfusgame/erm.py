@@ -74,14 +74,12 @@ class BoundReport:
     slack: float
 
 
-def _logistic_loss(margins: np.ndarray) -> np.ndarray:
-    # log(1 + exp(-m)) computed stably
-    return np.logaddexp(0.0, -margins)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    ez = np.exp(-np.abs(z))  # never overflows
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+def _logistic_loss(margins: np.ndarray, ez: np.ndarray | None = None) -> np.ndarray:
+    """log(1 + exp(-m)) as max(-m, 0) + log1p(exp(-|m|)), which never
+    overflows; ez, when given, is exp(-|m|) already computed."""
+    if ez is None:
+        ez = np.exp(-np.abs(margins))
+    return np.maximum(-margins, 0.0) + np.log1p(ez)
 
 
 def generate_synthetic(n: int, d: int, separation: float, seed: int) -> Dataset:
@@ -90,30 +88,23 @@ def generate_synthetic(n: int, d: int, separation: float, seed: int) -> Dataset:
         raise ValueError("need n >= 2 and d >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    centers = np.zeros((n, d))
-    centers[:, 0] = labels * (separation / 2.0)
-    features = centers + rng.standard_normal((n, d))
+    features = rng.standard_normal((n, d))
+    features[:, 0] += labels * (separation / 2.0)
     return Dataset(features, labels)
+
+
+def _risk_state(w: np.ndarray, data: Dataset, lam: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """z = X w, exp(-|z|) and the regularized objective at w, from one pass
+    over the rows.  The labels are +-1, so exp(-|z|) is also exp(-|y z|)."""
+    z = data.features @ w
+    ez = np.exp(-np.abs(z))
+    risk = np.mean(_logistic_loss(data.labels * z, ez))
+    return z, ez, 0.5 * lam * float(w @ w) + float(risk)
 
 
 def empirical_risk(f: Classifier, data: Dataset, lam: float) -> float:
     """Lambda/2 ||f||^2 + mean logistic loss over the dataset."""
-    margins = data.labels * (data.features @ f.weights)
-    return 0.5 * lam * float(f.weights @ f.weights) + float(
-        np.mean(_logistic_loss(margins))
-    )
-
-
-def _gradient(w: np.ndarray, data: Dataset, lam: float) -> np.ndarray:
-    margins = data.labels * (data.features @ w)
-    coeff = -data.labels * _sigmoid(-margins)
-    return lam * w + data.features.T @ coeff / data.n
-
-
-def _hessian(w: np.ndarray, data: Dataset, lam: float) -> np.ndarray:
-    # p (1 - p) is even in the margin, so the labels drop out
-    p = _sigmoid(data.features @ w)
-    return lam * np.eye(data.d) + (data.features.T * (p * (1.0 - p))) @ data.features / data.n
+    return _risk_state(f.weights, data, lam)[2]
 
 
 def train_erm(
@@ -123,30 +114,41 @@ def train_erm(
     max_iter: int = 200,
 ) -> Classifier:
     """Minimize the regularized objective to gradient-norm tol by damped
-    Newton steps with Armijo backtracking (Boyd & Vandenberghe 2004, 9.5)."""
+    Newton steps with Armijo backtracking (Boyd & Vandenberghe 2004, 9.5).
+
+    Each iterate carries z = X w, exp(-|z|) and the objective from the
+    accepted line-search step.  The gradient's sigmoid(-y z) and the
+    Hessian's sigmoid(z) are both picks from the same 1 / (1 + e) and
+    e / (1 + e), since |-y z| = |z|."""
     if lam <= 0:
         raise ValueError("lam must be > 0 for strict convexity")
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol and max_iter must be > 0")
+    X, y, n = data.features, data.labels, data.n
     w = np.zeros(data.d)
-    obj = empirical_risk(Classifier(w), data, lam)
+    z, ez, obj = _risk_state(w, data, lam)
     for _ in range(max_iter):
-        g = _gradient(w, data, lam)
+        upper = 1.0 / (1.0 + ez)  # sigmoid(|z|)
+        lower = ez / (1.0 + ez)  # sigmoid(-|z|)
+        g = lam * w + X.T @ (-y * np.where(y * z <= 0, upper, lower)) / n
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:
             return Classifier(w)
-        direction = np.linalg.solve(_hessian(w, data, lam), g)
+        p = np.where(z >= 0, upper, lower)
+        # p (1 - p) is even in the margin, so the labels drop out
+        hessian = lam * np.eye(data.d) + (X.T * (p * (1.0 - p))) @ X / n
+        direction = np.linalg.solve(hessian, g)
         decrement = float(g @ direction)  # squared Newton decrement
         step = 1.0
         for _ in range(60):
             w_new = w - step * direction
-            obj_new = empirical_risk(Classifier(w_new), data, lam)
+            z_new, ez_new, obj_new = _risk_state(w_new, data, lam)
             # stop at sufficient decrease, or once the predicted decrease is
             # below the objective's float resolution
             if obj_new <= obj - 1e-4 * step * decrement or step * decrement < 1e-14 * max(1.0, abs(obj)):
                 break
             step *= 0.5
-        w, obj = w_new, obj_new
+        w, z, ez, obj = w_new, z_new, ez_new, obj_new
     raise ConvergenceError(
         f"gradient norm {gnorm:.3e} above tol {tol:.3e} after {max_iter} iterations"
     )

@@ -121,6 +121,16 @@ class GameConfig:
                     f"users[{i}]: gamma = 0 with P_bar > 0 has no finite "
                     "optimal perturbation"
                 )
+        lam, n = self.learner.regularizer, self.n_users
+        if lam**2 == 0:
+            raise ConfigError(f"learner.Lambda = {lam!r} squares to 0")
+        # the utilities' accuracy coefficients gamma / (N Lambda^2) and the
+        # best responses' gamma / (N^2 Lambda^2)
+        weights = [("learner", self.learner.accuracy_weight)]
+        weights += [(f"users[{i}]", u.accuracy_weight) for i, u in enumerate(self.users)]
+        for who, gamma in weights:
+            if not (math.isfinite(gamma / (n * lam**2)) and math.isfinite(gamma / (n**2 * lam**2))):
+                raise ConfigError(f"{who}: gamma / (N * Lambda^2) is not finite at learner.Lambda = {lam!r}")
 
     @property
     def n_users(self) -> int:

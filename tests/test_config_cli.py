@@ -313,6 +313,39 @@ def test_huge_parameter_ends_cleanly(tmp_path, capsys, command, edits, code, mes
         assert values and all(math.isfinite(v) for v in values), path.name
 
 
+# at 1e-160 gamma / (N * Lambda^2) overflows (NaN and -inf utilities before
+# this was checked); at 1e-170 Lambda^2 underflows to 0 (ZeroDivisionError)
+@pytest.mark.parametrize(
+    "command, args",
+    [("solve", ["--oracle", "--fine-step", "0.5"]), ("sweep", [])],
+    ids=["solve_oracle", "sweep"],
+)
+@pytest.mark.parametrize(
+    "lam, message",
+    [("1e-160", "gamma / (N * Lambda^2) is not finite"), ("1e-170", "squares to 0")],
+)
+def test_tiny_Lambda_exit_2(tmp_path, capsys, command, args, lam, message):
+    text, count = re.subn(r"^learner\.Lambda\s*=.*$", f"learner.Lambda = {lam}",
+                          shipped_config_path("default").read_text(), flags=re.M)
+    assert count == 1
+    (tmp_path / "tiny.cfg").write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(tmp_path / "tiny.cfg"), "--out", str(out), *args]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err and lam in err
+    assert not out.exists()
+
+
+def test_tiny_Lambda_with_zero_weights_is_usable():
+    # no accuracy coefficient to overflow: gamma = 0 everywhere, P_bar = 0
+    text = MINIMAL.replace("learner.Lambda = 1", "learner.Lambda = 1e-160")
+    text = text.replace("gamma  = 1", "gamma  = 0").replace("gamma = 1", "gamma = 0")
+    text = text.replace("P_bar = 1", "P_bar = 0")
+    assert parse_config_text(text).learner.regularizer == 1e-160
+    with pytest.raises(ConfigError, match="squares to 0"):
+        parse_config_text(text.replace("1e-160", "1e-170"))
+
+
 @pytest.fixture(scope="module")
 def sweep_out(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")

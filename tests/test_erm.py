@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 
-from obfusgame import erm
+from obfusgame import erm, validate
 from obfusgame.errors import ConvergenceError
 from obfusgame.erm import (
     Classifier,
@@ -17,6 +17,14 @@ from obfusgame.erm import (
     perturb_inputs,
     train_erm,
 )
+
+
+def gradient(w, data, lam):
+    """Gradient of the regularized objective, recomputing X w: an oracle
+    independent of train_erm's per-iterate state."""
+    margins = data.labels * (data.features @ w)
+    coeff = -data.labels * special.expit(-margins)
+    return lam * w + data.features.T @ coeff / data.n
 
 
 def scipy_minimizer(data, lam):
@@ -90,8 +98,8 @@ class TestTrainErm:
         # the objective is lam-strongly convex, so any w lies within
         # ||gradient(w)|| / lam of the minimizer
         bound = (
-            np.linalg.norm(erm._gradient(f.weights, data, lam))
-            + np.linalg.norm(erm._gradient(w_ref, data, lam))
+            np.linalg.norm(gradient(f.weights, data, lam))
+            + np.linalg.norm(gradient(w_ref, data, lam))
         ) / lam
         assert np.linalg.norm(f.weights - w_ref) <= bound
 
@@ -105,7 +113,7 @@ class TestTrainErm:
     def test_gradient_norm_below_tol(self):
         data = generate_synthetic(150, 4, 2.0, seed=4)
         f = train_erm(data, lam=0.5, tol=1e-8)
-        g = erm._gradient(f.weights, data, 0.5)
+        g = gradient(f.weights, data, 0.5)
         assert np.linalg.norm(g) <= 1e-8
 
     def test_minimizer_beats_random_perturbations(self):
@@ -116,6 +124,93 @@ class TestTrainErm:
         for _ in range(1000):
             w = f.weights + rng.standard_normal(3) * rng.uniform(1e-4, 1.0)
             assert empirical_risk(Classifier(w), data, 0.2) >= base - 1e-12
+
+
+def _sigmoid(z):
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+
+
+def reference_train_erm(data, lam, tol=1e-8, max_iter=200):
+    """train_erm's damped Newton loop with the gradient, the Hessian and
+    the objective each recomputing X w and exp(-|X w|) from w."""
+    X, y, n = data.features, data.labels, data.n
+
+    def objective(w):
+        return 0.5 * lam * float(w @ w) + float(np.mean(erm._logistic_loss(y * (X @ w))))
+
+    def grad(w):
+        return lam * w + X.T @ (-y * _sigmoid(-(y * (X @ w)))) / n
+
+    def hessian(w):
+        p = _sigmoid(X @ w)
+        return lam * np.eye(data.d) + (X.T * (p * (1.0 - p))) @ X / n
+
+    w = np.zeros(data.d)
+    obj = objective(w)
+    for _ in range(max_iter):
+        g = grad(w)
+        if float(np.linalg.norm(g)) <= tol:
+            return w
+        direction = np.linalg.solve(hessian(w), g)
+        decrement = float(g @ direction)
+        step = 1.0
+        for _ in range(60):
+            w_new = w - step * direction
+            obj_new = objective(w_new)
+            if obj_new <= obj - 1e-4 * step * decrement or step * decrement < 1e-14 * max(1.0, abs(obj)):
+                break
+            step *= 0.5
+        w, obj = w_new, obj_new
+    raise ConvergenceError("reference loop did not converge")
+
+
+class TestNewtonStateUnchanged:
+    """train_erm carries X w, exp(-|X w|) and the objective from the accepted
+    line-search step; that must not move any iterate."""
+
+    def test_suite_datasets_train_to_equal_weights(self, monkeypatch):
+        train, calls = erm.train_erm, []
+
+        def recording(data, lam, **kwargs):
+            calls.append((data, lam, kwargs))
+            return train(data, lam, **kwargs)
+
+        monkeypatch.setattr(erm, "train_erm", recording)
+        validate.run_lemma_suite("lemma1", trials=10, base_seed=0)  # seeds 0-9, clean and perturbed
+        validate.run_scaling_suite(trials_per_point=2, base_seed=0)  # the 100k f* set, then 20 perturbed
+        assert len(calls) == 20 + 1 + 20
+        assert calls[20][0].n == 100_000
+        for data, lam, kwargs in calls:
+            assert np.array_equal(train(data, lam, **kwargs).weights, reference_train_erm(data, lam, **kwargs))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_problems_train_to_equal_weights(self, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        n, d = int(rng.integers(2, 300)), int(rng.integers(1, 9))
+        data = generate_synthetic(n, d, float(rng.uniform(0.0, 10.0)), seed)
+        lam = float(10 ** rng.uniform(-3, 1))
+        assert np.array_equal(train_erm(data, lam).weights, reference_train_erm(data, lam))
+
+
+class TestLogisticLoss:
+    """The max(-m, 0) + log1p(exp(-|m|)) form against np.logaddexp(0, -m)."""
+
+    @staticmethod
+    def _check(margins):
+        expected = np.logaddexp(0.0, -margins)
+        value = erm._logistic_loss(margins)
+        assert np.array_equal(np.isfinite(value), np.isfinite(expected))
+        np.testing.assert_allclose(value, expected, rtol=1e-15, atol=0.0)
+
+    def test_edge_margins(self):
+        edges = np.array([0.0, 1.0, 745.0, 1e308, math.inf])
+        self._check(np.concatenate([edges, -edges]))
+
+    def test_random_margins(self):
+        rng = np.random.Generator(np.random.PCG64(7))
+        magnitude = 10.0 ** rng.uniform(-8.0, 3.0, 100_000)
+        self._check(np.where(rng.random(100_000) < 0.5, magnitude, -magnitude))
 
 
 class TestPerturbInputs:

@@ -1,8 +1,16 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from obfusgame.validate import _spearman
+from obfusgame.validate import _spearman, run_suite
+
+# Every CSV value of validate lemma1/lemma2 (5 trials), chi2 (50,000 samples)
+# and scaling (2 trials a point) at seeds 0, 1000 and 2000, in full precision
+_ERM_REFERENCE = json.loads((Path(__file__).parent / "data" / "erm_suites_reference.json").read_text())
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -15,3 +23,20 @@ def test_spearman_matches_scipy(seed):
         np.testing.assert_allclose(
             _spearman(x, y), stats.spearmanr(x, y).statistic, rtol=0.0, atol=1e-12
         )
+
+
+@pytest.mark.parametrize("key", sorted(_ERM_REFERENCE))
+def test_erm_suite_values_pinned(key):
+    """Relative, not bitwise: SIMD exp and log1p may round differently on
+    another CPU."""
+    expected = _ERM_REFERENCE[key]
+    suite, seed = key.split("/")
+    result = run_suite(suite, trials=expected["trials"], base_seed=int(seed))
+    assert result.passed == expected["passed"]
+    assert [list(row) for row in result.rows] == [expected["columns"]] * len(result.rows)
+    assert len(result.rows) == len(expected["rows"])
+    for row, values in zip(result.rows, expected["rows"]):
+        for column, value in zip(expected["columns"], values):
+            got = row[column]
+            assert type(got) is type(value), (column, got, value)
+            assert math.isclose(got, value, rel_tol=1e-12, abs_tol=0.0), (key, column, got, value)
