@@ -94,11 +94,11 @@ def _outdir(args) -> Path:
 
 def _cmd_solve(args) -> int:
     config = load_config(args.config)
-    out = _outdir(args)
     if args.oracle:
         result = solver.brute_force_equilibrium(config, args.fine_step)
     else:
         result = solver.stackelberg_solve(config)
+    out = _outdir(args)
 
     lines = [
         f"sigma_L_star = {_fmt(result.sigma_L_star)}",

@@ -171,54 +171,38 @@ def _privacy_loss(p_bar: float, rate: float, sigma_L: float, sigma_S_i: float) -
     return p_bar / (1.0 + rate * math.sqrt(sigma_L * sigma_L + sigma_S_i * sigma_S_i))
 
 
-def _user_utility(
-    config: GameConfig, i: int, sigma_L: float, sigma_S_i: float, spread: float
-) -> float:
-    """user_utility's arithmetic, unchecked; spread is _spread of the profile."""
-    u = config.users[i]
+def _check_profile(config: GameConfig, profile: StrategyProfile) -> None:
+    if len(profile.sigma_S) != config.n_users:
+        raise ValueError(f"profile has {len(profile.sigma_S)} user strategies, expected {config.n_users}")
+
+
+def user_utility(config: GameConfig, i: int, profile: StrategyProfile) -> float:
+    """Utility of user i under the given strategy profile."""
+    _check_user(config, i)
+    _check_profile(config, profile)
+    n, u = config.n_users, config.users[i]
+    sigma_L, sigma_S_i = float(profile.sigma_L), profile.sigma_S[i]
     return (
         u.baseline_gain
-        - u.accuracy_weight / (config.n_users * config.learner.regularizer**2) * spread
+        - u.accuracy_weight / (n * config.learner.regularizer**2) * _spread(sigma_L, profile.sigma_S, n)
         - _privacy_loss(u.max_privacy_loss, u.privacy_rate, sigma_L, sigma_S_i)
         - (u.perturbation_cost if sigma_S_i > 0 else 0.0)
     )
 
 
-def _learner_utility(config: GameConfig, sigma_L: float, sigma_S: Sequence[float]) -> float:
-    """learner_utility's arithmetic, unchecked.  The privacy losses are summed
-    in user order by plain addition (sum() compensates from Python 3.12 on)."""
-    n = config.n_users
-    lp = config.learner
+def learner_utility(config: GameConfig, profile: StrategyProfile) -> float:
+    """Utility of the learner: baseline minus accuracy penalty, minus the
+    average privacy loss over users, summed in user order by plain addition
+    (sum() compensates from Python 3.12 on), minus the flat cost."""
+    _check_profile(config, profile)
+    n, lp = config.n_users, config.learner
+    sigma_L = float(profile.sigma_L)
     privacy = 0.0
-    for u, s in zip(config.users, sigma_S):
+    for u, s in zip(config.users, profile.sigma_S):
         privacy += _privacy_loss(u.max_privacy_loss, u.privacy_rate, sigma_L, s)
     return (
         lp.baseline_gain
-        - lp.accuracy_weight / (n * lp.regularizer**2) * _spread(sigma_L, sigma_S, n)
+        - lp.accuracy_weight / (n * lp.regularizer**2) * _spread(sigma_L, profile.sigma_S, n)
         - privacy / n
         - (lp.perturbation_cost if sigma_L > 0 else 0.0)
     )
-
-
-def user_utility(config: GameConfig, i: int, profile: StrategyProfile) -> float:
-    """Utility of user i under the given strategy profile."""
-    n = config.n_users
-    _check_user(config, i)
-    if len(profile.sigma_S) != n:
-        raise ValueError(
-            f"profile has {len(profile.sigma_S)} user strategies, expected {n}"
-        )
-    sigma_L = float(profile.sigma_L)
-    return _user_utility(
-        config, i, sigma_L, profile.sigma_S[i], _spread(sigma_L, profile.sigma_S, n)
-    )
-
-
-def learner_utility(config: GameConfig, profile: StrategyProfile) -> float:
-    """Utility of the learner: baseline minus accuracy penalty, minus the
-    average privacy loss over users, minus the flat perturbation cost."""
-    if len(profile.sigma_S) != config.n_users:
-        raise ValueError(
-            f"profile has {len(profile.sigma_S)} user strategies, expected {config.n_users}"
-        )
-    return _learner_utility(config, float(profile.sigma_L), profile.sigma_S)

@@ -15,7 +15,9 @@ dissuasion threshold t, the root of that gain less tie_epsilon, bisected
 to float resolution.  The pair (s_star, t) is the user's whole best
 response: sqrt(s_star^2 - sigma_L^2) if sigma_L < t, else 0.  It depends
 on the user alone, so a solve or sweep finds it once per user; the public
-per-user queries are wrappers that find it themselves.
+per-user queries are wrappers that find it themselves.  Every command
+scores sigma_L values with _best_responses and _utility_panel, which equal
+game.learner_utility and user_utility bit for bit.
 
 The leader's induced objective jumps where a user stops perturbing (a
 dissuasion threshold) and at sigma_L = 0 (the leader's flat cost).
@@ -57,18 +59,17 @@ from .game import (
     StrategyProfile,
     UserParams,
     _check_user,
-    _learner_utility,
     learner_utility,
-    user_utility,
 )
 
 # cap on the brute-force oracle's user utilities in the worst case, a flat
 # row where no block is pruned; most games evaluate a small share of them
 _BRUTE_FORCE_BUDGET = 2_000_000_000
-# the oracle's own-noise cells evaluated at once, 64 KB a float array, so
-# its worst case, a flat row, peaks at a few MB at any grid the budget
-# allows; larger chunks raised the oracle suite's peak RSS
-_ORACLE_CHUNK_CELLS = 2**13
+# cells evaluated at once, 64 KB a float array: the oracle's own-noise
+# cells, so its worst case, a flat row, peaks at a few MB at any grid the
+# budget allows (larger chunks raised the oracle suite's peak RSS), and the
+# solve's N users at each candidate, so its working set stays bounded in N
+_CHUNK_CELLS = 2**13
 # cap on a sweep's grid points, _SWEEP_MAX_CELLS // (8N + 13): 10^6 points
 # at N = 1; the default sweep has 1,001.  A point holds 7N + 2 floats in
 # sweep's columns, and 3N + 2 strings while the CLI writes them
@@ -188,10 +189,11 @@ def _cuts(config: GameConfig, s_stars: list[float]) -> list[float]:
     return [_cut(u, s, config) for u, s in zip(config.users, s_stars)]
 
 
-def _responses(sigma_L: float, s_stars: list[float], cuts: list[float]) -> list[float]:
-    """Each user's best response: it tops up to its s_star below its cut, and
-    plays 0 from the cut on."""
-    return [math.sqrt(s * s - sigma_L * sigma_L) if sigma_L < t else 0.0 for s, t in zip(s_stars, cuts)]
+def _best_responses(sigma_L: np.ndarray, s_stars: Sequence[float], cuts: Sequence[float]) -> np.ndarray:
+    """(N, M): each user's best response at each sigma_L, sqrt(s_star^2 -
+    sigma_L^2) below its cut, where s_star >= sigma_L, and 0 from it on."""
+    s, below = np.asarray(s_stars)[:, None], sigma_L < np.asarray(cuts)[:, None]
+    return np.sqrt(s * s - sigma_L * sigma_L, out=np.zeros(below.shape), where=below)
 
 
 def user_best_response(sigma_L: float, i: int, config: GameConfig) -> float:
@@ -200,7 +202,7 @@ def user_best_response(sigma_L: float, i: int, config: GameConfig) -> float:
     _check_user(config, i)
     user = config.users[i]
     s_star = effective_noise_target(user, config.learner, config.solver.root_tol)
-    return _responses(sigma_L, [s_star], [_cut(user, s_star, config)])[0]
+    return float(_best_responses(np.array([sigma_L]), [s_star], [_cut(user, s_star, config)])[0, 0])
 
 
 def dissuasion_threshold(i: int, config: GameConfig) -> Optional[float]:
@@ -220,7 +222,8 @@ def dissuasion_threshold(i: int, config: GameConfig) -> Optional[float]:
 def best_response_profile(sigma_L: float, config: GameConfig) -> StrategyProfile:
     _check_sigma_L(sigma_L)
     s_stars = _s_stars(config)
-    return StrategyProfile(sigma_L, _responses(sigma_L, s_stars, _cuts(config, s_stars)))
+    responses = _best_responses(np.array([sigma_L]), s_stars, _cuts(config, s_stars))
+    return StrategyProfile(sigma_L, responses[:, 0])
 
 
 def leader_objective(sigma_L: float, config: GameConfig) -> float:
@@ -254,15 +257,21 @@ def _piece_slope(sigma_L: float, config: GameConfig, outside: list[UserParams]) 
     return privacy / n - accuracy
 
 
-def _result(
-    config: GameConfig, profile: StrategyProfile, thresholds: Iterable[Optional[float]]
-) -> EquilibriumResult:
-    """The equilibrium at profile, with the utilities it induces."""
+def _winner(leader: np.ndarray, tie_epsilon: float) -> int:
+    """The first column whose leader utility is within tie_epsilon of the best."""
+    return int(np.argmax(leader >= leader.max() - tie_epsilon))
+
+
+def _result(panel: tuple, j: int, thresholds: Iterable[Optional[float]]) -> EquilibriumResult:
+    """The equilibrium at column j of panel, (sigma_L, responses, U_L, U_S).
+    SolverError for a non-finite user utility there: no command prints one."""
+    sigma_L, responses, leader, users = panel
+    _require_finite("user", users[:, j], sigma_L[j])
     return EquilibriumResult(
-        sigma_L_star=profile.sigma_L,
-        sigma_S_star=profile.sigma_S,
-        learner_utility=learner_utility(config, profile),
-        user_utilities=tuple(user_utility(config, i, profile) for i in range(config.n_users)),
+        sigma_L_star=float(sigma_L[j]),
+        sigma_S_star=tuple(responses[:, j].tolist()),
+        learner_utility=float(leader[j]),
+        user_utilities=tuple(users[:, j].tolist()),
         per_user_thresholds=tuple(thresholds),
     )
 
@@ -292,18 +301,22 @@ def stackelberg_solve(config: GameConfig) -> EquilibriumResult:
         if slope(lo) > 0 > slope(hi):
             candidates.add(_bisect_root(slope, lo, hi, settings.root_tol))
 
-    evaluated = []
-    for s in sorted(candidates):
-        u = _learner_utility(config, s, _responses(s, s_stars, cuts))
-        if not math.isfinite(u):
-            raise SolverError(f"non-finite leader utility {u} at sigma_L={s}")
-        evaluated.append((s, u))
-    best_u = max(u for _, u in evaluated)
-    # smallest sigma_L among near-ties
-    sigma_L_star = min(s for s, u in evaluated if u >= best_u - settings.tie_epsilon)
+    # scored _CHUNK_CELLS // N candidates at a time, keeping the last chunk's panel
+    grid, columns = np.array(sorted(candidates)), _user_columns(config)
+    pairs = np.array(s_stars), np.array(cuts)
 
-    profile = StrategyProfile(sigma_L_star, _responses(sigma_L_star, s_stars, cuts))
-    return _result(config, profile, (None if t > settings.sigma_max else t for t in cuts))
+    def panel(x: np.ndarray) -> tuple[np.ndarray, ...]:
+        responses = _best_responses(x, *pairs)
+        return (x, responses, *_utility_panel(config, columns, x, responses))
+
+    width, leaders = max(1, _CHUNK_CELLS // config.n_users), []
+    for k in range(0, len(grid), width):
+        scored = panel(grid[k : k + width])
+        leaders.append(scored[2])
+    j = _winner(np.concatenate(leaders), settings.tie_epsilon)
+    if j < k:  # the winner lies in an earlier chunk: score its column again
+        k, scored = j, panel(grid[j : j + 1])
+    return _result(scored, j - k, (None if t > settings.sigma_max else t for t in cuts))
 
 
 def _own_noise(
@@ -312,36 +325,64 @@ def _own_noise(
     """User i's utility with every other user at 0, at sigma_L^2 = sigma_sq
     broadcast against own noise levels acc in the accuracy and cost terms
     and priv in the privacy term: user_utility's arithmetic in the same
-    order, so where priv is acc equal to it bit for bit."""
+    order, so where priv is acc equal to it bit for bit, -inf included."""
     u = config.users[i]
     coef = u.accuracy_weight / (config.n_users * config.learner.regularizer**2)
-    squares = acc * acc
-    accuracy = u.baseline_gain - coef * (sigma_sq + squares / config.n_users)
-    effective = np.sqrt(sigma_sq + (squares if priv is acc else priv * priv))
-    privacy = u.max_privacy_loss / (1.0 + u.privacy_rate * effective)
-    return accuracy - privacy - u.perturbation_cost * (acc > 0)
+    with np.errstate(over="ignore"):
+        squares = acc * acc
+        accuracy = u.baseline_gain - coef * (sigma_sq + squares / config.n_users)
+        effective = np.sqrt(sigma_sq + (squares if priv is acc else priv * priv))
+        privacy = u.max_privacy_loss / (1.0 + u.privacy_rate * effective)
+        return accuracy - privacy - u.perturbation_cost * (acc > 0)
+
+
+def _require_finite(who: str, utilities: np.ndarray, sigma_L: np.ndarray | float) -> None:
+    """SolverError naming the first non-finite utility and its sigma_L,
+    broadcast against utilities: no command prints or writes one."""
+    finite = np.isfinite(utilities)
+    if not finite.all():
+        at = np.unravel_index(finite.argmin(), finite.shape)
+        x = np.broadcast_to(sigma_L, finite.shape)[at]
+        raise SolverError(f"non-finite {who} utility {float(utilities[at])} at sigma_L={float(x)}")
+
+
+def _user_columns(config: GameConfig) -> np.ndarray:
+    """(5, N, 1): the users' gains, accuracy coefficients, privacy stakes,
+    rates and costs as columns, built once per command (O(N) in Python)."""
+    scale = config.n_users * config.learner.regularizer**2
+    return np.array([(u.baseline_gain, u.accuracy_weight / scale, u.max_privacy_loss, u.privacy_rate,
+                      u.perturbation_cost) for u in config.users]).T[:, :, None]
 
 
 def _utility_panel(
-    config: GameConfig, sigma_L: np.ndarray, responses: Sequence[np.ndarray]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The learner's and each user's utility at every sigma_L, user i playing
-    responses[i][k] at sigma_L[k]: _learner_utility's and _user_utility's
-    arithmetic in the same order, so equal to them bit for bit."""
+    config: GameConfig, columns: np.ndarray, sigma_L: np.ndarray, responses: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """U_L (M,) and each U_S (N, M) at every sigma_L, user i playing
+    responses[i, k] at sigma_L[k], with _user_columns: the public utilities'
+    arithmetic in the same order, the user-order sums by np.add.accumulate,
+    which adds strictly in order, so equal to them bit for bit, -inf
+    included.  SolverError for a non-finite U_L."""
     n, lp = config.n_users, config.learner
-    squares = spread = sigma_L * sigma_L
-    total, privacy = 0.0, []
-    for u, r in zip(config.users, responses):  # in user order, as the scalar kernel adds
-        spread = spread + r * r / n
-        privacy.append(u.max_privacy_loss / (1.0 + u.privacy_rate * np.sqrt(squares + r * r)))
-        total = total + privacy[-1]
-    scale = n * lp.regularizer**2
-    leader = lp.baseline_gain - lp.accuracy_weight / scale * spread - total / n
-    users = [
-        u.baseline_gain - u.accuracy_weight / scale * spread - p - u.perturbation_cost * (r > 0)
-        for u, p, r in zip(config.users, privacy, responses)
-    ]
-    return leader - lp.perturbation_cost * (sigma_L > 0), users
+    gain, weight, loss, rate, cost = columns
+    squares = sigma_L * sigma_L
+    with np.errstate(over="ignore"):
+        block = responses * responses
+        privacy = squares + block
+        np.sqrt(privacy, out=privacy)
+        privacy *= rate
+        privacy += 1.0
+        np.divide(loss, privacy, out=privacy)
+        block /= n
+        block[0] += squares
+        spread = np.add.accumulate(block, axis=0, out=block)[-1].copy()
+        users = np.subtract(gain, np.multiply(weight, spread, out=block), out=block)
+        users -= privacy
+        np.subtract(users, cost, out=users, where=responses > 0)
+        total = np.add.accumulate(privacy, axis=0, out=privacy)[-1]
+        leader = lp.baseline_gain - lp.accuracy_weight / (n * lp.regularizer**2) * spread - total / n
+        leader -= lp.perturbation_cost * (sigma_L > 0)
+    _require_finite("leader", leader, sigma_L)
+    return leader, users
 
 
 def sweep(config: GameConfig, lo: float, hi: float, step: float) -> tuple[np.ndarray, ...]:
@@ -354,7 +395,8 @@ def sweep(config: GameConfig, lo: float, hi: float, step: float) -> tuple[np.nda
     ValueError for a non-finite lo, step or 2 * hi^2, a range outside
     0 <= lo <= hi with step > 0, or a step below the float spacing at hi;
     before that check and before any point is built, GridTooLargeError for
-    more than _SWEEP_MAX_CELLS // (8N + 13) points."""
+    more than _SWEEP_MAX_CELLS // (8N + 13) points; SolverError for a
+    non-finite utility in any table."""
     if not all(map(math.isfinite, (lo, hi * hi + hi * hi, step))):
         raise ValueError(f"sweep bounds, step and 2 * hi^2 must be finite, got [{lo}, {hi}] by {step}")
     if not (0 <= lo <= hi and step > 0):
@@ -370,11 +412,11 @@ def sweep(config: GameConfig, lo: float, hi: float, step: float) -> tuple[np.nda
             row[i] = _own_noise(config, i, x * x, grid, grid)
 
     s_stars = _s_stars(config)
-    responses = np.zeros((n, m))
-    for row, s, t in zip(responses, s_stars, _cuts(config, s_stars)):
-        np.sqrt(s * s - grid * grid, out=row, where=grid < t)  # below the cut s >= sigma_L
-    leader, users = _utility_panel(config, grid, responses)
-    return grid, samples, own, responses, leader, np.array(users)
+    responses = _best_responses(grid, s_stars, _cuts(config, s_stars))
+    leader, users = _utility_panel(config, _user_columns(config), grid, responses)
+    _require_finite("user", users, grid)
+    _require_finite("user", own, samples[:, None, None])
+    return grid, samples, own, responses, leader, users
 
 
 def _best_response_table(config: GameConfig, grid: list[float]) -> np.ndarray:
@@ -395,14 +437,14 @@ def _best_response_table(config: GameConfig, grid: list[float]) -> np.ndarray:
     are evaluated, and the pick is the first of their maxima: the same
     argmax as a scan of the whole row.  In the worst case (a flat row) no
     block is pruned, so m^2 * N cells remain the budget, evaluated
-    _ORACLE_CHUNK_CELLS at a time."""
+    _CHUNK_CELLS at a time."""
     m, n = len(grid), config.n_users
     k = math.isqrt(m)
     column = np.asarray(grid)
     blocks = np.append(column, [grid[-1]] * (-m % k)).reshape(-1, k)
     firsts, lasts = blocks[:, 0], blocks[:, -1]
-    chunk = _ORACLE_CHUNK_CELLS // len(blocks)  # sigma_L rows bounded at once
-    batch = _ORACLE_CHUNK_CELLS // k  # live blocks evaluated at once
+    chunk = _CHUNK_CELLS // len(blocks)  # sigma_L rows bounded at once
+    batch = _CHUNK_CELLS // k  # live blocks evaluated at once
     picks = np.empty((m, n), dtype=np.intp)
     for start in range(0, m, chunk):
         sigma_L = column[start : start + chunk]
@@ -443,17 +485,16 @@ def brute_force_equilibrium(config: GameConfig, fine_step: float) -> Equilibrium
     grid = _grid(0.0, settings.sigma_max, fine_step, max_points)
     m = len(grid)
 
-    br = _best_response_table(config, grid)
-    leader = _utility_panel(config, np.array(grid), br.T)[0]
-    best = leader.max()
-    j_star = int(np.argmax(leader >= best - settings.tie_epsilon))
-    profile = StrategyProfile(grid[j_star], tuple(br[j_star]))
+    column = np.array(grid)
+    responses = np.ascontiguousarray(_best_response_table(config, grid).T)  # (N, m) for the panel
+    leader, users = _utility_panel(config, _user_columns(config), column, responses)
 
-    def table_threshold(column: np.ndarray) -> Optional[float]:
-        perturbing = np.flatnonzero(column > 0)
+    def table_threshold(row: np.ndarray) -> Optional[float]:
+        perturbing = np.flatnonzero(row > 0)
         if perturbing.size == 0:
             return 0.0
         last = int(perturbing[-1])
         return None if last == m - 1 else grid[last + 1]
 
-    return _result(config, profile, (table_threshold(br[:, i]) for i in range(n)))
+    panel = column, responses, leader, users
+    return _result(panel, _winner(leader, settings.tie_epsilon), map(table_threshold, responses))

@@ -250,9 +250,10 @@ class TestCliSolve:
     def test_oversized_oracle_grid_exit_3(self, tmp_path, capsys, fine_step):
         assert main([
             "solve", "--config", str(shipped_config_path("default")),
-            "--out", str(tmp_path), "--oracle", "--fine-step", fine_step,
+            "--out", str(tmp_path / "out"), "--oracle", "--fine-step", fine_step,
         ]) == 3
         assert "solver error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("fine_step", ["nan", "inf", "0", "-1"])
     def test_bad_oracle_fine_step_exit_2(self, tmp_path, capsys, fine_step):
@@ -282,29 +283,40 @@ def test_doubled_square_overflow_exit_2(tmp_path, capsys, command, config_edits,
     assert not (tmp_path / "out").exists()
 
 
-# (N * Lambda)^2, (1 + rho * s)^2 and s_star^2 overflow a Python float
-@pytest.mark.parametrize("command", ["solve", "sweep"])
+# (N * Lambda)^2, (1 + rho * s)^2 and s_star^2 overflow a Python float, and
+# a gamma near the float maximum overflows the utilities to -inf; codes are
+# those of solve, solve --oracle and sweep
 @pytest.mark.parametrize(
-    "edits, code, message",
-    [
-        ({"learner.Lambda": "1e200"}, 2, "regularizer"),
-        ({"users[0].rho": "1e300"}, 0, None),
-        # s_star = 5e199
-        ({"learner.Lambda": "1e100", "users[0].rho": "1e-300", "users[0].P_bar": "1e300"}, 3, "square"),
-    ],
-    ids=["huge_Lambda", "huge_rho", "huge_s_star"],
+    "k, command", enumerate([["solve"], ["solve", "--oracle", "--fine-step", "0.5"], ["sweep"]]),
+    ids=["solve", "solve_oracle", "sweep"],
 )
-def test_huge_parameter_ends_cleanly(tmp_path, capsys, command, edits, code, message):
+@pytest.mark.parametrize(
+    "edits, codes, message",
+    [
+        ({"learner.Lambda": "1e200"}, (2, 2, 2), "regularizer"),
+        ({"users[0].rho": "1e300"}, (0, 0, 0), None),
+        # s_star = 5e199; the oracle finds no s_star, and its utilities stay finite
+        ({"learner.Lambda": "1e100", "users[0].rho": "1e-300", "users[0].P_bar": "1e300"}, (3, 0, 3), "square"),
+        ({"learner.gamma": "1e306"}, (3, 3, 3), "non-finite leader utility -inf"),
+        ({"learner.gamma": "1e308"}, (3, 3, 3), "non-finite leader utility -inf"),
+        # only losing sigma_L overflow user 0's utility; the sweep writes them all
+        ({"users[0].gamma": "1e306"}, (0, 0, 3), "non-finite user utility -inf"),
+    ],
+    ids=["huge_Lambda", "huge_rho", "huge_s_star", "huge_learner_gamma", "max_learner_gamma", "huge_user_gamma"],
+)
+def test_huge_parameter_ends_cleanly(tmp_path, capsys, k, command, edits, codes, message):
     text = shipped_config_path("default").read_text()
     for key, value in edits.items():
         text, count = re.subn(rf"^{re.escape(key)}\s*=.*$", f"{key} = {value}", text, flags=re.M)
         assert count == 1
     (tmp_path / "huge.cfg").write_text(text)
     out = tmp_path / "out"
-    assert main([command, "--config", str(tmp_path / "huge.cfg"), "--out", str(out)]) == code
+    code = codes[k]
+    assert main([*command, "--config", str(tmp_path / "huge.cfg"), "--out", str(out)]) == code
     err = capsys.readouterr().err
     if code:
         assert len(err.splitlines()) == 1 and message in err
+        assert not out.exists()
         return
     assert err == ""
     for path in [*out.glob("*.csv"), *out.glob("*.txt")]:

@@ -22,9 +22,6 @@ from obfusgame.game import (
     SolverSettings,
     StrategyProfile,
     UserParams,
-    _learner_utility,
-    _spread,
-    _user_utility,
     learner_utility,
     user_utility,
 )
@@ -60,6 +57,17 @@ def dense_grid_argmax(config, i, sigma_L, step=1e-3):
         if u > best_u:
             best_u, best_s = u, float(s)
     return best_s, best_u
+
+
+def scalar_responses(sigma_L, s_stars, cuts):
+    """Each user's best response at one sigma_L, one user at a time: the
+    scalar reference for solver._best_responses."""
+    return [math.sqrt(s * s - sigma_L * sigma_L) if sigma_L < t else 0.0 for s, t in zip(s_stars, cuts)]
+
+
+def scalar_objective(config, sigma_L, s_stars, cuts):
+    """The leader objective at sigma_L by the public learner_utility."""
+    return learner_utility(config, StrategyProfile(sigma_L, scalar_responses(sigma_L, s_stars, cuts)))
 
 
 def interior_point(sigma_L, config, i=0):
@@ -461,8 +469,7 @@ class TestBestResponseKernel:
         expected = learner_utility(config, StrategyProfile(sigma_L, brs))
         assert leader_objective(sigma_L, config) == expected
         s_stars = solver._s_stars(config)
-        kernel = solver._responses(sigma_L, s_stars, solver._cuts(config, s_stars))
-        assert solver._learner_utility(config, sigma_L, kernel) == expected
+        assert scalar_objective(config, sigma_L, s_stars, solver._cuts(config, s_stars)) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(games(), sigma_levels, st.lists(sigma_levels, min_size=1, max_size=5), st.integers(0, 3))
@@ -677,22 +684,31 @@ def panel_games():
 
 def scalar_columns(config, points):
     """Best responses, U_L and each U_S at each sigma_L in points, by the
-    solve's scalar kernel."""
+    scalar responses and the public utilities."""
     s_stars = solver._s_stars(config)
     cuts = solver._cuts(config, s_stars)
     responses, leader, users = [], [], []
     for x in points:
-        brs = solver._responses(x, s_stars, cuts)
-        spread = _spread(x, brs, config.n_users)
-        responses.append(brs)
-        leader.append(_learner_utility(config, x, brs))
-        users.append([_user_utility(config, i, x, brs[i], spread) for i in range(config.n_users)])
+        profile = StrategyProfile(x, scalar_responses(x, s_stars, cuts))
+        responses.append(list(profile.sigma_S))
+        leader.append(learner_utility(config, profile))
+        users.append([user_utility(config, i, profile) for i in range(config.n_users)])
     return responses, leader, users
 
 
 class TestUtilityPanel:
-    """The sweep's and the oracle's numpy panel equals the scalar kernel
-    exactly, not approximately."""
+    """The best responses and the numpy panel that score every command equal
+    the scalar reference and the public utilities exactly, not
+    approximately."""
+
+    @pytest.mark.parametrize("config", panel_games())
+    def test_best_responses_equal_scalar_reference(self, config):
+        s_stars = solver._s_stars(config)
+        cuts = solver._cuts(config, s_stars)
+        points = solver._grid(0.0, config.solver.sigma_max, config.solver.grid_step, 10**6)
+        points += [x for t in cuts for x in (math.nextafter(t, 0.0), t)]  # the one-sided limits
+        got = solver._best_responses(np.array(points), s_stars, cuts)
+        assert got.T.tolist() == [scalar_responses(x, s_stars, cuts) for x in points]
 
     @pytest.mark.parametrize("config", panel_games())
     def test_sweep_equals_scalar_kernel(self, config):
@@ -713,8 +729,8 @@ class TestUtilityPanel:
         calls = []
         real = solver._utility_panel
 
-        def recording(config, sigma_L, responses):
-            result = real(config, sigma_L, responses)
+        def recording(config, columns, sigma_L, responses):
+            result = real(config, columns, sigma_L, responses)
             calls.append((sigma_L.tolist(), np.transpose(responses).tolist(), result[0].tolist()))
             return result
 
@@ -722,7 +738,50 @@ class TestUtilityPanel:
         brute_force_equilibrium(config, config.solver.sigma_max / 400)
         [(grid, table, leader)] = calls
         assert len(grid) == 401
-        assert leader == [_learner_utility(config, s, row) for s, row in zip(grid, table)]
+        assert leader == [learner_utility(config, StrategyProfile(s, row)) for s, row in zip(grid, table)]
+
+
+def assert_result_is_the_public_definition(config, result):
+    """The result's utilities are the public utilities of its profile, and
+    every field is a Python float (an np.float64 prints as np.float64(...))."""
+    profile = StrategyProfile(result.sigma_L_star, result.sigma_S_star)
+    assert result.learner_utility == learner_utility(config, profile)
+    assert result.user_utilities == tuple(user_utility(config, i, profile) for i in range(config.n_users))
+    fields = [result.sigma_L_star, *result.sigma_S_star, result.learner_utility, *result.user_utilities]
+    fields += [t for t in result.per_user_thresholds if t is not None]
+    assert all(type(v) is float for v in fields)
+
+
+def assert_results_are_the_public_definition(config):
+    result = stackelberg_solve(config)
+    assert_result_is_the_public_definition(config, result)
+    assert result.sigma_S_star == best_response_profile(result.sigma_L_star, config).sigma_S
+    assert result.learner_utility == leader_objective(result.sigma_L_star, config)
+    oracle = brute_force_equilibrium(config, config.solver.sigma_max / 200)
+    assert_result_is_the_public_definition(config, oracle)
+
+
+class TestResultFields:
+    @pytest.mark.parametrize("config", panel_games())
+    def test_results_are_the_public_definition(self, config):
+        assert_results_are_the_public_definition(config)
+
+    @settings(max_examples=50, deadline=None)
+    @given(games())
+    def test_results_are_the_public_definition_on_random_games(self, config):
+        assert_results_are_the_public_definition(config)
+
+    def test_solve_memory_is_bounded_in_n(self):
+        # the solve scores _CHUNK_CELLS cells at a time: one (N, candidates)
+        # block peaks near 35 MB here
+        config = mixed_population(1024, 1)
+        tracemalloc.start()
+        try:
+            stackelberg_solve(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 def assert_no_grid_point_beats_the_solve(config, points):
@@ -734,7 +793,7 @@ def assert_no_grid_point_beats_the_solve(config, points):
     s_stars = solver._s_stars(config)
     cuts = solver._cuts(config, s_stars)
     best = max(
-        solver._learner_utility(config, s, solver._responses(s, s_stars, cuts))
+        scalar_objective(config, s, s_stars, cuts)
         for s in np.linspace(0.0, config.solver.sigma_max, points).tolist()
     )
     solved = stackelberg_solve(config).learner_utility
@@ -850,11 +909,11 @@ class TestFloatExactCandidates:
         edges = [0.0, *sorted(t for t in thresholds if t is not None and 0 < t < sigma_max), sigma_max]
 
         def objective(x):
-            return solver._learner_utility(config, x, solver._responses(x, s_stars, cuts))
+            return scalar_objective(config, x, s_stars, cuts)
 
         for lo, hi in zip(edges, edges[1:]):
             x, h = 0.5 * (lo + hi), 1e-4 * (hi - lo)
-            responses = solver._responses(x, s_stars, cuts)
+            responses = scalar_responses(x, s_stars, cuts)
             outside = [u for u, r in zip(config.users, responses) if r == 0]
             central = (objective(x + h) - objective(x - h)) / (2.0 * h)
             assert solver._piece_slope(x, config, outside) == pytest.approx(central, rel=1e-6, abs=1e-8)
