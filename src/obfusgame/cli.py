@@ -27,7 +27,7 @@ from typing import Iterable
 
 from . import __version__, dp, solver, validate
 from .config_io import load_config
-from .errors import ConfigError, GridTooLargeError, SolverError
+from .errors import ConfigError, SolverError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -240,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError, OSError) as exc:  # OSError: unusable --config or --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SolverError, GridTooLargeError) as exc:
+    except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -20,13 +20,13 @@ class NoFiniteOptimumError(ValueError):
     positive privacy stake)."""
 
 
-class ConvergenceError(RuntimeError):
+class SolverError(RuntimeError):
+    """A non-finite utility or s_star, or one of the failures below."""
+
+
+class ConvergenceError(SolverError):
     """An iterative solve ran out of its iteration budget."""
 
 
-class GridTooLargeError(RuntimeError):
-    """A brute-force grid would exceed the evaluation budget."""
-
-
-class SolverError(RuntimeError):
-    """Internal solver failure (non-finite utilities, empty candidates)."""
+class GridTooLargeError(SolverError):
+    """The brute-force oracle's grid or a sweep's would exceed its budget."""

@@ -231,7 +231,7 @@ def leader_objective(sigma_L: float, config: GameConfig) -> float:
     return learner_utility(config, best_response_profile(sigma_L, config))
 
 
-def _grid(lo: float, hi: float, step: float, max_points: int) -> list[float]:
+def _grid(lo: float, hi: float, step: float, max_points: int) -> np.ndarray:
     """lo + k * step for k = 0, 1, ... up to hi, then hi.  Before any point is
     built: GridTooLargeError for more than max_points points, then
     ValueError for a step below the float spacing at hi."""
@@ -241,7 +241,7 @@ def _grid(lo: float, hi: float, step: float, max_points: int) -> list[float]:
         raise GridTooLargeError(f"grid over [{lo}, {hi}] by {step} exceeds {max_points} points")
     if step < math.ulp(hi):
         raise ValueError(f"grid step {step} is below the float spacing at {hi}")
-    return [lo + k * step for k in range(n + 1)] + [hi] * pad
+    return np.append(lo + np.arange(n + 1) * step, [hi] * pad)
 
 
 def _piece_slope(sigma_L: float, config: GameConfig, outside: list[UserParams]) -> float:
@@ -320,20 +320,18 @@ def stackelberg_solve(config: GameConfig) -> EquilibriumResult:
 
 
 def _own_noise(
-    config: GameConfig, i: int, sigma_sq: np.ndarray | float, acc: np.ndarray, priv: np.ndarray
+    n: int, params: np.ndarray, sigma_sq: np.ndarray | float, acc: np.ndarray, priv: np.ndarray
 ) -> np.ndarray:
-    """User i's utility with every other user at 0, at sigma_L^2 = sigma_sq
-    broadcast against own noise levels acc in the accuracy and cost terms
-    and priv in the privacy term: user_utility's arithmetic in the same
-    order, so where priv is acc equal to it bit for bit, -inf included."""
-    u = config.users[i]
-    coef = u.accuracy_weight / (config.n_users * config.learner.regularizer**2)
+    """Each user's utility, params the rows of _user_columns (or one user's
+    five values), every other user at 0, at sigma_L^2 = sigma_sq broadcast
+    against own noise levels acc in the accuracy and cost terms and priv in
+    the privacy term: user_utility's arithmetic, bit for bit if priv is acc."""
+    gain, weight, loss, rate, cost = params
     with np.errstate(over="ignore"):
         squares = acc * acc
-        accuracy = u.baseline_gain - coef * (sigma_sq + squares / config.n_users)
+        accuracy = gain - weight * (sigma_sq + squares / n)
         effective = np.sqrt(sigma_sq + (squares if priv is acc else priv * priv))
-        privacy = u.max_privacy_loss / (1.0 + u.privacy_rate * effective)
-        return accuracy - privacy - u.perturbation_cost * (acc > 0)
+        return accuracy - loss / (1.0 + rate * effective) - cost * (acc > 0)
 
 
 def _require_finite(who: str, utilities: np.ndarray, sigma_L: np.ndarray | float) -> None:
@@ -402,25 +400,23 @@ def sweep(config: GameConfig, lo: float, hi: float, step: float) -> tuple[np.nda
     if not (0 <= lo <= hi and step > 0):
         raise ValueError(f"invalid sweep range [{lo}, {hi}] with step {step}")
     n = config.n_users
-    grid = np.array(_grid(lo, hi, step, _SWEEP_MAX_CELLS // (8 * n + 13)))
+    grid = _grid(lo, hi, step, _SWEEP_MAX_CELLS // (8 * n + 13))
     m = len(grid)
     count = min(5, m)
     samples = grid[[int(k * (m - 1) / max(count - 1, 1)) for k in range(count)]]
-    own = np.empty((count, n, m))
-    for row, x in zip(own, samples.tolist()):
-        for i in range(n):
-            row[i] = _own_noise(config, i, x * x, grid, grid)
+    columns = _user_columns(config)
+    own = _own_noise(n, columns, (samples * samples)[:, None, None], grid, grid)
 
     s_stars = _s_stars(config)
     responses = _best_responses(grid, s_stars, _cuts(config, s_stars))
-    leader, users = _utility_panel(config, _user_columns(config), grid, responses)
+    leader, users = _utility_panel(config, columns, grid, responses)
     _require_finite("user", users, grid)
     _require_finite("user", own, samples[:, None, None])
     return grid, samples, own, responses, leader, users
 
 
-def _best_response_table(config: GameConfig, grid: list[float]) -> np.ndarray:
-    """(m, N) table of each user's best own noise level on grid at each
+def _best_response_table(config: GameConfig, columns: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """(N, m) table of each user's best own noise level on grid at each
     sigma_L of grid, every other user at 0; ties go to the smaller one.
 
     Exact branch and bound.  The column is cut into blocks of k = isqrt(m)
@@ -440,28 +436,27 @@ def _best_response_table(config: GameConfig, grid: list[float]) -> np.ndarray:
     _CHUNK_CELLS at a time."""
     m, n = len(grid), config.n_users
     k = math.isqrt(m)
-    column = np.asarray(grid)
-    blocks = np.append(column, [grid[-1]] * (-m % k)).reshape(-1, k)
+    blocks = np.append(grid, [grid[-1]] * (-m % k)).reshape(-1, k)
     firsts, lasts = blocks[:, 0], blocks[:, -1]
     chunk = _CHUNK_CELLS // len(blocks)  # sigma_L rows bounded at once
     batch = _CHUNK_CELLS // k  # live blocks evaluated at once
-    picks = np.empty((m, n), dtype=np.intp)
+    picks = np.empty((n, m), dtype=np.intp)
     for start in range(0, m, chunk):
-        sigma_L = column[start : start + chunk]
+        sigma_L = grid[start : start + chunk]
         sigma_sq = (sigma_L * sigma_L)[:, None]
-        for i in range(n):
-            lower = _own_noise(config, i, sigma_sq, firsts, firsts).max(axis=1, keepdims=True)
-            rows, live = np.nonzero(_own_noise(config, i, sigma_sq, firsts, lasts) >= lower)
+        for params, user_picks in zip(columns[:, :, 0].T.tolist(), picks):  # floats: faster than (1,) arrays
+            lower = _own_noise(n, params, sigma_sq, firsts, firsts).max(axis=1, keepdims=True)
+            rows, live = np.nonzero(_own_noise(n, params, sigma_sq, firsts, lasts) >= lower)
             best = np.full((len(sigma_L), len(blocks)), -np.inf)
             at = np.zeros(best.shape, dtype=np.intp)
             for j in range(0, len(rows), batch):
                 r, b = rows[j : j + batch], live[j : j + batch]
                 cells = blocks[b]
-                values = _own_noise(config, i, sigma_sq[r], cells, cells)
+                values = _own_noise(n, params, sigma_sq[r], cells, cells)
                 best[r, b] = values.max(axis=1)
                 at[r, b] = values.argmax(axis=1)
             block = best.argmax(axis=1)
-            picks[start : start + chunk, i] = block * k + at[np.arange(len(block)), block]
+            user_picks[start : start + chunk] = block * k + at[np.arange(len(block)), block]
     return blocks.ravel()[picks]
 
 
@@ -480,21 +475,20 @@ def brute_force_equilibrium(config: GameConfig, fine_step: float) -> Equilibrium
     if not (math.isfinite(fine_step) and fine_step > 0):
         raise ValueError(f"fine_step must be finite and > 0, got {fine_step}")
     settings = config.solver
-    n = config.n_users
-    max_points = math.isqrt(_BRUTE_FORCE_BUDGET // n)  # m points cost m * m * n evaluations
+    _s_stars(config)  # the solve's domain: SolverError where an s_star has no finite square
+    max_points = math.isqrt(_BRUTE_FORCE_BUDGET // config.n_users)  # m points cost m * m * N evaluations
     grid = _grid(0.0, settings.sigma_max, fine_step, max_points)
-    m = len(grid)
 
-    column = np.array(grid)
-    responses = np.ascontiguousarray(_best_response_table(config, grid).T)  # (N, m) for the panel
-    leader, users = _utility_panel(config, _user_columns(config), column, responses)
+    columns = _user_columns(config)
+    responses = _best_response_table(config, columns, grid)
+    leader, users = _utility_panel(config, columns, grid, responses)
 
     def table_threshold(row: np.ndarray) -> Optional[float]:
         perturbing = np.flatnonzero(row > 0)
         if perturbing.size == 0:
             return 0.0
         last = int(perturbing[-1])
-        return None if last == m - 1 else grid[last + 1]
+        return None if last == len(grid) - 1 else float(grid[last + 1])
 
-    panel = column, responses, leader, users
+    panel = grid, responses, leader, users
     return _result(panel, _winner(leader, settings.tie_epsilon), map(table_threshold, responses))

@@ -22,7 +22,7 @@ from obfusgame.config_io import (
     parse_config_text,
     shipped_config_path,
 )
-from obfusgame.errors import ConfigError
+from obfusgame.errors import ConfigError, ConvergenceError
 
 MINIMAL = """
 learner.G_bar  = 1
@@ -295,8 +295,8 @@ def test_doubled_square_overflow_exit_2(tmp_path, capsys, command, config_edits,
     [
         ({"learner.Lambda": "1e200"}, (2, 2, 2), "regularizer"),
         ({"users[0].rho": "1e300"}, (0, 0, 0), None),
-        # s_star = 5e199; the oracle finds no s_star, and its utilities stay finite
-        ({"learner.Lambda": "1e100", "users[0].rho": "1e-300", "users[0].P_bar": "1e300"}, (3, 0, 3), "square"),
+        # s_star = 5e199 has no finite square: the oracle refuses the game as the solve does
+        ({"learner.Lambda": "1e100", "users[0].rho": "1e-300", "users[0].P_bar": "1e300"}, (3, 3, 3), "square"),
         ({"learner.gamma": "1e306"}, (3, 3, 3), "non-finite leader utility -inf"),
         ({"learner.gamma": "1e308"}, (3, 3, 3), "non-finite leader utility -inf"),
         # only losing sigma_L overflow user 0's utility; the sweep writes them all
@@ -802,6 +802,17 @@ class TestCliValidate:
         assert main(["validate", "--suite", suite, "--seed", "-5",
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: --seed must be >= 0, got -5\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("suite", ["lemma1", "lemma2", "scaling"])
+    def test_unconverged_training_exits_3(self, tmp_path, capsys, monkeypatch, suite):
+        def fail(*args, **kwargs):
+            raise ConvergenceError("no convergence in 200 iterations")
+
+        monkeypatch.setattr(erm, "train_erm", fail)
+        assert main(["validate", "--suite", suite, "--trials", "1",
+                     "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "solver error: no convergence in 200 iterations\n"
         assert not (tmp_path / "out").exists()
 
 

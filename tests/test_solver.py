@@ -74,7 +74,8 @@ def interior_point(sigma_L, config, i=0):
     """User i's positive stationary point sqrt(s_star^2 - sigma_L^2), or None
     when the learner's noise already reaches s_star."""
     s_star = solver.effective_noise_target(config.users[i], config.learner, config.solver.root_tol)
-    return math.sqrt(s_star**2 - sigma_L**2) if s_star > sigma_L else None
+    # x * x, as the kernel squares: x**2 is libm's pow, which can differ in the last bit
+    return math.sqrt(s_star * s_star - sigma_L * sigma_L) if s_star > sigma_L else None
 
 
 class TestInteriorCandidate:
@@ -325,8 +326,9 @@ class TestBruteForce:
         assert result.sigma_L_star == sigma_L
         assert result.sigma_S_star == sigma_S
         assert result.per_user_thresholds == thresholds
-        table = solver._best_response_table(config, solver._grid(0.0, config.solver.sigma_max, fine_step, 10**6))
-        assert (table > 0).sum(axis=0).tolist() == perturbing
+        grid = solver._grid(0.0, config.solver.sigma_max, fine_step, 10**6)
+        table = solver._best_response_table(config, solver._user_columns(config), grid)
+        assert (table > 0).sum(axis=1).tolist() == perturbing
 
     def test_agrees_with_solver_on_random_configs(self):
         for seed in range(5):
@@ -481,7 +483,8 @@ class TestBestResponseKernel:
             sigma[i] = sigma_S
             expected.append(user_utility(config, i, StrategyProfile(sigma_L, tuple(sigma))))
         levels = np.array(own)
-        assert solver._own_noise(config, i, sigma_L * sigma_L, levels, levels).tolist() == expected
+        params = solver._user_columns(config)[:, i]
+        assert solver._own_noise(config.n_users, params, sigma_L * sigma_L, levels, levels).tolist() == expected
 
     @settings(max_examples=100, deadline=None)
     @given(games(), sigma_levels)
@@ -528,8 +531,9 @@ class TestBestResponseKernel:
 
 
 def full_scan_table(config, grid):
-    """The best-response table by a scan of every cell, the oracle's kernel
-    before its branch and bound: the reference the pruned table must equal."""
+    """The (N, m) best-response table by a scan of every cell, the oracle's
+    kernel before its branch and bound: the reference the pruned table must
+    equal."""
     n = config.n_users
     column = np.asarray(grid)
     squares = column * column
@@ -545,7 +549,7 @@ def full_scan_table(config, grid):
             utility = u.baseline_gain - coef * spread - u.max_privacy_loss / (1.0 + u.privacy_rate * eff) - cost
             row.append(column[utility.argmax()])
         table.append(row)
-    return np.array(table)
+    return np.array(table).T
 
 
 def flat_game(n, sigma_max=10.0):
@@ -578,6 +582,20 @@ class TestOwnNoiseKernel:
         m = round(config.solver.sigma_max / fine_step) + 1
         assert 0 < sum(cells) < 0.1 * m * m * config.n_users
 
+    def test_sweep_scores_its_own_noise_table_in_one_call(self, monkeypatch):
+        # one broadcast over (samples, N, M), not a call per sample and user
+        calls = []
+        real = solver._own_noise
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_own_noise", counting)
+        config = mixed_population(8, 3)
+        own = solver.sweep(config, 0.0, config.solver.sigma_max, config.solver.grid_step)[2]
+        assert len(calls) == 1 and own.shape == (5, 8, 1001)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.one_of(games(), st.builds(mixed_population, st.integers(1, 6), st.integers(0, 2**32 - 1))),
@@ -592,9 +610,9 @@ class TestOwnNoiseKernel:
         rounding."""
         i %= config.n_users
         block = np.sort(levels)
-        sigma_sq = sigma_L * sigma_L
-        bound = solver._own_noise(config, i, sigma_sq, block[:1], block[-1:])
-        assert (solver._own_noise(config, i, sigma_sq, block, block) <= bound).all()
+        sigma_sq, n, params = sigma_L * sigma_L, config.n_users, solver._user_columns(config)[:, i]
+        bound = solver._own_noise(n, params, sigma_sq, block[:1], block[-1:])
+        assert (solver._own_noise(n, params, sigma_sq, block, block) <= bound).all()
 
     @pytest.mark.parametrize("intervals", [1, 2, 16, 99, 1999.5, 2000])
     @pytest.mark.parametrize(
@@ -615,10 +633,10 @@ class TestOwnNoiseKernel:
         config = make()
         sigma_max = config.solver.sigma_max
         grid = solver._grid(0.0, sigma_max, sigma_max / intervals, 2001)
-        table = solver._best_response_table(config, grid)
+        table = solver._best_response_table(config, solver._user_columns(config), grid)
         assert table.tolist() == full_scan_table(config, grid).tolist()
         if config.users[0].accuracy_weight == 0:  # a flat row: ties go to the smallest level
-            assert not table[:, 0].any()
+            assert not table[0].any()
 
     def test_flat_game_memory_is_bounded(self, monkeypatch):
         # a flat row prunes no block, the worst case: every one of the
@@ -645,7 +663,7 @@ class TestOwnNoiseKernel:
         tracemalloc.start()
         try:
             with pytest.raises(Enough):
-                solver._best_response_table(config, grid)
+                solver._best_response_table(config, solver._user_columns(config), grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -661,10 +679,10 @@ class TestOwnNoiseKernel:
         every other user at 0, is highest."""
         sigma_max = config.solver.sigma_max
         step = sigma_max / intervals
-        grid = solver._grid(0.0, sigma_max, step, 41)
-        table = solver._best_response_table(config, grid)
+        grid = solver._grid(0.0, sigma_max, step, 41).tolist()
+        table = solver._best_response_table(config, solver._user_columns(config), np.array(grid))
         n = config.n_users
-        for sigma_L, row in zip(grid, table.tolist()):
+        for sigma_L, row in zip(grid, table.T.tolist()):
             for i in range(n):
 
                 def utility(s):
@@ -705,7 +723,7 @@ class TestUtilityPanel:
     def test_best_responses_equal_scalar_reference(self, config):
         s_stars = solver._s_stars(config)
         cuts = solver._cuts(config, s_stars)
-        points = solver._grid(0.0, config.solver.sigma_max, config.solver.grid_step, 10**6)
+        points = solver._grid(0.0, config.solver.sigma_max, config.solver.grid_step, 10**6).tolist()
         points += [x for t in cuts for x in (math.nextafter(t, 0.0), t)]  # the one-sided limits
         got = solver._best_responses(np.array(points), s_stars, cuts)
         assert got.T.tolist() == [scalar_responses(x, s_stars, cuts) for x in points]
@@ -713,9 +731,23 @@ class TestUtilityPanel:
     @pytest.mark.parametrize("config", panel_games())
     def test_sweep_equals_scalar_kernel(self, config):
         settings = config.solver
-        grid, _, _, responses, leader, users = solver.sweep(config, 0.0, settings.sigma_max, settings.grid_step)
+        grid, samples, own, responses, leader, users = solver.sweep(
+            config, 0.0, settings.sigma_max, settings.grid_step
+        )
         expected = scalar_columns(config, grid.tolist())
         assert (responses.T.tolist(), leader.tolist(), users.T.tolist()) == expected
+        # the own-noise table, each user alone with every other user at 0, at
+        # every sample and about 64 levels of each row, both ends included: a
+        # cell's arithmetic is the same at every level, and all of them cost
+        # 5 * N * M public evaluations
+        n, m = config.n_users, len(grid)
+        levels = sorted({*range(0, m, -(-m // 64)), m - 1})
+        for x, table in zip(samples.tolist(), own.tolist()):
+            for i, row in enumerate(table):
+                sigma = [0.0] * n
+                for k in levels:
+                    sigma[i] = float(grid[k])
+                    assert row[k] == user_utility(config, i, StrategyProfile(x, sigma))
         # the two one-sided limits at each cut, each as a one-point sweep
         s_stars = solver._s_stars(config)
         for t in solver._cuts(config, s_stars):
