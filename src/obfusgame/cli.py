@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
@@ -33,16 +32,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
-
-
-@dataclasses.dataclass
-class RunManifest:
-    command: str
-    config: str | None
-    seed: int | None  # set by validate only; solve and sweep are not random
-    out: str
-    version: str
-    timestamp: str
 
 
 def _fmt(value) -> str:
@@ -73,17 +62,15 @@ def _write_csv(path: Path, header: list[str], blocks: Iterable[list[list[str]]])
 
 
 def _write_manifest(out: Path, args, command: str) -> None:
-    manifest = RunManifest(
-        command=command,
-        config=getattr(args, "config", None),
-        seed=getattr(args, "seed", None),
-        out=str(out),
-        version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-    (out / "manifest.json").write_text(
-        json.dumps(dataclasses.asdict(manifest), indent=2) + "\n", encoding="utf-8"
-    )
+    manifest = {
+        "command": command,
+        "config": getattr(args, "config", None),
+        "seed": getattr(args, "seed", None),  # set by validate only; solve and sweep are not random
+        "out": str(out),
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
 def _outdir(args) -> Path:

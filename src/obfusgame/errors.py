@@ -21,7 +21,8 @@ class NoFiniteOptimumError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """A non-finite utility or s_star, or one of the failures below."""
+    """A game refused before any work (a utility that overflows at the
+    domain's corner, an s_star with no finite square), or a failure below."""
 
 
 class ConvergenceError(SolverError):

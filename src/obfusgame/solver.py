@@ -59,6 +59,7 @@ from .game import (
     StrategyProfile,
     UserParams,
     _check_user,
+    _spread,
     learner_utility,
 )
 
@@ -169,6 +170,29 @@ def _s_stars(config: GameConfig) -> list[float]:
     ]
 
 
+def _admissible(config: GameConfig, top: float) -> list[float]:
+    """Every user's s_star, or, before any kernel runs, one SolverError if a
+    utility overflows at the corner of a command that plays sigma_L up to
+    top: sigma_L = top, every user at max(top, s_star), every privacy loss
+    at P_bar and every flat cost paid.  A utility is gain - coef * spread -
+    privacy - cost, and each of its steps (x*x, /N, the user-order sums,
+    coef *, P / (1 + rho * s), -) is correctly rounded and monotone in each
+    argument (see _best_response_table); a response's square is at most
+    s_star's, and a grid point at most top.  So no command evaluates a
+    larger spread, privacy loss or cost than the corner does, and no cell
+    can be less finite than it."""
+    s_stars = _s_stars(config)
+    n, lp = config.n_users, config.learner
+    spread, losses = _spread(top, [max(top, s) for s in s_stars], n), 0.0
+    for u in config.users:
+        losses += u.max_privacy_loss
+    players = [(lp.baseline_gain, lp.accuracy_weight, losses / n, lp.perturbation_cost)]
+    players += [(u.baseline_gain, u.accuracy_weight, u.max_privacy_loss, u.perturbation_cost) for u in config.users]
+    if not all(math.isfinite(g - w / (n * lp.regularizer**2) * spread - p - c) for g, w, p, c in players):
+        raise SolverError(f"utilities overflow at sigma_L = {top} with every user at max(sigma_L, s*)")
+    return s_stars
+
+
 def _cut(user: UserParams, s_star: float, config: GameConfig) -> float:
     """The sigma_L from which the user plays 0: the root, to float resolution,
     of its gain from topping up to s_star over not perturbing (in closed form;
@@ -232,8 +256,9 @@ def leader_objective(sigma_L: float, config: GameConfig) -> float:
 
 
 def _grid(lo: float, hi: float, step: float, max_points: int) -> np.ndarray:
-    """lo + k * step for k = 0, 1, ... up to hi, then hi.  Before any point is
-    built: GridTooLargeError for more than max_points points, then
+    """lo + k * step for k = 0, 1, ... up to hi, then hi; a last point that
+    rounds past hi is hi, so no command plays above its top.  Before any
+    point is built: GridTooLargeError for more than max_points points, then
     ValueError for a step below the float spacing at hi."""
     n = math.floor(min((hi - lo) / step + 1e-9, max_points))  # the quotient may be inf
     pad = lo + n * step < hi - 1e-12
@@ -241,7 +266,7 @@ def _grid(lo: float, hi: float, step: float, max_points: int) -> np.ndarray:
         raise GridTooLargeError(f"grid over [{lo}, {hi}] by {step} exceeds {max_points} points")
     if step < math.ulp(hi):
         raise ValueError(f"grid step {step} is below the float spacing at {hi}")
-    return np.append(lo + np.arange(n + 1) * step, [hi] * pad)
+    return np.append(np.minimum(lo + np.arange(n + 1) * step, hi), [hi] * pad)
 
 
 def _piece_slope(sigma_L: float, config: GameConfig, outside: list[UserParams]) -> float:
@@ -263,10 +288,8 @@ def _winner(leader: np.ndarray, tie_epsilon: float) -> int:
 
 
 def _result(panel: tuple, j: int, thresholds: Iterable[Optional[float]]) -> EquilibriumResult:
-    """The equilibrium at column j of panel, (sigma_L, responses, U_L, U_S).
-    SolverError for a non-finite user utility there: no command prints one."""
+    """The equilibrium at column j of panel, (sigma_L, responses, U_L, U_S)."""
     sigma_L, responses, leader, users = panel
-    _require_finite("user", users[:, j], sigma_L[j])
     return EquilibriumResult(
         sigma_L_star=float(sigma_L[j]),
         sigma_S_star=tuple(responses[:, j].tolist()),
@@ -284,7 +307,7 @@ def stackelberg_solve(config: GameConfig) -> EquilibriumResult:
     Utility ties within tie_epsilon resolve to the smaller sigma_L.
     """
     settings = config.solver
-    s_stars = _s_stars(config)
+    s_stars = _admissible(config, settings.sigma_max)
     cuts = _cuts(config, s_stars)
 
     candidates: set[float] = {0.0, settings.sigma_max}
@@ -334,16 +357,6 @@ def _own_noise(
         return accuracy - loss / (1.0 + rate * effective) - cost * (acc > 0)
 
 
-def _require_finite(who: str, utilities: np.ndarray, sigma_L: np.ndarray | float) -> None:
-    """SolverError naming the first non-finite utility and its sigma_L,
-    broadcast against utilities: no command prints or writes one."""
-    finite = np.isfinite(utilities)
-    if not finite.all():
-        at = np.unravel_index(finite.argmin(), finite.shape)
-        x = np.broadcast_to(sigma_L, finite.shape)[at]
-        raise SolverError(f"non-finite {who} utility {float(utilities[at])} at sigma_L={float(x)}")
-
-
 def _user_columns(config: GameConfig) -> np.ndarray:
     """(5, N, 1): the users' gains, accuracy coefficients, privacy stakes,
     rates and costs as columns, built once per command (O(N) in Python)."""
@@ -359,7 +372,7 @@ def _utility_panel(
     responses[i, k] at sigma_L[k], with _user_columns: the public utilities'
     arithmetic in the same order, the user-order sums by np.add.accumulate,
     which adds strictly in order, so equal to them bit for bit, -inf
-    included.  SolverError for a non-finite U_L."""
+    included (no command reaches one: _admissible refuses the game first)."""
     n, lp = config.n_users, config.learner
     gain, weight, loss, rate, cost = columns
     squares = sigma_L * sigma_L
@@ -379,7 +392,6 @@ def _utility_panel(
         total = np.add.accumulate(privacy, axis=0, out=privacy)[-1]
         leader = lp.baseline_gain - lp.accuracy_weight / (n * lp.regularizer**2) * spread - total / n
         leader -= lp.perturbation_cost * (sigma_L > 0)
-    _require_finite("leader", leader, sigma_L)
     return leader, users
 
 
@@ -393,25 +405,22 @@ def sweep(config: GameConfig, lo: float, hi: float, step: float) -> tuple[np.nda
     ValueError for a non-finite lo, step or 2 * hi^2, a range outside
     0 <= lo <= hi with step > 0, or a step below the float spacing at hi;
     before that check and before any point is built, GridTooLargeError for
-    more than _SWEEP_MAX_CELLS // (8N + 13) points; SolverError for a
-    non-finite utility in any table."""
+    more than _SWEEP_MAX_CELLS // (8N + 13) points; after them, _admissible's
+    SolverError for a game whose utilities overflow with sigma_L up to hi."""
     if not all(map(math.isfinite, (lo, hi * hi + hi * hi, step))):
         raise ValueError(f"sweep bounds, step and 2 * hi^2 must be finite, got [{lo}, {hi}] by {step}")
     if not (0 <= lo <= hi and step > 0):
         raise ValueError(f"invalid sweep range [{lo}, {hi}] with step {step}")
     n = config.n_users
     grid = _grid(lo, hi, step, _SWEEP_MAX_CELLS // (8 * n + 13))
+    s_stars = _admissible(config, hi)
     m = len(grid)
     count = min(5, m)
     samples = grid[[int(k * (m - 1) / max(count - 1, 1)) for k in range(count)]]
     columns = _user_columns(config)
     own = _own_noise(n, columns, (samples * samples)[:, None, None], grid, grid)
-
-    s_stars = _s_stars(config)
     responses = _best_responses(grid, s_stars, _cuts(config, s_stars))
     leader, users = _utility_panel(config, columns, grid, responses)
-    _require_finite("user", users, grid)
-    _require_finite("user", own, samples[:, None, None])
     return grid, samples, own, responses, leader, users
 
 
@@ -475,7 +484,7 @@ def brute_force_equilibrium(config: GameConfig, fine_step: float) -> Equilibrium
     if not (math.isfinite(fine_step) and fine_step > 0):
         raise ValueError(f"fine_step must be finite and > 0, got {fine_step}")
     settings = config.solver
-    _s_stars(config)  # the solve's domain: SolverError where an s_star has no finite square
+    _admissible(config, settings.sigma_max)  # the solve's domain; the oracle needs no s_star
     max_points = math.isqrt(_BRUTE_FORCE_BUDGET // config.n_users)  # m points cost m * m * N evaluations
     grid = _grid(0.0, settings.sigma_max, fine_step, max_points)
 

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -36,6 +37,9 @@ users[0].P_bar = 1
 users[0].rho   = 1
 users[0].N_bar = 0
 """
+
+# the one message of solver._admissible's refusal
+OVERFLOW = "utilities overflow at sigma_L"
 
 # users 0 and 1 are dissuaded at sigma_L = 4.85 and 3.41, user 2 never perturbs
 THREE_USERS = """
@@ -284,8 +288,9 @@ def test_doubled_square_overflow_exit_2(tmp_path, capsys, command, config_edits,
 
 
 # (N * Lambda)^2, (1 + rho * s)^2 and s_star^2 overflow a Python float, and
-# a gamma near the float maximum overflows the utilities to -inf; codes are
-# those of solve, solve --oracle and sweep
+# a gamma near the float maximum overflows the utilities to -inf at the
+# domain's corner, which every command refuses alike; codes are those of
+# solve, solve --oracle and sweep
 @pytest.mark.parametrize(
     "k, command", enumerate([["solve"], ["solve", "--oracle", "--fine-step", "0.5"], ["sweep"]]),
     ids=["solve", "solve_oracle", "sweep"],
@@ -297,12 +302,15 @@ def test_doubled_square_overflow_exit_2(tmp_path, capsys, command, config_edits,
         ({"users[0].rho": "1e300"}, (0, 0, 0), None),
         # s_star = 5e199 has no finite square: the oracle refuses the game as the solve does
         ({"learner.Lambda": "1e100", "users[0].rho": "1e-300", "users[0].P_bar": "1e300"}, (3, 3, 3), "square"),
-        ({"learner.gamma": "1e306"}, (3, 3, 3), "non-finite leader utility -inf"),
-        ({"learner.gamma": "1e308"}, (3, 3, 3), "non-finite leader utility -inf"),
-        # only losing sigma_L overflow user 0's utility; the sweep writes them all
-        ({"users[0].gamma": "1e306"}, (0, 0, 3), "non-finite user utility -inf"),
+        ({"learner.gamma": "1e306"}, (3, 3, 3), OVERFLOW),
+        ({"learner.gamma": "1e308"}, (3, 3, 3), OVERFLOW),
+        # only losing sigma_L overflow user 0's utility, but the corner does
+        ({"users[0].gamma": "1e306"}, (3, 3, 3), OVERFLOW),
+        # no scored sigma_L overflows the learner's utility; the corner does
+        ({"learner.gamma": "5e304"}, (3, 3, 3), OVERFLOW),
     ],
-    ids=["huge_Lambda", "huge_rho", "huge_s_star", "huge_learner_gamma", "max_learner_gamma", "huge_user_gamma"],
+    ids=["huge_Lambda", "huge_rho", "huge_s_star", "huge_learner_gamma", "max_learner_gamma", "huge_user_gamma",
+         "large_learner_gamma"],
 )
 def test_huge_parameter_ends_cleanly(tmp_path, capsys, k, command, edits, codes, message):
     text = shipped_config_path("default").read_text()
@@ -319,10 +327,69 @@ def test_huge_parameter_ends_cleanly(tmp_path, capsys, k, command, edits, codes,
         assert not out.exists()
         return
     assert err == ""
+    assert_outputs_are_finite(out)
+
+
+def test_sweep_grid_stops_at_max(tmp_path, capsys):
+    # the largest sigma_max with a finite doubled square: 87 steps of
+    # sigma_max / 87 round one ulp past it, where the own-noise table's
+    # spread, sigma_L^2 + sigma_S^2, overflows
+    sigma_max = 9.480751908109176e153
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(MINIMAL + f"solver.sigma_max = {sigma_max!r}\nsolver.grid_step = {sigma_max / 87!r}\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    assert_outputs_are_finite(tmp_path / "out")
+
+
+def assert_outputs_are_finite(out):
     for path in [*out.glob("*.csv"), *out.glob("*.txt")]:
         fields = re.split(r"[,\n]| = ", path.read_text())
         values = [float(f) for f in fields if re.fullmatch(r"[-+.\deinfa]+", f)]
         assert values and all(math.isfinite(v) for v in values), path.name
+
+
+# every parameter is drawn from these, from 0 to near the float maximum
+FUZZ_VALUES = [0.0, 5e-324, 1e-300, 1e-160, 1e-20, 1e-3, 0.1, 1.0, 4.0, 75.0, 1e20, 1e150, 1e300, 1.7e308]
+
+
+def fuzz_configs(seed, count):
+    """count (config text, grid step) pairs that load, each of 1-3 users,
+    with every parameter from FUZZ_VALUES, sigma_max log-uniform on [1e-300,
+    1e300] and the step sigma_max / 50."""
+    rng = random.Random(seed)
+    while count:
+        n, sigma_max = rng.randint(1, 3), 10.0 ** rng.uniform(-300, 300)
+        keys = [f"learner.{k}" for k in ("G_bar", "gamma", "N_bar", "Lambda")]
+        keys += [f"users[{i}].{k}" for i in range(n) for k in ("G_bar", "gamma", "P_bar", "rho", "N_bar")]
+        lines = [f"{key} = {rng.choice(FUZZ_VALUES)!r}" for key in keys]
+        lines += [f"learner.N = {n}", f"solver.sigma_max = {sigma_max!r}", f"solver.grid_step = {sigma_max / 50!r}"]
+        text = "\n".join(lines) + "\n"
+        try:
+            parse_config_text(text)
+        except ConfigError:
+            continue
+        count -= 1
+        yield text, sigma_max / 50
+
+
+def test_commands_agree_on_fuzzed_configs(tmp_path, capsys):
+    """solve, solve --oracle and sweep exit alike on every game: a refusal
+    prints one line and writes nothing, a success writes only finite values."""
+    for k, (text, step) in enumerate(fuzz_configs(1, 150)):
+        cfg = tmp_path / f"{k}.cfg"
+        cfg.write_text(text)
+        codes = []
+        for j, command in enumerate([["solve"], ["solve", "--oracle", "--fine-step", repr(step)], ["sweep"]]):
+            out = tmp_path / f"{k}-{j}"
+            codes.append(main([*command, "--config", str(cfg), "--out", str(out)]))
+            err = capsys.readouterr().err
+            if codes[-1]:
+                assert len(err.splitlines()) == 1 and not out.exists(), (text, command, err)
+            else:
+                assert err == ""
+                assert_outputs_are_finite(out)
+        assert len(set(codes)) == 1, (text, codes)
 
 
 # at 1e-160 gamma / (N * Lambda^2) overflows (NaN and -inf utilities before

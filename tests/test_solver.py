@@ -15,7 +15,7 @@ from obfusgame.config_io import (
     parse_config_text,
     shipped_config_path,
 )
-from obfusgame.errors import GridTooLargeError, NoFiniteOptimumError
+from obfusgame.errors import GridTooLargeError, NoFiniteOptimumError, SolverError
 from obfusgame.game import (
     GameConfig,
     LearnerParams,
@@ -34,7 +34,7 @@ from obfusgame.solver import (
     user_best_response,
 )
 from obfusgame.validate import random_small_config
-from test_config_cli import THREE_USERS
+from test_config_cli import OVERFLOW, THREE_USERS
 
 
 def simple_config(p_bar=8.0, rho=1.0, gamma_s=1.0, nbar_s=0.1, nbar_l=0.2,
@@ -814,6 +814,72 @@ class TestResultFields:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+
+def corner_utilities(config, top):
+    """U_L and each U_S at the corner solver._admissible checks: sigma_L =
+    top, every user at max(top, s_star), every privacy loss at P_bar and
+    every flat cost paid, in the kernels' order of operations."""
+    n, lp = config.n_users, config.learner
+    spread, losses = top * top, 0.0
+    for u, s in zip(config.users, solver._s_stars(config)):
+        spread += max(top, s) * max(top, s) / n
+        losses += u.max_privacy_loss
+    scale = n * lp.regularizer**2
+    leader = lp.baseline_gain - lp.accuracy_weight / scale * spread - losses / n - lp.perturbation_cost
+    users = [u.baseline_gain - u.accuracy_weight / scale * spread - u.max_privacy_loss - u.perturbation_cost
+             for u in config.users]
+    return leader, np.array(users)[:, None]
+
+
+# default.cfg with learner.gamma = 5e304: no scored sigma_L overflows U_L, the corner does
+INADMISSIBLE = shipped_config_path("default").read_text().replace("learner.gamma  = 4", "learner.gamma  = 5e304")
+
+
+class TestAdmissibility:
+    """One rule decides, before any kernel runs, whether a command may
+    solve a game: the utilities at the corner of its domain are finite."""
+
+    @pytest.mark.parametrize("config", panel_games())
+    def test_corner_bounds_every_evaluated_utility(self, config, monkeypatch):
+        settings = config.solver
+        leader_floor, user_floors = corner_utilities(config, settings.sigma_max)
+        panels, real = [], solver._utility_panel
+
+        def recording(*args):
+            panels.append(real(*args))
+            return panels[-1]
+
+        monkeypatch.setattr(solver, "_utility_panel", recording)
+        stackelberg_solve(config)
+        brute_force_equilibrium(config, settings.sigma_max / 200)
+        own = solver.sweep(config, 0.0, settings.sigma_max, settings.grid_step)[2]
+        assert len(panels) >= 3
+        for leader, users in panels:
+            assert (leader >= leader_floor).all() and (users >= user_floors).all()
+        assert (own >= user_floors).all()
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            stackelberg_solve,
+            lambda config: brute_force_equilibrium(config, config.solver.sigma_max / 50),
+            lambda config: solver.sweep(config, 0.0, config.solver.sigma_max, config.solver.grid_step),
+        ],
+        ids=["solve", "oracle", "sweep"],
+    )
+    def test_refusal_comes_before_any_kernel(self, run, monkeypatch):
+        def kernel(*args):
+            raise AssertionError("a kernel ran on an inadmissible game")
+
+        for name in ("_utility_panel", "_own_noise", "_best_response_table"):
+            monkeypatch.setattr(solver, name, kernel)
+        with pytest.raises(SolverError, match=f"{OVERFLOW} = 50.0 "):
+            run(parse_config_text(INADMISSIBLE))
+
+    def test_grid_stops_at_its_top(self):
+        # 3 * 0.1 rounds to 0.30000000000000004
+        assert solver._grid(0.0, 0.3, 0.1, 10).tolist() == [0.0, 0.1, 0.2, 0.3]
 
 
 def assert_no_grid_point_beats_the_solve(config, points):
