@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -177,6 +178,7 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built by the first main call, not at import; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="obfusgame",

@@ -923,6 +923,114 @@ def test_cli_imports_nothing_private():
     assert found == []
 
 
+# Run in a fresh interpreter: count the argparse parsers built by importing
+# obfusgame.cli and by each main call that follows, and record each call's
+# stdout, stderr and exit code (argparse's own SystemExit included).
+CLI_SESSION = """
+import argparse, contextlib, io, json, sys
+built = 0
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+from obfusgame.cli import main
+report = {"import": built, "calls": []}
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    report["calls"].append([out.getvalue(), err.getvalue(), code, built])
+print(json.dumps(report))
+"""
+
+# argparse wraps its help and usage text at the terminal width it reads when printing
+CLI_ENV = {**os.environ, "PYTHONPATH": str(Path(obfusgame.__file__).parents[1]), "COLUMNS": "80"}
+
+
+def cli_session(argvs):
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_SESSION, json.dumps(argvs)],
+        capture_output=True, text=True, check=True, env=CLI_ENV,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_cli_builds_one_parser_per_process(tmp_path):
+    # the root parser and its 4 subcommands, built by the first call and
+    # not at import, which would add to every start-up
+    config = str(shipped_config_path("default"))
+    report = cli_session([
+        ["solve", "--config", config, "--out", str(tmp_path / "solve")],
+        ["sweep", "--config", config, "--out", str(tmp_path / "sweep")],
+        ["dp", "--sigma", "2", "--delta", "1e-5"],
+        ["validate", "--suite", "chi2", "--trials", "1000", "--out", str(tmp_path / "chi2")],
+    ])
+    assert report["import"] == 0
+    assert [(code, built) for _, _, code, built in report["calls"]] == [(0, 5), (0, 5), (0, 5), (1, 5)]
+
+
+def test_no_state_crosses_calls(tmp_path, capsys):
+    config = str(shipped_config_path("default"))
+    assert main(["solve", "--config", config, "--oracle", "--fine-step", "0.5",
+                 "--out", str(tmp_path / "oracle")]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--config", config, "--out", str(tmp_path / "after")]) == 0
+    fresh = subprocess.run(
+        [sys.executable, "-m", "obfusgame.cli", "solve", "--config", config,
+         "--out", str(tmp_path / "fresh")],
+        capture_output=True, text=True, check=True, env=CLI_ENV,
+    )
+    assert capsys.readouterr().out == fresh.stdout
+    for name in ("equilibrium.txt", "thresholds.csv"):
+        assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    chi2 = ["validate", "--suite", "chi2", "--trials", "1000"]
+    main([*chi2, "--seed", "7", "--out", str(tmp_path / "seeded")])
+    main([*chi2, "--out", str(tmp_path / "default")])
+    assert json.loads((tmp_path / "seeded" / "manifest.json").read_text())["seed"] == 7
+    assert json.loads((tmp_path / "default" / "manifest.json").read_text())["seed"] == 0
+
+
+# argparse's own paths: help exits 0, a usage error exits 2
+ARGPARSE_EXITS = {
+    "--help": 0,
+    "solve --help": 0,
+    "sweep --help": 0,
+    "dp --help": 0,
+    "validate --help": 0,
+    "solve": 2,
+    "validate --suite nope": 2,
+}
+
+
+@pytest.fixture(scope="module")
+def argparse_session():
+    """Three rounds of every ARGPARSE_EXITS call in one fresh process; the
+    first call builds the parser."""
+    calls = cli_session([argv.split() for argv in ARGPARSE_EXITS] * 3)["calls"]
+    return {argv: calls[k::len(ARGPARSE_EXITS)] for k, argv in enumerate(ARGPARSE_EXITS)}
+
+
+@pytest.mark.parametrize("argv", list(ARGPARSE_EXITS))
+def test_argparse_output_repeats_exactly(argv, argparse_session, capsys, monkeypatch):
+    first, second, third = [call[:3] for call in argparse_session[argv]]
+    assert first == second == third
+    out, err, code = first
+    assert code == ARGPARSE_EXITS[argv]
+    assert (out if code == 0 else err).startswith("usage: obfusgame")
+    # a parser this process built long before prints the same
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(3):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert [*capsys.readouterr(), exc.value.code] == first
+
+
 def test_find_default_config_script_verifies_shipped_value(capsys):
     # the script behind the shipped configs calls the public solver API
     path = Path(__file__).parents[1] / "scripts" / "find_default_config.py"
