@@ -428,25 +428,30 @@ def _best_response_table(config: GameConfig, columns: np.ndarray, grid: np.ndarr
     """(N, m) table of each user's best own noise level on grid at each
     sigma_L of grid, every other user at 0; ties go to the smaller one.
 
-    Exact branch and bound.  The column is cut into blocks of k = isqrt(m)
-    levels (the last one padded with the top level), and for each sigma_L
-    and user, L is the highest utility at a block's first level.  In
-    _own_noise every step (x*x, /N, +, sqrt, coef*, base -, rho*, 1 +,
-    P /, -) is correctly rounded and monotone in each argument; every
-    parameter is >= 0 and rho, Lambda > 0; and the column is non-decreasing.
-    So on a block [a, b] the accuracy term is highest at a, the privacy
-    loss lowest at b and the flat cost lowest at a, and no computed cell of
-    the block exceeds its bound (A(a) - priv(b)) - cost(a), _own_noise with
-    acc = a and priv = b.  A block whose bound is below L holds neither the
-    maximum nor a tie with it, so only the cells of blocks with bound >= L
-    are evaluated, and the pick is the first of their maxima: the same
-    argmax as a scan of the whole row.  In the worst case (a flat row) no
-    block is pruned, so m^2 * N cells remain the budget, evaluated
-    _CHUNK_CELLS at a time."""
+    Exact branch and bound.  The column is cut into blocks of k =
+    max(2, isqrt(m)) levels (the last one padded with the top level).  For
+    each sigma_L and user, the utilities at the blocks' first levels are
+    the row's candidates, and L is the highest of them.  In _own_noise
+    every step (x*x, /N, +, sqrt, coef*, base -, rho*, 1 +, P /, -) is
+    correctly rounded and monotone in each argument; every parameter is
+    >= 0 and rho, Lambda > 0; and the column is non-decreasing.  So on the
+    rest [a, b] of a block, its levels after the first, the accuracy term
+    is highest at a, the privacy loss lowest at b and the flat cost lowest
+    at a, and no computed cell of the rest exceeds its bound (A(a) -
+    priv(b)) - cost(a), _own_noise with acc = a and priv = b.  A rest whose
+    bound is below L holds neither the maximum nor a tie with it, so its
+    block keeps its first level's utility; a block whose rest's bound is
+    >= L is evaluated whole, its first level again (the same float), so a
+    tie goes to the block's first maximum.  The pick is the first of the
+    blocks' maxima: the same argmax as a scan of the whole row.  Block 0's
+    first level, 0, pays no flat cost, but the bound of its rest does, so
+    a user whose cost outweighs its privacy gain evaluates no block at
+    all.  In the worst case (a flat row) no block is pruned, so m^2 * N
+    cells remain the budget, evaluated _CHUNK_CELLS at a time."""
     m, n = len(grid), config.n_users
-    k = math.isqrt(m)
+    k = max(2, math.isqrt(m))
     blocks = np.append(grid, [grid[-1]] * (-m % k)).reshape(-1, k)
-    firsts, lasts = blocks[:, 0], blocks[:, -1]
+    firsts, seconds, lasts = blocks[:, 0], blocks[:, 1], blocks[:, -1]
     chunk = _CHUNK_CELLS // len(blocks)  # sigma_L rows bounded at once
     batch = _CHUNK_CELLS // k  # live blocks evaluated at once
     picks = np.empty((n, m), dtype=np.intp)
@@ -454,9 +459,9 @@ def _best_response_table(config: GameConfig, columns: np.ndarray, grid: np.ndarr
         sigma_L = grid[start : start + chunk]
         sigma_sq = (sigma_L * sigma_L)[:, None]
         for params, user_picks in zip(columns[:, :, 0].T.tolist(), picks):  # floats: faster than (1,) arrays
-            lower = _own_noise(n, params, sigma_sq, firsts, firsts).max(axis=1, keepdims=True)
-            rows, live = np.nonzero(_own_noise(n, params, sigma_sq, firsts, lasts) >= lower)
-            best = np.full((len(sigma_L), len(blocks)), -np.inf)
+            best = _own_noise(n, params, sigma_sq, firsts, firsts)
+            bound = _own_noise(n, params, sigma_sq, seconds, lasts)
+            rows, live = np.nonzero(bound >= best.max(axis=1, keepdims=True))
             at = np.zeros(best.shape, dtype=np.intp)
             for j in range(0, len(rows), batch):
                 r, b = rows[j : j + batch], live[j : j + batch]
@@ -473,10 +478,12 @@ def brute_force_equilibrium(config: GameConfig, fine_step: float) -> Equilibrium
     """Exhaustive two-level grid search used as a test oracle.
 
     For every sigma_L grid point each user's best response is the exact
-    argmax of a dense 1-D grid over [0, sigma_max], by branch and bound: at
-    most m^2 * N user utilities on m points, far fewer unless the utility is
-    flat.  The learner then picks the grid point with the highest utility
-    (ties to the smaller sigma_L).  A
+    argmax of a dense 1-D grid over [0, sigma_max], by branch and bound: two
+    user utilities per block of about sqrt(m) levels, the block's first
+    level and the bound of its rest, and the whole block only where that
+    bound reaches the row's best first level; about m^2 * N on m points
+    when the utility is flat.  The learner then picks the grid point with
+    the highest utility (ties to the smaller sigma_L).  A
     user's threshold is read off the same table: 0.0 if the user never
     perturbs, None if they still perturb at sigma_max, and otherwise the
     grid point after the last sigma_L at which they perturb.

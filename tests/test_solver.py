@@ -565,6 +565,13 @@ def flat_game(n, sigma_max=10.0):
     )
 
 
+def costless(config):
+    """config with every user's flat cost N_bar at 0: no bound prunes the
+    rest of block 0 by the cost its first level, 0, does not pay."""
+    users = tuple(dataclasses.replace(u, perturbation_cost=0.0) for u in config.users)
+    return dataclasses.replace(config, users=users)
+
+
 class TestOwnNoiseKernel:
     def test_table_evaluates_under_a_tenth_of_the_cells(self, monkeypatch):
         # the bound prunes most blocks: a full scan evaluates all m^2 * N cells
@@ -614,6 +621,45 @@ class TestOwnNoiseKernel:
         bound = solver._own_noise(n, params, sigma_sq, block[:1], block[-1:])
         assert (solver._own_noise(n, params, sigma_sq, block, block) <= bound).all()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(games(), st.builds(mixed_population, st.integers(1, 6), st.integers(0, 2**32 - 1))),
+        st.floats(0.0, 30.0),
+        st.lists(st.floats(0.0, 30.0), min_size=1, max_size=8),
+        st.integers(0, 5),
+    )
+    def test_rest_of_block_bound_is_sound(self, config, sigma_L, levels, i):
+        """No level after a block's first exceeds the bound of the block's
+        rest, the kernel at its second level for the accuracy and cost terms
+        and at its last for the privacy term: exactly, not up to rounding.
+        The first level is scored exactly, as one of the row's candidates."""
+        i %= config.n_users
+        block = np.sort(levels)
+        sigma_sq, n, params = sigma_L * sigma_L, config.n_users, solver._user_columns(config)[:, i]
+        bound = solver._own_noise(n, params, sigma_sq, block[1:2], block[-1:])
+        assert (solver._own_noise(n, params, sigma_sq, block[1:], block[1:]) <= bound).all()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_no_block_is_scanned_where_no_user_perturbs(self, seed, monkeypatch):
+        # every user's cost exceeds its privacy stake, so the first level of
+        # block 0 wins every row and no rest's bound reaches it: the table
+        # scores each block's first level and bounds its rest, 2 * m *
+        # ceil(m / k) * N cells, and scans no block
+        config, fine_step = random_small_config(seed), 1e-3
+        cells = []
+        real = solver._own_noise
+
+        def counting(*args):
+            values = real(*args)
+            cells.append(values.size)
+            return values
+
+        monkeypatch.setattr(solver, "_own_noise", counting)
+        result = brute_force_equilibrium(config, fine_step)
+        m = round(config.solver.sigma_max / fine_step) + 1
+        assert not any(result.sigma_S_star)
+        assert sum(cells) == 2 * m * -(-m // math.isqrt(m)) * config.n_users
+
     @pytest.mark.parametrize("intervals", [1, 2, 16, 99, 1999.5, 2000])
     @pytest.mark.parametrize(
         "make",
@@ -626,8 +672,10 @@ class TestOwnNoiseKernel:
             partial(random_small_config, 7),
             partial(flat_game, 1),
             partial(flat_game, 3),
+            lambda: costless(mixed_population(4, 3)),
         ],
-        ids=list(SHIPPED_CONFIGS) + ["three_users", "mixed_4", "mixed_6", "random_0", "random_7", "flat_1", "flat_3"],
+        ids=list(SHIPPED_CONFIGS)
+        + ["three_users", "mixed_4", "mixed_6", "random_0", "random_7", "flat_1", "flat_3", "costless_mixed_4"],
     )
     def test_table_equals_full_scan(self, make, intervals):
         config = make()
