@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--oracle", action="store_true", help="use the brute-force grid oracle"
     )
-    p_solve.add_argument("--fine-step", type=float, default=1e-3)
+    p_solve.add_argument("--fine-step", type=float, default=None)  # solver.brute_force_equilibrium's default
     p_solve.set_defaults(func=_cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="emit CSV sweeps over sigma_L")

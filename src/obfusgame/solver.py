@@ -67,7 +67,8 @@ from .game import (
 # row where no block is pruned; most games evaluate a small share of them
 _BRUTE_FORCE_BUDGET = 2_000_000_000
 # cells evaluated at once, 64 KB a float array: the oracle's own-noise
-# cells, so its worst case, a flat row, peaks at a few MB at any grid the
+# cells (rows by N users in its row stage, by blocks or levels in its block
+# stage), so its worst case, a flat row, peaks at a few MB at any grid the
 # budget allows (larger chunks raised the oracle suite's peak RSS), and the
 # solve's N users at each candidate, so its working set stays bounded in N
 _CHUNK_CELLS = 2**13
@@ -428,37 +429,46 @@ def _best_response_table(config: GameConfig, columns: np.ndarray, grid: np.ndarr
     """(N, m) table of each user's best own noise level on grid at each
     sigma_L of grid, every other user at 0; ties go to the smaller one.
 
-    Exact branch and bound.  The column is cut into blocks of k =
-    max(2, isqrt(m)) levels (the last one padded with the top level).  For
-    each sigma_L and user, the utilities at the blocks' first levels are
-    the row's candidates, and L is the highest of them.  In _own_noise
-    every step (x*x, /N, +, sqrt, coef*, base -, rho*, 1 +, P /, -) is
-    correctly rounded and monotone in each argument; every parameter is
-    >= 0 and rho, Lambda > 0; and the column is non-decreasing.  So on the
-    rest [a, b] of a block, its levels after the first, the accuracy term
-    is highest at a, the privacy loss lowest at b and the flat cost lowest
-    at a, and no computed cell of the rest exceeds its bound (A(a) -
-    priv(b)) - cost(a), _own_noise with acc = a and priv = b.  A rest whose
-    bound is below L holds neither the maximum nor a tie with it, so its
-    block keeps its first level's utility; a block whose rest's bound is
-    >= L is evaluated whole, its first level again (the same float), so a
-    tie goes to the block's first maximum.  The pick is the first of the
-    blocks' maxima: the same argmax as a scan of the whole row.  Block 0's
-    first level, 0, pays no flat cost, but the bound of its rest does, so
-    a user whose cost outweighs its privacy gain evaluates no block at
-    all.  In the worst case (a flat row) no block is pruned, so m^2 * N
-    cells remain the budget, evaluated _CHUNK_CELLS at a time."""
+    Exact branch and bound.  In _own_noise every step (x*x, /N, +, sqrt,
+    coef*, base -, rho*, 1 +, P /, -) is correctly rounded and monotone in
+    each argument; every parameter is >= 0 and rho, Lambda > 0; and the
+    column is non-decreasing.  So on a run [a, b] of levels the accuracy
+    term is highest at a, the privacy loss lowest at b and the flat cost
+    lowest at a: no computed cell of the run exceeds its bound, _own_noise
+    with acc = a and priv = b.  Row stage: level 0 is scored exactly and
+    the rest of the (padded) column is one run; where its bound is strictly
+    below level 0 the pick is 0, and a tie goes on to the block stage,
+    which gives it to the smaller level.  Level 0 pays no flat cost and the
+    bound does, so a user whose cost outweighs its privacy gain costs 2
+    cells a row.  Block stage, the other rows: blocks of k = max(2,
+    isqrt(m)) levels (the last padded with the top level) have their first
+    levels' utilities as the row's candidates, L the highest.  A block
+    whose rest, its levels after the first, has a bound below L holds
+    neither the maximum nor a tie with it and keeps its first level's
+    utility; any other block is evaluated whole, its first level again (the
+    same float), so a tie goes to the block's first maximum.  The pick is
+    the first of the blocks' maxima: the same argmax as a scan of the whole
+    row.  In the worst case (a flat row) every row reaches the block stage
+    and no block is pruned, so m^2 * N cells remain the budget, evaluated
+    _CHUNK_CELLS at a time."""
     m, n = len(grid), config.n_users
     k = max(2, math.isqrt(m))
     blocks = np.append(grid, [grid[-1]] * (-m % k)).reshape(-1, k)
-    firsts, seconds, lasts = blocks[:, 0], blocks[:, 1], blocks[:, -1]
+    column, firsts, seconds, lasts = blocks.ravel(), blocks[:, 0], blocks[:, 1], blocks[:, -1]
     chunk = _CHUNK_CELLS // len(blocks)  # sigma_L rows bounded at once
     batch = _CHUNK_CELLS // k  # live blocks evaluated at once
-    picks = np.empty((n, m), dtype=np.intp)
-    for start in range(0, m, chunk):
-        sigma_L = grid[start : start + chunk]
-        sigma_sq = (sigma_L * sigma_L)[:, None]
-        for params, user_picks in zip(columns[:, :, 0].T.tolist(), picks):  # floats: faster than (1,) arrays
+    width = max(1, _CHUNK_CELLS // n)  # sigma_L rows of the row stage, all N users at once
+    unsettled = np.empty((n, m), dtype=bool)  # rows whose rest's bound reaches level 0
+    for start in range(0, m, width):
+        sigma_sq = grid[start : start + width] * grid[start : start + width]
+        rest = _own_noise(n, columns, sigma_sq, column[1:2], column[-1:])
+        unsettled[:, start : start + width] = rest >= _own_noise(n, columns, sigma_sq, column[:1], column[:1])
+    picks = np.zeros((n, m), dtype=np.intp)
+    for params, user_picks, open_rows in zip(columns[:, :, 0].T.tolist(), picks, unsettled):  # floats beat (1,) arrays
+        rows_left = np.flatnonzero(open_rows)
+        for start in range(0, len(rows_left), chunk):
+            at_rows = rows_left[start : start + chunk]
+            sigma_sq = (grid[at_rows] * grid[at_rows])[:, None]
             best = _own_noise(n, params, sigma_sq, firsts, firsts)
             bound = _own_noise(n, params, sigma_sq, seconds, lasts)
             rows, live = np.nonzero(bound >= best.max(axis=1, keepdims=True))
@@ -470,30 +480,37 @@ def _best_response_table(config: GameConfig, columns: np.ndarray, grid: np.ndarr
                 best[r, b] = values.max(axis=1)
                 at[r, b] = values.argmax(axis=1)
             block = best.argmax(axis=1)
-            user_picks[start : start + chunk] = block * k + at[np.arange(len(block)), block]
-    return blocks.ravel()[picks]
+            user_picks[at_rows] = block * k + at[np.arange(len(block)), block]
+    return column[picks]
 
 
-def brute_force_equilibrium(config: GameConfig, fine_step: float) -> EquilibriumResult:
+def brute_force_equilibrium(config: GameConfig, fine_step: Optional[float] = None) -> EquilibriumResult:
     """Exhaustive two-level grid search used as a test oracle.
 
     For every sigma_L grid point each user's best response is the exact
-    argmax of a dense 1-D grid over [0, sigma_max], by branch and bound: two
-    user utilities per block of about sqrt(m) levels, the block's first
-    level and the bound of its rest, and the whole block only where that
-    bound reaches the row's best first level; about m^2 * N on m points
-    when the utility is flat.  The learner then picks the grid point with
-    the highest utility (ties to the smaller sigma_L).  A
-    user's threshold is read off the same table: 0.0 if the user never
-    perturbs, None if they still perturb at sigma_max, and otherwise the
-    grid point after the last sigma_L at which they perturb.
+    argmax of a dense 1-D grid over [0, sigma_max] by fine_step (1e-3, or
+    where that is over the budget one point under it), by branch and
+    bound: two user utilities per row, level 0 and the bound of the rest,
+    and where that bound reaches level 0, two per block of about sqrt(m)
+    levels and the whole block where its bound reaches the row's best
+    first level; about m^2 * N on m points when the utility is flat.  The
+    learner then picks the grid point with the highest utility (ties to
+    the smaller sigma_L).  A user's threshold is read off the same table:
+    0.0 if the user never perturbs, None if they still perturb at
+    sigma_max, and otherwise the grid point after the last sigma_L at
+    which they perturb.
     """
-    if not (math.isfinite(fine_step) and fine_step > 0):
+    if fine_step is not None and not (math.isfinite(fine_step) and fine_step > 0):
         raise ValueError(f"fine_step must be finite and > 0, got {fine_step}")
     settings = config.solver
     _admissible(config, settings.sigma_max)  # the solve's domain; the oracle needs no s_star
     max_points = math.isqrt(_BRUTE_FORCE_BUDGET // config.n_users)  # m points cost m * m * N evaluations
-    grid = _grid(0.0, settings.sigma_max, fine_step, max_points)
+    try:
+        grid = _grid(0.0, settings.sigma_max, fine_step or 1e-3, max_points)
+    except GridTooLargeError:
+        if fine_step is not None:
+            raise
+        grid = _grid(0.0, settings.sigma_max, settings.sigma_max / (max_points - 2), max_points)
 
     columns = _user_columns(config)
     responses = _best_response_table(config, columns, grid)

@@ -259,6 +259,13 @@ class TestCliSolve:
         assert "solver error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+    def test_oracle_default_fine_step_fits_the_budget(self, tmp_path, name):
+        # sigma_max = 50 by 1e-3 is 50,001 points, over the 44,721 of one user
+        assert main([
+            "solve", "--config", str(shipped_config_path(name)), "--out", str(tmp_path), "--oracle",
+        ]) == 0
+
     @pytest.mark.parametrize("fine_step", ["nan", "inf", "0", "-1"])
     def test_bad_oracle_fine_step_exit_2(self, tmp_path, capsys, fine_step):
         assert main([
@@ -696,6 +703,47 @@ def test_sweep_outputs_match_pinned_digests(tmp_path, capsys, name, grid):
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), *SWEEP_GRIDS[grid]]) == 0
     digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in PINNED_FILES[2:])
     assert digests == PINNED_SWEEP_DIGESTS[name, grid]
+
+
+# sha256 of equilibrium.txt and thresholds.csv of `solve --oracle --fine-step
+# 0.002` (25,001 points), and of validate_oracle.csv of `validate --suite
+# oracle` (20 configs, seed 0): the oracle's table must not move them
+PINNED_ORACLE_DIGESTS = {
+    "default": (
+        "5c4ef924c098b38ddce7c8fb1111c28d3e0105c789213c63c1847b976dd8eb61",
+        "913f3ec8ff0c5d3ee1c68d380aa29d47cb6b913530cd37ffd70796977960341d",
+    ),
+    "low_cost": (
+        "2867bdce7a6f03c46a82afeae50eb531043f95d1217e857080b228332dc75286",
+        "4486e0ed5c30ef0669829ac180ffa9d174075a0ba7aff0b609109e793d11bd41",
+    ),
+    # the same game as default
+    "mid_cost": (
+        "5c4ef924c098b38ddce7c8fb1111c28d3e0105c789213c63c1847b976dd8eb61",
+        "913f3ec8ff0c5d3ee1c68d380aa29d47cb6b913530cd37ffd70796977960341d",
+    ),
+    "high_cost": (
+        "beaef663dd2b9a47f3444e2bd2a72a33f8fd6a0cb50ec1f79bac7a5b8c82ab58",
+        "daec0a0237d808221cf876091a554d7ec0ad4ea8b9bd874c7a42bf84897f47f7",
+    ),
+}
+PINNED_VALIDATE_ORACLE_DIGEST = "30564d89d37059fbc6f66e6450f26d9af5418cb46a0c53dce9d6cd04a98dab19"
+
+
+@pytest.mark.parametrize("name", list(PINNED_ORACLE_DIGESTS))
+def test_oracle_solve_outputs_match_pinned_digests(tmp_path, capsys, name):
+    assert main([
+        "solve", "--config", str(shipped_config_path(name)), "--out", str(tmp_path),
+        "--oracle", "--fine-step", "0.002",
+    ]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in PINNED_FILES[:2])
+    assert digests == PINNED_ORACLE_DIGESTS[name]
+
+
+def test_oracle_suite_output_matches_pinned_digest(tmp_path, capsys):
+    assert main(["validate", "--suite", "oracle", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "validate_oracle.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_VALIDATE_ORACLE_DIGEST
 
 
 def reference_csv(path, header, rows):

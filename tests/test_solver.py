@@ -286,6 +286,24 @@ class TestBruteForce:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("sigma_max", [4.0, 44.719, 44.7195, 44.72, 44.7205, 50.0])
+    def test_default_fine_step_is_1e_3_where_its_grid_fits(self, monkeypatch, sigma_max):
+        # one user may have 44,721 points: 1e-3 fits up to sigma_max = 44.72
+        # (with sigma_max appended from 44.7195), and past it the default
+        # is the step one point under the cap
+        grids, real = [], solver._grid
+        monkeypatch.setattr(solver, "_grid", lambda *args: grids.append(real(*args)) or grids[-1])
+        brute_force_equilibrium(never_perturbing_game(sigma_max))
+        try:
+            expected = real(0.0, sigma_max, 1e-3, 44_721)
+        except GridTooLargeError:
+            expected = real(0.0, sigma_max, sigma_max / 44_719, 44_721)
+        assert grids[-1].tolist() == expected.tolist()
+        if sigma_max > 44.72:
+            assert len(expected) == 44_720
+        else:
+            assert expected[1] == 1e-3
+
     @pytest.mark.parametrize(
         "make",
         [lambda: load_shipped_config("default"), lambda: mixed_population(4, seed=3)],
@@ -565,6 +583,16 @@ def flat_game(n, sigma_max=10.0):
     )
 
 
+def never_perturbing_game(sigma_max):
+    """One user whose flat cost exceeds its privacy stake: level 0 wins
+    every row of its table."""
+    return GameConfig(
+        learner=LearnerParams(5.0, 1.0, 0.2, 1.0, 1),
+        users=(UserParams(5.0, 1.0, 1.0, 1.0, 2.0),),
+        solver=SolverSettings(sigma_max=sigma_max),
+    )
+
+
 def costless(config):
     """config with every user's flat cost N_bar at 0: no bound prunes the
     rest of block 0 by the cost its first level, 0, does not pay."""
@@ -641,10 +669,10 @@ class TestOwnNoiseKernel:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_no_block_is_scanned_where_no_user_perturbs(self, seed, monkeypatch):
-        # every user's cost exceeds its privacy stake, so the first level of
-        # block 0 wins every row and no rest's bound reaches it: the table
-        # scores each block's first level and bounds its rest, 2 * m *
-        # ceil(m / k) * N cells, and scans no block
+        # every user's cost exceeds its privacy stake, so level 0 wins every
+        # row and the bound of the column's rest stays below it: the table
+        # scores level 0 and bounds the rest, 2 * m * N cells, and bounds
+        # or scans no block
         config, fine_step = random_small_config(seed), 1e-3
         cells = []
         real = solver._own_noise
@@ -658,7 +686,31 @@ class TestOwnNoiseKernel:
         result = brute_force_equilibrium(config, fine_step)
         m = round(config.solver.sigma_max / fine_step) + 1
         assert not any(result.sigma_S_star)
-        assert sum(cells) == 2 * m * -(-m // math.isqrt(m)) * config.n_users
+        assert sum(cells) == 2 * m * config.n_users
+
+    def test_never_perturbing_user_at_the_largest_grid_costs_two_cells_a_row(self, monkeypatch):
+        # one user at m = 44,721 points, the largest grid the budget allows
+        # at N = 1: the row stage settles every row, 2 * m cells in all
+        config = never_perturbing_game(50.0)
+        grid = solver._grid(0.0, 50.0, 50.0 / 44_720, 44_721)
+        assert len(grid) == math.isqrt(solver._BRUTE_FORCE_BUDGET)
+        cells = []
+        real = solver._own_noise
+
+        def counting(*args):
+            values = real(*args)
+            cells.append(values.size)
+            return values
+
+        monkeypatch.setattr(solver, "_own_noise", counting)
+        tracemalloc.start()
+        try:
+            table = solver._best_response_table(config, solver._user_columns(config), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not table.any() and sum(cells) == 2 * len(grid)
+        assert peak < 3_000_000
 
     @pytest.mark.parametrize("intervals", [1, 2, 16, 99, 1999.5, 2000])
     @pytest.mark.parametrize(
