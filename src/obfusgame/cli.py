@@ -22,6 +22,7 @@ import functools
 import json
 import sys
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -33,6 +34,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
+
+# cells formatted by one % in _write_csv: a table of 10^6 rows is written a
+# bounded slice at a time, and the default sweep's tables in one %
+_WRITE_CELLS = 2**16
 
 
 def _fmt(value) -> str:
@@ -51,15 +56,23 @@ def _columns(rows: Iterable[list]) -> list[list[str]]:
     return [list(map(_fmt, column)) for column in zip(*rows)]
 
 
-def _write_csv(path: Path, header: list[str], blocks: Iterable[list[list[str]]]) -> None:
-    """Write header, then each block's rows: a block is a list of equal-length
-    columns of formatted strings.  Fields are not quoted, so a value must
-    hold no comma, quote or line break; lines end in \\r\\n as csv.writer's."""
+def _write_csv(path: Path, header: list[str], blocks: Iterable[list]) -> None:
+    """Write header, then each block's rows.  A block is a list of equal-length
+    columns, each a list of formatted strings (written as they are, so one
+    list can be shared by several tables) or a float array (written %.12g,
+    as _fmt writes a float).  A block is formatted by one % on its row
+    template repeated, _WRITE_CELLS cells at a time.  Fields are not quoted,
+    so a value must hold no comma, quote or line break; lines end in \\r\\n
+    as csv.writer's."""
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for columns in blocks:
-            lines = "\r\n".join(map(",".join, zip(*columns)))
-            fh.write(lines and lines + "\r\n")
+            shared = [isinstance(column, list) for column in columns]
+            row = ",".join("%s" if s else "%.12g" for s in shared) + "\r\n"
+            rows = max(1, _WRITE_CELLS // len(columns))
+            for k in range(0, len(columns[0]), rows):
+                cells = [c[k : k + rows] if s else c[k : k + rows].tolist() for c, s in zip(columns, shared)]
+                fh.write(row * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
 
 
 def _write_manifest(out: Path, args, command: str) -> None:
@@ -115,16 +128,16 @@ def _cmd_sweep(args) -> int:
     step = settings.grid_step if args.step is None else args.step
     grid, samples, own, responses, leader, utilities = solver.sweep(config, lo, hi, step)
     out = _outdir(args)
-    # each value is formatted once; a column is shared by the tables that hold it
+    # the columns several tables hold are formatted once and shared; the
+    # utilities are formatted as they are written
     sigma, brs = _formatted(grid), list(map(_formatted, responses))
     br_head = [f"br_user_{i}" for i in range(config.n_users)]
     u_head = [f"U_S_{i}" for i in range(config.n_users)]
-    # one block per sampled sigma_L, formatted as it is written
-    samples = _formatted(samples)
-    own_blocks = ([[s] * len(sigma), sigma, *map(_formatted, block)] for s, block in zip(samples, own))
+    # one block per sampled sigma_L
+    own_blocks = ([[s] * len(sigma), sigma, *block] for s, block in zip(_formatted(samples), own))
     _write_csv(out / "sweep_user_utility.csv", ["sigma_L", "sigma_S", *u_head], own_blocks)
     _write_csv(out / "sweep_best_response.csv", ["sigma_L", *br_head], [[sigma, *brs]])
-    leader_columns = [sigma, *brs, _formatted(leader), *map(_formatted, utilities)]
+    leader_columns = [sigma, *brs, leader, *utilities]
     _write_csv(out / "sweep_leader.csv", ["sigma_L", *br_head, "U_L", *u_head], [leader_columns])
     _write_manifest(out, args, "sweep")
     print(f"wrote 3 sweep files to {out}")

@@ -63,18 +63,19 @@ from .game import (
     learner_utility,
 )
 
-# cap on the brute-force oracle's user utilities in the worst case, a flat
-# row where no block is pruned; most games evaluate a small share of them
+# cap on the brute-force oracle's user utilities in the worst case, no
+# block of any row pruned; most games evaluate a small share of them
 _BRUTE_FORCE_BUDGET = 2_000_000_000
 # cells evaluated at once, 64 KB a float array: the oracle's own-noise
 # cells (rows by N users in its row stage, by blocks or levels in its block
-# stage), so its worst case, a flat row, peaks at a few MB at any grid the
-# budget allows (larger chunks raised the oracle suite's peak RSS), and the
-# solve's N users at each candidate, so its working set stays bounded in N
+# stage), so its worst case, no block pruned, peaks at a few MB at any grid
+# the budget allows (larger chunks raised the oracle suite's peak RSS), and
+# the solve's N users at each candidate, so its working set stays bounded in N
 _CHUNK_CELLS = 2**13
 # cap on a sweep's grid points, _SWEEP_MAX_CELLS // (8N + 13): 10^6 points
 # at N = 1; the default sweep has 1,001.  A point holds 7N + 2 floats in
-# sweep's columns, and 3N + 2 strings while the CLI writes them
+# sweep's columns, and N + 1 strings while the CLI writes them (the grid
+# and the best responses; it formats the rest a bounded slice at a time)
 _SWEEP_MAX_CELLS = 21_000_000
 
 
@@ -257,12 +258,14 @@ def leader_objective(sigma_L: float, config: GameConfig) -> float:
 
 
 def _grid(lo: float, hi: float, step: float, max_points: int) -> np.ndarray:
-    """lo + k * step for k = 0, 1, ... up to hi, then hi; a last point that
-    rounds past hi is hi, so no command plays above its top.  Before any
-    point is built: GridTooLargeError for more than max_points points, then
-    ValueError for a step below the float spacing at hi."""
+    """lo + k * step for k = 0, 1, ... up to hi, then hi unless the last
+    point falls short of it by no more than 4 ulps of hi, the rounding of a
+    step that divides the range; a last point that rounds past hi is hi, so
+    no command plays above its top.  Before any point is built:
+    GridTooLargeError for more than max_points points, then ValueError for
+    a step below the float spacing at hi."""
     n = math.floor(min((hi - lo) / step + 1e-9, max_points))  # the quotient may be inf
-    pad = lo + n * step < hi - 1e-12
+    pad = hi - (lo + n * step) > 4 * math.ulp(hi)
     if n + 1 + pad > max_points:
         raise GridTooLargeError(f"grid over [{lo}, {hi}] by {step} exceeds {max_points} points")
     if step < math.ulp(hi):
@@ -436,11 +439,11 @@ def _best_response_table(config: GameConfig, columns: np.ndarray, grid: np.ndarr
     term is highest at a, the privacy loss lowest at b and the flat cost
     lowest at a: no computed cell of the run exceeds its bound, _own_noise
     with acc = a and priv = b.  Row stage: level 0 is scored exactly and
-    the rest of the (padded) column is one run; where its bound is strictly
-    below level 0 the pick is 0, and a tie goes on to the block stage,
-    which gives it to the smaller level.  Level 0 pays no flat cost and the
-    bound does, so a user whose cost outweighs its privacy gain costs 2
-    cells a row.  Block stage, the other rows: blocks of k = max(2,
+    the rest of the (padded) column is one run; where its bound is at most
+    level 0 the pick is 0, as no cell of the rest exceeds level 0 and a tie
+    goes to the smaller level.  Level 0 pays no flat cost and the bound
+    does, so a flat row, or a user whose cost outweighs its privacy gain,
+    costs 2 cells a row.  Block stage, the other rows: blocks of k = max(2,
     isqrt(m)) levels (the last padded with the top level) have their first
     levels' utilities as the row's candidates, L the highest.  A block
     whose rest, its levels after the first, has a bound below L holds
@@ -448,9 +451,9 @@ def _best_response_table(config: GameConfig, columns: np.ndarray, grid: np.ndarr
     utility; any other block is evaluated whole, its first level again (the
     same float), so a tie goes to the block's first maximum.  The pick is
     the first of the blocks' maxima: the same argmax as a scan of the whole
-    row.  In the worst case (a flat row) every row reaches the block stage
-    and no block is pruned, so m^2 * N cells remain the budget, evaluated
-    _CHUNK_CELLS at a time."""
+    row.  A row that rises and then, at float resolution, is level from the
+    end of its first block on prunes no block: m + 2m/k cells.  m^2 * N
+    cells remain the budget, evaluated _CHUNK_CELLS at a time."""
     m, n = len(grid), config.n_users
     k = max(2, math.isqrt(m))
     blocks = np.append(grid, [grid[-1]] * (-m % k)).reshape(-1, k)
@@ -458,11 +461,11 @@ def _best_response_table(config: GameConfig, columns: np.ndarray, grid: np.ndarr
     chunk = _CHUNK_CELLS // len(blocks)  # sigma_L rows bounded at once
     batch = _CHUNK_CELLS // k  # live blocks evaluated at once
     width = max(1, _CHUNK_CELLS // n)  # sigma_L rows of the row stage, all N users at once
-    unsettled = np.empty((n, m), dtype=bool)  # rows whose rest's bound reaches level 0
+    unsettled = np.empty((n, m), dtype=bool)  # rows whose rest's bound exceeds level 0
     for start in range(0, m, width):
         sigma_sq = grid[start : start + width] * grid[start : start + width]
         rest = _own_noise(n, columns, sigma_sq, column[1:2], column[-1:])
-        unsettled[:, start : start + width] = rest >= _own_noise(n, columns, sigma_sq, column[:1], column[:1])
+        unsettled[:, start : start + width] = rest > _own_noise(n, columns, sigma_sq, column[:1], column[:1])
     picks = np.zeros((n, m), dtype=np.intp)
     for params, user_picks, open_rows in zip(columns[:, :, 0].T.tolist(), picks, unsettled):  # floats beat (1,) arrays
         rows_left = np.flatnonzero(open_rows)
@@ -491,9 +494,9 @@ def brute_force_equilibrium(config: GameConfig, fine_step: Optional[float] = Non
     argmax of a dense 1-D grid over [0, sigma_max] by fine_step (1e-3, or
     where that is over the budget one point under it), by branch and
     bound: two user utilities per row, level 0 and the bound of the rest,
-    and where that bound reaches level 0, two per block of about sqrt(m)
+    and where that bound exceeds level 0, two per block of about sqrt(m)
     levels and the whole block where its bound reaches the row's best
-    first level; about m^2 * N on m points when the utility is flat.  The
+    first level; about m^2 * N on m points if no block is pruned.  The
     learner then picks the grid point with the highest utility (ties to
     the smaller sigma_L).  A user's threshold is read off the same table:
     0.0 if the user never perturbs, None if they still perturb at

@@ -42,7 +42,6 @@ _CHI2_MAX_DRAWS = 10**8
 _SCALING_POINTS = 10
 _MIN_SPEARMAN = 0.9
 
-_ORACLE_FINE_STEP = 1e-3
 _ORACLE_UTILITY_TOL = 1e-6
 
 
@@ -235,7 +234,7 @@ def run_oracle_suite(configs: int = 20, base_seed: int = 0) -> SuiteResult:
         seed = base_seed + t
         config = random_small_config(seed)
         fast = stackelberg_solve(config)
-        slow = brute_force_equilibrium(config, _ORACLE_FINE_STEP)
+        slow = brute_force_equilibrium(config)
         sigma_err = abs(fast.sigma_L_star - slow.sigma_L_star)
         util_err = abs(fast.learner_utility - slow.learner_utility)
         ok = sigma_err <= config.solver.grid_step and util_err <= _ORACLE_UTILITY_TOL

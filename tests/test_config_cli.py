@@ -560,6 +560,17 @@ class TestCliSweep:
         rows = (tmp_path / "sweep_best_response.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["0", "0.3", "0.6", "0.9", "1"]
 
+    def test_last_row_is_not_repeated(self, tmp_path):
+        # 3071 steps of --max / 3071 end one ulp below --max, a point the
+        # CSV writes as --max itself; the grid adds no second one
+        top = 29410.020397065022
+        assert main([
+            "sweep", "--config", str(shipped_config_path("default")),
+            "--out", str(tmp_path), "--max", repr(top), "--step", repr(top / 3071),
+        ]) == 0
+        rows = (tmp_path / "sweep_best_response.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3072 and rows[-2:] == ["29400.4437053,0", "29410.0203971,0"]
+
     @pytest.mark.parametrize(
         "args, code",
         [
@@ -759,7 +770,7 @@ def reference_csv(path, header, rows):
 
 WRITER_TABLES = (
     "sweep_user_utility", "sweep_best_response", "sweep_leader", "thresholds",
-    "validate_oracle", "validate_chi2", "validate_lemma1", "special",
+    "validate_oracle", "validate_chi2", "validate_lemma1", "special", "float_arrays",
 )
 
 
@@ -791,15 +802,23 @@ def writer_tables(tmp_path_factory):
     special = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 10**20,
                np.float64(1 / 3), np.int64(5), True]
     tables["special"] = [special, special[::-1], [0, ""] * 5, [2.5] * 10]
+    # each column holds each value; each half has more cells than one % of
+    # the writer formats
+    floats = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 1 / 3]
+    tables["float_arrays"] = [[floats[(j + c) % 7] for c in range(7)] for j in range(2 * 10**4)]
     return tables, sweep_out
 
 
 @pytest.mark.parametrize("name", WRITER_TABLES)
 def test_writer_matches_reference_bytes(tmp_path, writer_tables, name):
-    """The sweep files as the CLI writes them, and every other table through
-    the column writer as solve and validate call it, are byte for byte what
-    csv.writer writes from _fmt of each value."""
-    from obfusgame.cli import _columns, _write_csv
+    """The sweep files as the CLI writes them, float_arrays in two blocks of
+    float arrays beside a shared string column, as the sweep passes its
+    utilities, and every other table through the writer as solve and
+    validate call it, are byte for byte what csv.writer writes from _fmt of
+    each value."""
+    import numpy as np
+
+    from obfusgame.cli import _columns, _formatted, _write_csv
 
     tables, sweep_out = writer_tables
     rows = tables[name]
@@ -809,7 +828,11 @@ def test_writer_matches_reference_bytes(tmp_path, writer_tables, name):
     else:
         written = tmp_path / "written.csv"
         header = [f"c{k}" for k in range(len(rows[0]))]
-        _write_csv(written, header, [_columns(rows)])
+        if name == "float_arrays":
+            blocks = [[_formatted(block[0]), *block[1:]] for block in np.split(np.array(rows).T, 2, axis=1)]
+        else:
+            blocks = [_columns(rows)]
+        _write_csv(written, header, blocks)
     reference_csv(tmp_path / "reference.csv", header, rows)
     assert written.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 

@@ -572,14 +572,29 @@ def full_scan_table(config, grid):
 
 def flat_game(n, sigma_max=10.0):
     """User 0 has no accuracy weight, privacy stake or cost, so its utility
-    is the same at every own noise level and no block of its rows is pruned;
-    the other users are peaked."""
+    is the same at every own noise level and the bound of each row's rest
+    ties level 0, which settles the row; the other users are peaked."""
     flat = UserParams(1.0, 0.0, 0.0, 1.0, 0.0)
     peaked = UserParams(5.0, 1.0, 8.0, 1.0, 0.1)
     return GameConfig(
         learner=LearnerParams(5.0, 1.0, 0.2, 1.0, n),
         users=(flat,) + (peaked,) * (n - 1),
         solver=SolverSettings(sigma_max=sigma_max, grid_step=0.05),
+    )
+
+
+def saturating_game(sigma_max):
+    """One user whose utility, at float resolution, rises from own noise 0
+    and is level at its baseline gain of 1 once the effective noise reaches
+    0.1: its accuracy weight is too small to move 1 - w * s^2, and its
+    privacy loss P / (1 + s) falls to 2^-54, half the spacing below 1, at
+    s = 0.1.  So the row stage leaves open each sigma_L row below 0.1, where
+    the row rises, and on a grid whose first block ends past 0.1 such a row
+    is level from there on: the block stage prunes none of its blocks."""
+    return GameConfig(
+        learner=LearnerParams(5.0, 1.0, 0.2, 1.0, 1),
+        users=(UserParams(1.0, 1e-20, 1.1 * 2.0**-54, 1.0, 0.0),),
+        solver=SolverSettings(sigma_max=sigma_max),
     )
 
 
@@ -725,9 +740,11 @@ class TestOwnNoiseKernel:
             partial(flat_game, 1),
             partial(flat_game, 3),
             lambda: costless(mixed_population(4, 3)),
+            partial(saturating_game, 20.0),
         ],
         ids=list(SHIPPED_CONFIGS)
-        + ["three_users", "mixed_4", "mixed_6", "random_0", "random_7", "flat_1", "flat_3", "costless_mixed_4"],
+        + ["three_users", "mixed_4", "mixed_6", "random_0", "random_7", "flat_1", "flat_3", "costless_mixed_4",
+           "saturating"],
     )
     def test_table_equals_full_scan(self, make, intervals):
         config = make()
@@ -738,35 +755,50 @@ class TestOwnNoiseKernel:
         if config.users[0].accuracy_weight == 0:  # a flat row: ties go to the smallest level
             assert not table[0].any()
 
-    def test_flat_game_memory_is_bounded(self, monkeypatch):
-        # a flat row prunes no block, the worst case: every one of the
-        # 20,001^2 cells is evaluated.  Every sigma_L chunk but the last
-        # allocates the same arrays, so the first 3e7 cells (of 4e8, about
-        # 10 s in all) reach the run's peak
+    def test_flat_rows_are_settled_by_the_row_stage(self, monkeypatch):
+        # the bound of a flat row's rest ties level 0, which wins the tie:
+        # 2 * m cells in all, where the block stage would scan every cell
         config = flat_game(1, sigma_max=20.0)
         grid = solver._grid(0.0, 20.0, 1e-3, 10**6)
-        assert len(grid) == 20_001
-        cells = [0]
+        cells = []
         real = solver._own_noise
-
-        class Enough(Exception):
-            pass
 
         def counting(*args):
             values = real(*args)
-            cells[0] += values.size
-            if cells[0] > 3 * 10**7:
-                raise Enough
+            cells.append(values.size)
+            return values
+
+        monkeypatch.setattr(solver, "_own_noise", counting)
+        table = solver._best_response_table(config, solver._user_columns(config), grid)
+        assert not table.any() and sum(cells) == 2 * len(grid)
+
+    def test_block_stage_memory_is_bounded(self, monkeypatch):
+        # the worst case of the block stage: the 100 sigma_L rows below 0.1
+        # keep all 142 blocks of 141 levels live, each row costing its 142
+        # first levels, 142 bounds and every one of its 142 * 141 cells after
+        # the row stage's 2 * m.  A chunk of 8192 // 142 = 57 such rows
+        # allocates the stage's largest arrays
+        config = saturating_game(20.0)
+        grid = solver._grid(0.0, 20.0, 1e-3, 10**6)
+        m, k, blocks = 20_001, 141, 142
+        assert len(grid) == m and math.isqrt(m) == k and blocks * k >= m > (blocks - 1) * k
+        cells = []
+        real = solver._own_noise
+
+        def counting(*args):
+            values = real(*args)
+            cells.append(values.size)
             return values
 
         monkeypatch.setattr(solver, "_own_noise", counting)
         tracemalloc.start()
         try:
-            with pytest.raises(Enough):
-                solver._best_response_table(config, solver._user_columns(config), grid)
+            table = solver._best_response_table(config, solver._user_columns(config), grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert table[0, :100].all() and not table[0, 100:].any()
+        assert sum(cells) == 2 * m + 100 * (2 * blocks + blocks * k)
         assert peak < 3_000_000
 
     @settings(max_examples=100, deadline=None)
@@ -980,6 +1012,17 @@ class TestAdmissibility:
     def test_grid_stops_at_its_top(self):
         # 3 * 0.1 rounds to 0.30000000000000004
         assert solver._grid(0.0, 0.3, 0.1, 10).tolist() == [0.0, 0.1, 0.2, 0.3]
+
+    def test_grid_keeps_a_last_point_an_ulp_short_of_its_top(self):
+        # 3 * 0.3 rounds to 0.8999999999999999, one ulp below 0.9: no pad
+        assert solver._grid(0.0, 0.9, 0.3, 10).tolist() == [0.0, 0.3, 0.6, 0.8999999999999999]
+
+    def test_grid_adds_no_near_duplicate_of_its_top(self):
+        # 3071 steps of hi / 3071 round one ulp below hi, a rounding, not a
+        # gap; above 8,192 that ulp exceeds 1e-12, so the tolerance scales with hi
+        hi = 29410.020397065022
+        grid = solver._grid(0.0, hi, hi / 3071, 10**6)
+        assert len(grid) == 3072 and grid[-1] == math.nextafter(hi, 0.0)
 
 
 def assert_no_grid_point_beats_the_solve(config, points):
