@@ -22,34 +22,26 @@ Usage: python3 scripts/find_default_config.py
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from obfusgame.game import GameConfig, LearnerParams, SolverSettings, UserParams
+from obfusgame.config_io import load_shipped_config
+from obfusgame.game import GameConfig
 from obfusgame.solver import dissuasion_threshold, stackelberg_solve
 
-USER_COSTS = {"low_cost": 10.0, "mid_cost": 20.0, "high_cost": 30.0}
-SHIPPED_NBAR_L = 75.0
+USER_COSTS = {
+    name: load_shipped_config(name).users[0].perturbation_cost for name in ("low_cost", "mid_cost", "high_cost")
+}
+BASE = load_shipped_config("mid_cost")  # every shipped parameter but the two N_bar values
+SHIPPED_NBAR_L = BASE.learner.perturbation_cost
 
 
 def build_config(nbar_l: float, nbar_s: float) -> GameConfig:
-    return GameConfig(
-        learner=LearnerParams(
-            baseline_gain=100.0,
-            accuracy_weight=4.0,
-            perturbation_cost=nbar_l,
-            regularizer=1.0,
-            population_size=1,
-        ),
-        users=(
-            UserParams(
-                baseline_gain=100.0,
-                accuracy_weight=1.0,
-                max_privacy_loss=400.0,
-                privacy_rate=0.1,
-                perturbation_cost=nbar_s,
-            ),
-        ),
-        solver=SolverSettings(sigma_max=50.0, grid_step=0.05),
+    return dataclasses.replace(
+        BASE,
+        learner=dataclasses.replace(BASE.learner, perturbation_cost=nbar_l),
+        users=(dataclasses.replace(BASE.users[0], perturbation_cost=nbar_s),),
     )
 
 

@@ -28,7 +28,7 @@ from typing import Iterable
 
 from . import __version__, dp, solver, validate
 from .config_io import load_config
-from .errors import ConfigError, SolverError
+from .errors import SolverError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -239,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:  # OSError: unusable --config or --out
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError; OSError: unusable --config or --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as exc:

@@ -22,7 +22,7 @@ from .game import GameConfig, LearnerParams, SolverSettings, UserParams
 
 _LEARNER_KEYS = {"G_bar", "gamma", "N_bar", "Lambda", "N"}
 _USER_KEYS = {"G_bar", "gamma", "P_bar", "rho", "N_bar"}
-_SOLVER_KEYS = {"sigma_max", "grid_step", "tol"}
+_SOLVER_FIELDS = {"sigma_max": "sigma_max", "grid_step": "grid_step", "tol": "root_tol"}
 
 _USER_RE = re.compile(r"^users\[(\d+)\]\.(\w+)$")
 
@@ -59,7 +59,7 @@ def parse_config_text(text: str, source: str = "<string>") -> GameConfig:
             _set_once(learner, sub, value, key, lineno)
         elif key.startswith("solver."):
             sub = key[len("solver."):]
-            if sub not in _SOLVER_KEYS:
+            if sub not in _SOLVER_FIELDS:
                 raise ConfigError(f"unknown key {key!r}", line=lineno)
             _set_once(solver, sub, value, key, lineno)
         else:
@@ -104,11 +104,8 @@ def parse_config_text(text: str, source: str = "<string>") -> GameConfig:
                 )
                 for i in range(n)
             ),
-            solver=SolverSettings(
-                sigma_max=solver.get("sigma_max", 50.0),
-                grid_step=solver.get("grid_step", 0.05),
-                root_tol=solver.get("tol", 1e-9),
-            ),
+            # only the keys the file sets: SolverSettings holds the defaults
+            solver=SolverSettings(**{_SOLVER_FIELDS[k]: v for k, v in solver.items()}),
         )
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc

@@ -146,11 +146,15 @@ class StrategyProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma_S", tuple(float(s) for s in self.sigma_S))
-        if not math.isfinite(self.sigma_L) or self.sigma_L < 0:
-            raise ValueError(f"sigma_L must be finite and >= 0, got {self.sigma_L}")
+        _check_sigma_L(self.sigma_L)
         for i, s in enumerate(self.sigma_S):
             if not math.isfinite(s) or s < 0:
                 raise ValueError(f"sigma_S[{i}] must be finite and >= 0, got {s}")
+
+
+def _check_sigma_L(sigma_L: float) -> None:
+    if not math.isfinite(sigma_L) or sigma_L < 0:
+        raise ValueError(f"sigma_L must be finite and >= 0, got {sigma_L}")
 
 
 def _check_user(config: GameConfig, i: int) -> None:

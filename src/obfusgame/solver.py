@@ -14,8 +14,8 @@ and falls strictly in sigma_L, so the user perturbs exactly below its
 dissuasion threshold t, the root of that gain less tie_epsilon, bisected
 to float resolution.  The pair (s_star, t) is the user's whole best
 response: sqrt(s_star^2 - sigma_L^2) if sigma_L < t, else 0.  It depends
-on the user alone, so a solve or sweep finds it once per user; the public
-per-user queries are wrappers that find it themselves.  Every command
+on the user alone, so a solve or sweep finds it once per user, and each
+public per-user query finds it with _pair.  Every command
 scores sigma_L values with _best_responses and _utility_panel, which equal
 game.learner_utility and user_utility bit for bit.
 
@@ -56,8 +56,10 @@ from .errors import GridTooLargeError, NoFiniteOptimumError, SolverError
 from .game import (
     GameConfig,
     LearnerParams,
+    SolverSettings,
     StrategyProfile,
     UserParams,
+    _check_sigma_L,
     _check_user,
     _spread,
     learner_utility,
@@ -107,19 +109,8 @@ def _bisect_root(f: Callable[[float], float], lo: float, hi: float, tol: float) 
     return 0.5 * (lo + hi)
 
 
-def _stationarity_rhs(user: UserParams, learner: LearnerParams) -> float:
-    n = learner.population_size
-    return (
-        user.max_privacy_loss
-        * user.privacy_rate
-        * n**2
-        * learner.regularizer**2
-        / (2.0 * user.accuracy_weight)
-    )
-
-
 def effective_noise_target(
-    user: UserParams, learner: LearnerParams, root_tol: float = 1e-9
+    user: UserParams, learner: LearnerParams, root_tol: float = SolverSettings.root_tol
 ) -> float:
     """The unique s_star solving s * (1 + rho s)^2 = P_bar rho N^2 Lambda^2 / (2 gamma),
     to absolute tolerance root_tol, or to float resolution when s_star <= root_tol.
@@ -133,8 +124,8 @@ def effective_noise_target(
         raise NoFiniteOptimumError(
             "gamma = 0 with P_bar > 0: privacy gain never saturates"
         )
-    rhs = _stationarity_rhs(user, learner)
-    rho = user.privacy_rate
+    rho, n = user.privacy_rate, learner.population_size
+    rhs = user.max_privacy_loss * rho * n**2 * learner.regularizer**2 / (2.0 * user.accuracy_weight)
 
     def g(s: float) -> float:
         t = 1.0 + rho * s
@@ -158,20 +149,6 @@ def effective_noise_target(
     return s_star
 
 
-def _check_sigma_L(sigma_L: float) -> None:
-    if sigma_L < 0 or not math.isfinite(sigma_L):
-        raise ValueError(f"sigma_L must be finite and >= 0, got {sigma_L}")
-
-
-def _s_stars(config: GameConfig) -> list[float]:
-    """Every user's s_star.  The kernel below takes these from its caller and
-    trusts sigma_L to be finite and >= 0."""
-    return [
-        effective_noise_target(u, config.learner, config.solver.root_tol)
-        for u in config.users
-    ]
-
-
 def _admissible(config: GameConfig, top: float) -> list[float]:
     """Every user's s_star, or, before any kernel runs, one SolverError if a
     utility overflows at the corner of a command that plays sigma_L up to
@@ -182,8 +159,9 @@ def _admissible(config: GameConfig, top: float) -> list[float]:
     argument (see _best_response_table); a response's square is at most
     s_star's, and a grid point at most top.  So no command evaluates a
     larger spread, privacy loss or cost than the corner does, and no cell
-    can be less finite than it."""
-    s_stars = _s_stars(config)
+    can be less finite than it.  The kernels below take these s_stars from
+    their caller and trust sigma_L to be finite and >= 0."""
+    s_stars = [effective_noise_target(u, config.learner, config.solver.root_tol) for u in config.users]
     n, lp = config.n_users, config.learner
     spread, losses = _spread(top, [max(top, s) for s in s_stars], n), 0.0
     for u in config.users:
@@ -222,13 +200,19 @@ def _best_responses(sigma_L: np.ndarray, s_stars: Sequence[float], cuts: Sequenc
     return np.sqrt(s * s - sigma_L * sigma_L, out=np.zeros(below.shape), where=below)
 
 
-def user_best_response(sigma_L: float, i: int, config: GameConfig) -> float:
-    """Utility-maximizing sigma_S for user i; ties go to 0 (not perturbing)."""
-    _check_sigma_L(sigma_L)
+def _pair(config: GameConfig, i: int) -> tuple[float, float]:
+    """User i's whole best response: its s_star and its cut."""
     _check_user(config, i)
     user = config.users[i]
     s_star = effective_noise_target(user, config.learner, config.solver.root_tol)
-    return float(_best_responses(np.array([sigma_L]), [s_star], [_cut(user, s_star, config)])[0, 0])
+    return s_star, _cut(user, s_star, config)
+
+
+def user_best_response(sigma_L: float, i: int, config: GameConfig) -> float:
+    """Utility-maximizing sigma_S for user i; ties go to 0 (not perturbing)."""
+    _check_sigma_L(sigma_L)
+    s_star, t = _pair(config, i)
+    return float(_best_responses(np.array([sigma_L]), [s_star], [t])[0, 0])
 
 
 def dissuasion_threshold(i: int, config: GameConfig) -> Optional[float]:
@@ -238,18 +222,14 @@ def dissuasion_threshold(i: int, config: GameConfig) -> Optional[float]:
     Returns 0.0 when the user never perturbs, and None when the threshold
     lies beyond sigma_max (no dissuasion within the search bound).
     """
-    _check_user(config, i)
-    user = config.users[i]
-    s_star = effective_noise_target(user, config.learner, config.solver.root_tol)
-    t = _cut(user, s_star, config)
+    t = _pair(config, i)[1]
     return None if t > config.solver.sigma_max else t
 
 
 def best_response_profile(sigma_L: float, config: GameConfig) -> StrategyProfile:
     _check_sigma_L(sigma_L)
-    s_stars = _s_stars(config)
-    responses = _best_responses(np.array([sigma_L]), s_stars, _cuts(config, s_stars))
-    return StrategyProfile(sigma_L, responses[:, 0])
+    s_stars, cuts = zip(*(_pair(config, i) for i in range(config.n_users)))
+    return StrategyProfile(sigma_L, _best_responses(np.array([sigma_L]), s_stars, cuts)[:, 0])
 
 
 def leader_objective(sigma_L: float, config: GameConfig) -> float:

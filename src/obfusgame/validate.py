@@ -195,8 +195,10 @@ def random_small_config(seed: int) -> GameConfig:
     nobody perturbs in equilibrium and the comparison isolates the
     leader-side optimization (the induced objective is then smooth and
     concave for sigma_L > 0, where a fine grid oracle is meaningful at the
-    1e-6 level; user-side best responses are validated against dense-grid
-    oracles in their own suites).
+    1e-6 level).  No suite checks user-side best responses; in tests/test_solver.py,
+    TestBestResponseKernel::test_best_response_is_argmax_of_user_utility,
+    TestUserBestResponse::test_default_config_matches_grid_oracle and
+    TestBruteForce::test_thresholds_read_off_its_own_table do.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     n = int(rng.integers(1, 4))
@@ -266,14 +268,13 @@ def run_suite(name: str, trials: int | None = None, base_seed: int = 0) -> Suite
         raise ValueError(f"--trials must be >= 1, got {trials}")
     if base_seed < 0:
         raise ValueError(f"--seed must be >= 0, got {base_seed}")
+    counts = () if trials is None else (trials,)  # each run_* signature holds its default
     if name in ("lemma1", "lemma2"):
-        return run_lemma_suite(name, trials=trials or 100, base_seed=base_seed)
+        return run_lemma_suite(name, *counts, base_seed=base_seed)
     if name == "chi2":
-        return run_chi2_suite(samples=trials or 100_000, base_seed=base_seed)
+        return run_chi2_suite(*counts, base_seed=base_seed)
     if name == "scaling":
-        return run_scaling_suite(
-            trials_per_point=trials or 50, base_seed=base_seed
-        )
+        return run_scaling_suite(*counts, base_seed=base_seed)
     if name == "oracle":
-        return run_oracle_suite(configs=trials or 20, base_seed=base_seed)
+        return run_oracle_suite(*counts, base_seed=base_seed)
     raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")

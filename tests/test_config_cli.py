@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -24,6 +25,7 @@ from obfusgame.config_io import (
     shipped_config_path,
 )
 from obfusgame.errors import ConfigError, ConvergenceError
+from obfusgame.game import SolverSettings
 
 MINIMAL = """
 learner.G_bar  = 1
@@ -80,6 +82,9 @@ class TestConfigParsing:
         assert config.n_users == 1
         assert config.learner.baseline_gain == 1.0
         assert config.solver.sigma_max == 50.0  # defaults apply
+
+    def test_no_solver_key_gives_the_default_settings(self):
+        assert parse_config_text(MINIMAL).solver == SolverSettings()
 
     def test_unknown_key_is_line_anchored(self):
         with pytest.raises(ConfigError) as exc:
@@ -994,6 +999,30 @@ def test_cli_imports_nothing_private():
     assert found == []
 
 
+def test_every_private_name_has_a_caller_in_src():
+    """Each module-level private function, class or constant of the package
+    is used in src/ outside its own definition: a helper kept only for its
+    tests is dead code."""
+    defined, used = {}, set()
+    for path in sorted(Path(obfusgame.__file__).parent.glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                names = [statement.name]
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            private = [n for n in names if n.startswith("_") and not n.endswith("__")]
+            defined.update((n, path.name) for n in private)
+            for node in ast.walk(statement):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name is not None and name not in private:
+                    used.add(name)
+    assert len(defined) > 20
+    assert {n: where for n, where in defined.items() if n not in used} == {}
+
+
 # Run in a fresh interpreter: count the argparse parsers built by importing
 # obfusgame.cli and by each main call that follows, and record each call's
 # stdout, stderr and exit code (argparse's own SystemExit included).
@@ -1100,6 +1129,20 @@ def test_argparse_output_repeats_exactly(argv, argparse_session, capsys, monkeyp
         with pytest.raises(SystemExit) as exc:
             main(argv.split())
         assert [*capsys.readouterr(), exc.value.code] == first
+
+
+def test_shipped_configs_differ_only_in_the_user_cost():
+    # find_default_config.py scans the learner's and the user's flat costs
+    # around mid_cost and takes everything else from it
+    configs = {name: load_shipped_config(name) for name in SHIPPED_CONFIGS}
+    assert configs["default"] == configs["mid_cost"]
+    base = configs["mid_cost"]
+    costs = {}
+    for name, config in configs.items():
+        costs[name] = config.users[0].perturbation_cost
+        user = dataclasses.replace(config.users[0], perturbation_cost=base.users[0].perturbation_cost)
+        assert dataclasses.replace(config, users=(user,)) == base
+    assert costs == {"default": 20.0, "low_cost": 10.0, "mid_cost": 20.0, "high_cost": 30.0}
 
 
 def test_find_default_config_script_verifies_shipped_value(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import tracemalloc
 from functools import partial
@@ -70,6 +71,11 @@ def scalar_objective(config, sigma_L, s_stars, cuts):
     return learner_utility(config, StrategyProfile(sigma_L, scalar_responses(sigma_L, s_stars, cuts)))
 
 
+def s_stars_of(config):
+    """Every user's s_star, as the solve and the sweep find them."""
+    return [solver.effective_noise_target(u, config.learner, config.solver.root_tol) for u in config.users]
+
+
 def interior_point(sigma_L, config, i=0):
     """User i's positive stationary point sqrt(s_star^2 - sigma_L^2), or None
     when the learner's noise already reaches s_star."""
@@ -103,7 +109,62 @@ class TestInteriorCandidate:
         assert interior_point(2.0, config) is None
 
 
+def stationarity_rhs(user, learner):
+    """P_bar * rho * N^2 * Lambda^2 / (2 * gamma) in floats."""
+    n = learner.population_size
+    return user.max_privacy_loss * user.privacy_rate * n**2 * learner.regularizer**2 / (2.0 * user.accuracy_weight)
+
+
+def decimal_s_star(user, learner, digits=50):
+    """The root of s * (1 + rho * s)^2 = P_bar * rho * N^2 * Lambda^2 / (2 * gamma)
+    in decimal at `digits` significant digits, every parameter taken exactly:
+    a bracket [hi / 2, hi] found by doubling or halving, then bisection to a
+    relative width of 10^-(digits - 10).  Independent of the float kernel."""
+    D = decimal.Decimal
+    with decimal.localcontext(decimal.Context(prec=digits)):
+        p, rho, gamma, lam = map(D, (user.max_privacy_loss, user.privacy_rate, user.accuracy_weight,
+                                     learner.regularizer))
+        n = D(learner.population_size)
+        target = p * rho * n * n * lam * lam / (2 * gamma)
+        if target == 0:
+            return D(0)
+
+        def below(s):
+            return s * (1 + rho * s) ** 2 < target
+
+        hi = D(1)
+        while below(hi):
+            hi *= 2
+        lo = hi / 2
+        while not below(lo):
+            hi, lo = lo, lo / 2
+        width = hi.scaleb(10 - digits)
+        while hi - lo > width:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if below(mid) else (lo, mid)
+        return (lo + hi) / 2
+
+
 class TestEffectiveNoiseTarget:
+    def test_matches_decimal_reference(self):
+        """Every panel game's users, and users whose s_star is below root_tol,
+        subnormal or so large that root_tol is below its float spacing: s_star
+        is within root_tol of the 50-digit root, and within 4 ulps where
+        s_star <= root_tol or root_tol < 4 ulps of s_star (the kernel then
+        bisects to float resolution)."""
+        default = load_shipped_config("default")
+        extremes = [dict(privacy_rate=1e100), dict(privacy_rate=1e300), dict(max_privacy_loss=2e23),
+                    dict(max_privacy_loss=2e40), dict(max_privacy_loss=1e-300, privacy_rate=1e-10)]
+        cases = [(u, config) for config in panel_games() for u in config.users]
+        cases += [(dataclasses.replace(default.users[0], **kw), default) for kw in extremes]
+        for user, config in cases:
+            tol = config.solver.root_tol
+            ref = decimal_s_star(user, config.learner)
+            s = float(ref)
+            bound = max(tol if s > tol else 0.0, 4 * math.ulp(s))
+            got = solver.effective_noise_target(user, config.learner, tol)
+            assert abs(decimal.Decimal(got) - ref) <= bound, (user, s, got)
+
     def test_zero_gamma_raises(self):
         user = UserParams(1.0, 0.0, 1.0, 1.0, 0.0)
         learner = LearnerParams(1.0, 1.0, 0.0, 1.0, 1)
@@ -114,7 +175,7 @@ class TestEffectiveNoiseTarget:
     def test_root_below_root_tol_to_relative_precision(self, rho):
         config = load_shipped_config("default")
         user = dataclasses.replace(config.users[0], privacy_rate=rho)
-        rhs = solver._stationarity_rhs(user, config.learner)
+        rhs = stationarity_rhs(user, config.learner)
         s_star = solver.effective_noise_target(user, config.learner, config.solver.root_tol)
         assert s_star < config.solver.root_tol
         # rho * s_star > 1e60, so (rhs / rho^2)^(1/3) is the root to 1e-60 relative
@@ -123,7 +184,7 @@ class TestEffectiveNoiseTarget:
     def test_underflowed_rhs_gives_zero(self):
         user = UserParams(1.0, 1.0, 1e-300, 1e-300, 0.0)
         learner = LearnerParams(1.0, 1.0, 0.0, 1.0, 1)
-        assert solver._stationarity_rhs(user, learner) == 0.0
+        assert stationarity_rhs(user, learner) == 0.0
         assert solver.effective_noise_target(user, learner) == 0.0
 
 
@@ -488,7 +549,7 @@ class TestBestResponseKernel:
         brs = tuple(user_best_response(sigma_L, i, config) for i in range(config.n_users))
         expected = learner_utility(config, StrategyProfile(sigma_L, brs))
         assert leader_objective(sigma_L, config) == expected
-        s_stars = solver._s_stars(config)
+        s_stars = s_stars_of(config)
         assert scalar_objective(config, sigma_L, s_stars, solver._cuts(config, s_stars)) == expected
 
     @settings(max_examples=100, deadline=None)
@@ -835,7 +896,7 @@ def panel_games():
 def scalar_columns(config, points):
     """Best responses, U_L and each U_S at each sigma_L in points, by the
     scalar responses and the public utilities."""
-    s_stars = solver._s_stars(config)
+    s_stars = s_stars_of(config)
     cuts = solver._cuts(config, s_stars)
     responses, leader, users = [], [], []
     for x in points:
@@ -853,7 +914,7 @@ class TestUtilityPanel:
 
     @pytest.mark.parametrize("config", panel_games())
     def test_best_responses_equal_scalar_reference(self, config):
-        s_stars = solver._s_stars(config)
+        s_stars = s_stars_of(config)
         cuts = solver._cuts(config, s_stars)
         points = solver._grid(0.0, config.solver.sigma_max, config.solver.grid_step, 10**6).tolist()
         points += [x for t in cuts for x in (math.nextafter(t, 0.0), t)]  # the one-sided limits
@@ -881,7 +942,7 @@ class TestUtilityPanel:
                     sigma[i] = float(grid[k])
                     assert row[k] == user_utility(config, i, StrategyProfile(x, sigma))
         # the two one-sided limits at each cut, each as a one-point sweep
-        s_stars = solver._s_stars(config)
+        s_stars = s_stars_of(config)
         for t in solver._cuts(config, s_stars):
             for x in (math.nextafter(t, 0.0), t):
                 _, _, _, responses, leader, users = solver.sweep(config, x, x, 1.0)
@@ -954,7 +1015,7 @@ def corner_utilities(config, top):
     every flat cost paid, in the kernels' order of operations."""
     n, lp = config.n_users, config.learner
     spread, losses = top * top, 0.0
-    for u, s in zip(config.users, solver._s_stars(config)):
+    for u, s in zip(config.users, s_stars_of(config)):
         spread += max(top, s) * max(top, s) / n
         losses += u.max_privacy_loss
     scale = n * lp.regularizer**2
@@ -1031,7 +1092,7 @@ def assert_no_grid_point_beats_the_solve(config, points):
     that far below its best candidate), up to float rounding: on a piece
     where every user perturbs the objective is flat, and its evaluations
     differ in the last bit."""
-    s_stars = solver._s_stars(config)
+    s_stars = s_stars_of(config)
     cuts = solver._cuts(config, s_stars)
     best = max(
         scalar_objective(config, s, s_stars, cuts)
@@ -1143,7 +1204,7 @@ class TestFloatExactCandidates:
     @pytest.mark.parametrize("n, seed", [(8, 3), (12, 5)])
     def test_piece_slope_is_the_objective_derivative(self, n, seed):
         config = mixed_population(n, seed)
-        s_stars = solver._s_stars(config)
+        s_stars = s_stars_of(config)
         cuts = solver._cuts(config, s_stars)
         sigma_max = config.solver.sigma_max
         thresholds = {dissuasion_threshold(i, config) for i in range(n)}
