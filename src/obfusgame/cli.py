@@ -47,8 +47,9 @@ def _fmt(value) -> str:
 
 
 def _formatted(values) -> list[str]:
-    """_fmt of each value of a float array."""
-    return list(map("%.12g".__mod__, values.tolist()))
+    """_fmt of each value of a float array, by one % over the whole array."""
+    values = values.tolist()
+    return (("%.12g\n" * len(values)) % tuple(values)).splitlines()
 
 
 def _columns(rows: Iterable[list]) -> list[list[str]]:

@@ -38,7 +38,7 @@ class Dataset:
             raise ValueError("labels length must match feature rows")
         if not np.all(np.isfinite(features)):
             raise ValueError("features must be finite")
-        if not np.all(np.isin(labels, (-1.0, 1.0))):
+        if not np.all((labels == 1.0) | (labels == -1.0)):
             raise ValueError("labels must be -1 or +1")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
@@ -76,10 +76,18 @@ class BoundReport:
 
 def _logistic_loss(margins: np.ndarray, ez: np.ndarray | None = None) -> np.ndarray:
     """log(1 + exp(-m)) as max(-m, 0) + log1p(exp(-|m|)), which never
-    overflows; ez, when given, is exp(-|m|) already computed."""
+    overflows.  The losses are written over margins, a float array the
+    caller gives up, and returned.  ez, when given, is exp(-|m|) already
+    computed and is left as it is."""
     if ez is None:
-        ez = np.exp(-np.abs(margins))
-    return np.maximum(-margins, 0.0) + np.log1p(ez)
+        ez = np.abs(margins)
+        np.exp(np.negative(ez, out=ez), out=ez)
+        log = np.log1p(ez, out=ez)
+    else:
+        log = np.log1p(ez)
+    np.maximum(np.negative(margins, out=margins), 0.0, out=margins)
+    margins += log
+    return margins
 
 
 def generate_synthetic(n: int, d: int, separation: float, seed: int) -> Dataset:
@@ -97,8 +105,9 @@ def _risk_state(w: np.ndarray, data: Dataset, lam: float) -> tuple[np.ndarray, n
     """z = X w, exp(-|z|) and the regularized objective at w, from one pass
     over the rows.  The labels are +-1, so exp(-|z|) is also exp(-|y z|)."""
     z = data.features @ w
-    ez = np.exp(-np.abs(z))
-    risk = np.mean(_logistic_loss(data.labels * z, ez))
+    ez = np.abs(z)
+    np.exp(np.negative(ez, out=ez), out=ez)
+    risk = np.add.reduce(_logistic_loss(data.labels * z, ez)) / data.n  # np.mean's sum and divide
     return z, ez, 0.5 * lam * float(w @ w) + float(risk)
 
 
@@ -119,24 +128,33 @@ def train_erm(
     Each iterate carries z = X w, exp(-|z|) and the objective from the
     accepted line-search step.  The gradient's sigmoid(-y z) and the
     Hessian's sigmoid(z) are both picks from the same 1 / (1 + e) and
-    e / (1 + e), since |-y z| = |z|."""
+    e / (1 + e), since |-y z| = |z|.  Those two, the gradient's
+    coefficients and the Hessian's weights are formed in arrays each step
+    allocates once and writes in place; nothing is written into data."""
     if lam <= 0:
         raise ValueError("lam must be > 0 for strict convexity")
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol and max_iter must be > 0")
     X, y, n = data.features, data.labels, data.n
     w = np.zeros(data.d)
+    ridge = lam * np.eye(data.d)
     z, ez, obj = _risk_state(w, data, lam)
     for _ in range(max_iter):
-        upper = 1.0 / (1.0 + ez)  # sigmoid(|z|)
-        lower = ez / (1.0 + ez)  # sigmoid(-|z|)
-        g = lam * w + X.T @ (-y * np.where(y * z <= 0, upper, lower)) / n
-        gnorm = float(np.linalg.norm(g))
+        upper = 1.0 + ez
+        lower = np.divide(ez, upper)  # sigmoid(-|z|)
+        np.divide(1.0, upper, out=upper)  # sigmoid(|z|)
+        coef = np.where(y * z <= 0, upper, lower)
+        np.negative(np.multiply(coef, y, out=coef), out=coef)  # -y sigmoid(-y z): negating last is exact
+        g = lam * w + X.T @ coef / n
+        gnorm = math.sqrt(float(g @ g))  # np.linalg.norm's dot and sqrt
         if gnorm <= tol:
             return Classifier(w)
         p = np.where(z >= 0, upper, lower)
         # p (1 - p) is even in the margin, so the labels drop out
-        hessian = lam * np.eye(data.d) + (X.T * (p * (1.0 - p))) @ X / n
+        h = np.subtract(1.0, p, out=coef)  # the gradient's coefficients are spent
+        h *= p
+        del upper, lower, p  # not held through the gemm and the line search
+        hessian = ridge + (X.T * h) @ X / n
         direction = np.linalg.solve(hessian, g)
         decrement = float(g @ direction)  # squared Newton decrement
         step = 1.0
@@ -214,7 +232,16 @@ def expected_loss_estimate(f: Classifier, sample: Dataset, lam: float) -> tuple[
     evaluation sample, with its standard error."""
     if sample.n < 1:
         raise ValueError("sample must have at least one row")
-    losses = _logistic_loss(sample.labels * (sample.features @ f.weights))
-    mean = float(np.mean(losses)) + 0.5 * lam * float(f.weights @ f.weights)
-    stderr = float(np.std(losses, ddof=1) / math.sqrt(sample.n)) if sample.n > 1 else math.inf
-    return mean, stderr
+    n = sample.n
+    margins = sample.features @ f.weights
+    margins *= sample.labels
+    losses = _logistic_loss(margins)
+    # np.mean and then np.std(ddof=1)'s own sequence (numpy's _methods._var),
+    # taken in place over the losses
+    mean = np.add.reduce(losses) / n
+    if n > 1:
+        np.square(np.subtract(losses, mean, out=losses), out=losses)
+        stderr = float(np.sqrt(np.add.reduce(losses) / (n - 1)) / math.sqrt(n))
+    else:
+        stderr = math.inf
+    return float(mean) + 0.5 * lam * float(f.weights @ f.weights), stderr

@@ -842,6 +842,25 @@ def test_writer_matches_reference_bytes(tmp_path, writer_tables, name):
     assert written.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+def test_formatted_is_each_value_formatted():
+    """One % over the whole array gives the same strings as %.12g of each
+    value, at every magnitude and at the special values."""
+    import numpy as np
+
+    from obfusgame.cli import _formatted
+
+    rng = np.random.Generator(np.random.PCG64(29))
+    special = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324])
+    arrays = [np.array([]), special]
+    for m in (1, 2, 1001, 5000):
+        magnitudes = 10.0 ** rng.uniform(-300.0, 300.0, m)
+        arrays.append(np.where(rng.random(m) < 0.5, magnitudes, -magnitudes))
+    arrays.append(rng.permutation(np.concatenate([arrays[-1], special])))
+    for values in arrays:
+        assert _formatted(values) == ["%.12g" % v for v in values.tolist()]
+    assert _formatted(np.array([])) == []
+
+
 class TestCliDp:
     def test_epsilon_to_sigma(self, capsys):
         assert main(["dp", "--epsilon", "1", "--delta", "0.4598"]) == 0

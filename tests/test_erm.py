@@ -266,6 +266,56 @@ class TestClassifierGap:
         assert r2.rhs == pytest.approx(4 * r1.rhs, rel=1e-12)
 
 
+def plain_losses(margins):
+    """The logistic loss written out, each step a fresh array."""
+    return np.maximum(-margins, 0.0) + np.log1p(np.exp(-np.abs(margins)))
+
+
+class TestInPlaceKernels:
+    """The loss, the risk and the Monte Carlo estimate write into arrays of
+    their own: their values are == the plain formulas, and no input moves."""
+
+    @staticmethod
+    def _problem(n, seed=3):
+        rng = np.random.Generator(np.random.PCG64(seed + n))
+        data = Dataset(2.0 * rng.standard_normal((n, 4)), np.where(rng.random(n) < 0.5, 1.0, -1.0))
+        return data, Classifier(3.0 * rng.standard_normal(4)), 0.3
+
+    def test_loss_is_the_plain_formula(self):
+        rng = np.random.Generator(np.random.PCG64(11))
+        margins = 10.0 ** rng.uniform(-8.0, 3.0, 10_000) * np.where(rng.random(10_000) < 0.5, 1.0, -1.0)
+        expected = plain_losses(margins)
+        ez = np.exp(-np.abs(margins))
+        given = ez.copy()
+        assert np.array_equal(erm._logistic_loss(margins.copy(), given), expected)
+        assert np.array_equal(given, ez)
+        assert np.array_equal(erm._logistic_loss(margins.copy()), expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1_000, 100_000])
+    def test_estimate_and_risk_are_the_plain_formulas(self, n):
+        data, f, lam = self._problem(n)
+        w = f.weights
+        losses = plain_losses(data.labels * (data.features @ w))
+        mean = float(np.mean(losses)) + 0.5 * lam * float(w @ w)
+        stderr = float(np.std(losses, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+        assert expected_loss_estimate(f, data, lam) == (mean, stderr)
+        assert empirical_risk(f, data, lam) == 0.5 * lam * float(w @ w) + float(np.mean(losses))
+
+    @pytest.mark.parametrize("n", [2, 1_000])
+    def test_inputs_are_left_alone(self, n):
+        data, f, lam = self._problem(n)
+        arrays = (data.features, data.labels, f.weights)
+        copies = [a.copy() for a in arrays]
+        for a in arrays:
+            a.flags.writeable = False  # a write raises
+        train_erm(data, lam)
+        expected_loss_estimate(f, data, lam)
+        empirical_risk(f, data, lam)
+        perturb_inputs(data, 0.2, np.full(n, 0.3), seed=4)
+        for a, copy in zip(arrays, copies):
+            assert np.array_equal(a, copy)
+
+
 class TestEmpiricalRisk:
     def test_zero_classifier_is_log_two(self):
         data = generate_synthetic(50, 3, 1.0, seed=15)

@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from obfusgame.validate import _spearman, run_suite
+from obfusgame.validate import _spearman, run_chi2_suite, run_scaling_suite, run_suite
 
 # Every CSV value of validate lemma1/lemma2 (5 trials), chi2 (50,000 samples)
 # and scaling (2 trials a point) at seeds 0, 1000 and 2000, in full precision
@@ -40,3 +41,25 @@ def test_erm_suite_values_pinned(key):
             got = row[column]
             assert type(got) is type(value), (column, got, value)
             assert math.isclose(got, value, rel_tol=1e-12, abs_tol=0.0), (key, column, got, value)
+
+
+def _traced_peak(run) -> int:
+    np.random.PCG64(0)  # numpy.random is imported on first use; keep that out of the peak
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scaling_suite_memory_is_bounded():
+    """The 100k-row f* training sets the peak.  13.04 MiB was the peak while
+    the Newton step and the loss still made a fresh array per expression."""
+    assert _traced_peak(lambda: run_scaling_suite(2, 0)) <= 13.04 * 2**20
+
+
+def test_chi2_suite_holds_about_one_draw():
+    """Each d's draw is scaled and squared in place and freed before the
+    next; the d = 10 draw alone is 200,000 * 10 * 8 bytes."""
+    assert _traced_peak(lambda: run_chi2_suite(200_000)) < 1.3 * 200_000 * 10 * 8
