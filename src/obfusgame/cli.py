@@ -26,7 +26,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
-from . import __version__, dp, solver, validate
+from . import SUITES, __version__, dp  # solver and validate load numpy: the commands that compute import them
 from .config_io import load_config
 from .errors import SolverError
 
@@ -96,6 +96,7 @@ def _outdir(args) -> Path:
 
 def _cmd_solve(args) -> int:
     config = load_config(args.config)
+    from . import solver  # after the config parses: a config error needs no numpy
     if args.oracle:
         result = solver.brute_force_equilibrium(config, args.fine_step)
     else:
@@ -123,6 +124,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
+    from . import solver
     settings = config.solver
     lo = 0.0 if args.min is None else args.min
     hi = settings.sigma_max if args.max is None else args.max
@@ -174,6 +176,7 @@ def _cmd_dp(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import validate
     result = validate.run_suite(args.suite, trials=args.trials, base_seed=args.seed)
     out = _outdir(args)
     if result.rows:
@@ -227,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dp.set_defaults(func=_cmd_dp)
 
     p_val = sub.add_parser("validate", help="run a named property suite")
-    p_val.add_argument("--suite", required=True, choices=validate.SUITES)
+    p_val.add_argument("--suite", required=True, choices=SUITES)
     p_val.add_argument("--trials", type=int, default=None)
     p_val.add_argument("--seed", type=int, default=0)
     p_val.add_argument("--out", default="out")

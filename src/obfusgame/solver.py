@@ -46,6 +46,7 @@ enumerating the follower's best-response regions in optimal commitment
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
@@ -79,6 +80,11 @@ _CHUNK_CELLS = 2**13
 # sweep's columns, and N + 1 strings while the CLI writes them (the grid
 # and the best responses; it formats the rest a bounded slice at a time)
 _SWEEP_MAX_CELLS = 21_000_000
+# the smallest normal float: a product at or above it (and finite) lost no bits to range
+_NORMAL = sys.float_info.min
+# below it (1 + rho * s)^2 is finite for s <= 1, and where it overflows at
+# s > 1 the cubic's float value, inf, has the right sign
+_FLOAT_RHO = 1e154
 
 
 @dataclass(frozen=True)
@@ -116,7 +122,10 @@ def effective_noise_target(
     to absolute tolerance root_tol, or to float resolution when s_star <= root_tol.
 
     Returns 0.0 when the user has no privacy stake; SolverError when
-    s_star has no finite square.
+    s_star has no finite square.  The cubic is solved in floats where the
+    right-hand side's partial products are normal floats and rho < 1e154,
+    and compared exactly (_exact_excess) elsewhere, where a float partial
+    would overflow or underflow or (1 + rho s)^2 could overflow near s_star.
     """
     if user.max_privacy_loss == 0:
         return 0.0
@@ -124,61 +133,80 @@ def effective_noise_target(
         raise NoFiniteOptimumError(
             "gamma = 0 with P_bar > 0: privacy gain never saturates"
         )
-    rho, n = user.privacy_rate, learner.population_size
-    rhs = user.max_privacy_loss * rho * n**2 * learner.regularizer**2 / (2.0 * user.accuracy_weight)
+    rho, n, lam, gamma = user.privacy_rate, learner.population_size, learner.regularizer, user.accuracy_weight
+    head, lam_sq = user.max_privacy_loss * rho, lam**2
+    num = head * n**2 * lam_sq
+    rhs = num / (2.0 * gamma)
+    if rho < _FLOAT_RHO and _NORMAL <= head and _NORMAL <= lam_sq and _NORMAL <= num and _NORMAL <= rhs < math.inf:
 
-    def g(s: float) -> float:
-        t = 1.0 + rho * s
-        return s * (t * t) - rhs  # t ** 2 raises OverflowError where t * t is inf
+        def g(s: float) -> float:
+            t = 1.0 + rho * s
+            return s * (t * t) - rhs  # t ** 2 raises OverflowError where t * t is inf
 
+    else:  # a partial product left the normal range, or (1 + rho s)^2 may overflow below the root
+        g = _exact_excess(user.max_privacy_loss, rho, n, lam, gamma)
     if g(root_tol) < 0:
         hi = 1.0
         while g(hi) < 0:
             hi *= 2.0
         s_star = _bisect_root(g, 0.0, hi, root_tol)
-    elif rhs > 0:
-        # s_star <= root_tol: bisect to float resolution, not to root_tol, with
-        # (s * t) * t, which stays finite where t * t overflows near the root
-        s_star = _bisect_root(
-            lambda s: s * (1.0 + rho * s) * (1.0 + rho * s) - rhs, 0.0, root_tol, 0.0
-        )
-    else:  # rhs underflowed: s_star <= rhs is below the smallest float
-        s_star = 0.0
+    else:  # s_star <= root_tol: bisect to float resolution, not to root_tol
+        s_star = _bisect_root(g, 0.0, root_tol, 0.0)
     if not math.isfinite(s_star * s_star):
         raise SolverError(f"effective noise target {s_star} has no finite square")
     return s_star
 
 
+def _exact_excess(p: float, rho: float, n: int, lam: float, gamma: float) -> Callable[[float], int]:
+    """The sign of s (1 + rho s)^2 - p rho n^2 lam^2 / (2 gamma) as a function
+    of s, in integers from the floats' exact ratios, so it holds wherever s
+    and every parameter are floats, however far the terms leave their range."""
+    (pn, pd), (rn, rd), (ln, ld), (gn, gd) = (x.as_integer_ratio() for x in (p, rho, lam, gamma))
+    rhs_num, rhs_den = pn * rn * n * n * ln * ln * gd, pd * rd * ld * ld * 2 * gn
+
+    def excess(s: float) -> int:
+        if s == math.inf:
+            return 1
+        a, b = s.as_integer_ratio()  # s = a / b, 1 + rho s = q / (b rd)
+        q = b * rd + rn * a
+        lhs, rhs = a * q * q * rhs_den, rhs_num * b * (b * rd) ** 2
+        return (lhs > rhs) - (lhs < rhs)
+
+    return excess
+
+
 def _admissible(config: GameConfig, top: float) -> list[float]:
     """Every user's s_star, or, before any kernel runs, one SolverError if a
     utility overflows at the corner of a command that plays sigma_L up to
-    top: sigma_L = top, every user at max(top, s_star), every privacy loss
-    at P_bar and every flat cost paid.  A utility is gain - coef * spread -
-    privacy - cost, and each of its steps (x*x, /N, the user-order sums,
-    coef *, P / (1 + rho * s), -) is correctly rounded and monotone in each
-    argument (see _best_response_table); a response's square is at most
-    s_star's, and a grid point at most top.  So no command evaluates a
-    larger spread, privacy loss or cost than the corner does, and no cell
-    can be less finite than it.  The kernels below take these s_stars from
-    their caller and trust sigma_L to be finite and >= 0."""
+    top: sigma_L = top, every user at max(top, s_star), or at top if its
+    margin at sigma_L = 0 is <= 0, every privacy loss at P_bar and every
+    flat cost paid.  A utility is gain - coef * spread - privacy - cost,
+    and each of its steps (x*x, /N, the user-order sums, coef *, P / (1 +
+    rho * s), -) is correctly rounded and monotone in each argument (see
+    _best_response_table); a grid point is at most top, and a response's
+    square at most s_star's, or 0 where the user's cut is 0, which its
+    margin at 0 decides (_cut).  So no command evaluates a larger spread,
+    privacy loss or cost than the corner does, and no cell can be less
+    finite than it.  The kernels below take these s_stars from their
+    caller and trust sigma_L to be finite and >= 0."""
     s_stars = [effective_noise_target(u, config.learner, config.solver.root_tol) for u in config.users]
     n, lp = config.n_users, config.learner
-    spread, losses = _spread(top, [max(top, s) for s in s_stars], n), 0.0
+    corner = [s if s > top and _margin(u, s, config)(0.0) > 0 else top for u, s in zip(config.users, s_stars)]
+    spread, losses = _spread(top, corner, n), 0.0
     for u in config.users:
         losses += u.max_privacy_loss
     players = [(lp.baseline_gain, lp.accuracy_weight, losses / n, lp.perturbation_cost)]
     players += [(u.baseline_gain, u.accuracy_weight, u.max_privacy_loss, u.perturbation_cost) for u in config.users]
     if not all(math.isfinite(g - w / (n * lp.regularizer**2) * spread - p - c) for g, w, p, c in players):
-        raise SolverError(f"utilities overflow at sigma_L = {top} with every user at max(sigma_L, s*)")
+        raise SolverError(f"utilities overflow at sigma_L = {top} with every perturbing user at max(sigma_L, s*)")
     return s_stars
 
 
-def _cut(user: UserParams, s_star: float, config: GameConfig) -> float:
-    """The sigma_L from which the user plays 0: the root, to float resolution,
-    of its gain from topping up to s_star over not perturbing (in closed form;
-    every other user's term cancels) less tie_epsilon, or 0.0 when that margin
-    is <= 0 at sigma_L = 0.  The margin falls strictly on [0, s_star] to
-    -cost - tie_epsilon <= 0 at s_star, so the bracket always holds."""
+def _margin(user: UserParams, s_star: float, config: GameConfig) -> Callable[[float], float]:
+    """The user's gain from topping up to s_star over not perturbing, in
+    closed form (every other user's term cancels), less tie_epsilon, as a
+    function of sigma_L.  It falls strictly on [0, s_star] to -cost -
+    tie_epsilon <= 0 at s_star."""
     coef = user.accuracy_weight / (config.n_users**2 * config.learner.regularizer**2)
     p, rho = user.max_privacy_loss, user.privacy_rate
     floor = p / (1.0 + rho * s_star) + user.perturbation_cost + config.solver.tie_epsilon
@@ -186,6 +214,14 @@ def _cut(user: UserParams, s_star: float, config: GameConfig) -> float:
     def margin(sigma_L: float) -> float:
         return p / (1.0 + rho * sigma_L) - coef * (s_star * s_star - sigma_L * sigma_L) - floor
 
+    return margin
+
+
+def _cut(user: UserParams, s_star: float, config: GameConfig) -> float:
+    """The sigma_L from which the user plays 0: the root of its _margin, to
+    float resolution, or 0.0 when that margin is <= 0 at sigma_L = 0.  The
+    margin is <= 0 at s_star, so the bracket always holds."""
+    margin = _margin(user, s_star, config)
     return 0.0 if margin(0.0) <= 0 else _bisect_root(margin, 0.0, s_star, 0.0)
 
 

@@ -17,12 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import erm
+from . import SUITES, erm
 from .dp import chi_square_cdf
 from .game import GameConfig, LearnerParams, SolverSettings, UserParams
 from .solver import brute_force_equilibrium, stackelberg_solve
-
-SUITES = ("lemma1", "lemma2", "chi2", "scaling", "oracle")
 
 # mixed noise levels cycled through the ERM trials
 _TRIAL_SIGMA_L = (0.0, 0.05, 0.1, 0.2, 0.4)

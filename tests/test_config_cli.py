@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -402,6 +403,27 @@ def test_commands_agree_on_fuzzed_configs(tmp_path, capsys):
                 assert err == ""
                 assert_outputs_are_finite(out)
         assert len(set(codes)) == 1, (text, codes)
+
+
+# one user whose flat cost (2) exceeds its whole privacy stake (1), so its
+# cut is 0 and it never perturbs, with s* = 3.7e66: at max(sigma_max, s*)
+# the learner's accuracy term would overflow, so the corner holds that user
+# at sigma_max and all three commands solve the game
+NEVER_PERTURBS = MINIMAL.replace("learner.gamma  = 1", "learner.gamma  = 1e300").replace(
+    "users[0].gamma = 1", "users[0].gamma = 1e-200").replace("users[0].N_bar = 0", "users[0].N_bar = 2")
+
+
+def test_user_who_never_perturbs_sits_at_the_top(tmp_path, capsys):
+    cfg = tmp_path / "never.cfg"
+    cfg.write_text(NEVER_PERTURBS + "solver.sigma_max = 1\nsolver.grid_step = 0.02\n")
+    for j, command in enumerate([["solve"], ["solve", "--oracle", "--fine-step", "0.02"], ["sweep"]]):
+        out = tmp_path / str(j)
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert_outputs_are_finite(out)
+        if j < 2:
+            assert "sigma_S_star[0] = 0\n" in (out / "equilibrium.txt").read_text()
+            assert (out / "thresholds.csv").read_text() == "user,threshold\n0,0\n"
 
 
 # at 1e-160 gamma / (N * Lambda^2) overflows (NaN and -inf utilities before
@@ -979,13 +1001,17 @@ class TestCliValidate:
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is a test-only dependency; importing it would cost start-up time
-    code = "import sys, obfusgame.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # scipy is a test-only dependency and numpy is loaded by the commands
+    # that compute; importing either would cost every start-up
+    code = (
+        "import sys, obfusgame; loaded = {'numpy': 'numpy' in sys.modules}; import obfusgame.cli; "
+        "loaded['cli'] = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')); print(loaded)"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(obfusgame.__file__).parents[1])}
     loaded = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout.strip()
-    assert loaded == "[]"
+    assert loaded == "{'numpy': False, 'cli': []}"
 
 
 def test_cli_imports_nothing_private():
@@ -1044,7 +1070,8 @@ def test_every_private_name_has_a_caller_in_src():
 
 # Run in a fresh interpreter: count the argparse parsers built by importing
 # obfusgame.cli and by each main call that follows, and record each call's
-# stdout, stderr and exit code (argparse's own SystemExit included).
+# stdout, stderr and exit code (argparse's own SystemExit included), and
+# whether numpy is loaded after it.
 CLI_SESSION = """
 import argparse, contextlib, io, json, sys
 built = 0
@@ -1063,7 +1090,7 @@ for argv in json.loads(sys.argv[1]):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    report["calls"].append([out.getvalue(), err.getvalue(), code, built])
+    report["calls"].append([out.getvalue(), err.getvalue(), code, built, "numpy" in sys.modules])
 print(json.dumps(report))
 """
 
@@ -1090,7 +1117,7 @@ def test_cli_builds_one_parser_per_process(tmp_path):
         ["validate", "--suite", "chi2", "--trials", "1000", "--out", str(tmp_path / "chi2")],
     ])
     assert report["import"] == 0
-    assert [(code, built) for _, _, code, built in report["calls"]] == [(0, 5), (0, 5), (0, 5), (1, 5)]
+    assert [(code, built) for _, _, code, built, _ in report["calls"]] == [(0, 5), (0, 5), (0, 5), (1, 5)]
 
 
 def test_no_state_crosses_calls(tmp_path, capsys):
@@ -1148,6 +1175,72 @@ def test_argparse_output_repeats_exactly(argv, argparse_session, capsys, monkeyp
         with pytest.raises(SystemExit) as exc:
             main(argv.split())
         assert [*capsys.readouterr(), exc.value.code] == first
+
+
+def test_commands_that_compute_nothing_load_no_numpy(tmp_path):
+    # dp, help, usage and config errors need no numpy; the first solve loads it
+    unknown = tmp_path / "unknown.cfg"
+    unknown.write_text(MINIMAL + "users[0].typo = 1\n")
+    out = str(tmp_path / "out")
+    argvs = [["dp", "--sigma", "2", "--delta", "1e-5"], *(argv.split() for argv in ARGPARSE_EXITS)]
+    argvs += [["solve", "--config", str(tmp_path / "missing.cfg"), "--out", out],
+              ["solve", "--config", str(unknown), "--out", out],
+              ["solve", "--config", str(shipped_config_path("default")), "--out", out]]
+    calls = cli_session(argvs)["calls"]
+    assert [(code, numpy) for _, _, code, _, numpy in calls] == [
+        (0, False), *((code, False) for code in ARGPARSE_EXITS.values()), (2, False), (2, False), (0, True)
+    ]
+    assert calls[-2][1] == "error: line 12: unknown key 'users[0].typo'\n"
+
+
+# the package's exports by the module that defines them
+EXPORTS = {
+    "game": ["GameConfig", "LearnerParams", "SolverSettings", "StrategyProfile", "UserParams",
+             "learner_utility", "user_utility"],
+    "solver": ["EquilibriumResult", "brute_force_equilibrium", "dissuasion_threshold", "leader_objective",
+               "stackelberg_solve", "user_best_response"],
+    "dp": ["DpGuarantee", "NormBoundReport", "chi_square_cdf", "epsilon_from_sigma", "norm_bound_probability",
+           "sigma_from_epsilon"],
+    "config_io": ["load_config", "load_shipped_config", "shipped_config_path"],
+}
+
+
+def test_package_exports_are_their_modules_objects():
+    # the solver's are imported on first access (obfusgame.__getattr__)
+    names = dir(obfusgame)
+    for module, exports in EXPORTS.items():
+        defining = importlib.import_module(f"obfusgame.{module}")
+        for name in exports:
+            assert getattr(obfusgame, name) is getattr(defining, name)
+            assert name in names
+    assert sum(map(len, EXPORTS.values())) == 22
+    # in a fresh interpreter the first access imports the solver
+    code = ("import sys, obfusgame; from obfusgame import stackelberg_solve; "
+            "print(stackelberg_solve is sys.modules['obfusgame.solver'].stackelberg_solve)")
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=CLI_ENV)
+    assert fresh.stdout == "True\n"
+    # a star import brings in what it did when the package imported the solver eagerly, and SUITES
+    code = "before = set(globals()); from obfusgame import *; print(*sorted(set(globals()) - before - {'before'}))"
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=CLI_ENV)
+    modules = {"config_io", "dp", "errors", "game", "solver"}
+    assert fresh.stdout.split() == sorted({*chain.from_iterable(EXPORTS.values()), "SUITES", *modules})
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        obfusgame.no_such_name
+
+
+def test_suite_choices_are_the_suites_run_suite_runs(monkeypatch):
+    from obfusgame import cli, validate
+
+    [commands] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    [suite] = [a for a in commands.choices["validate"]._actions if a.dest == "suite"]
+    for runner in ("run_lemma_suite", "run_chi2_suite", "run_scaling_suite", "run_oracle_suite"):
+        monkeypatch.setattr(validate, runner, lambda *args, runner=runner, **kwargs: (runner, args))
+    ran = {name: validate.run_suite(name) for name in suite.choices}
+    assert {runner for runner, _ in ran.values()} == {"run_lemma_suite", "run_chi2_suite", "run_scaling_suite",
+                                                      "run_oracle_suite"}
+    assert ran["lemma1"][1] == ("lemma1",) and ran["lemma2"][1] == ("lemma2",)
+    with pytest.raises(ValueError, match=re.escape(f"choose from {tuple(suite.choices)}")):
+        validate.run_suite("nope")
 
 
 def test_shipped_configs_differ_only_in_the_user_cost():

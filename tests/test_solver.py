@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import math
+import sys
 import tracemalloc
 from functools import partial
 
@@ -35,7 +36,7 @@ from obfusgame.solver import (
     user_best_response,
 )
 from obfusgame.validate import random_small_config
-from test_config_cli import OVERFLOW, THREE_USERS
+from test_config_cli import NEVER_PERTURBS, OVERFLOW, THREE_USERS, fuzz_configs
 
 
 def simple_config(p_bar=8.0, rho=1.0, gamma_s=1.0, nbar_s=0.1, nbar_l=0.2,
@@ -145,6 +146,61 @@ def decimal_s_star(user, learner, digits=50):
         return (lo + hi) / 2
 
 
+def decimal_threshold(config, i, s_star, digits=50):
+    """The sigma_L in [0, s_star] at which user i's gain from topping up to
+    s_star over playing 0, every other user at 0, falls to tie_epsilon, in
+    decimal_utilities at `digits` digits; 0 if it is <= tie_epsilon at 0."""
+    D, n = decimal.Decimal, config.n_users
+    with decimal.localcontext(decimal.Context(prec=digits)):
+        s = D(s_star)
+
+        def gain(x):
+            top_up = [D(0)] * n
+            top_up[i] = (s * s - x * x).sqrt()
+            utilities = decimal_utilities(config, x, top_up, digits), decimal_utilities(config, x, [D(0)] * n, digits)
+            return utilities[0][i + 1][0] - utilities[1][i + 1][0] - D(config.solver.tie_epsilon)
+
+        if gain(D(0)) <= 0:
+            return D(0)
+        lo, hi = D(0), s
+        for _ in range(4 * digits):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if gain(mid) > 0 else (lo, mid)
+        return (lo + hi) / 2
+
+
+# two one-user games of fuzz_configs(1, 2000) (indices 67 and 1011) whose
+# float P_bar * rho overflows
+RHS_PAST_THE_FLOAT_RANGE = {
+    "fuzz_67": """learner.G_bar = 1e-300
+learner.gamma = 1e+150
+learner.N_bar = 1e+150
+learner.Lambda = 4.0
+users[0].G_bar = 0.1
+users[0].gamma = 5e-324
+users[0].P_bar = 1.0
+users[0].rho = 1e+20
+users[0].N_bar = 1e+150
+learner.N = 1
+solver.sigma_max = 2.72139725333523e-169
+solver.grid_step = 5.44279450667046e-171
+""",
+    "fuzz_1011": """learner.G_bar = 1e-20
+learner.gamma = 1.0
+learner.N_bar = 0.0
+learner.Lambda = 0.001
+users[0].G_bar = 1.0
+users[0].gamma = 1e+300
+users[0].P_bar = 1e+300
+users[0].rho = 1e+20
+users[0].N_bar = 75.0
+learner.N = 1
+solver.sigma_max = 3.271598625175791e-262
+solver.grid_step = 6.543197250351581e-264
+""",
+}
+
+
 class TestEffectiveNoiseTarget:
     def test_matches_decimal_reference(self):
         """Every panel game's users, and users whose s_star is below root_tol,
@@ -186,6 +242,65 @@ class TestEffectiveNoiseTarget:
         learner = LearnerParams(1.0, 1.0, 0.0, 1.0, 1)
         assert stationarity_rhs(user, learner) == 0.0
         assert solver.effective_noise_target(user, learner) == 0.0
+
+    @pytest.mark.parametrize("p_bar, rho", [(1e145, 1e163), (1e150, 1e158)])
+    def test_cubic_past_the_float_range_below_its_root(self, p_bar, rho):
+        """A right-hand side near the float maximum with rho so large that
+        (1 + rho s)^2 overflows below s_star < 1, where a float cubic reads
+        inf and puts the root too low (1.4e-9 for 1e-6, 1.3e-4 for 2.2e-3)."""
+        user, learner = UserParams(1.0, 0.5, p_bar, rho, 0.0), LearnerParams(1.0, 1.0, 0.0, 1.0, 1)
+        assert math.isfinite(stationarity_rhs(user, learner))
+        ref = decimal_s_star(user, learner)
+        got = solver.effective_noise_target(user, learner)
+        assert abs(decimal.Decimal(got) - ref) <= SolverSettings.root_tol
+
+    @pytest.mark.parametrize("name", sorted(RHS_PAST_THE_FLOAT_RANGE))
+    def test_right_hand_side_past_the_float_range(self, name):
+        """P_bar * rho overflows, though the right-hand side does not (67) or
+        its root has a finite square (1011): s_star, the threshold, the
+        response and the solve's utilities against their decimal references.
+        A float chain made s_star the point where (1 + rho s)^2 overflows,
+        2.6e89 in both, and the corner then refused 1011 or held its user,
+        who does perturb, at 0."""
+        config = parse_config_text(RHS_PAST_THE_FLOAT_RANGE[name])
+        user, tol, D = config.users[0], config.solver.root_tol, decimal.Decimal
+        assert math.isinf(stationarity_rhs(user, config.learner))
+        s_star, t = solver._pair(config, 0)
+        ref = decimal_s_star(user, config.learner)
+        assert abs(D(s_star) - ref) <= max(tol if ref > tol else 0.0, 4 * math.ulp(float(ref)))
+        ref_t = decimal_threshold(config, 0, s_star)
+        assert abs(D(t) - ref_t) <= 4 * math.ulp(s_star)
+        result = stackelberg_solve(config)
+        sigma_L = result.sigma_L_star
+        expected = math.sqrt(s_star * s_star - sigma_L * sigma_L) if sigma_L < ref_t else 0.0
+        assert result.sigma_S_star == (expected,) == (user_best_response(sigma_L, 0, config),)
+        got = [result.learner_utility, *result.user_utilities]
+        for value, (exact, scale) in zip(got, decimal_utilities(config, sigma_L, result.sigma_S_star)):
+            assert abs(D(value) - exact) <= utility_ulps(config.n_users) * math.ulp(float(scale))
+
+    def test_fuzzed_users_match_decimal_reference(self):
+        """Every user of the CLI fuzz's 150 games: s_star within root_tol (or
+        4 ulps) of the decimal root, or a SolverError where that root has no
+        finite square.  About a third of these users have a float
+        right-hand side chain that leaves the normal range."""
+        D, exact = decimal.Decimal, 0
+        for text, _ in fuzz_configs(1, 150):
+            config = parse_config_text(text)
+            tol = config.solver.root_tol
+            for user in config.users:
+                if user.max_privacy_loss == 0 or user.accuracy_weight == 0:
+                    continue
+                ref = decimal_s_star(user, config.learner)
+                rhs = stationarity_rhs(user, config.learner)
+                exact += not (sys.float_info.min <= rhs < math.inf)
+                if ref * ref > D(sys.float_info.max):
+                    with pytest.raises(SolverError, match="no finite square"):
+                        solver.effective_noise_target(user, config.learner, tol)
+                    continue
+                got = solver.effective_noise_target(user, config.learner, tol)
+                bound = max(tol if ref > tol else 0.0, 4 * math.ulp(float(ref)))
+                assert abs(D(got) - ref) <= bound, (text, user, got, ref)
+        assert exact >= 50
 
 
 class TestUserBestResponse:
@@ -966,6 +1081,57 @@ class TestUtilityPanel:
         assert leader == [learner_utility(config, StrategyProfile(s, row)) for s, row in zip(grid, table)]
 
 
+def decimal_utilities(config, sigma_L, sigma_S, digits=50):
+    """(U, M) for the learner, then for each user, at the profile (sigma_L,
+    sigma_S), in decimal at `digits` significant digits with every parameter
+    and noise level taken exactly: U is the utility as game.py states it,
+    G_bar - gamma / (N Lambda^2) * (sigma_L^2 + sum_j sigma_S[j]^2 / N) -
+    privacy - N_bar [noise > 0], a user's privacy loss P_bar / (1 + rho *
+    sqrt(sigma_L^2 + sigma_S[i]^2)) and the learner's the users' mean; M is
+    the sum of its four terms' magnitudes.  Independent of the float kernels."""
+    D = decimal.Decimal
+    with decimal.localcontext(decimal.Context(prec=digits)):
+        n, lp, x = D(config.n_users), config.learner, D(sigma_L)
+        own = [D(s) for s in sigma_S]
+        spread = x * x + sum(s * s for s in own) / n
+        losses = [D(u.max_privacy_loss) / (1 + D(u.privacy_rate) * (x * x + s * s).sqrt())
+                  for u, s in zip(config.users, own)]
+
+        def utility(gain, weight, privacy, cost, noise):
+            terms = [D(gain), -D(weight) / (n * D(lp.regularizer) ** 2) * spread, -privacy,
+                     -D(cost) if noise > 0 else D(0)]
+            return sum(terms), sum(map(abs, terms))
+
+        leader = utility(lp.baseline_gain, lp.accuracy_weight, sum(losses) / n, lp.perturbation_cost, sigma_L)
+        return [leader] + [utility(u.baseline_gain, u.accuracy_weight, loss, u.perturbation_cost, s)
+                           for u, loss, s in zip(config.users, losses, sigma_S)]
+
+
+def utility_ulps(n):
+    """Float error of a utility in ulps of the sum M of its terms' magnitudes.
+    Each step is one correctly rounded operation (relative error u = 2^-53),
+    and after k steps a product, quotient, square root or sum of
+    nonnegative terms is within gamma_k = k u / (1 - k u) relative: the
+    accuracy term takes 3 steps for gamma / (N Lambda^2), N + 2 for the
+    spread (two squares, / N, N additions) and 1 for their product; a
+    user's privacy loss 6 (two squares, +, sqrt, rho *, 1 +, P_bar /) and
+    the learner's N more (N - 1 additions, / N); the three subtractions add
+    at most u M each.  So the error is below gamma_{N+9} M < (N + 10) u M,
+    and u M < ulp(M)."""
+    return n + 10
+
+
+class TestDecimalUtilities:
+    @pytest.mark.parametrize("config", panel_games())
+    def test_equilibrium_utilities_match_decimal_reference(self, config):
+        result = stackelberg_solve(config)
+        got = [result.learner_utility, *result.user_utilities]
+        reference = decimal_utilities(config, result.sigma_L_star, result.sigma_S_star)
+        for value, (exact, scale) in zip(got, reference):
+            bound = utility_ulps(config.n_users) * math.ulp(float(scale))
+            assert abs(decimal.Decimal(value) - exact) <= bound, (value, exact, bound)
+
+
 def assert_result_is_the_public_definition(config, result):
     """The result's utilities are the public utilities of its profile, and
     every field is a Python float (an np.float64 prints as np.float64(...))."""
@@ -1011,12 +1177,14 @@ class TestResultFields:
 
 def corner_utilities(config, top):
     """U_L and each U_S at the corner solver._admissible checks: sigma_L =
-    top, every user at max(top, s_star), every privacy loss at P_bar and
-    every flat cost paid, in the kernels' order of operations."""
+    top, every user at max(top, s_star), or at top if its threshold is 0,
+    every privacy loss at P_bar and every flat cost paid, in the kernels'
+    order of operations."""
     n, lp = config.n_users, config.learner
     spread, losses = top * top, 0.0
-    for u, s in zip(config.users, s_stars_of(config)):
-        spread += max(top, s) * max(top, s) / n
+    for i, (u, s) in enumerate(zip(config.users, s_stars_of(config))):
+        level = top if dissuasion_threshold(i, config) == 0.0 else max(top, s)
+        spread += level * level / n
         losses += u.max_privacy_loss
     scale = n * lp.regularizer**2
     leader = lp.baseline_gain - lp.accuracy_weight / scale * spread - losses / n - lp.perturbation_cost
@@ -1027,13 +1195,15 @@ def corner_utilities(config, top):
 
 # default.cfg with learner.gamma = 5e304: no scored sigma_L overflows U_L, the corner does
 INADMISSIBLE = shipped_config_path("default").read_text().replace("learner.gamma  = 4", "learner.gamma  = 5e304")
+# a user who never perturbs, with s* = 3.7e66 far above sigma_max = 1
+NEVER_AT_TOP = parse_config_text(NEVER_PERTURBS + "solver.sigma_max = 1\nsolver.grid_step = 0.02\n")
 
 
 class TestAdmissibility:
     """One rule decides, before any kernel runs, whether a command may
     solve a game: the utilities at the corner of its domain are finite."""
 
-    @pytest.mark.parametrize("config", panel_games())
+    @pytest.mark.parametrize("config", panel_games() + [NEVER_AT_TOP])
     def test_corner_bounds_every_evaluated_utility(self, config, monkeypatch):
         settings = config.solver
         leader_floor, user_floors = corner_utilities(config, settings.sigma_max)
@@ -1069,6 +1239,20 @@ class TestAdmissibility:
             monkeypatch.setattr(solver, name, kernel)
         with pytest.raises(SolverError, match=f"{OVERFLOW} = 50.0 "):
             run(parse_config_text(INADMISSIBLE))
+
+    def test_corner_holds_a_never_perturbing_user_at_top(self):
+        # a user whose cut is 0 plays 0 in the solve and the sweep's
+        # responses and at most sigma_max in the oracle's and the own-noise
+        # tables; without its flat cost it perturbs, up to s*, where the
+        # learner's accuracy term overflows
+        s_stars = s_stars_of(NEVER_AT_TOP)
+        assert dissuasion_threshold(0, NEVER_AT_TOP) == 0.0 and s_stars[0] > 1e66
+        assert solver._admissible(NEVER_AT_TOP, 1.0) == s_stars
+        user = dataclasses.replace(NEVER_AT_TOP.users[0], perturbation_cost=0.0)
+        perturbs = dataclasses.replace(NEVER_AT_TOP, users=(user,))
+        assert dissuasion_threshold(0, perturbs) != 0.0
+        with pytest.raises(SolverError, match=f"{OVERFLOW} = 1.0 "):
+            solver._admissible(perturbs, 1.0)
 
     def test_grid_stops_at_its_top(self):
         # 3 * 0.1 rounds to 0.30000000000000004
