@@ -284,12 +284,16 @@ class TestInPlaceKernels:
     def test_loss_is_the_plain_formula(self):
         rng = np.random.Generator(np.random.PCG64(11))
         margins = 10.0 ** rng.uniform(-8.0, 3.0, 10_000) * np.where(rng.random(10_000) < 0.5, 1.0, -1.0)
+        # where the sign of zero, exp's underflow and the infinities matter
+        edges = np.array([0.0, 745.0, 1e308, math.inf])
+        margins = np.concatenate([margins, edges, -edges])
         expected = plain_losses(margins)
         ez = np.exp(-np.abs(margins))
         given = ez.copy()
-        assert np.array_equal(erm._logistic_loss(margins.copy(), given), expected)
+        for value in (erm._logistic_loss(margins.copy(), given), erm._logistic_loss(margins.copy())):
+            assert np.array_equal(value, expected)
+            assert np.array_equal(np.signbit(value), np.signbit(expected))
         assert np.array_equal(given, ez)
-        assert np.array_equal(erm._logistic_loss(margins.copy()), expected)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 1_000, 100_000])
     def test_estimate_and_risk_are_the_plain_formulas(self, n):
@@ -314,6 +318,49 @@ class TestInPlaceKernels:
         perturb_inputs(data, 0.2, np.full(n, 0.3), seed=4)
         for a, copy in zip(arrays, copies):
             assert np.array_equal(a, copy)
+
+
+class TestColumnMajorLayout:
+    """Dataset keeps its features column-major whatever layout it is given,
+    and the builders hand it arrays it need not copy."""
+
+    def test_either_order_gives_equal_results(self):
+        rng = np.random.Generator(np.random.PCG64(21))
+        values = 2.0 * rng.standard_normal((1_000, 4))
+        labels = np.where(rng.random(1_000) < 0.5, 1.0, -1.0)
+        c_data = Dataset(np.ascontiguousarray(values), labels)
+        f_data = Dataset(np.asfortranarray(values), labels)
+        assert c_data.features.flags.f_contiguous and f_data.features.flags.f_contiguous
+        f = Classifier(rng.standard_normal(4))
+        assert np.array_equal(train_erm(c_data, 0.3).weights, train_erm(f_data, 0.3).weights)
+        assert empirical_risk(f, c_data, 0.3) == empirical_risk(f, f_data, 0.3)
+        assert expected_loss_estimate(f, c_data, 0.3) == expected_loss_estimate(f, f_data, 0.3)
+
+    def test_builders_are_not_copied_again(self, monkeypatch):
+        given = []
+
+        class Recording(Dataset):
+            def __post_init__(self):
+                given.append(self.features)
+                super().__post_init__()
+
+        monkeypatch.setattr(erm, "Dataset", Recording)
+        data = generate_synthetic(10_000, 5, 4.0, seed=3)
+        pert, _ = perturb_inputs(data, 0.2, np.full(10_000, 0.3), seed=4)
+        assert len(given) == 2
+        for dataset, features in zip((data, pert), given):
+            assert dataset.features.flags.f_contiguous
+            assert np.shares_memory(dataset.features, features)
+
+    def test_blocked_draw_is_the_row_major_draw(self):
+        n = 3 * erm._DRAW_ROWS + 5  # a partial last block
+        rng = np.random.Generator(np.random.PCG64(6))
+        labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        features = rng.standard_normal((n, 3))
+        features[:, 0] += labels * 1.5
+        data = generate_synthetic(n, 3, 3.0, seed=6)
+        assert np.array_equal(data.features, features)
+        assert np.array_equal(data.labels, labels)
 
 
 class TestEmpiricalRisk:

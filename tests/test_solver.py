@@ -1428,3 +1428,42 @@ class TestFloatExactCandidates:
             assert abs(result.sigma_L_star - root) <= 10 * config.solver.root_tol
             checked += 1
         assert checked == 21
+
+
+def scaled_game(config, k):
+    """config with every gain, gamma, P_bar and flat cost, the learner's
+    too, and tie_epsilon multiplied by k."""
+    lp = config.learner
+    learner = dataclasses.replace(
+        lp,
+        baseline_gain=k * lp.baseline_gain,
+        accuracy_weight=k * lp.accuracy_weight,
+        perturbation_cost=k * lp.perturbation_cost,
+    )
+    users = tuple(
+        dataclasses.replace(
+            u,
+            baseline_gain=k * u.baseline_gain,
+            accuracy_weight=k * u.accuracy_weight,
+            max_privacy_loss=k * u.max_privacy_loss,
+            perturbation_cost=k * u.perturbation_cost,
+        )
+        for u in config.users
+    )
+    return GameConfig(learner, users, dataclasses.replace(config.solver, tie_epsilon=k * config.solver.tie_epsilon))
+
+
+class TestUtilityScale:
+    """A power-of-two k scales s*'s right-hand side, every margin and every
+    utility exactly, so the equilibrium cannot move and every utility is
+    exactly k times as large: a relation that needs no oracle at any N."""
+
+    @pytest.mark.parametrize("k", [0.25, 8.0])
+    def test_power_of_two_scale_keeps_the_equilibrium(self, k):
+        for config in panel_games():
+            base, result = stackelberg_solve(config), stackelberg_solve(scaled_game(config, k))
+            assert result.sigma_L_star == base.sigma_L_star, config
+            assert result.sigma_S_star == base.sigma_S_star, config
+            assert result.per_user_thresholds == base.per_user_thresholds, config
+            assert result.learner_utility == k * base.learner_utility, config
+            assert result.user_utilities == tuple(k * u for u in base.user_utilities), config

@@ -60,6 +60,7 @@ def test_scaling_suite_memory_is_bounded():
 
 
 def test_chi2_suite_holds_about_one_draw():
-    """Each d's draw is scaled and squared in place and freed before the
-    next; the d = 10 draw alone is 200,000 * 10 * 8 bytes."""
+    """Each d's draw is scaled in place, reduced to its squared row norms
+    in one einsum pass and freed before the next; the d = 10 draw alone is
+    200,000 * 10 * 8 bytes."""
     assert _traced_peak(lambda: run_chi2_suite(200_000)) < 1.3 * 200_000 * 10 * 8
