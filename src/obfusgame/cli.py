@@ -95,6 +95,8 @@ def _outdir(args) -> Path:
 
 
 def _cmd_solve(args) -> int:
+    if args.fine_step is not None and not args.oracle:
+        raise ValueError("--fine-step applies only with --oracle")
     config = load_config(args.config)
     from . import solver  # after the config parses: a config error needs no numpy
     if args.oracle:

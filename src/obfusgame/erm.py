@@ -109,19 +109,38 @@ def generate_synthetic(n: int, d: int, separation: float, seed: int) -> Dataset:
     return Dataset(features, labels)
 
 
-def _risk_state(w: np.ndarray, data: Dataset, lam: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """z = X w, exp(-|z|) and the regularized objective at w, from one pass
-    over the rows.  The labels are +-1, so exp(-|z|) is also exp(-|y z|)."""
-    z = data.features @ w
+def _stack(datasets: "list[Dataset]") -> tuple[np.ndarray, np.ndarray]:
+    """The features as a (T, d, n) stack of each X^T and the labels as
+    (T, n).  Each X^T is C-contiguous, so each slice of the stack's
+    transpose (T, n, d) is column-major as a Dataset's features are, and
+    matmul hands every slice to the BLAS call the 2-D product makes.  A
+    stack of one is a view: a large set is never copied."""
+    if len(datasets) == 1:
+        return datasets[0].features.T[None], datasets[0].labels[None]
+    return np.stack([data.features.T for data in datasets]), np.stack([data.labels for data in datasets])
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row's a[t] @ b[t]: matmul takes a vector-vector product one
+    row at a time, by the dot a 1-D a[t] @ b[t] makes."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _risk_states(w: np.ndarray, Xt: np.ndarray, y: np.ndarray, lam: float):
+    """z = X w, exp(-|z|) and the regularized objective at w for each
+    problem of a stack, from one pass over the rows.  The labels are +-1,
+    so exp(-|z|) is also exp(-|y z|)."""
+    z = np.matmul(Xt.transpose(0, 2, 1), w[:, :, None])[:, :, 0]
     ez = np.abs(z)
     np.exp(np.negative(ez, out=ez), out=ez)
-    risk = np.add.reduce(_logistic_loss(data.labels * z, ez)) / data.n  # np.mean's sum and divide
-    return z, ez, 0.5 * lam * float(w @ w) + float(risk)
+    # each row's pairwise sum and divide, as np.mean takes them
+    risk = np.add.reduce(_logistic_loss(y * z, ez), axis=1) / Xt.shape[2]
+    return z, ez, 0.5 * lam * _dots(w, w) + risk
 
 
 def empirical_risk(f: Classifier, data: Dataset, lam: float) -> float:
     """Lambda/2 ||f||^2 + mean logistic loss over the dataset."""
-    return _risk_state(f.weights, data, lam)[2]
+    return float(_risk_states(f.weights[None], *_stack([data]), lam)[2][0])
 
 
 def train_erm(
@@ -130,53 +149,93 @@ def train_erm(
     tol: float = 1e-8,
     max_iter: int = 200,
 ) -> Classifier:
-    """Minimize the regularized objective to gradient-norm tol by damped
-    Newton steps with Armijo backtracking (Boyd & Vandenberghe 2004, 9.5).
+    """Minimize the regularized objective to gradient-norm tol: train_erms
+    on a stack of one."""
+    return train_erms([data], lam, tol, max_iter)[0]
+
+
+def train_erms(
+    datasets: "list[Dataset]",
+    lam: float,
+    tol: float = 1e-8,
+    max_iter: int = 200,
+) -> list[Classifier]:
+    """Minimize each dataset's regularized objective to gradient-norm tol
+    by damped Newton steps with Armijo backtracking (Boyd & Vandenberghe
+    2004, 9.5), the datasets, all of one (n, d) shape, stepped as one
+    stack: each product is one matmul and each solve one np.linalg.solve
+    over the stack, so T small problems cost about the numpy calls of one.
+    Each problem backtracks on its own step and leaves the stack once its
+    gradient norm reaches tol, and its weights are those of training it
+    alone, bit for bit, whatever its stack-mates.
 
     Each iterate carries z = X w, exp(-|z|) and the objective from the
     accepted line-search step.  The gradient's sigmoid(-y z) and the
     Hessian's sigmoid(z) are both picks from the same 1 / (1 + e) and
     e / (1 + e), since |-y z| = |z|.  Those two, the gradient's
     coefficients and the Hessian's weights are formed in arrays each step
-    allocates once and writes in place; nothing is written into data."""
+    allocates once and writes in place; nothing is written into a
+    dataset."""
     if lam <= 0:
         raise ValueError("lam must be > 0 for strict convexity")
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol and max_iter must be > 0")
-    X, y, n = data.features, data.labels, data.n
-    w = np.zeros(data.d)
-    ridge = lam * np.eye(data.d)
-    z, ez, obj = _risk_state(w, data, lam)
+    if not datasets:
+        raise ValueError("need at least one dataset")
+    n, d = datasets[0].features.shape
+    if any(data.features.shape != (n, d) for data in datasets):
+        raise ValueError("datasets must share one (n, d) shape")
+    Xt, y = _stack(datasets)
+    lanes = np.arange(len(datasets))  # the datasets still in the stack
+    weights = [None] * len(datasets)
+    w = np.zeros((len(datasets), d))
+    ridge = lam * np.eye(d)
+    z, ez, obj = _risk_states(w, Xt, y, lam)
     for _ in range(max_iter):
         upper = 1.0 + ez
-        lower = np.divide(ez, upper)  # sigmoid(-|z|)
+        lower = np.divide(ez, upper, out=ez)  # sigmoid(-|z|), over exp(-|z|)
         np.divide(1.0, upper, out=upper)  # sigmoid(|z|)
+        del ez
         coef = np.where(y * z <= 0, upper, lower)
         np.negative(np.multiply(coef, y, out=coef), out=coef)  # -y sigmoid(-y z): negating last is exact
-        g = lam * w + X.T @ coef / n
-        gnorm = math.sqrt(float(g @ g))  # np.linalg.norm's dot and sqrt
-        if gnorm <= tol:
-            return Classifier(w)
+        g = lam * w + np.matmul(Xt, coef[:, :, None])[:, :, 0] / n
+        gnorm = np.sqrt(_dots(g, g))  # np.linalg.norm's dot and sqrt
+        done = gnorm <= tol
+        if done.any():
+            for lane, w_done in zip(lanes[done], w[done]):
+                weights[lane] = Classifier(w_done)
+            if done.all():
+                return weights
+            live = ~done
+            lanes, Xt, y, w, z, obj, g, gnorm, upper, lower = (
+                a[live] for a in (lanes, Xt, y, w, z, obj, g, gnorm, upper, lower)
+            )
         p = np.where(z >= 0, upper, lower)
         # p (1 - p) is even in the margin, so the labels drop out
-        h = np.subtract(1.0, p, out=coef)  # the gradient's coefficients are spent
+        h = np.subtract(1.0, p, out=upper)  # sigmoid(|z|) is spent
         h *= p
-        del upper, lower, p  # not held through the gemm and the line search
-        hessian = ridge + (X.T * h) @ X / n
-        direction = np.linalg.solve(hessian, g)
-        decrement = float(g @ direction)  # squared Newton decrement
-        step = 1.0
+        del coef, lower, p  # not held through the gemm and the line search
+        hessian = ridge + np.matmul(Xt * h[:, None, :], Xt.transpose(0, 2, 1)) / n
+        direction = np.linalg.solve(hessian, g[:, :, None])[:, :, 0]
+        decrement = _dots(g, direction)  # squared Newton decrement
+        step = np.ones(len(lanes))
         for _ in range(60):
-            w_new = w - step * direction
-            z_new, ez_new, obj_new = _risk_state(w_new, data, lam)
-            # stop at sufficient decrease, or once the predicted decrease is
-            # below the objective's float resolution
-            if obj_new <= obj - 1e-4 * step * decrement or step * decrement < 1e-14 * max(1.0, abs(obj)):
+            w_new = w - step[:, None] * direction
+            z_new, ez_new, obj_new = _risk_states(w_new, Xt, y, lam)
+            # sufficient decrease, or a predicted decrease below the
+            # objective's float resolution; an accepted step is not halved
+            # again, so its problem's iterate is recomputed unchanged
+            accepted = (obj_new <= obj - 1e-4 * step * decrement) | (
+                step * decrement < 1e-14 * np.maximum(1.0, np.abs(obj))
+            )
+            if accepted.all():
                 break
-            step *= 0.5
+            step[~accepted] *= 0.5
         w, z, ez, obj = w_new, z_new, ez_new, obj_new
+        del z_new, ez_new  # so that lower is freed before the next gemm
     raise ConvergenceError(
-        f"gradient norm {gnorm:.3e} above tol {tol:.3e} after {max_iter} iterations"
+        f"problem {lanes[0]} of {len(weights)}: gradient norm {gnorm[0]:.3e} above tol {tol:.3e}"
+        f" after {max_iter} iterations"
     )
 
 

@@ -12,6 +12,7 @@ per trial plus a pass/fail summary.  The suites:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -40,6 +41,9 @@ _CHI2_TOLERANCE = 0.01
 _CHI2_MAX_DRAWS = 10**8
 
 _SCALING_POINTS = 10
+# rows of features the lemma and scaling suites train as one stack: 100
+# problems of _ERM_N rows, under a fifth of the scaling suite's 100k-row sets
+_STACK_ROWS = 20_000
 _MIN_SPEARMAN = 0.9
 
 _ORACLE_UTILITY_TOL = 1e-6
@@ -53,23 +57,36 @@ class SuiteResult:
     failed_seeds: list[int] = field(default_factory=list)
 
 
-def _erm_trial(seed: int):
+def _trained(draws, tol: float = 1e-8):
+    """(key, datasets, classifiers) for each (key, datasets) draw, in draw
+    order.  The draws are taken a stack at a time, as many as fit in
+    _STACK_ROWS rows, and their datasets train as one erm.train_erms
+    stack: a suite holds one stack's data whatever its trial count."""
+    draws = iter(draws)
+    for first in draws:
+        rows = sum(data.n for data in first[1])
+        batch = [first, *itertools.islice(draws, max(_STACK_ROWS // rows, 1) - 1)]
+        fits = iter(erm.train_erms([data for _, datasets in batch for data in datasets], _ERM_LAM, tol=tol))
+        for key, datasets in batch:
+            yield key, datasets, [next(fits) for _ in datasets]
+        del batch, fits  # freed before the next stack is drawn
+
+
+def _lemma_draw(seed: int):
+    """A trial's noise levels, clean set and perturbed set, with the noise."""
     rng = np.random.Generator(np.random.PCG64(seed))
     sigma_L = _TRIAL_SIGMA_L[seed % len(_TRIAL_SIGMA_L)]
     sigma_S = rng.choice(_TRIAL_SIGMA_S, size=_ERM_N)
     data = erm.generate_synthetic(_ERM_N, _ERM_D, _ERM_SEPARATION, seed)
-    f_clean = erm.train_erm(data, _ERM_LAM)
     perturbed, noise = erm.perturb_inputs(data, sigma_L, sigma_S, seed + 10_000)
-    f_pert = erm.train_erm(perturbed, _ERM_LAM)
-    return data, f_clean, f_pert, noise, sigma_L, sigma_S
+    return (seed, sigma_L, sigma_S, noise), (data, perturbed)
 
 
 def run_lemma_suite(which: str, trials: int = 100, base_seed: int = 0) -> SuiteResult:
     result = SuiteResult(passed=True)
     worst_slack = math.inf
-    for t in range(trials):
-        seed = base_seed + t
-        data, f_clean, f_pert, noise, sigma_L, sigma_S = _erm_trial(seed)
+    draws = map(_lemma_draw, range(base_seed, base_seed + trials))
+    for (seed, sigma_L, sigma_S, noise), (data, _), (f_clean, f_pert) in _trained(draws):
         if which == "lemma1":
             report = erm.check_classifier_gap(f_clean, f_pert, noise, _ERM_LAM)
         else:
@@ -146,6 +163,13 @@ def _spearman(x, y) -> float:
     return float(np.corrcoef(*ranks)[0, 1])
 
 
+def _scaling_draw(k: int, sigma_L: float, sigma_S: float, seed: int):
+    """Point k's perturbed set for one trial."""
+    data = erm.generate_synthetic(_ERM_N, _ERM_D, _ERM_SEPARATION, seed)
+    perturbed, _ = erm.perturb_inputs(data, sigma_L, np.full(_ERM_N, sigma_S), seed + 20_000)
+    return k, (perturbed,)
+
+
 def run_scaling_suite(trials_per_point: int = 50, base_seed: int = 0) -> SuiteResult:
     """Average expected-loss gap across a noise sweep must increase with
     sigma_L^2 + (1/n) sum sigma_S^2 (Spearman rank correlation)."""
@@ -155,24 +179,23 @@ def run_scaling_suite(trials_per_point: int = 50, base_seed: int = 0) -> SuiteRe
     del big  # freed before the sample is drawn: one 100k-row set at a time
     sample = erm.generate_synthetic(100_000, _ERM_D, _ERM_SEPARATION, base_seed + 424_242)
     j_star, _ = erm.expected_loss_estimate(f_star, sample, _ERM_LAM)
+    points = [(0.12 * k, 0.18 * k) for k in range(_SCALING_POINTS)]  # (sigma_L, sigma_S)
+    # the perturbed sets train in stacks that run across points
+    draws = (
+        _scaling_draw(k, *noise, base_seed + 1000 * k + t)
+        for k, noise in enumerate(points)
+        for t in range(trials_per_point)
+    )
+    trial_gaps = [[] for _ in points]
+    for k, _, (f_d,) in _trained(draws, tol=1e-6):
+        j_d, _ = erm.expected_loss_estimate(f_d, sample, _ERM_LAM)
+        trial_gaps[k].append(j_d - j_star)
     levels, gaps = [], []
-    for k in range(_SCALING_POINTS):
-        sigma_L = 0.12 * k
-        sigma_S_level = 0.18 * k
+    for k, ((sigma_L, sigma_S_level), point_gaps) in enumerate(zip(points, trial_gaps)):
         level = sigma_L**2 + sigma_S_level**2
-        trial_gaps = []
-        for t in range(trials_per_point):
-            seed = base_seed + 1000 * k + t
-            data = erm.generate_synthetic(_ERM_N, _ERM_D, _ERM_SEPARATION, seed)
-            perturbed, _ = erm.perturb_inputs(
-                data, sigma_L, np.full(_ERM_N, sigma_S_level), seed + 20_000
-            )
-            f_d = erm.train_erm(perturbed, _ERM_LAM, tol=1e-6)
-            j_d, _ = erm.expected_loss_estimate(f_d, sample, _ERM_LAM)
-            trial_gaps.append(j_d - j_star)
-        mean_gap = float(np.mean(trial_gaps))
+        mean_gap = float(np.mean(point_gaps))
         # a single trial has no spread estimate
-        spread = np.std(trial_gaps, ddof=1) if trials_per_point > 1 else math.inf
+        spread = np.std(point_gaps, ddof=1) if trials_per_point > 1 else math.inf
         levels.append(level)
         gaps.append(mean_gap)
         result.rows.append(

@@ -281,6 +281,18 @@ class TestCliSolve:
         err = capsys.readouterr().err
         assert err == f"error: fine_step must be finite and > 0, got {float(fine_step)}\n"
 
+    @pytest.mark.parametrize("fine_step", ["nan", "0.5"])
+    def test_fine_step_without_oracle_exit_2(self, tmp_path, capsys, fine_step):
+        out = tmp_path / "out"
+        assert main([
+            "solve", "--config", str(shipped_config_path("default")),
+            "--out", str(out), "--fine-step", fine_step,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --fine-step applies only with --oracle\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 # 1.2e154 squared is finite, but sigma_L^2 + sigma_S^2 at the grid's top is not
 @pytest.mark.parametrize(
@@ -993,7 +1005,7 @@ class TestCliValidate:
         def fail(*args, **kwargs):
             raise ConvergenceError("no convergence in 200 iterations")
 
-        monkeypatch.setattr(erm, "train_erm", fail)
+        monkeypatch.setattr(erm, "train_erms", fail)
         assert main(["validate", "--suite", suite, "--trials", "1",
                      "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err == "solver error: no convergence in 200 iterations\n"

@@ -131,9 +131,10 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
-def reference_train_erm(data, lam, tol=1e-8, max_iter=200):
+def reference_train_erm(data, lam, tol=1e-8, max_iter=200, halvings=None):
     """train_erm's damped Newton loop with the gradient, the Hessian and
-    the objective each recomputing X w and exp(-|X w|) from w."""
+    the objective each recomputing X w and exp(-|X w|) from w.  A list
+    given as halvings gets each Newton step's count of step halvings."""
     X, y, n = data.features, data.labels, data.n
 
     def objective(w):
@@ -161,6 +162,8 @@ def reference_train_erm(data, lam, tol=1e-8, max_iter=200):
             if obj_new <= obj - 1e-4 * step * decrement or step * decrement < 1e-14 * max(1.0, abs(obj)):
                 break
             step *= 0.5
+        if halvings is not None:
+            halvings.append(round(-math.log2(step)))
         w, obj = w_new, obj_new
     raise ConvergenceError("reference loop did not converge")
 
@@ -170,19 +173,22 @@ class TestNewtonStateUnchanged:
     line-search step; that must not move any iterate."""
 
     def test_suite_datasets_train_to_equal_weights(self, monkeypatch):
-        train, calls = erm.train_erm, []
+        train, stacks = erm.train_erms, []
 
-        def recording(data, lam, **kwargs):
-            calls.append((data, lam, kwargs))
-            return train(data, lam, **kwargs)
+        def recording(datasets, lam, *args, **kwargs):
+            stacks.append((datasets, lam, args, kwargs))
+            return train(datasets, lam, *args, **kwargs)
 
-        monkeypatch.setattr(erm, "train_erm", recording)
+        monkeypatch.setattr(erm, "train_erms", recording)
         validate.run_lemma_suite("lemma1", trials=10, base_seed=0)  # seeds 0-9, clean and perturbed
         validate.run_scaling_suite(trials_per_point=2, base_seed=0)  # the 100k f* set, then 20 perturbed
-        assert len(calls) == 20 + 1 + 20
-        assert calls[20][0].n == 100_000
-        for data, lam, kwargs in calls:
-            assert np.array_equal(train(data, lam, **kwargs).weights, reference_train_erm(data, lam, **kwargs))
+        assert [len(datasets) for datasets, *_ in stacks] == [20, 1, 20]  # each suite's trainings as one stack
+        assert stacks[1][0][0].n == 100_000
+        for datasets, lam, args, kwargs in stacks:
+            for data in datasets:
+                assert np.array_equal(
+                    train([data], lam, *args, **kwargs)[0].weights, reference_train_erm(data, lam, *args, **kwargs)
+                )
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_problems_train_to_equal_weights(self, seed):
@@ -191,6 +197,101 @@ class TestNewtonStateUnchanged:
         data = generate_synthetic(n, d, float(rng.uniform(0.0, 10.0)), seed)
         lam = float(10 ** rng.uniform(-3, 1))
         assert np.array_equal(train_erm(data, lam).weights, reference_train_erm(data, lam))
+
+
+def _symmetric_set(n, d, seed):
+    """Each feature row twice, once per label: the gradient at w = 0 is 0."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows = rng.standard_normal((n // 2, d))
+    return Dataset(np.repeat(rows, 2, axis=0), np.tile([1.0, -1.0], n // 2))
+
+
+def _separable_set(seed):
+    """40 rows in 3-D labelled by the sign of their first feature, with row
+    scales spread over orders of magnitude.  At Lambda = 1e-3, seed 3's
+    sixth Newton step halves twice and seed 113's tenth once."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    features = rng.standard_normal((40, 3)) * np.exp(2.0 * rng.standard_normal((40, 1)))
+    return Dataset(features, np.where(features[:, 0] > 0, 1.0, -1.0))
+
+
+class TestStackedTraining:
+    """train_erms steps a stack of same-shape problems together; each
+    problem's weights are those of training it alone, bit for bit."""
+
+    LAM = 1e-3
+
+    def _mixed(self):
+        return [
+            generate_synthetic(40, 3, 2.0, seed=1),
+            _separable_set(seed=3),
+            _symmetric_set(40, 3, seed=3),
+            generate_synthetic(40, 3, 0.5, seed=4),
+            _separable_set(seed=113),
+        ]
+
+    def test_mixed_stack_trains_like_each_problem_alone(self):
+        stack = self._mixed()
+        logs = [[] for _ in stack]
+        expected = [reference_train_erm(data, self.LAM, halvings=log) for data, log in zip(stack, logs)]
+        # the stack mixes Newton step counts and line-search halvings
+        assert len({len(log) for log in logs}) >= 4
+        assert {max(log, default=0) for log in logs} == {0, 1, 2}
+        assert logs[2] == [] and not np.any(expected[2])  # the symmetric set stops at w = 0
+        for f, w in zip(erm.train_erms(stack, self.LAM), expected):
+            assert np.array_equal(f.weights, w)
+
+    def test_smallest_shape(self):
+        stack = [
+            Dataset([[1.0], [2.0]], [1.0, -1.0]),
+            Dataset([[0.5], [-0.3]], [1.0, 1.0]),
+            Dataset([[1.0], [1.0]], [1.0, -1.0]),
+            Dataset([[3.0], [-2.0]], [1.0, -1.0]),  # separable
+        ]
+        for lam in (self.LAM, 1.0):
+            for f, data in zip(erm.train_erms(stack, lam), stack):
+                assert np.array_equal(f.weights, reference_train_erm(data, lam))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_stacks_train_to_equal_weights(self, seed):
+        rng = np.random.Generator(np.random.PCG64(100 + seed))
+        n, d = int(rng.integers(2, 300)), int(rng.integers(1, 9))
+        lam = float(10 ** rng.uniform(-3, 1))
+        stack = [generate_synthetic(n, d, float(rng.uniform(0.0, 10.0)), seed + 1000 * k) for k in range(4)]
+        for f, data in zip(erm.train_erms(stack, lam), stack):
+            assert np.array_equal(f.weights, reference_train_erm(data, lam))
+
+    def test_weights_do_not_depend_on_stack_mates_or_order(self):
+        stack = self._mixed()
+        together = [f.weights for f in erm.train_erms(stack, self.LAM)]
+        backwards = [f.weights for f in erm.train_erms(stack[::-1], self.LAM)][::-1]
+        alone = [train_erm(data, self.LAM).weights for data in stack]
+        paired = [erm.train_erms([data, stack[0]], self.LAM)[0].weights for data in stack]
+        for weights in (backwards, alone, paired):
+            for w, w_together in zip(weights, together):
+                assert np.array_equal(w, w_together)
+
+    def test_unconverged_problem_raises_and_is_named(self):
+        easy, hard = _symmetric_set(40, 3, seed=3), generate_synthetic(40, 3, 2.0, seed=1)
+        assert erm.train_erms([easy], self.LAM, max_iter=1)[0].weights.tolist() == [0.0] * 3
+        with pytest.raises(ConvergenceError, match=r"^problem 1 of 2: gradient norm .* after 1 iterations$"):
+            erm.train_erms([easy, hard], self.LAM, max_iter=1)
+        with pytest.raises(ConvergenceError, match=r"^problem 0 of 3: "):
+            erm.train_erms([hard, easy, easy], self.LAM, max_iter=1)
+
+    def test_mixed_shapes_and_empty_stack_raise(self):
+        with pytest.raises(ValueError, match="one \\(n, d\\) shape"):
+            erm.train_erms([generate_synthetic(40, 3, 2.0, 1), generate_synthetic(40, 4, 2.0, 1)], 0.1)
+        with pytest.raises(ValueError, match="one \\(n, d\\) shape"):
+            erm.train_erms([generate_synthetic(40, 3, 2.0, 1), generate_synthetic(41, 3, 2.0, 1)], 0.1)
+        with pytest.raises(ValueError, match="at least one dataset"):
+            erm.train_erms([], 0.1)
+
+    def test_stack_of_one_is_a_view(self):
+        data = generate_synthetic(1_000, 5, 4.0, seed=7)
+        features, labels = erm._stack([data])
+        assert np.shares_memory(features, data.features) and np.shares_memory(labels, data.labels)
+        assert features.shape == (1, 5, 1_000) and features.flags.c_contiguous
 
 
 class TestLogisticLoss:

@@ -1467,3 +1467,46 @@ class TestUtilityScale:
             assert result.per_user_thresholds == base.per_user_thresholds, config
             assert result.learner_utility == k * base.learner_utility, config
             assert result.user_utilities == tuple(k * u for u in base.user_utilities), config
+def permuted_game(config, order):
+    """config with user order[j] in place j."""
+    return dataclasses.replace(config, users=tuple(config.users[i] for i in order))
+
+
+class TestUserPermutation:
+    """Relabelling the users permutes σ_S* and the thresholds exactly and
+    leaves σ_L* as it is: each user's s*, cut and best response read only
+    that user's parameters and N, Λ.  The utilities differ only by the
+    order of the two user-order sums, the spread σ_L² + Σ s_i²/N and the
+    privacy total Σ P_i; each float sum of N nonnegative terms is within
+    γ_N = N·u/(1 - N·u) of its exact value (u = 2⁻⁵³), so the two orders
+    differ by at most 2γ_N of it, and the few operations after the sums
+    add at most a rounding each of every term.  Hence the bound
+    4(N + 2)·u·(sum of the magnitudes of the utility's terms)."""
+
+    @staticmethod
+    def _bound(n, terms):
+        return 4 * (n + 2) * 2.0**-53 * sum(map(abs, terms))
+
+    def test_permuted_users_keep_the_equilibrium(self):
+        for seed, config in enumerate(panel_games()):
+            n, lp = config.n_users, config.learner
+            order = np.random.Generator(np.random.PCG64(seed)).permutation(n)
+            base, result = stackelberg_solve(config), stackelberg_solve(permuted_game(config, order))
+            assert result.sigma_L_star == base.sigma_L_star, config
+            assert result.sigma_S_star == tuple(base.sigma_S_star[i] for i in order), config
+            assert result.per_user_thresholds == tuple(base.per_user_thresholds[i] for i in order), config
+            x, s = base.sigma_L_star, base.sigma_S_star
+            spread = x * x + sum(v * v for v in s) / n
+            privacy = [
+                u.max_privacy_loss / (1.0 + u.privacy_rate * math.sqrt(x * x + v * v)) for u, v in zip(config.users, s)
+            ]
+            accuracy = lp.accuracy_weight / (n * lp.regularizer**2) * spread
+            leader_terms = (lp.baseline_gain, accuracy, sum(privacy) / n, lp.perturbation_cost)
+            assert abs(result.learner_utility - base.learner_utility) <= self._bound(n, leader_terms), config
+            for j, i in enumerate(order):
+                u = config.users[i]
+                user_terms = (u.baseline_gain, u.accuracy_weight / (n * lp.regularizer**2) * spread, privacy[i],
+                              u.perturbation_cost)
+                assert abs(result.user_utilities[j] - base.user_utilities[i]) <= self._bound(n, user_terms), config
+
+

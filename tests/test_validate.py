@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from obfusgame.validate import _spearman, run_chi2_suite, run_scaling_suite, run_suite
+from obfusgame import validate
+from obfusgame.validate import _spearman, run_chi2_suite, run_lemma_suite, run_scaling_suite, run_suite
 
 # Every CSV value of validate lemma1/lemma2 (5 trials), chi2 (50,000 samples)
 # and scaling (2 trials a point) at seeds 0, 1000 and 2000, in full precision
@@ -54,9 +55,18 @@ def _traced_peak(run) -> int:
 
 
 def test_scaling_suite_memory_is_bounded():
-    """The 100k-row f* training sets the peak.  13.04 MiB was the peak while
-    the Newton step and the loss still made a fresh array per expression."""
-    assert _traced_peak(lambda: run_scaling_suite(2, 0)) <= 13.04 * 2**20
+    """The 100k-row f* training sets the peak, about 9.9 MiB: the set
+    (4.6 MiB with its labels) and seven more values a row at the Hessian's
+    gemm.  One more 100k-row set held anywhere (3.8 MiB) exceeds 11 MiB."""
+    assert _traced_peak(lambda: run_scaling_suite(2, 0)) <= 11 * 2**20
+
+
+def test_lemma_suite_memory_does_not_grow_with_trials():
+    """The trials train in stacks of at most _STACK_ROWS rows, one stack's
+    data held at a time: only the result rows grow with --trials."""
+    one_stack = validate._STACK_ROWS * validate._ERM_D * 8
+    peaks = [_traced_peak(lambda: run_lemma_suite("lemma1", trials, 0)) for trials in (100, 400)]
+    assert abs(peaks[1] - peaks[0]) <= one_stack
 
 
 def test_chi2_suite_holds_about_one_draw():
