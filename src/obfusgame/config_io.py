@@ -20,8 +20,10 @@ from pathlib import Path
 from .errors import ConfigError
 from .game import GameConfig, LearnerParams, SolverSettings, UserParams
 
-_LEARNER_KEYS = {"G_bar", "gamma", "N_bar", "Lambda", "N"}
-_USER_KEYS = {"G_bar", "gamma", "P_bar", "rho", "N_bar"}
+_LEARNER_FIELDS = {"G_bar": "baseline_gain", "gamma": "accuracy_weight", "N_bar": "perturbation_cost",
+                   "Lambda": "regularizer", "N": "population_size"}
+_USER_FIELDS = {"G_bar": "baseline_gain", "gamma": "accuracy_weight", "P_bar": "max_privacy_loss",
+                "rho": "privacy_rate", "N_bar": "perturbation_cost"}
 _SOLVER_FIELDS = {"sigma_max": "sigma_max", "grid_step": "grid_step", "tol": "root_tol"}
 
 _USER_RE = re.compile(r"^users\[(\d+)\]\.(\w+)$")
@@ -50,7 +52,7 @@ def parse_config_text(text: str, source: str = "<string>") -> GameConfig:
 
         if key.startswith("learner."):
             sub = key[len("learner."):]
-            if sub not in _LEARNER_KEYS:
+            if sub not in _LEARNER_FIELDS:
                 raise ConfigError(f"unknown key {key!r}", line=lineno)
             if sub == "N":
                 if not (value >= 1 and value.is_integer()):
@@ -64,13 +66,13 @@ def parse_config_text(text: str, source: str = "<string>") -> GameConfig:
             _set_once(solver, sub, value, key, lineno)
         else:
             m = _USER_RE.match(key)
-            if not m or m.group(2) not in _USER_KEYS:
+            if not m or m.group(2) not in _USER_FIELDS:
                 raise ConfigError(f"unknown key {key!r}", line=lineno)
             _set_once(
                 users.setdefault(int(m.group(1)), {}), m.group(2), value, key, lineno
             )
 
-    missing = _LEARNER_KEYS - learner.keys()
+    missing = _LEARNER_FIELDS.keys() - learner.keys()
     if missing:
         raise ConfigError(f"{source}: missing learner keys {sorted(missing)}")
     n = int(learner["N"])
@@ -81,29 +83,15 @@ def parse_config_text(text: str, source: str = "<string>") -> GameConfig:
             line=n_line,
         )
     for i, fields in users.items():
-        missing = _USER_KEYS - fields.keys()
+        missing = _USER_FIELDS.keys() - fields.keys()
         if missing:
             raise ConfigError(f"{source}: users[{i}] missing keys {sorted(missing)}")
 
     try:
         return GameConfig(
-            learner=LearnerParams(
-                baseline_gain=learner["G_bar"],
-                accuracy_weight=learner["gamma"],
-                perturbation_cost=learner["N_bar"],
-                regularizer=learner["Lambda"],
-                population_size=n,
-            ),
-            users=tuple(
-                UserParams(
-                    baseline_gain=users[i]["G_bar"],
-                    accuracy_weight=users[i]["gamma"],
-                    max_privacy_loss=users[i]["P_bar"],
-                    privacy_rate=users[i]["rho"],
-                    perturbation_cost=users[i]["N_bar"],
-                )
-                for i in range(n)
-            ),
+            # learner.N as the integer n, not its float
+            learner=LearnerParams(**{_LEARNER_FIELDS[k]: v for k, v in learner.items()} | {"population_size": n}),
+            users=tuple(UserParams(**{_USER_FIELDS[k]: v for k, v in users[i].items()}) for i in range(n)),
             # only the keys the file sets: SolverSettings holds the defaults
             solver=SolverSettings(**{_SOLVER_FIELDS[k]: v for k, v in solver.items()}),
         )

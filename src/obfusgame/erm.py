@@ -12,7 +12,6 @@ gradient-norm tolerance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +40,8 @@ class Dataset:
             raise ValueError("features must be a 2-D array")
         if labels.shape != (features.shape[0],):
             raise ValueError("labels length must match feature rows")
+        if features.shape[0] < 1:
+            raise ValueError("need at least one row")
         if not np.all(np.isfinite(features)):
             raise ValueError("features must be finite")
         if not np.all((labels == 1.0) | (labels == -1.0)):
@@ -126,6 +127,14 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+def _risk(margins: np.ndarray, w: np.ndarray, lam: float, ez: np.ndarray | None = None) -> np.ndarray:
+    """The regularized objective, Lambda/2 ||w||^2 plus the mean logistic
+    loss, for each row of a (T, n) stack of margins y X w, which it
+    spends; ez is exp(-|margins|), when already computed."""
+    # each row's pairwise sum and divide, as np.mean takes them
+    return np.add.reduce(_logistic_loss(margins, ez), axis=1) / margins.shape[1] + 0.5 * lam * _dots(w, w)
+
+
 def _risk_states(w: np.ndarray, Xt: np.ndarray, y: np.ndarray, lam: float):
     """z = X w, exp(-|z|) and the regularized objective at w for each
     problem of a stack, from one pass over the rows.  The labels are +-1,
@@ -133,14 +142,17 @@ def _risk_states(w: np.ndarray, Xt: np.ndarray, y: np.ndarray, lam: float):
     z = np.matmul(Xt.transpose(0, 2, 1), w[:, :, None])[:, :, 0]
     ez = np.abs(z)
     np.exp(np.negative(ez, out=ez), out=ez)
-    # each row's pairwise sum and divide, as np.mean takes them
-    risk = np.add.reduce(_logistic_loss(y * z, ez), axis=1) / Xt.shape[2]
-    return z, ez, 0.5 * lam * _dots(w, w) + risk
+    return z, ez, _risk(y * z, w, lam, ez)
 
 
 def empirical_risk(f: Classifier, data: Dataset, lam: float) -> float:
-    """Lambda/2 ||f||^2 + mean logistic loss over the dataset."""
-    return float(_risk_states(f.weights[None], *_stack([data]), lam)[2][0])
+    """Lambda/2 ||f||^2 + mean logistic loss over the dataset: the training
+    objective, and over a held-out sample the Monte Carlo estimate of the
+    population loss plus regularizer.  The margins take two row-length
+    arrays, X w and the losses written over it."""
+    margins = data.features @ f.weights
+    margins *= data.labels
+    return float(_risk(margins[None], f.weights[None], lam)[0])
 
 
 def train_erm(
@@ -292,23 +304,3 @@ def check_empirical_gap(
     diff = f_d.weights - f_dagger.weights
     rhs = float(diff @ diff) * (1.0 + _CURVATURE_BOUND)
     return BoundReport(lhs, rhs, rhs - lhs)
-
-
-def expected_loss_estimate(f: Classifier, sample: Dataset, lam: float) -> tuple[float, float]:
-    """Monte Carlo estimate of the population loss plus regularizer over an
-    evaluation sample, with its standard error."""
-    if sample.n < 1:
-        raise ValueError("sample must have at least one row")
-    n = sample.n
-    margins = sample.features @ f.weights
-    margins *= sample.labels
-    losses = _logistic_loss(margins)
-    # np.mean and then np.std(ddof=1)'s own sequence (numpy's _methods._var),
-    # taken in place over the losses
-    mean = np.add.reduce(losses) / n
-    if n > 1:
-        np.square(np.subtract(losses, mean, out=losses), out=losses)
-        stderr = float(np.sqrt(np.add.reduce(losses) / (n - 1)) / math.sqrt(n))
-    else:
-        stderr = math.inf
-    return float(mean) + 0.5 * lam * float(f.weights @ f.weights), stderr

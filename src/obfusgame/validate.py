@@ -178,7 +178,7 @@ def run_scaling_suite(trials_per_point: int = 50, base_seed: int = 0) -> SuiteRe
     f_star = erm.train_erm(big, _ERM_LAM, tol=1e-7)
     del big  # freed before the sample is drawn: one 100k-row set at a time
     sample = erm.generate_synthetic(100_000, _ERM_D, _ERM_SEPARATION, base_seed + 424_242)
-    j_star, _ = erm.expected_loss_estimate(f_star, sample, _ERM_LAM)
+    j_star = erm.empirical_risk(f_star, sample, _ERM_LAM)
     points = [(0.12 * k, 0.18 * k) for k in range(_SCALING_POINTS)]  # (sigma_L, sigma_S)
     # the perturbed sets train in stacks that run across points
     draws = (
@@ -188,7 +188,7 @@ def run_scaling_suite(trials_per_point: int = 50, base_seed: int = 0) -> SuiteRe
     )
     trial_gaps = [[] for _ in points]
     for k, _, (f_d,) in _trained(draws, tol=1e-6):
-        j_d, _ = erm.expected_loss_estimate(f_d, sample, _ERM_LAM)
+        j_d = erm.empirical_risk(f_d, sample, _ERM_LAM)
         trial_gaps[k].append(j_d - j_star)
     levels, gaps = [], []
     for k, ((sigma_L, sigma_S_level), point_gaps) in enumerate(zip(points, trial_gaps)):

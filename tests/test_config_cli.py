@@ -1080,6 +1080,28 @@ def test_every_private_name_has_a_caller_in_src():
     assert {n: where for n, where in defined.items() if n not in used} == {}
 
 
+def test_every_import_is_used_in_its_module():
+    """Each name a module of the package imports, at module level or in a
+    function, is read in that module: an import left behind by a deleted
+    caller is dead code.  __init__.py imports to re-export."""
+    unused, imported = {}, 0
+    for path in sorted(Path(obfusgame.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imported += len(bound)
+        unused.update((name, path.name) for name in bound - read)
+    assert imported > 20
+    assert unused == {}
+
+
 # Run in a fresh interpreter: count the argparse parsers built by importing
 # obfusgame.cli and by each main call that follows, and record each call's
 # stdout, stderr and exit code (argparse's own SystemExit included), and

@@ -12,7 +12,6 @@ from obfusgame.erm import (
     check_classifier_gap,
     check_empirical_gap,
     empirical_risk,
-    expected_loss_estimate,
     generate_synthetic,
     perturb_inputs,
     train_erm,
@@ -373,8 +372,9 @@ def plain_losses(margins):
 
 
 class TestInPlaceKernels:
-    """The loss, the risk and the Monte Carlo estimate write into arrays of
-    their own: their values are == the plain formulas, and no input moves."""
+    """The loss and the risk, the Monte Carlo estimate too, write into
+    arrays of their own: their values are == the plain formulas, and no
+    input moves."""
 
     @staticmethod
     def _problem(n, seed=3):
@@ -401,10 +401,7 @@ class TestInPlaceKernels:
         data, f, lam = self._problem(n)
         w = f.weights
         losses = plain_losses(data.labels * (data.features @ w))
-        mean = float(np.mean(losses)) + 0.5 * lam * float(w @ w)
-        stderr = float(np.std(losses, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-        assert expected_loss_estimate(f, data, lam) == (mean, stderr)
-        assert empirical_risk(f, data, lam) == 0.5 * lam * float(w @ w) + float(np.mean(losses))
+        assert empirical_risk(f, data, lam) == float(np.mean(losses)) + 0.5 * lam * float(w @ w)
 
     @pytest.mark.parametrize("n", [2, 1_000])
     def test_inputs_are_left_alone(self, n):
@@ -414,11 +411,20 @@ class TestInPlaceKernels:
         for a in arrays:
             a.flags.writeable = False  # a write raises
         train_erm(data, lam)
-        expected_loss_estimate(f, data, lam)
         empirical_risk(f, data, lam)
         perturb_inputs(data, 0.2, np.full(n, 0.3), seed=4)
         for a, copy in zip(arrays, copies):
             assert np.array_equal(a, copy)
+
+
+class TestDatasetRows:
+    def test_no_rows_rejected(self):
+        """A set without rows has no mean loss: it is refused when built,
+        not left for the risk, the training or the gap check to divide by
+        zero.  One row is enough (the plain-formula test at n = 1)."""
+        for shape in ((0, 3), (0, 0)):
+            with pytest.raises(ValueError, match="at least one row"):
+                Dataset(np.zeros(shape), np.zeros(0))
 
 
 class TestColumnMajorLayout:
@@ -435,7 +441,6 @@ class TestColumnMajorLayout:
         f = Classifier(rng.standard_normal(4))
         assert np.array_equal(train_erm(c_data, 0.3).weights, train_erm(f_data, 0.3).weights)
         assert empirical_risk(f, c_data, 0.3) == empirical_risk(f, f_data, 0.3)
-        assert expected_loss_estimate(f, c_data, 0.3) == expected_loss_estimate(f, f_data, 0.3)
 
     def test_builders_are_not_copied_again(self, monkeypatch):
         given = []
@@ -513,19 +518,20 @@ class TestEmpiricalGap:
             assert check_empirical_gap(f_pert, f_clean, data, 0.1).slack >= -1e-6
 
 
-class TestExpectedLoss:
-    def test_zero_classifier_exact(self):
-        value, stderr = expected_loss_estimate(
-            Classifier(np.zeros(3)), generate_synthetic(1000, 3, 2.0, seed=21), 0.1
-        )
-        assert value == pytest.approx(math.log(2), rel=1e-12)
-        assert stderr == pytest.approx(0.0, abs=1e-15)
+def standard_error(f, sample):
+    """The Monte Carlo standard error of the mean loss over a sample."""
+    losses = plain_losses(sample.labels * (sample.features @ f.weights))
+    return float(np.std(losses, ddof=1)) / math.sqrt(sample.n)
 
-    def test_standard_error_scaling(self):
-        f = Classifier(np.array([1.0, 0.0, 0.0]))
-        _, se1 = expected_loss_estimate(f, generate_synthetic(4000, 3, 2.0, seed=22), 0.1)
-        _, se4 = expected_loss_estimate(f, generate_synthetic(16000, 3, 2.0, seed=22), 0.1)
-        assert se4 == pytest.approx(se1 / 2, rel=0.2)
+
+class TestExpectedLoss:
+    """empirical_risk over a held-out sample as the Monte Carlo estimate of
+    the population loss plus regularizer."""
+
+    def test_zero_classifier_exact(self):
+        f, sample = Classifier(np.zeros(3)), generate_synthetic(1000, 3, 2.0, seed=21)
+        assert empirical_risk(f, sample, 0.1) == pytest.approx(math.log(2), rel=1e-12)
+        assert standard_error(f, sample) == pytest.approx(0.0, abs=1e-15)
 
     def test_trained_at_least_population_optimum(self):
         big = generate_synthetic(50_000, 3, 3.0, seed=23)
@@ -533,9 +539,8 @@ class TestExpectedLoss:
         data = generate_synthetic(200, 3, 3.0, seed=24)
         f_d = train_erm(data, lam=0.1)
         sample = generate_synthetic(50_000, 3, 3.0, seed=25)
-        j_d, se_d = expected_loss_estimate(f_d, sample, 0.1)
-        j_star, se_star = expected_loss_estimate(f_star, sample, 0.1)
-        assert j_d >= j_star - 2 * (se_d + se_star)
+        j_d, j_star = empirical_risk(f_d, sample, 0.1), empirical_risk(f_star, sample, 0.1)
+        assert j_d >= j_star - 2 * (standard_error(f_d, sample) + standard_error(f_star, sample))
 
 
 def exact_population_loss(f, separation, lam, nodes=80):
@@ -551,7 +556,7 @@ def exact_population_loss(f, separation, lam, nodes=80):
 
 class TestExactPopulationLoss:
     """The Monte Carlo estimate against the closed form, an oracle
-    independent of expected_loss_estimate's arithmetic."""
+    independent of empirical_risk's arithmetic."""
 
     def test_quadrature_converged(self):
         for seed in range(3):
@@ -569,5 +574,5 @@ class TestExactPopulationLoss:
             if seed % 2:  # a classifier trained on perturbed inputs, as the scaling suite's are
                 data, _ = perturb_inputs(data, 0.5, np.full(200, 0.7), seed + 20_000)
             f = train_erm(data, lam=0.1)
-            mean, stderr = expected_loss_estimate(f, sample, 0.1)
-            assert abs(mean - exact_population_loss(f, 4.0, 0.1)) <= 4 * stderr
+            mean = empirical_risk(f, sample, 0.1)
+            assert abs(mean - exact_population_loss(f, 4.0, 0.1)) <= 4 * standard_error(f, sample)

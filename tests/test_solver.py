@@ -1430,6 +1430,11 @@ class TestFloatExactCandidates:
         assert checked == 21
 
 
+# oracle grid points of the metamorphic relations: coarse, so that the
+# 109 panel_games() cost about 0.1 s an oracle pass
+ORACLE_POINTS = 100
+
+
 def scaled_game(config, k):
     """config with every gain, gamma, P_bar and flat cost, the learner's
     too, and tie_epsilon multiplied by k."""
@@ -1467,6 +1472,32 @@ class TestUtilityScale:
             assert result.per_user_thresholds == base.per_user_thresholds, config
             assert result.learner_utility == k * base.learner_utility, config
             assert result.user_utilities == tuple(k * u for u in base.user_utilities), config
+
+    @pytest.mark.parametrize("k", [0.25, 8.0])
+    def test_power_of_two_scale_scales_the_sweep(self, k):
+        for config in panel_games():
+            settings = config.solver
+            grid, samples, own, responses, leader, users = solver.sweep(
+                config, 0.0, settings.sigma_max, settings.grid_step
+            )
+            result = solver.sweep(scaled_game(config, k), 0.0, settings.sigma_max, settings.grid_step)
+            expected = (grid, samples, k * own, responses, k * leader, k * users)
+            assert all(map(np.array_equal, result, expected)), config
+
+    @pytest.mark.parametrize("k", [0.25, 8.0])
+    def test_power_of_two_scale_keeps_the_oracle_equilibrium(self, k):
+        """Every panel_games() game on an oracle grid of ORACLE_POINTS points."""
+        for config in panel_games():
+            fine_step = config.solver.sigma_max / ORACLE_POINTS
+            base = brute_force_equilibrium(config, fine_step)
+            result = brute_force_equilibrium(scaled_game(config, k), fine_step)
+            assert result.sigma_L_star == base.sigma_L_star, config
+            assert result.sigma_S_star == base.sigma_S_star, config
+            assert result.per_user_thresholds == base.per_user_thresholds, config
+            assert result.learner_utility == k * base.learner_utility, config
+            assert result.user_utilities == tuple(k * u for u in base.user_utilities), config
+
+
 def permuted_game(config, order):
     """config with user order[j] in place j."""
     return dataclasses.replace(config, users=tuple(config.users[i] for i in order))
@@ -1487,26 +1518,72 @@ class TestUserPermutation:
     def _bound(n, terms):
         return 4 * (n + 2) * 2.0**-53 * sum(map(abs, terms))
 
+    @staticmethod
+    def _terms(config, x, s):
+        """The terms of U_L and of each U_S at sigma_L = x, user i playing
+        s[i]; x and each s[i] are floats, or arrays over a grid."""
+        n, lp = config.n_users, config.learner
+        x, s = np.asarray(x), np.asarray(s)
+        spread = x * x + np.sum(s * s, axis=0) / n
+        privacy = [u.max_privacy_loss / (1.0 + u.privacy_rate * np.sqrt(x * x + v * v)) for u, v in zip(config.users, s)]
+        accuracy = spread / (n * lp.regularizer**2)
+        leader = (lp.baseline_gain, lp.accuracy_weight * accuracy, sum(privacy) / n, lp.perturbation_cost)
+        users = [
+            (u.baseline_gain, u.accuracy_weight * accuracy, p, u.perturbation_cost) for u, p in zip(config.users, privacy)
+        ]
+        return leader, users
+
+    def _assert_utilities_permuted(self, config, order, x, s, base, result):
+        """U_L and each U_S of the permuted game (result) within the bound of
+        the base game's at the base game's strategies."""
+        n = config.n_users
+        leader_terms, user_terms = self._terms(config, x, s)
+        assert np.all(abs(result[0] - base[0]) <= self._bound(n, leader_terms)), config
+        for j, i in enumerate(order):
+            assert np.all(abs(result[1][j] - base[1][i]) <= self._bound(n, user_terms[i])), config
+
     def test_permuted_users_keep_the_equilibrium(self):
         for seed, config in enumerate(panel_games()):
-            n, lp = config.n_users, config.learner
-            order = np.random.Generator(np.random.PCG64(seed)).permutation(n)
+            order = np.random.Generator(np.random.PCG64(seed)).permutation(config.n_users)
             base, result = stackelberg_solve(config), stackelberg_solve(permuted_game(config, order))
             assert result.sigma_L_star == base.sigma_L_star, config
             assert result.sigma_S_star == tuple(base.sigma_S_star[i] for i in order), config
             assert result.per_user_thresholds == tuple(base.per_user_thresholds[i] for i in order), config
-            x, s = base.sigma_L_star, base.sigma_S_star
-            spread = x * x + sum(v * v for v in s) / n
-            privacy = [
-                u.max_privacy_loss / (1.0 + u.privacy_rate * math.sqrt(x * x + v * v)) for u, v in zip(config.users, s)
-            ]
-            accuracy = lp.accuracy_weight / (n * lp.regularizer**2) * spread
-            leader_terms = (lp.baseline_gain, accuracy, sum(privacy) / n, lp.perturbation_cost)
-            assert abs(result.learner_utility - base.learner_utility) <= self._bound(n, leader_terms), config
-            for j, i in enumerate(order):
-                u = config.users[i]
-                user_terms = (u.baseline_gain, u.accuracy_weight / (n * lp.regularizer**2) * spread, privacy[i],
-                              u.perturbation_cost)
-                assert abs(result.user_utilities[j] - base.user_utilities[i]) <= self._bound(n, user_terms), config
+            self._assert_utilities_permuted(
+                config, order, base.sigma_L_star, base.sigma_S_star,
+                (base.learner_utility, base.user_utilities), (result.learner_utility, result.user_utilities),
+            )
+
+    def test_permuted_users_permute_the_sweep(self):
+        """Each user's responses and own-noise table read only that user's
+        parameters, so they permute exactly; every U_S reads the spread,
+        a user-order sum, so U_S moves within the bound as U_L does (in 58
+        of the 109 games)."""
+        for seed, config in enumerate(panel_games()):
+            settings = config.solver
+            order = np.random.Generator(np.random.PCG64(seed)).permutation(config.n_users)
+            grid, samples, own, responses, leader, users = solver.sweep(
+                config, 0.0, settings.sigma_max, settings.grid_step
+            )
+            result = solver.sweep(permuted_game(config, order), 0.0, settings.sigma_max, settings.grid_step)
+            assert np.array_equal(result[0], grid) and np.array_equal(result[1], samples), config
+            assert np.array_equal(result[2], own[:, order]), config
+            assert np.array_equal(result[3], responses[order]), config
+            self._assert_utilities_permuted(config, order, grid, responses, (leader, users), result[4:])
+
+    def test_permuted_users_keep_the_oracle_equilibrium(self):
+        """Every panel_games() game on an oracle grid of ORACLE_POINTS points."""
+        for seed, config in enumerate(panel_games()):
+            fine_step = config.solver.sigma_max / ORACLE_POINTS
+            order = np.random.Generator(np.random.PCG64(seed)).permutation(config.n_users)
+            base = brute_force_equilibrium(config, fine_step)
+            result = brute_force_equilibrium(permuted_game(config, order), fine_step)
+            assert result.sigma_L_star == base.sigma_L_star, config
+            assert result.sigma_S_star == tuple(base.sigma_S_star[i] for i in order), config
+            assert result.per_user_thresholds == tuple(base.per_user_thresholds[i] for i in order), config
+            self._assert_utilities_permuted(
+                config, order, base.sigma_L_star, base.sigma_S_star,
+                (base.learner_utility, base.user_utilities), (result.learner_utility, result.user_utilities),
+            )
 
 
