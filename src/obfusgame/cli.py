@@ -17,7 +17,6 @@ manifest timestamp varies.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -62,11 +61,11 @@ def _write_csv(path: Path, header: list[str], blocks: Iterable[list]) -> None:
     columns, each a list of formatted strings (written as they are, so one
     list can be shared by several tables) or a float array (written %.12g,
     as _fmt writes a float).  A block is formatted by one % on its row
-    template repeated, _WRITE_CELLS cells at a time.  Fields are not quoted,
-    so a value must hold no comma, quote or line break; lines end in \\r\\n
-    as csv.writer's."""
+    template repeated, _WRITE_CELLS cells at a time.  No field is quoted, the
+    header's included, so none may hold a comma, quote or line break; lines
+    end in \\r\\n."""
     with path.open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for columns in blocks:
             shared = [isinstance(column, list) for column in columns]
             row = ",".join("%s" if s else "%.12g" for s in shared) + "\r\n"

@@ -7,14 +7,13 @@ ignored.  Keys follow the symbol names used throughout the package:
     users[i].G_bar users[i].gamma users[i].P_bar users[i].rho users[i].N_bar
     solver.sigma_max  solver.grid_step  solver.tol
 
-Unknown keys are errors (no silent typo acceptance); every error message
-carries the offending line number.
+Unknown and duplicate keys are errors (no silent typo acceptance).  An error
+found on a line names its number; a missing or invalid value names the file.
 """
 
 from __future__ import annotations
 
 import re
-from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
@@ -25,6 +24,7 @@ _LEARNER_FIELDS = {"G_bar": "baseline_gain", "gamma": "accuracy_weight", "N_bar"
 _USER_FIELDS = {"G_bar": "baseline_gain", "gamma": "accuracy_weight", "P_bar": "max_privacy_loss",
                 "rho": "privacy_rate", "N_bar": "perturbation_cost"}
 _SOLVER_FIELDS = {"sigma_max": "sigma_max", "grid_step": "grid_step", "tol": "root_tol"}
+_SECTIONS = {"learner": _LEARNER_FIELDS, "solver": _SOLVER_FIELDS}  # users[i].<field> keys match _USER_RE
 
 _USER_RE = re.compile(r"^users\[(\d+)\]\.(\w+)$")
 
@@ -32,9 +32,8 @@ SHIPPED_CONFIGS = ("default", "low_cost", "mid_cost", "high_cost")
 
 
 def parse_config_text(text: str, source: str = "<string>") -> GameConfig:
-    learner: dict[str, float] = {}
+    values: dict[str, dict[str, float]] = {section: {} for section in _SECTIONS}
     users: dict[int, dict[str, float]] = {}
-    solver: dict[str, float] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -42,36 +41,28 @@ def parse_config_text(text: str, source: str = "<string>") -> GameConfig:
             continue
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {line!r}", line=lineno)
-        key, _, value_str = line.partition("=")
-        key = key.strip()
-        value_str = value_str.strip()
+        key, value_str = (part.strip() for part in line.split("=", 1))
         try:
             value = float(value_str)
         except ValueError:
             raise ConfigError(f"non-numeric value {value_str!r} for {key}", line=lineno)
 
-        if key.startswith("learner."):
-            sub = key[len("learner."):]
-            if sub not in _LEARNER_FIELDS:
-                raise ConfigError(f"unknown key {key!r}", line=lineno)
-            if sub == "N":
-                if not (value >= 1 and value.is_integer()):
-                    raise ConfigError(f"learner.N must be an integer >= 1, got {value_str}", line=lineno)
-                n_line = lineno
-            _set_once(learner, sub, value, key, lineno)
-        elif key.startswith("solver."):
-            sub = key[len("solver."):]
-            if sub not in _SOLVER_FIELDS:
-                raise ConfigError(f"unknown key {key!r}", line=lineno)
-            _set_once(solver, sub, value, key, lineno)
+        section, _, field = key.partition(".")
+        if field in _SECTIONS.get(section, ()):
+            target = values[section]
+        elif (m := _USER_RE.match(key)) and m.group(2) in _USER_FIELDS:
+            field, target = m.group(2), users.setdefault(int(m.group(1)), {})
         else:
-            m = _USER_RE.match(key)
-            if not m or m.group(2) not in _USER_FIELDS:
-                raise ConfigError(f"unknown key {key!r}", line=lineno)
-            _set_once(
-                users.setdefault(int(m.group(1)), {}), m.group(2), value, key, lineno
-            )
+            raise ConfigError(f"unknown key {key!r}", line=lineno)
+        if key == "learner.N":
+            if not (value >= 1 and value.is_integer()):
+                raise ConfigError(f"learner.N must be an integer >= 1, got {value_str}", line=lineno)
+            n_line = lineno
+        if field in target:
+            raise ConfigError(f"duplicate key {key!r}", line=lineno)
+        target[field] = value
 
+    learner, solver = values["learner"], values["solver"]
     missing = _LEARNER_FIELDS.keys() - learner.keys()
     if missing:
         raise ConfigError(f"{source}: missing learner keys {sorted(missing)}")
@@ -99,22 +90,17 @@ def parse_config_text(text: str, source: str = "<string>") -> GameConfig:
         raise ConfigError(f"{source}: {exc}") from exc
 
 
-def _set_once(target: dict, key: str, value: float, full_key: str, lineno: int) -> None:
-    if key in target:
-        raise ConfigError(f"duplicate key {full_key!r}", line=lineno)
-    target[key] = value
-
-
 def load_config(path: "str | Path") -> GameConfig:
     path = Path(path)
     return parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
 
 
 def shipped_config_path(name: str) -> Path:
-    """Filesystem path of a config shipped with the package."""
+    """Filesystem path of a config shipped with the package, in the
+    configs directory next to this module."""
     if name not in SHIPPED_CONFIGS:
         raise ValueError(f"unknown shipped config {name!r}; choose from {SHIPPED_CONFIGS}")
-    return Path(str(resources.files("obfusgame").joinpath("configs", f"{name}.cfg")))
+    return Path(__file__).with_name("configs") / f"{name}.cfg"
 
 
 def load_shipped_config(name: str) -> GameConfig:

@@ -87,21 +87,6 @@ class TestConfigParsing:
     def test_no_solver_key_gives_the_default_settings(self):
         assert parse_config_text(MINIMAL).solver == SolverSettings()
 
-    def test_unknown_key_is_line_anchored(self):
-        with pytest.raises(ConfigError) as exc:
-            parse_config_text(MINIMAL + "learner.typo = 3\n")
-        assert re.search(r"line \d+", str(exc.value))
-        assert "learner.typo" in str(exc.value)
-
-    def test_duplicate_key_rejected(self):
-        with pytest.raises(ConfigError, match="duplicate"):
-            parse_config_text(MINIMAL + "learner.G_bar = 2\n")
-
-    def test_missing_user_rejected(self):
-        bad = MINIMAL.replace("learner.N      = 1", "learner.N      = 2")
-        with pytest.raises(ConfigError, match="users"):
-            parse_config_text(bad)
-
     @pytest.mark.parametrize("value", ["1.5", "inf", "nan", "1e300", "0"])
     def test_bad_population_size_is_line_anchored(self, tmp_path, capsys, value):
         cfg = tmp_path / "n.cfg"
@@ -124,10 +109,6 @@ class TestConfigParsing:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_non_numeric_value(self):
-        with pytest.raises(ConfigError, match="non-numeric"):
-            parse_config_text(MINIMAL + "solver.tol = abc\n")
-
     def test_comments_and_blank_lines_ignored(self):
         config = parse_config_text("# top\n\n" + MINIMAL + "solver.tol = 0.1 # inline\n")
         assert config.solver.root_tol == 0.1
@@ -140,6 +121,58 @@ class TestConfigParsing:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         line = MINIMAL.count("\n") + 1
         assert capsys.readouterr().err == f"error: line {line}: unknown key '{key}'\n"
+
+    def test_zero_padded_user_index(self):
+        # users[01] is user 1, not a key of its own
+        text = population_config(2)
+        assert parse_config_text(text.replace("users[1]", "users[01]")) == parse_config_text(text)
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(MINIMAL + "learner.G_bar 2\n", "line 12: expected 'key = value', got 'learner.G_bar 2'",
+                     id="no_equals"),
+        pytest.param(MINIMAL + "solver.tol = abc\n", "line 12: non-numeric value 'abc' for solver.tol",
+                     id="non_numeric"),
+        pytest.param(MINIMAL + "users[0].rho =\n", "line 12: non-numeric value '' for users[0].rho",
+                     id="empty_value"),
+        pytest.param(MINIMAL + "learner.typo = 3\n", "line 12: unknown key 'learner.typo'", id="unknown_learner"),
+        pytest.param(MINIMAL + "solver.typo = 3\n", "line 12: unknown key 'solver.typo'", id="unknown_solver"),
+        pytest.param(MINIMAL + "users[0].typo = 3\n", "line 12: unknown key 'users[0].typo'", id="unknown_user"),
+        pytest.param(MINIMAL + "users[+1].rho = 1\n", "line 12: unknown key 'users[+1].rho'", id="signed_index"),
+        pytest.param(MINIMAL + "users[0].rho.x = 1\n", "line 12: unknown key 'users[0].rho.x'", id="user_subfield"),
+        pytest.param(MINIMAL + "learner.users[0].rho = 1\n", "line 12: unknown key 'learner.users[0].rho'",
+                     id="user_under_learner"),
+        pytest.param(MINIMAL + "learner = 1\n", "line 12: unknown key 'learner'", id="bare_section"),
+        pytest.param(MINIMAL + "solver.N = 2\n", "line 12: unknown key 'solver.N'", id="learner_field_in_solver"),
+        pytest.param(MINIMAL.replace("learner.N      = 1", "learner.N      = 1.5"),
+                     "line 6: learner.N must be an integer >= 1, got 1.5", id="fractional_N"),
+        pytest.param(MINIMAL.replace("learner.N      = 1", "learner.N      = 0"),
+                     "line 6: learner.N must be an integer >= 1, got 0", id="zero_N"),
+        # the domain check comes first: a second, invalid learner.N is not reported as a duplicate
+        pytest.param(MINIMAL + "learner.N = -1\n", "line 12: learner.N must be an integer >= 1, got -1",
+                     id="duplicate_invalid_N"),
+        pytest.param(MINIMAL + "learner.G_bar = 2\n", "line 12: duplicate key 'learner.G_bar'",
+                     id="duplicate_learner"),
+        pytest.param(MINIMAL + "solver.tol = 0.1\nsolver.tol = 0.2\n", "line 13: duplicate key 'solver.tol'",
+                     id="duplicate_solver"),
+        pytest.param(MINIMAL + "users[00].rho = 2\n", "line 12: duplicate key 'users[00].rho'",
+                     id="duplicate_padded_user"),
+        pytest.param(MINIMAL.replace("learner.Lambda = 1\n", "").replace("learner.gamma  = 1\n", ""),
+                     "game.cfg: missing learner keys ['Lambda', 'gamma']", id="missing_learner"),
+        pytest.param(MINIMAL.replace("learner.N      = 1", "learner.N      = 2"),
+                     "line 6: learner.N = 2 requires users[0..1], got indices [0]", id="too_few_users"),
+        pytest.param(MINIMAL.replace("users[0]", "users[1]"),
+                     "line 6: learner.N = 1 requires users[0..0], got indices [1]", id="wrong_index"),
+        pytest.param(MINIMAL.replace("users[0].rho   = 1\n", ""), "game.cfg: users[0] missing keys ['rho']",
+                     id="missing_user_key"),
+        pytest.param(MINIMAL.replace("users[0].rho   = 1", "users[0].rho   = 0"),
+                     "game.cfg: privacy_rate must be > 0", id="dataclass_error"),
+        pytest.param(MINIMAL + "solver.sigma_max = inf\n", "game.cfg: sigma_max must be finite, got inf",
+                     id="dataclass_finite"),
+    ])
+    def test_every_error_message(self, text, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(text, source="game.cfg")
+        assert str(exc.value) == message
 
     def test_all_shipped_configs_load(self):
         for name in SHIPPED_CONFIGS:
@@ -1024,6 +1057,21 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout.strip()
     assert loaded == "{'numpy': False, 'cli': []}"
+
+
+@pytest.mark.parametrize("flags, modules", [
+    pytest.param([], ["csv"], id="site"),
+    # -S: no site hook loads importlib.resources ahead of the package
+    pytest.param(["-S"], ["csv", "importlib.resources"], id="no_site"),
+])
+def test_cli_import_loads_no_csv_or_resources(flags, modules):
+    # a CSV header is one join, and a shipped config's path is next to its module
+    code = f"import sys, obfusgame.cli; print([m for m in {modules!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(obfusgame.__file__).parents[1])}
+    loaded = subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout.strip()
+    assert loaded == "[]"
 
 
 def test_cli_imports_nothing_private():
