@@ -13,7 +13,6 @@ found on a line names its number; a missing or invalid value names the file.
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 
 from .errors import ConfigError
@@ -24,9 +23,7 @@ _LEARNER_FIELDS = {"G_bar": "baseline_gain", "gamma": "accuracy_weight", "N_bar"
 _USER_FIELDS = {"G_bar": "baseline_gain", "gamma": "accuracy_weight", "P_bar": "max_privacy_loss",
                 "rho": "privacy_rate", "N_bar": "perturbation_cost"}
 _SOLVER_FIELDS = {"sigma_max": "sigma_max", "grid_step": "grid_step", "tol": "root_tol"}
-_SECTIONS = {"learner": _LEARNER_FIELDS, "solver": _SOLVER_FIELDS}  # users[i].<field> keys match _USER_RE
-
-_USER_RE = re.compile(r"^users\[(\d+)\]\.(\w+)$")
+_SECTIONS = {"learner": _LEARNER_FIELDS, "solver": _SOLVER_FIELDS}  # and users[i].<field>
 
 SHIPPED_CONFIGS = ("default", "low_cost", "mid_cost", "high_cost")
 
@@ -39,9 +36,10 @@ def parse_config_text(text: str, source: str = "<string>") -> GameConfig:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, value_str = line.partition("=")
+        if not eq:
             raise ConfigError(f"expected 'key = value', got {line!r}", line=lineno)
-        key, value_str = (part.strip() for part in line.split("=", 1))
+        key, value_str = key.strip(), value_str.strip()
         try:
             value = float(value_str)
         except ValueError:
@@ -50,8 +48,8 @@ def parse_config_text(text: str, source: str = "<string>") -> GameConfig:
         section, _, field = key.partition(".")
         if field in _SECTIONS.get(section, ()):
             target = values[section]
-        elif (m := _USER_RE.match(key)) and m.group(2) in _USER_FIELDS:
-            field, target = m.group(2), users.setdefault(int(m.group(1)), {})
+        elif section[:6] == "users[" and section[-1:] == "]" and section[6:-1].isdecimal() and field in _USER_FIELDS:
+            target = users.setdefault(int(section[6:-1]), {})  # i: any Unicode decimal digits
         else:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
         if key == "learner.N":

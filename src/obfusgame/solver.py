@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -126,6 +125,19 @@ def effective_noise_target(
     right-hand side's partial products are normal floats and rho < 1e154,
     and compared exactly (_exact_excess) elsewhere, where a float partial
     would overflow or underflow or (1 + rho s)^2 could overflow near s_star.
+
+    In floats _dyadic_cell reads _bisect_root(g, 0, hi, root_tol), hi the first
+    power of two >= 1 with g(hi) >= 0, off its last cell.  For s >= 0 every
+    operand of g(s) = s * (t * t) - rhs, t = 1 + rho * s, is >= 0 and each step
+    is correctly rounded, so g is non-decreasing.  The bisection, exact on
+    cells wider than hi / 2^52, keeps the one cell whose left end has g <= 0
+    and whose right end has g > 0 or is hi: it returns (j + 1/2) w, w = hi /
+    2^m the first halving <= root_tol and j the one index below 2^m with g(j w)
+    <= 0 < g((j + 1) w) or j + 1 = 2^m.  hi is the one power of two with g(hi)
+    >= 0 > g(hi / 2) or hi = 1, so g(root_tol) < 0 where root_tol <= hi / 2.
+    Newton steps from min(rhs, cbrt(rhs / rho^2)) >= s_star guess hi and j, and
+    2-4 calls of g check them.  The bisection runs itself where a check fails
+    (s_star <= root_tol among them), where m > 50, and on the exact branch.
     """
     if user.max_privacy_loss == 0:
         return 0.0
@@ -143,18 +155,38 @@ def effective_noise_target(
             t = 1.0 + rho * s
             return s * (t * t) - rhs  # t ** 2 raises OverflowError where t * t is inf
 
+        s_star = _dyadic_cell(g, rho, rhs, root_tol)
     else:  # a partial product left the normal range, or (1 + rho s)^2 may overflow below the root
-        g = _exact_excess(user.max_privacy_loss, rho, n, lam, gamma)
-    if g(root_tol) < 0:
+        g, s_star = _exact_excess(user.max_privacy_loss, rho, n, lam, gamma), None
+    if s_star is None and g(root_tol) < 0:
         hi = 1.0
         while g(hi) < 0:
             hi *= 2.0
         s_star = _bisect_root(g, 0.0, hi, root_tol)
-    else:  # s_star <= root_tol: bisect to float resolution, not to root_tol
+    elif s_star is None:  # s_star <= root_tol: bisect to float resolution, not to root_tol
         s_star = _bisect_root(g, 0.0, root_tol, 0.0)
     if not math.isfinite(s_star * s_star):
         raise SolverError(f"effective noise target {s_star} has no finite square")
     return s_star
+
+
+def _dyadic_cell(g: Callable[[float], float], rho: float, rhs: float, tol: float) -> Optional[float]:
+    """effective_noise_target's float bisection, or None where a check fails."""
+    s = min(rhs, (rhs / rho / rho) ** (1.0 / 3.0))
+    for _ in range(64):  # from the right: g is convex, so Newton stays above the root
+        t = 1.0 + rho * s
+        if not (step := s - (s * (t * t) - rhs) / (t * (t + 2.0 * rho * s))) < s:
+            break
+        s = step
+    k = max(0, math.frexp(math.nextafter(s, 0.0))[1])  # hi = 2^k, the first power of two >= max(s, 1)
+    m = max(0, k - math.frexp(tol)[1] + 1)  # hi / 2^m <= tol < hi / 2^(m - 1)
+    if m > 50 or k > 1023:
+        return None
+    hi, w = math.ldexp(1.0, k), math.ldexp(1.0, k - m)
+    lo = min(s // w, 2.0**m - 1) * w
+    up = lo + w
+    checks = g(hi) >= 0 and (k == 0 or g(0.5 * hi) < 0) and (k > 0 and tol <= 0.5 * hi or g(tol) < 0)
+    return 0.5 * (lo + up) if checks and g(lo) <= 0 and (up == hi or g(up) > 0) else None
 
 
 def _exact_excess(p: float, rho: float, n: int, lam: float, gamma: float) -> Callable[[float], int]:
@@ -210,19 +242,27 @@ def _margin(user: UserParams, s_star: float, config: GameConfig) -> Callable[[fl
     coef = user.accuracy_weight / (config.n_users**2 * config.learner.regularizer**2)
     p, rho = user.max_privacy_loss, user.privacy_rate
     floor = p / (1.0 + rho * s_star) + user.perturbation_cost + config.solver.tie_epsilon
-
-    def margin(sigma_L: float) -> float:
-        return p / (1.0 + rho * sigma_L) - coef * (s_star * s_star - sigma_L * sigma_L) - floor
-
-    return margin
+    return lambda sigma_L: p / (1.0 + rho * sigma_L) - coef * (s_star * s_star - sigma_L * sigma_L) - floor
 
 
 def _cut(user: UserParams, s_star: float, config: GameConfig) -> float:
-    """The sigma_L from which the user plays 0: the root of its _margin, to
-    float resolution, or 0.0 when that margin is <= 0 at sigma_L = 0.  The
-    margin is <= 0 at s_star, so the bracket always holds."""
-    margin = _margin(user, s_star, config)
-    return 0.0 if margin(0.0) <= 0 else _bisect_root(margin, 0.0, s_star, 0.0)
+    """The sigma_L from which the user plays 0: the root of its _margin (<= 0
+    at s_star), to float resolution, or 0.0 when the margin is <= 0 at 0.
+    The loop is _bisect_root(margin, 0.0, s_star, 0.0)'s, the margin inline
+    and x - floor >= 0 as x >= floor: the same test in floats (a difference
+    is 0 only between equal floats, and -inf and NaN compare alike)."""
+    coef = user.accuracy_weight / (config.n_users**2 * config.learner.regularizer**2)
+    p, rho, sq = user.max_privacy_loss, user.privacy_rate, s_star * s_star
+    floor = p / (1.0 + rho * s_star) + user.perturbation_cost + config.solver.tie_epsilon
+    lo, hi = 0.0, s_star
+    if p / (1.0 + rho * lo) - coef * (sq - lo * lo) - floor <= 0:
+        return 0.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if p / (1.0 + rho * mid) - coef * (sq - mid * mid) >= floor:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _cuts(config: GameConfig, s_stars: list[float]) -> list[float]:
@@ -289,17 +329,15 @@ def _grid(lo: float, hi: float, step: float, max_points: int) -> np.ndarray:
     return np.append(np.minimum(lo + np.arange(n + 1) * step, hi), [hi] * pad)
 
 
-def _piece_slope(sigma_L: float, config: GameConfig, outside: list[UserParams]) -> float:
-    """Slope of the leader objective at sigma_L on a piece where the users in
-    outside do not perturb and every other user tops up to its s_star."""
-    n = config.n_users
-    lp = config.learner
+def _piece_slope(sigma_L: float, outside: list[tuple[float, float]], n: int, tilt: float) -> float:
+    """Slope of the leader objective at sigma_L on a piece where the users with
+    the (P_bar, rho) in outside, in user order, do not perturb and every other
+    user tops up to its s_star; tilt is 2 gamma_L / (N Lambda^2) * (|outside| / N)."""
     privacy = 0.0
-    for u in outside:
-        q = 1.0 + u.privacy_rate * sigma_L
-        privacy += (u.max_privacy_loss / q) * (u.privacy_rate / q)  # q * q may overflow
-    accuracy = 2.0 * lp.accuracy_weight / (n * lp.regularizer**2) * (len(outside) / n) * sigma_L
-    return privacy / n - accuracy
+    for p, rho in outside:
+        q = 1.0 + rho * sigma_L
+        privacy += (p / q) * (rho / q)  # q * q may overflow
+    return privacy / n - tilt * sigma_L
 
 
 def _winner(leader: np.ndarray, tie_epsilon: float) -> int:
@@ -319,33 +357,37 @@ def _result(panel: tuple, j: int, thresholds: Iterable[Optional[float]]) -> Equi
     )
 
 
-def stackelberg_solve(config: GameConfig) -> EquilibriumResult:
-    """Leader-optimal sigma_L over 0, sigma_max, each threshold t and the
-    float below it, and the slope root of each concave piece between
-    thresholds; the module docstring shows that no other sigma_L does better.
+def _candidates(config: GameConfig, cuts: list[float]) -> list[float]:
+    """The solve's sigma_L candidates, sorted: 0, sigma_max, each threshold in
+    between and the float below it, and each concave piece's slope root, by
+    _bisect_root's loop (sign +1) over its outside users' (P_bar, rho)."""
+    sigma_max, tol, n, lp = config.solver.sigma_max, config.solver.root_tol, config.n_users, config.learner
+    breakpoints = sorted({t for t in cuts if 0.0 < t < sigma_max})
+    candidates = {0.0, sigma_max, *breakpoints, *(math.nextafter(t, 0.0) for t in breakpoints)}
+    stakes = [(u.max_privacy_loss, u.privacy_rate) for u in config.users]
+    for lo, hi in zip([0.0, *breakpoints], [*breakpoints, sigma_max]):
+        outside = [stake for stake, t in zip(stakes, cuts) if t <= lo]
+        tilt = 2.0 * lp.accuracy_weight / (n * lp.regularizer**2) * (len(outside) / n)
+        if _piece_slope(lo, outside, n, tilt) > 0 > _piece_slope(hi, outside, n, tilt):
+            while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+                if _piece_slope(mid, outside, n, tilt) >= 0:
+                    lo = mid
+                else:
+                    hi = mid
+            candidates.add(0.5 * (lo + hi))
+    return sorted(candidates)
 
-    Utility ties within tie_epsilon resolve to the smaller sigma_L.
-    """
+
+def stackelberg_solve(config: GameConfig) -> EquilibriumResult:
+    """Leader-optimal sigma_L over _candidates; the module docstring shows
+    that no other sigma_L does better.  Utility ties within tie_epsilon
+    resolve to the smaller sigma_L."""
     settings = config.solver
     s_stars = _admissible(config, settings.sigma_max)
     cuts = _cuts(config, s_stars)
 
-    candidates: set[float] = {0.0, settings.sigma_max}
-    breakpoints = sorted({t for t in cuts if 0.0 < t < settings.sigma_max})
-    for t in breakpoints:
-        # the objective's one-sided limits at t
-        candidates.update((math.nextafter(t, 0.0), t))
-
-    # the maximum of each concave piece: its endpoints, or its slope's root
-    edges = [0.0] + breakpoints + [settings.sigma_max]
-    for lo, hi in zip(edges, edges[1:]):
-        outside = [u for u, t in zip(config.users, cuts) if t <= lo]
-        slope = partial(_piece_slope, config=config, outside=outside)
-        if slope(lo) > 0 > slope(hi):
-            candidates.add(_bisect_root(slope, lo, hi, settings.root_tol))
-
     # scored _CHUNK_CELLS // N candidates at a time, keeping the last chunk's panel
-    grid, columns = np.array(sorted(candidates)), _user_columns(config)
+    grid, columns = np.array(_candidates(config, cuts)), _user_columns(config)
     pairs = np.array(s_stars), np.array(cuts)
 
     def panel(x: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -1,3 +1,5 @@
+import collections
+import contextlib
 import dataclasses
 import decimal
 import math
@@ -201,7 +203,74 @@ solver.grid_step = 6.543197250351581e-264
 }
 
 
+def bisected_s_star(user, learner, tol):
+    """effective_noise_target by bisection alone, and which of its paths it
+    takes: the doubling loop and _bisect_root(g, 0, hi, tol) on the float
+    cubic ("cell", or "fine" where the last cell's width is below hi / 2^50)
+    or on _exact_excess ("exact"), or, where g(tol) >= 0, _bisect_root(g, 0,
+    tol, 0) ("below_tol")."""
+    p, rho, n, lam, gamma = (user.max_privacy_loss, user.privacy_rate, learner.population_size,
+                             learner.regularizer, user.accuracy_weight)
+    head, lam_sq = p * rho, lam**2
+    num = head * n**2 * lam_sq
+    rhs = num / (2.0 * gamma)
+    if rho < 1e154 and min(head, lam_sq, num, rhs) >= sys.float_info.min and rhs < math.inf:
+
+        def g(s):
+            t = 1.0 + rho * s
+            return s * (t * t) - rhs
+
+        path = "cell"
+    else:
+        g, path = solver._exact_excess(p, rho, n, lam, gamma), "exact"
+    if g(tol) >= 0:
+        return solver._bisect_root(g, 0.0, tol, 0.0), "below_tol" if path == "cell" else path
+    hi = 1.0
+    while g(hi) < 0:
+        hi *= 2.0
+    return solver._bisect_root(g, 0.0, hi, tol), "fine" if path == "cell" and hi / 2**50 > tol else path
+
+
+def assert_s_star_is_bisected(user, learner, tol):
+    """effective_noise_target == bisected_s_star, or SolverError where that
+    root has no finite square; returns the reference's path."""
+    ref, path = bisected_s_star(user, learner, tol)
+    if math.isfinite(ref * ref):
+        assert solver.effective_noise_target(user, learner, tol) == ref, (user, learner, tol)
+    else:
+        with pytest.raises(SolverError, match="no finite square"):
+            solver.effective_noise_target(user, learner, tol)
+    return path
+
+
 class TestEffectiveNoiseTarget:
+    def test_equals_the_bisection_on_a_seeded_draw(self):
+        """10,000 users, N up to 10^6, each parameter log-uniform over 4 to 48
+        decades, or for 1% of them over 600 (Lambda over 200), and root_tol
+        over 1e-18 to 0.5: s_star is the bisection's float, and every path of
+        the bisection is reached, the read-off cell on about half the users."""
+        rng, paths = np.random.Generator(np.random.PCG64(37)), collections.Counter()
+        for _ in range(10_000):
+            half = rng.choice([2.0, 4.0, 12.0, 24.0, 300.0], p=[0.25, 0.25, 0.25, 0.24, 0.01])
+            p, rho, gamma = 10.0 ** rng.uniform(-half, half, 3)
+            lam = 10.0 ** rng.uniform(-min(half, 100.0), min(half, 100.0))  # (N Lambda)^2 stays finite
+            n = int(rng.choice([1, 2, 16, 1000, 10**6]))
+            learner = LearnerParams(1.0, 1.0, 0.0, float(lam), n)
+            tol = float(10.0 ** rng.uniform(-18.0, math.log10(0.5)))
+            user = UserParams(1.0, float(gamma), float(p), float(rho), 0.0)
+            paths[assert_s_star_is_bisected(user, learner, tol)] += 1
+        assert paths["exact"] >= 30 and paths["below_tol"] >= 100 and paths["fine"] >= 100, paths
+        assert paths["cell"] >= 4500, paths
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-40.0, 40.0), min_size=4, max_size=4), st.integers(1, 10**6),
+           st.floats(-18.0, -0.31))
+    def test_equals_the_bisection_on_hypothesis_users(self, exponents, n, log_tol):
+        """Parameters over 80 decades each, N up to 10^6, root_tol 1e-18 to 0.5."""
+        p, rho, gamma, lam = (10.0**e for e in exponents)
+        user, learner = UserParams(1.0, gamma, p, rho, 0.0), LearnerParams(1.0, 1.0, 0.0, lam, n)
+        assert_s_star_is_bisected(user, learner, 10.0**log_tol)
+
     def test_matches_decimal_reference(self):
         """Every panel game's users, and users whose s_star is below root_tol,
         subnormal or so large that root_tol is below its float spacing: s_star
@@ -1323,6 +1392,85 @@ def counted(f, limit=2000):
     return wrapped
 
 
+@contextlib.contextmanager
+def line_guard(limit):
+    """Raise AssertionError inside any one call of _cut, _candidates or
+    _dyadic_cell once it has run more than limit lines."""
+    codes = {solver._cut.__code__, solver._candidates.__code__, solver._dyadic_cell.__code__}
+
+    def trace(frame, event, arg):
+        if frame.f_code not in codes:
+            return None
+        lines = [0]
+
+        def local(frame, event, arg):
+            lines[0] += event == "line"
+            if lines[0] > limit:
+                raise AssertionError(f"no stop after {limit} lines of {frame.f_code.co_name}")
+            return local
+
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        yield
+    finally:
+        sys.settrace(previous)
+
+
+def slope_tilt(config, outside):
+    """2 gamma_L / (N Lambda^2) * (|outside| / N), the slope's accuracy coefficient."""
+    n, lp = config.n_users, config.learner
+    return 2.0 * lp.accuracy_weight / (n * lp.regularizer**2) * (len(outside) / n)
+
+
+def bisected_candidates(config, cuts):
+    """The solve's candidates with each piece's slope root found by
+    _bisect_root on _piece_slope."""
+    sigma_max = config.solver.sigma_max
+    breakpoints = sorted({t for t in cuts if 0.0 < t < sigma_max})
+    candidates = {0.0, sigma_max}
+    for t in breakpoints:
+        candidates.update((math.nextafter(t, 0.0), t))
+    edges = [0.0, *breakpoints, sigma_max]
+    for lo, hi in zip(edges, edges[1:]):
+        outside = [(u.max_privacy_loss, u.privacy_rate) for u, t in zip(config.users, cuts) if t <= lo]
+        slope = partial(solver._piece_slope, outside=outside, n=config.n_users, tilt=slope_tilt(config, outside))
+        if slope(lo) > 0 > slope(hi):
+            candidates.add(solver._bisect_root(slope, lo, hi, config.solver.root_tol))
+    return sorted(candidates)
+
+
+class TestRootLoops:
+    """_cut and _candidates run _bisect_root's loop with the function written
+    inline: the same floats as _bisect_root on _margin and on _piece_slope."""
+
+    def test_cuts_and_slope_roots_equal_bisect_root(self):
+        games = panel_games() + [parse_config_text(text) for text, _ in fuzz_configs(1, 150)]
+        cuts_found = roots_found = 0
+        for config in games:
+            s_stars = []
+            for user in config.users:
+                try:
+                    s_stars.append(solver.effective_noise_target(user, config.learner, config.solver.root_tol))
+                except (SolverError, NoFiniteOptimumError):
+                    s_stars.append(None)
+            for user, s in zip(config.users, s_stars):
+                if s is not None:
+                    cut = solver._cut(user, s, config)
+                    margin = solver._margin(user, s, config)
+                    assert cut == (0.0 if margin(0.0) <= 0 else solver._bisect_root(margin, 0.0, s, 0.0))
+                    cuts_found += cut > 0
+            if None not in s_stars:
+                cuts = solver._cuts(config, s_stars)
+                candidates = solver._candidates(config, cuts)
+                assert candidates == bisected_candidates(config, cuts)
+                roots_found += len(set(candidates) - {0.0, config.solver.sigma_max, *cuts,
+                                                      *(math.nextafter(t, 0.0) for t in cuts)})
+        assert cuts_found >= 200 and roots_found >= 40, (cuts_found, roots_found)
+
+
 class TestFloatResolution:
     """The search stops once no float lies inside the bracket, also when
     that spacing is coarser than the requested tolerance."""
@@ -1346,7 +1494,14 @@ class TestFloatResolution:
         monkeypatch.setattr(
             solver, "_bisect_root", lambda f, lo, hi, tol: bisect(counted(f), lo, hi, tol)
         )
-        result = stackelberg_solve(parse_config_text(text))
+        config = parse_config_text(text)
+        # the guard is live: every guarded function runs more than 3 lines
+        with pytest.raises(AssertionError, match="no stop after 3 lines"), line_guard(3):
+            stackelberg_solve(config)
+        # _cut, _candidates and _dyadic_cell run their loops inline, out of
+        # counted's reach: at most 2000 turns of a loop of at most 4 lines
+        with line_guard(4 * 2000):
+            result = stackelberg_solve(config)
         assert math.isfinite(result.learner_utility)
 
 
@@ -1400,9 +1555,10 @@ class TestFloatExactCandidates:
         for lo, hi in zip(edges, edges[1:]):
             x, h = 0.5 * (lo + hi), 1e-4 * (hi - lo)
             responses = scalar_responses(x, s_stars, cuts)
-            outside = [u for u, r in zip(config.users, responses) if r == 0]
+            outside = [(u.max_privacy_loss, u.privacy_rate) for u, r in zip(config.users, responses) if r == 0]
             central = (objective(x + h) - objective(x - h)) / (2.0 * h)
-            assert solver._piece_slope(x, config, outside) == pytest.approx(central, rel=1e-6, abs=1e-8)
+            slope = solver._piece_slope(x, outside, n, slope_tilt(config, outside))
+            assert slope == pytest.approx(central, rel=1e-6, abs=1e-8)
 
     def test_interior_maximum_is_the_slope_root(self):
         from scipy.optimize import brentq
