@@ -180,13 +180,12 @@ def _cmd_validate(args) -> int:
     from . import validate
     result = validate.run_suite(args.suite, trials=args.trials, base_seed=args.seed)
     out = _outdir(args)
-    if result.rows:
-        header = list(result.rows[0].keys())
-        _write_csv(
-            out / f"validate_{args.suite}.csv",
-            header,
-            [_columns([row[k] for k in header] for row in result.rows)],
-        )
+    header = list(result.rows[0].keys())
+    _write_csv(
+        out / f"validate_{args.suite}.csv",
+        header,
+        [_columns([row[k] for k in header] for row in result.rows)],
+    )
     _write_manifest(out, args, f"validate {args.suite}")
     print(result.summary)
     if not result.passed:

@@ -263,8 +263,8 @@ def perturb_inputs(
     sigma_S = np.asarray(sigma_S, dtype=float)
     if sigma_S.shape != (data.n,):
         raise ValueError(f"sigma_S must have length {data.n}, got {sigma_S.shape}")
-    if sigma_L < 0 or np.any(sigma_S < 0):
-        raise ValueError("noise standard deviations must be >= 0")
+    if not (0 <= sigma_L < np.inf and np.all((sigma_S >= 0) & (sigma_S < np.inf))):  # NaN fails both
+        raise ValueError("noise standard deviations must be finite and >= 0")
     rng = np.random.Generator(np.random.PCG64(seed))
     w = sigma_L * rng.standard_normal((data.n, data.d))
     v = sigma_S[:, None] * rng.standard_normal((data.n, data.d))

@@ -2,17 +2,12 @@
 
 
 class ConfigError(ValueError):
-    """Malformed or inconsistent configuration.
-
-    ``line`` carries the 1-based line number when the error comes from a
-    config file, so the CLI can print a line-anchored message.
-    """
+    """Malformed or inconsistent configuration.  An error found on one line
+    of a config file is given its 1-based ``line``, which prefixes the
+    message as ``line N:``."""
 
     def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class NoFiniteOptimumError(ValueError):

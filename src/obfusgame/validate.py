@@ -1,7 +1,8 @@
 """Named validation suites behind the `validate` CLI subcommand.
 
-Each suite runs a batch of seeded, reproducible trials and returns one row
-per trial plus a pass/fail summary.  The suites:
+Each suite runs a batch of seeded, reproducible trials and builds one row
+per trial; its verdict, failed seeds and summary are read off those rows.
+The suites:
 
     lemma1   classifier-difference inequality on random ERM trials
     lemma2   empirical-loss-difference inequality on the same trials
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,9 +53,16 @@ _ORACLE_UTILITY_TOL = 1e-6
 @dataclass
 class SuiteResult:
     passed: bool
-    rows: list[dict] = field(default_factory=list)
-    summary: str = ""
-    failed_seeds: list[int] = field(default_factory=list)
+    rows: list[dict]
+    summary: str
+    failed_seeds: list[int]
+
+
+def _verdict(rows: list[dict], seed_of, summary: str) -> SuiteResult:
+    """A per-row suite passes when every row holds; seed_of(row) of each
+    failing row is listed once, in row order, for replay."""
+    failed = [seed_of(row) for row in rows if not row["holds"]]
+    return SuiteResult(not failed, rows, summary, list(dict.fromkeys(failed)))
 
 
 def _trained(draws, tol: float = 1e-8):
@@ -83,16 +91,14 @@ def _lemma_draw(seed: int):
 
 
 def run_lemma_suite(which: str, trials: int = 100, base_seed: int = 0) -> SuiteResult:
-    result = SuiteResult(passed=True)
-    worst_slack = math.inf
+    rows = []
     draws = map(_lemma_draw, range(base_seed, base_seed + trials))
     for (seed, sigma_L, sigma_S, noise), (data, _), (f_clean, f_pert) in _trained(draws):
         if which == "lemma1":
             report = erm.check_classifier_gap(f_clean, f_pert, noise, _ERM_LAM)
         else:
             report = erm.check_empirical_gap(f_pert, f_clean, data, _ERM_LAM)
-        ok = report.slack >= -1e-6
-        result.rows.append(
+        rows.append(
             {
                 "seed": seed,
                 "n": _ERM_N,
@@ -102,56 +108,44 @@ def run_lemma_suite(which: str, trials: int = 100, base_seed: int = 0) -> SuiteR
                 "lhs": report.lhs,
                 "rhs": report.rhs,
                 "slack": report.slack,
-                "holds": int(ok),
+                "holds": int(report.slack >= -1e-6),
             }
         )
-        worst_slack = min(worst_slack, report.slack)
-        if not ok:
-            result.passed = False
-            result.failed_seeds.append(seed)
-    result.summary = (
-        f"{which}: {sum(r['holds'] for r in result.rows)}/{trials} trials hold, "
-        f"worst slack {worst_slack:.3e}"
+    summary = (
+        f"{which}: {sum(r['holds'] for r in rows)}/{trials} trials hold, "
+        f"worst slack {min((r['slack'] for r in rows), default=math.inf):.3e}"
     )
-    return result
+    return _verdict(rows, lambda row: row["seed"], summary)
 
 
 def run_chi2_suite(samples: int = 100_000, base_seed: int = 0) -> SuiteResult:
     if samples * max(_CHI2_DIMS) > _CHI2_MAX_DRAWS:
         raise ValueError(f"chi2 --trials must be <= {_CHI2_MAX_DRAWS // max(_CHI2_DIMS)}, got {samples}")
-    result = SuiteResult(passed=True)
     sigma_L, sigma_S = 3.0, 4.0
     s2 = sigma_L**2 + sigma_S**2
-    worst = 0.0
+    rows = []
     for d in _CHI2_DIMS:
         rng = np.random.Generator(np.random.PCG64(base_seed + d))
         draws = rng.standard_normal((samples, d))
         draws *= math.sqrt(s2)
         norms2 = np.einsum("ij,ij->i", draws, draws)
         del draws  # freed before the next d's draw
-        holds = True
         for zeta in (0.5 * d, 1.0 * d, 1.5 * d, 2.0 * d, 3.0 * d):
             expected = chi_square_cdf(d, zeta)
             empirical = float(np.count_nonzero(norms2 <= zeta * s2) / samples)
             err = abs(empirical - expected)
-            worst = max(worst, err)
-            ok = err <= _CHI2_TOLERANCE
-            result.rows.append(
+            rows.append(
                 {
                     "d": d,
                     "zeta": zeta,
                     "cdf": expected,
                     "empirical": empirical,
                     "abs_error": err,
-                    "holds": int(ok),
+                    "holds": int(err <= _CHI2_TOLERANCE),
                 }
             )
-            holds = holds and ok
-        if not holds:
-            result.passed = False
-            result.failed_seeds.append(base_seed + d)
-    result.summary = f"chi2: worst |empirical - cdf| = {worst:.4f} (tolerance {_CHI2_TOLERANCE})"
-    return result
+    summary = f"chi2: worst |empirical - cdf| = {max(r['abs_error'] for r in rows):.4f} (tolerance {_CHI2_TOLERANCE})"
+    return _verdict(rows, lambda row: base_seed + row["d"], summary)  # each d draws from its own seed
 
 
 def _spearman(x, y) -> float:
@@ -173,7 +167,6 @@ def _scaling_draw(k: int, sigma_L: float, sigma_S: float, seed: int):
 def run_scaling_suite(trials_per_point: int = 50, base_seed: int = 0) -> SuiteResult:
     """Average expected-loss gap across a noise sweep must increase with
     sigma_L^2 + (1/n) sum sigma_S^2 (Spearman rank correlation)."""
-    result = SuiteResult(passed=True)
     big = erm.generate_synthetic(100_000, _ERM_D, _ERM_SEPARATION, base_seed + 999_983)
     f_star = erm.train_erm(big, _ERM_LAM, tol=1e-7)
     del big  # freed before the sample is drawn: one 100k-row set at a time
@@ -190,28 +183,23 @@ def run_scaling_suite(trials_per_point: int = 50, base_seed: int = 0) -> SuiteRe
     for k, _, (f_d,) in _trained(draws, tol=1e-6):
         j_d = erm.empirical_risk(f_d, sample, _ERM_LAM)
         trial_gaps[k].append(j_d - j_star)
-    levels, gaps = [], []
+    rows = []
     for k, ((sigma_L, sigma_S_level), point_gaps) in enumerate(zip(points, trial_gaps)):
-        level = sigma_L**2 + sigma_S_level**2
-        mean_gap = float(np.mean(point_gaps))
         # a single trial has no spread estimate
         spread = np.std(point_gaps, ddof=1) if trials_per_point > 1 else math.inf
-        levels.append(level)
-        gaps.append(mean_gap)
-        result.rows.append(
+        rows.append(
             {
                 "point": k,
                 "sigma_L": sigma_L,
                 "sigma_S": sigma_S_level,
-                "noise_level": level,
-                "mean_gap": mean_gap,
+                "noise_level": sigma_L**2 + sigma_S_level**2,
+                "mean_gap": float(np.mean(point_gaps)),
                 "stderr": float(spread / math.sqrt(trials_per_point)),
             }
         )
-    rho = _spearman(levels, gaps)
-    result.passed = rho >= _MIN_SPEARMAN
-    result.summary = f"scaling: Spearman rho = {rho:.3f} (threshold {_MIN_SPEARMAN})"
-    return result
+    rho = _spearman([r["noise_level"] for r in rows], [r["mean_gap"] for r in rows])
+    summary = f"scaling: Spearman rho = {rho:.3f} (threshold {_MIN_SPEARMAN})"
+    return SuiteResult(rho >= _MIN_SPEARMAN, rows, summary, [])  # a trend names no seed
 
 
 def random_small_config(seed: int) -> GameConfig:
@@ -257,7 +245,7 @@ def random_small_config(seed: int) -> GameConfig:
 
 
 def run_oracle_suite(configs: int = 20, base_seed: int = 0) -> SuiteResult:
-    result = SuiteResult(passed=True)
+    rows = []
     for t in range(configs):
         seed = base_seed + t
         config = random_small_config(seed)
@@ -265,8 +253,7 @@ def run_oracle_suite(configs: int = 20, base_seed: int = 0) -> SuiteResult:
         slow = brute_force_equilibrium(config)
         sigma_err = abs(fast.sigma_L_star - slow.sigma_L_star)
         util_err = abs(fast.learner_utility - slow.learner_utility)
-        ok = sigma_err <= config.solver.grid_step and util_err <= _ORACLE_UTILITY_TOL
-        result.rows.append(
+        rows.append(
             {
                 "seed": seed,
                 "n_users": config.n_users,
@@ -276,17 +263,14 @@ def run_oracle_suite(configs: int = 20, base_seed: int = 0) -> SuiteResult:
                 "utility_solver": fast.learner_utility,
                 "utility_oracle": slow.learner_utility,
                 "utility_error": util_err,
-                "holds": int(ok),
+                "holds": int(sigma_err <= config.solver.grid_step and util_err <= _ORACLE_UTILITY_TOL),
             }
         )
-        if not ok:
-            result.passed = False
-            result.failed_seeds.append(seed)
-    result.summary = (
-        f"oracle: {sum(r['holds'] for r in result.rows)}/{configs} configs agree, "
-        f"worst utility error {max(r['utility_error'] for r in result.rows):.3e}"
+    summary = (
+        f"oracle: {sum(r['holds'] for r in rows)}/{configs} configs agree, "
+        f"worst utility error {max(r['utility_error'] for r in rows):.3e}"
     )
-    return result
+    return _verdict(rows, lambda row: row["seed"], summary)
 
 
 def run_suite(name: str, trials: int | None = None, base_seed: int = 0) -> SuiteResult:

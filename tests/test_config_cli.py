@@ -11,7 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 
 import pytest
@@ -978,6 +978,52 @@ class TestCliValidate:
         assert main(["validate", "--suite", "chi2", "--trials", "3",
                      "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "failed seeds (for replay): [1, 2, 5, 10]\n"
+
+    def test_chi2_failed_seeds_are_the_seeds_of_their_d(self, tmp_path, capsys):
+        assert main(["validate", "--suite", "chi2", "--trials", "3", "--seed", "1000",
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "failed seeds (for replay): [1001, 1002, 1005, 1010]\n"
+
+    def test_failing_lemma_trials_are_listed_for_replay(self, tmp_path, capsys, monkeypatch):
+        check, calls = erm.check_classifier_gap, count(1)
+
+        def every_other_fails(*args):  # calls 1, 3 and 5: seeds 3, 5 and 7
+            report = check(*args)
+            return dataclasses.replace(report, slack=-1.0) if next(calls) % 2 else report
+
+        monkeypatch.setattr(erm, "check_classifier_gap", every_other_fails)
+        assert main(["validate", "--suite", "lemma1", "--trials", "6", "--seed", "3",
+                     "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "lemma1: 3/6 trials hold, worst slack -1.000e+00\n"
+        assert err == "failed seeds (for replay): [3, 5, 7]\n"
+
+    def test_failing_oracle_configs_are_listed_for_replay(self, tmp_path, capsys, monkeypatch):
+        from obfusgame import validate
+
+        solve = validate.stackelberg_solve
+
+        def off_by_one_on_two_users(config):
+            result = solve(config)
+            if config.n_users != 2:
+                return result
+            return dataclasses.replace(result, learner_utility=result.learner_utility + 1.0)
+
+        monkeypatch.setattr(validate, "stackelberg_solve", off_by_one_on_two_users)
+        assert main(["validate", "--suite", "oracle", "--trials", "8", "--seed", "0",
+                     "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "oracle: 6/8 configs agree, worst utility error 1.000e+00\n"
+        assert err == "failed seeds (for replay): [1, 6]\n"
+
+    def test_failing_scaling_trend_names_no_seed(self, tmp_path, capsys, monkeypatch):
+        from obfusgame import validate
+
+        monkeypatch.setattr(validate, "_spearman", lambda x, y: 0.0)
+        assert main(["validate", "--suite", "scaling", "--trials", "1",
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("scaling: Spearman rho = 0.000 (threshold 0.9)\n", "")
+        assert (tmp_path / "validate_scaling.csv").exists()
 
     def test_manifest_records_seed(self, tmp_path):
         assert main(["validate", "--suite", "lemma1", "--trials", "2", "--seed", "7",

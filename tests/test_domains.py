@@ -1,0 +1,74 @@
+"""Each domain check raises its own ValueError message, so a caller who
+passes an out-of-domain value is told which value and which bound."""
+
+import math
+
+import numpy as np
+import pytest
+
+from obfusgame import dp, erm
+from obfusgame.config_io import SHIPPED_CONFIGS, shipped_config_path
+from obfusgame.game import LearnerParams, SolverSettings, UserParams
+
+
+def _learner(**kwargs):
+    return LearnerParams(**{"baseline_gain": 1.0, "accuracy_weight": 1.0, "perturbation_cost": 0.0,
+                            "regularizer": 1.0, "population_size": 1, **kwargs})
+
+
+def _user(**kwargs):
+    return UserParams(**{"baseline_gain": 1.0, "accuracy_weight": 1.0, "max_privacy_loss": 1.0,
+                         "privacy_rate": 1.0, "perturbation_cost": 1.0, **kwargs})
+
+
+def _data():
+    return erm.generate_synthetic(4, 2, 1.0, seed=0)
+
+
+def _perturb(sigma_L=0.1, sigma_S=0.2):
+    return erm.perturb_inputs(_data(), sigma_L, [0.2, sigma_S, 0.2, 0.2], seed=0)
+
+
+NOISE = "noise standard deviations must be finite and >= 0"
+
+
+CASES = {
+    "learner accuracy_weight": (lambda: _learner(accuracy_weight=-1.0), "accuracy_weight must be >= 0"),
+    "learner perturbation_cost": (lambda: _learner(perturbation_cost=-1.0), "perturbation_cost must be >= 0"),
+    "learner population_size": (lambda: _learner(population_size=0), "population_size must be >= 1"),
+    "user accuracy_weight": (lambda: _user(accuracy_weight=-1.0), "accuracy_weight must be >= 0"),
+    "user max_privacy_loss": (lambda: _user(max_privacy_loss=-1.0), "max_privacy_loss must be >= 0"),
+    "user perturbation_cost": (lambda: _user(perturbation_cost=-1.0), "perturbation_cost must be >= 0"),
+    "sigma_max": (lambda: SolverSettings(sigma_max=0.0), "sigma_max must be > 0"),
+    "grid_step": (lambda: SolverSettings(grid_step=0.0), "grid_step must be in (0, sigma_max)"),
+    "root_tol": (lambda: SolverSettings(root_tol=0.0), "root_tol must be > 0"),
+    "tie_epsilon": (lambda: SolverSettings(tie_epsilon=-1.0), "tie_epsilon must be >= 0"),
+    "features 1-D": (lambda: erm.Dataset(np.zeros(3), np.ones(3)), "features must be a 2-D array"),
+    "label length": (lambda: erm.Dataset(np.zeros((3, 2)), np.ones(2)), "labels length must match feature rows"),
+    "features NaN": (lambda: erm.Dataset(np.array([[math.nan]]), np.ones(1)), "features must be finite"),
+    "labels 0": (lambda: erm.Dataset(np.zeros((2, 1)), np.array([1.0, 0.0])), "labels must be -1 or +1"),
+    "weights 2-D": (lambda: erm.Classifier(np.zeros((2, 2))), "weights must be a finite 1-D array"),
+    "synthetic n": (lambda: erm.generate_synthetic(1, 2, 1.0, seed=0), "need n >= 2 and d >= 1"),
+    "synthetic d": (lambda: erm.generate_synthetic(4, 0, 1.0, seed=0), "need n >= 2 and d >= 1"),
+    "train lam": (lambda: erm.train_erms([_data()], 0.0), "lam must be > 0 for strict convexity"),
+    "sigma_L negative": (lambda: _perturb(sigma_L=-1.0), NOISE),
+    "sigma_L NaN": (lambda: _perturb(sigma_L=math.nan), NOISE),  # NaN and inf pass a sign test alone
+    "sigma_L inf": (lambda: _perturb(sigma_L=math.inf), NOISE),
+    "sigma_S negative": (lambda: _perturb(sigma_S=-1.0), NOISE),
+    "sigma_S NaN": (lambda: _perturb(sigma_S=math.nan), NOISE),
+    "sigma_S inf": (lambda: _perturb(sigma_S=math.inf), NOISE),
+    "total_sigma": (lambda: dp.epsilon_from_sigma(-1.0, 1e-5), "total_sigma must be finite and >= 0, got -1.0"),
+    "shipped config": (
+        lambda: shipped_config_path("nope"),
+        f"unknown shipped config 'nope'; choose from {SHIPPED_CONFIGS}",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_domain_check_message(case):
+    call, message = CASES[case]
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
