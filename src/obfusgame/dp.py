@@ -80,7 +80,7 @@ def chi_square_cdf(d: int, zeta: float) -> float:
     a - 2, ... >= 0, plus erfc(sqrt(x)) when d is odd (A&S 26.4.4-5).
     The sum runs downward and stops once a term is negligible.
     """
-    if d < 1 or d != int(d):
+    if not 1 <= d < math.inf or d != int(d):  # NaN and inf fail before int() sees them
         raise ValueError(f"d must be an integer >= 1, got {d}")
     if not zeta >= 0:
         raise ValueError(f"zeta must be >= 0, got {zeta}")

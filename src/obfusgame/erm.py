@@ -17,9 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
+from .game import _require_finite
 
 _CURVATURE_BOUND = 0.25  # c: the logistic loss's second derivative is at most 1/4
 _DRAW_ROWS = 4096  # rows of normals drawn per block in generate_synthetic
+_MAX_ITER = 200  # Newton iterations before train_erms gives up
 
 
 @dataclass(frozen=True)
@@ -155,23 +157,13 @@ def empirical_risk(f: Classifier, data: Dataset, lam: float) -> float:
     return float(_risk(margins[None], f.weights[None], lam)[0])
 
 
-def train_erm(
-    data: Dataset,
-    lam: float,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-) -> Classifier:
+def train_erm(data: Dataset, lam: float, tol: float = 1e-8) -> Classifier:
     """Minimize the regularized objective to gradient-norm tol: train_erms
     on a stack of one."""
-    return train_erms([data], lam, tol, max_iter)[0]
+    return train_erms([data], lam, tol)[0]
 
 
-def train_erms(
-    datasets: "list[Dataset]",
-    lam: float,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-) -> list[Classifier]:
+def train_erms(datasets: "list[Dataset]", lam: float, tol: float = 1e-8) -> list[Classifier]:
     """Minimize each dataset's regularized objective to gradient-norm tol
     by damped Newton steps with Armijo backtracking (Boyd & Vandenberghe
     2004, 9.5), the datasets, all of one (n, d) shape, stepped as one
@@ -188,10 +180,10 @@ def train_erms(
     coefficients and the Hessian's weights are formed in arrays each step
     allocates once and writes in place; nothing is written into a
     dataset."""
+    _require_finite("lam", lam)
     if lam <= 0:
         raise ValueError("lam must be > 0 for strict convexity")
-    if tol <= 0 or max_iter < 1:
-        raise ValueError("tol and max_iter must be > 0")
+    _require_finite("tol", tol, ">")
     if not datasets:
         raise ValueError("need at least one dataset")
     n, d = datasets[0].features.shape
@@ -203,7 +195,7 @@ def train_erms(
     w = np.zeros((len(datasets), d))
     ridge = lam * np.eye(d)
     z, ez, obj = _risk_states(w, Xt, y, lam)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         upper = 1.0 + ez
         lower = np.divide(ez, upper, out=ez)  # sigmoid(-|z|), over exp(-|z|)
         np.divide(1.0, upper, out=upper)  # sigmoid(|z|)
@@ -247,7 +239,7 @@ def train_erms(
         del z_new, ez_new  # so that lower is freed before the next gemm
     raise ConvergenceError(
         f"problem {lanes[0]} of {len(weights)}: gradient norm {gnorm[0]:.3e} above tol {tol:.3e}"
-        f" after {max_iter} iterations"
+        f" after {_MAX_ITER} iterations"
     )
 
 

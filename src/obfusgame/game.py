@@ -19,11 +19,14 @@ from typing import Sequence
 from .errors import ConfigError
 
 
-def _require_finite(name: str, value: float) -> float:
+def _require_finite(name: str, value: float, bound: str = "") -> None:
+    """Refuse a non-finite value, and with bound ">" or ">=" a value that
+    is not > 0 or >= 0: the one writer of the records' domain messages."""
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+    if bound and (value <= 0 if bound == ">" else value < 0):
+        raise ValueError(f"{name} must be {bound} 0")
 
 
 @dataclass(frozen=True)
@@ -39,12 +42,9 @@ class LearnerParams:
 
     def __post_init__(self):
         _require_finite("baseline_gain", self.baseline_gain)
-        if _require_finite("accuracy_weight", self.accuracy_weight) < 0:
-            raise ValueError("accuracy_weight must be >= 0")
-        if _require_finite("perturbation_cost", self.perturbation_cost) < 0:
-            raise ValueError("perturbation_cost must be >= 0")
-        if _require_finite("regularizer", self.regularizer) <= 0:
-            raise ValueError("regularizer must be > 0")
+        _require_finite("accuracy_weight", self.accuracy_weight, ">=")
+        _require_finite("perturbation_cost", self.perturbation_cost, ">=")
+        _require_finite("regularizer", self.regularizer, ">")
         if self.population_size < 1:
             raise ValueError("population_size must be >= 1")
         scale = self.population_size * self.regularizer
@@ -65,14 +65,10 @@ class UserParams:
 
     def __post_init__(self):
         _require_finite("baseline_gain", self.baseline_gain)
-        if _require_finite("accuracy_weight", self.accuracy_weight) < 0:
-            raise ValueError("accuracy_weight must be >= 0")
-        if _require_finite("max_privacy_loss", self.max_privacy_loss) < 0:
-            raise ValueError("max_privacy_loss must be >= 0")
-        if _require_finite("privacy_rate", self.privacy_rate) <= 0:
-            raise ValueError("privacy_rate must be > 0")
-        if _require_finite("perturbation_cost", self.perturbation_cost) < 0:
-            raise ValueError("perturbation_cost must be >= 0")
+        _require_finite("accuracy_weight", self.accuracy_weight, ">=")
+        _require_finite("max_privacy_loss", self.max_privacy_loss, ">=")
+        _require_finite("privacy_rate", self.privacy_rate, ">")
+        _require_finite("perturbation_cost", self.perturbation_cost, ">=")
 
 
 @dataclass(frozen=True)
@@ -85,17 +81,14 @@ class SolverSettings:
     tie_epsilon: float = 1e-9
 
     def __post_init__(self):
-        if _require_finite("sigma_max", self.sigma_max) <= 0:
-            raise ValueError("sigma_max must be > 0")
+        _require_finite("sigma_max", self.sigma_max, ">")
         square = self.sigma_max * self.sigma_max
         if not math.isfinite(square + square):  # the oracle's sigma_L^2 + sigma_S^2
             raise ValueError(f"sigma_max {self.sigma_max} has no finite doubled square")
         if not 0 < self.grid_step < self.sigma_max:
             raise ValueError("grid_step must be in (0, sigma_max)")
-        if _require_finite("root_tol", self.root_tol) <= 0:
-            raise ValueError("root_tol must be > 0")
-        if _require_finite("tie_epsilon", self.tie_epsilon) < 0:
-            raise ValueError("tie_epsilon must be >= 0")
+        _require_finite("root_tol", self.root_tol, ">")
+        _require_finite("tie_epsilon", self.tie_epsilon, ">=")
 
 
 @dataclass(frozen=True)
@@ -124,12 +117,14 @@ class GameConfig:
         lam, n = self.learner.regularizer, self.n_users
         if lam**2 == 0:
             raise ConfigError(f"learner.Lambda = {lam!r} squares to 0")
-        # the utilities' accuracy coefficients gamma / (N Lambda^2) and the
-        # best responses' gamma / (N^2 Lambda^2)
+        # the utilities' accuracy coefficients gamma / (N Lambda^2); the best
+        # responses' gamma / (N^2 Lambda^2) follows: with Lambda^2 > 0 and
+        # N >= 1, monotone rounding gives fl(N^2 Lambda^2) >= fl(N Lambda^2)
+        # > 0, so gamma >= 0 over it is never larger than over N Lambda^2
         weights = [("learner", self.learner.accuracy_weight)]
         weights += [(f"users[{i}]", u.accuracy_weight) for i, u in enumerate(self.users)]
         for who, gamma in weights:
-            if not (math.isfinite(gamma / (n * lam**2)) and math.isfinite(gamma / (n**2 * lam**2))):
+            if not math.isfinite(gamma / (n * lam**2)):
                 raise ConfigError(f"{who}: gamma / (N * Lambda^2) is not finite at learner.Lambda = {lam!r}")
 
     @property
@@ -146,15 +141,16 @@ class StrategyProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma_S", tuple(float(s) for s in self.sigma_S))
-        _check_sigma_L(self.sigma_L)
+        _check_noise(self.sigma_L)
         for i, s in enumerate(self.sigma_S):
-            if not math.isfinite(s) or s < 0:
-                raise ValueError(f"sigma_S[{i}] must be finite and >= 0, got {s}")
+            _check_noise(s, i)
 
 
-def _check_sigma_L(sigma_L: float) -> None:
-    if not math.isfinite(sigma_L) or sigma_L < 0:
-        raise ValueError(f"sigma_L must be finite and >= 0, got {sigma_L}")
+def _check_noise(sigma: float, i: int | None = None) -> None:
+    """sigma_L (i None) or sigma_S[i] must be finite and >= 0."""
+    if not math.isfinite(sigma) or sigma < 0:
+        name = "sigma_L" if i is None else f"sigma_S[{i}]"
+        raise ValueError(f"{name} must be finite and >= 0, got {sigma}")
 
 
 def _check_user(config: GameConfig, i: int) -> None:

@@ -59,7 +59,7 @@ from .game import (
     SolverSettings,
     StrategyProfile,
     UserParams,
-    _check_sigma_L,
+    _check_noise,
     _check_user,
     _spread,
     learner_utility,
@@ -286,7 +286,7 @@ def _pair(config: GameConfig, i: int) -> tuple[float, float]:
 
 def user_best_response(sigma_L: float, i: int, config: GameConfig) -> float:
     """Utility-maximizing sigma_S for user i; ties go to 0 (not perturbing)."""
-    _check_sigma_L(sigma_L)
+    _check_noise(sigma_L)
     s_star, t = _pair(config, i)
     return float(_best_responses(np.array([sigma_L]), [s_star], [t])[0, 0])
 
@@ -303,7 +303,7 @@ def dissuasion_threshold(i: int, config: GameConfig) -> Optional[float]:
 
 
 def best_response_profile(sigma_L: float, config: GameConfig) -> StrategyProfile:
-    _check_sigma_L(sigma_L)
+    _check_noise(sigma_L)
     s_stars, cuts = zip(*(_pair(config, i) for i in range(config.n_users)))
     return StrategyProfile(sigma_L, _best_responses(np.array([sigma_L]), s_stars, cuts)[:, 0])
 

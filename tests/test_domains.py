@@ -8,7 +8,7 @@ import pytest
 
 from obfusgame import dp, erm
 from obfusgame.config_io import SHIPPED_CONFIGS, shipped_config_path
-from obfusgame.game import LearnerParams, SolverSettings, UserParams
+from obfusgame.game import LearnerParams, SolverSettings, StrategyProfile, UserParams
 
 
 def _learner(**kwargs):
@@ -33,13 +33,24 @@ NOISE = "noise standard deviations must be finite and >= 0"
 
 
 CASES = {
+    "learner baseline_gain inf": (lambda: _learner(baseline_gain=math.inf), "baseline_gain must be finite, got inf"),
+    "learner baseline_gain NaN": (lambda: _learner(baseline_gain=math.nan), "baseline_gain must be finite, got nan"),
+    "learner regularizer": (lambda: _learner(regularizer=0.0), "regularizer must be > 0"),
     "learner accuracy_weight": (lambda: _learner(accuracy_weight=-1.0), "accuracy_weight must be >= 0"),
     "learner perturbation_cost": (lambda: _learner(perturbation_cost=-1.0), "perturbation_cost must be >= 0"),
     "learner population_size": (lambda: _learner(population_size=0), "population_size must be >= 1"),
+    "user baseline_gain inf": (lambda: _user(baseline_gain=math.inf), "baseline_gain must be finite, got inf"),
+    "user baseline_gain NaN": (lambda: _user(baseline_gain=math.nan), "baseline_gain must be finite, got nan"),
+    "user privacy_rate": (lambda: _user(privacy_rate=0.0), "privacy_rate must be > 0"),
     "user accuracy_weight": (lambda: _user(accuracy_weight=-1.0), "accuracy_weight must be >= 0"),
     "user max_privacy_loss": (lambda: _user(max_privacy_loss=-1.0), "max_privacy_loss must be >= 0"),
     "user perturbation_cost": (lambda: _user(perturbation_cost=-1.0), "perturbation_cost must be >= 0"),
     "sigma_max": (lambda: SolverSettings(sigma_max=0.0), "sigma_max must be > 0"),
+    "sigma_max NaN": (lambda: SolverSettings(sigma_max=math.nan), "sigma_max must be finite, got nan"),
+    "root_tol inf": (lambda: SolverSettings(root_tol=math.inf), "root_tol must be finite, got inf"),
+    "tie_epsilon NaN": (lambda: SolverSettings(tie_epsilon=math.nan), "tie_epsilon must be finite, got nan"),
+    "profile sigma_L NaN": (lambda: StrategyProfile(math.nan, (0.0,)), "sigma_L must be finite and >= 0, got nan"),
+    "profile sigma_S negative": (lambda: StrategyProfile(0.0, (-0.5,)), "sigma_S[0] must be finite and >= 0, got -0.5"),
     "grid_step": (lambda: SolverSettings(grid_step=0.0), "grid_step must be in (0, sigma_max)"),
     "root_tol": (lambda: SolverSettings(root_tol=0.0), "root_tol must be > 0"),
     "tie_epsilon": (lambda: SolverSettings(tie_epsilon=-1.0), "tie_epsilon must be >= 0"),
@@ -51,12 +62,19 @@ CASES = {
     "synthetic n": (lambda: erm.generate_synthetic(1, 2, 1.0, seed=0), "need n >= 2 and d >= 1"),
     "synthetic d": (lambda: erm.generate_synthetic(4, 0, 1.0, seed=0), "need n >= 2 and d >= 1"),
     "train lam": (lambda: erm.train_erms([_data()], 0.0), "lam must be > 0 for strict convexity"),
+    "train lam NaN": (lambda: erm.train_erms([_data()], math.nan), "lam must be finite, got nan"),
+    "train lam inf": (lambda: erm.train_erms([_data()], math.inf), "lam must be finite, got inf"),
+    "train tol 0": (lambda: erm.train_erms([_data()], 1.0, tol=0.0), "tol must be > 0"),
+    "train tol NaN": (lambda: erm.train_erms([_data()], 1.0, tol=math.nan), "tol must be finite, got nan"),
+    "train tol inf": (lambda: erm.train_erms([_data()], 1.0, tol=math.inf), "tol must be finite, got inf"),
     "sigma_L negative": (lambda: _perturb(sigma_L=-1.0), NOISE),
     "sigma_L NaN": (lambda: _perturb(sigma_L=math.nan), NOISE),  # NaN and inf pass a sign test alone
     "sigma_L inf": (lambda: _perturb(sigma_L=math.inf), NOISE),
     "sigma_S negative": (lambda: _perturb(sigma_S=-1.0), NOISE),
     "sigma_S NaN": (lambda: _perturb(sigma_S=math.nan), NOISE),
     "sigma_S inf": (lambda: _perturb(sigma_S=math.inf), NOISE),
+    "chi2 d inf": (lambda: dp.chi_square_cdf(math.inf, 1.0), "d must be an integer >= 1, got inf"),
+    "chi2 d NaN": (lambda: dp.chi_square_cdf(math.nan, 1.0), "d must be an integer >= 1, got nan"),
     "total_sigma": (lambda: dp.epsilon_from_sigma(-1.0, 1e-5), "total_sigma must be finite and >= 0, got -1.0"),
     "shipped config": (
         lambda: shipped_config_path("nope"),

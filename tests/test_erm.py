@@ -102,12 +102,11 @@ class TestTrainErm:
         ) / lam
         assert np.linalg.norm(f.weights - w_ref) <= bound
 
-    def test_max_iter_exhausted_raises(self):
+    def test_max_iter_exhausted_raises(self, monkeypatch):
         data = generate_synthetic(200, 5, 4.0, seed=36)
+        monkeypatch.setattr(erm, "_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            train_erm(data, lam=0.1, max_iter=1)
-        with pytest.raises(ValueError):
-            train_erm(data, lam=0.1, max_iter=0)
+            train_erm(data, lam=0.1)
 
     def test_gradient_norm_below_tol(self):
         data = generate_synthetic(150, 4, 2.0, seed=4)
@@ -270,13 +269,14 @@ class TestStackedTraining:
             for w, w_together in zip(weights, together):
                 assert np.array_equal(w, w_together)
 
-    def test_unconverged_problem_raises_and_is_named(self):
+    def test_unconverged_problem_raises_and_is_named(self, monkeypatch):
         easy, hard = _symmetric_set(40, 3, seed=3), generate_synthetic(40, 3, 2.0, seed=1)
-        assert erm.train_erms([easy], self.LAM, max_iter=1)[0].weights.tolist() == [0.0] * 3
+        monkeypatch.setattr(erm, "_MAX_ITER", 1)
+        assert erm.train_erms([easy], self.LAM)[0].weights.tolist() == [0.0] * 3
         with pytest.raises(ConvergenceError, match=r"^problem 1 of 2: gradient norm .* after 1 iterations$"):
-            erm.train_erms([easy, hard], self.LAM, max_iter=1)
+            erm.train_erms([easy, hard], self.LAM)
         with pytest.raises(ConvergenceError, match=r"^problem 0 of 3: "):
-            erm.train_erms([hard, easy, easy], self.LAM, max_iter=1)
+            erm.train_erms([hard, easy, easy], self.LAM)
 
     def test_mixed_shapes_and_empty_stack_raise(self):
         with pytest.raises(ValueError, match="one \\(n, d\\) shape"):

@@ -208,3 +208,38 @@ class TestValidation:
             StrategyProfile(-1.0, (0.0,))
         with pytest.raises(ValueError):
             StrategyProfile(0.0, (-0.5,))
+
+
+def _coefficient_finite(gamma, lam, n):
+    """The Lambda domain LearnerParams and GameConfig admit: (N Lambda)^2
+    finite, Lambda^2 > 0 and the accuracy coefficient gamma / (N Lambda^2)
+    finite."""
+    scale = n * lam
+    return math.isfinite(scale * scale) and lam * lam > 0 and math.isfinite(gamma / (n * lam**2))
+
+
+class TestAccuracyCoefficientDomain:
+    """GameConfig tests gamma / (N Lambda^2) alone: wherever that is finite
+    with Lambda^2 > 0, so is the best responses' gamma / (N^2 Lambda^2)."""
+
+    @settings(max_examples=1000)
+    @given(
+        st.floats(0, allow_infinity=False),
+        st.floats(0, exclude_min=True, allow_infinity=False),
+        st.integers(1, 10**9),
+    )
+    def test_drawn_across_the_float_range(self, gamma, lam, n):
+        if _coefficient_finite(gamma, lam, n):
+            assert math.isfinite(gamma / (n**2 * lam**2))
+
+    @pytest.mark.parametrize("gamma", [5e-324, 1.0, 1e300, 1.7976931348623157e308])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 10**9])
+    def test_at_the_least_admitted_lambda(self, gamma, n):
+        lo, hi = 0.0, 1.0  # _coefficient_finite fails at lo and holds at hi
+        while lo < (mid := lo + (hi - lo) / 2) < hi:
+            lo, hi = (lo, mid) if _coefficient_finite(gamma, mid, n) else (mid, hi)
+        lam = hi
+        for _ in range(4):
+            assert _coefficient_finite(gamma, lam, n)
+            assert math.isfinite(gamma / (n**2 * lam**2))
+            lam = math.nextafter(lam, 1.0)
