@@ -1,0 +1,176 @@
+#!/usr/bin/env python3
+"""A/B judge: the benchmark at two revisions, in alternating pairs on one CPU.
+
+    python3 scripts/ab.py --base REV [--head REV] --workload W [--pairs K]
+
+Each side is a fresh directory holding that revision's `src/` (from `git
+archive`; without --head, the working tree's tracked and unignored files)
+next to one copy of the current `perfbench/`, whose unmodified `run.py`
+runs as a child process.  Pair i runs base then head when i is even, head
+then base when it is odd, with seed i + 1 on both sides.  Every run is
+pinned to one CPU (`os.sched_setaffinity` on the child before it starts
+the interpreter), the same CPU for every pair, and the CPU is recorded: on
+a small VM the CPU can move a run more than the change does.
+
+For each end-to-end metric of BENCHMARK.json it prints both sides'
+medians and quartiles, head/base, the pairs the head won (ties count for
+neither) and the verdict of `verdict`.  It writes BENCH_<workload>_<name>.json
+at the repository root for each side, name being the revision's short hash,
+with "+" appended for the working tree ("-base" and "-head" follow the
+name when both sides are one revision): every run's metrics, seed, order
+and CPU, and in the head's file the verdicts.  It may run from any
+directory; git runs in this repository.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def verdict(base: list[float], head: list[float], better: str, bound: float) -> str:
+    """The verdict on one metric from paired runs (base[i] and head[i] ran
+    as pair i): "gain" when there are at least 10 pairs, the head wins at
+    least 9 in 10 of them and its median beats the base's by more than the
+    base's interquartile range;
+    else "regression" when the head's median is worse than the base's by
+    more than bound (relative); else "unresolved" when either side's
+    interquartile range exceeds bound times its median and not every head
+    run beats every base run; else "within bound"."""
+    sign = 1.0 if better == "higher" else -1.0
+    mid_base, mid_head = statistics.median(base), statistics.median(head)
+    won = wins(base, head, better)
+    if len(base) >= 10 and won >= 0.9 * len(base) and sign * (mid_head - mid_base) > spread(base):
+        return "gain"
+    if sign * (mid_base - mid_head) > bound * abs(mid_base):
+        return "regression"
+    all_better = all(sign * (h - b) > 0 for h in head for b in base)
+    if max(spread(base) / abs(mid_base), spread(head) / abs(mid_head)) > bound and not all_better:
+        return "unresolved"
+    return "within bound"
+
+
+def wins(base: list[float], head: list[float], better: str) -> int:
+    """The pairs in which the head reads better; ties count for neither side."""
+    sign = 1.0 if better == "higher" else -1.0
+    return sum(sign * (h - b) > 0 for b, h in zip(base, head))
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def spread(values: list[float]) -> float:
+    """The interquartile range (0 for one value)."""
+    q1, q3 = quartiles(values)
+    return q3 - q1
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, check=True).stdout
+
+
+def tracked(prefix: str) -> list[str]:
+    """The working tree's tracked and unignored files under prefix."""
+    listing = git("ls-files", "-z", "--cached", "--others", "--exclude-standard", "--", prefix)
+    return [name for name in listing.decode().split("\0") if name and (ROOT / name).is_file()]
+
+
+def copy(names: list[str], where: Path) -> None:
+    for name in names:
+        (where / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(ROOT / name, where / name)
+
+
+def side(rev: str | None, where: Path) -> str:
+    """Build one side under where, src/ of rev (or of the working tree) and
+    the current perfbench/, and return its name."""
+    if rev is None:
+        copy(tracked("src"), where)
+    else:
+        archive = tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev, "src")))
+        archive.extractall(where, filter="data")
+    copy(tracked("perfbench"), where)
+    name = git("rev-parse", "--short", rev or "HEAD").decode().strip()
+    return name if rev else name + "+"
+
+
+def run_once(where: Path, workload: str, seed: int, cpu: int) -> dict:
+    """One perfbench run of the side at where, pinned to cpu: its result line."""
+    command = [sys.executable, str(where / "perfbench" / "run.py"), "--workload", workload,
+               "--seed", str(seed), "--trace", "0"]
+    done = subprocess.run(command, capture_output=True, text=True, cwd=where,
+                          preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    if done.returncode != 0:
+        raise SystemExit(f"perfbench failed ({done.returncode}) in {where}:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="revision of the parent side")
+    parser.add_argument("--head", help="revision of the changed side (default: the working tree)")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    cpu = min(os.sched_getaffinity(0))
+    work = Path(tempfile.mkdtemp(prefix="ab-"))
+    try:
+        sides = {}
+        for key, rev in (("base", args.base), ("head", args.head)):
+            (work / key).mkdir()
+            sides[key] = {"name": side(rev, work / key), "revision": rev or "working tree", "runs": []}
+        for i in range(args.pairs):
+            for key in ("base", "head") if i % 2 == 0 else ("head", "base"):
+                result = run_once(work / key, args.workload, i + 1, cpu)
+                sides[key]["runs"].append({"pair": i, "first": (i % 2 == 0) == (key == "base"),
+                                           "seed": i + 1, "cpu": cpu, **result})
+                print(f"pair {i + 1}/{args.pairs} {key}: correct {result['correct']}", file=sys.stderr)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+    verdicts = {}
+    print(f"{args.workload}: base {sides['base']['name']}, head {sides['head']['name']}, "
+          f"{args.pairs} pairs on CPU {cpu}")
+    print(f"{'metric':12s} {'base median [q1, q3]':>30s} {'head median [q1, q3]':>30s} {'head/base':>9s} "
+          f"{'wins':>6s}  verdict")
+    for metric in spec["end_to_end"]:
+        name, better = metric["name"], metric["better"]
+        base, head = ([run["metrics"][name]["value"] for run in sides[key]["runs"]] for key in ("base", "head"))
+        verdicts[name] = {"verdict": verdict(base, head, better, metric["bound"]),
+                          "wins": wins(base, head, better), "pairs": args.pairs,
+                          "ratio": statistics.median(head) / statistics.median(base)}
+        cells = ["{:.4g} [{:.4g}, {:.4g}]".format(statistics.median(v), *quartiles(v)) for v in (base, head)]
+        print(f"{name:12s} {cells[0]:>30s} {cells[1]:>30s} {verdicts[name]['ratio']:9.3f} "
+              f"{verdicts[name]['wins']:>2d}/{args.pairs:<3d}  {verdicts[name]['verdict']}")
+    for key in sides:
+        runs = sides[key]["runs"]
+        print(f"{key} failed ops: {sum(r['failed'] for r in runs)} of {sum(r['attempted'] for r in runs)}")
+    sides["head"]["verdicts"] = {"base": sides["base"]["name"], **verdicts}
+    same = sides["base"]["name"] == sides["head"]["name"]  # an A/A run of one revision
+    for key, record in sides.items():
+        path = ROOT / f"BENCH_{args.workload}_{record['name']}{'-' + key if same else ''}.json"
+        path.write_text(json.dumps({"workload": args.workload, **record}, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,6 +12,7 @@ gradient-norm tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +102,7 @@ def generate_synthetic(n: int, d: int, separation: float, seed: int) -> Dataset:
     """Two unit-variance Gaussian clusters centered at +-(separation/2) e_1."""
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 and d >= 1")
+    _require_finite("separation", separation)
     rng = np.random.Generator(np.random.PCG64(seed))
     labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     # the rows are drawn in order, a block at a time, into column-major
@@ -151,7 +153,9 @@ def empirical_risk(f: Classifier, data: Dataset, lam: float) -> float:
     """Lambda/2 ||f||^2 + mean logistic loss over the dataset: the training
     objective, and over a held-out sample the Monte Carlo estimate of the
     population loss plus regularizer.  The margins take two row-length
-    arrays, X w and the losses written over it."""
+    arrays, X w and the losses written over it.  ValueError for a lam that
+    is not finite and >= 0."""
+    _require_finite("lam", lam, ">=")
     margins = data.features @ f.weights
     margins *= data.labels
     return float(_risk(margins[None], f.weights[None], lam)[0])
@@ -272,15 +276,19 @@ def check_classifier_gap(
 ) -> BoundReport:
     """||f_clean - f_pert||^2 against
     (1 + c^2 ||f_pert||^2) / (n^2 Lambda^2) * sum_i ||u_i||^2, with one
-    noise row u_i per training row."""
+    noise row u_i per training row.  ValueError for a lam that is not
+    finite and > 0, or whose n^2 lam^2 is 0 or inf."""
+    _require_finite("lam", lam, ">")
     c, n = _CURVATURE_BOUND, noise.shape[0]
+    try:
+        scale = n**2 * lam**2
+    except OverflowError:  # lam**2 raises where lam * lam is inf
+        scale = math.inf
+    if not 0 < scale < math.inf:
+        raise ValueError(f"lam = {lam!r} has no finite nonzero n^2 lam^2 at n = {n}")
     diff = clean_f.weights - pert_f.weights
     lhs = float(diff @ diff)
-    rhs = (
-        (1.0 + c**2 * float(pert_f.weights @ pert_f.weights))
-        / (n**2 * lam**2)
-        * float(np.sum(noise**2))
-    )
+    rhs = (1.0 + c**2 * float(pert_f.weights @ pert_f.weights)) / scale * float(np.sum(noise**2))
     return BoundReport(lhs, rhs, rhs - lhs)
 
 
@@ -291,7 +299,9 @@ def check_empirical_gap(
     lam: float,
 ) -> BoundReport:
     """Empirical-risk gap on the clean data (whose minimizer is f_dagger)
-    against ||f_d - f_dagger||^2 * (1 + c)."""
+    against ||f_d - f_dagger||^2 * (1 + c).  ValueError for a lam that is
+    not finite and > 0: f_dagger minimizes a strictly convex objective."""
+    _require_finite("lam", lam, ">")
     lhs = empirical_risk(f_d, data, lam) - empirical_risk(f_dagger, data, lam)
     diff = f_d.weights - f_dagger.weights
     rhs = float(diff @ diff) * (1.0 + _CURVATURE_BOUND)

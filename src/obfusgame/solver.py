@@ -61,6 +61,7 @@ from .game import (
     UserParams,
     _check_noise,
     _check_user,
+    _require_finite,
     _spread,
     learner_utility,
 )
@@ -79,6 +80,9 @@ _CHUNK_CELLS = 2**13
 # sweep's columns, and N + 1 strings while the CLI writes them (the grid
 # and the best responses; it formats the rest a bounded slice at a time)
 _SWEEP_MAX_CELLS = 21_000_000
+# _user_sum's crossover in columns: warm on one 2.1 GHz Xeon vCPU, np.add.accumulate took 72 us
+# against 6 for one np.add a row at (3, 4001), 4.7 against 6.4 at (8, 128), 28 against 1,585 at (4096, 2)
+_ROW_SUM_WIDTH = 136
 # the smallest normal float: a product at or above it (and finite) lost no bits to range
 _NORMAL = sys.float_info.min
 # below it (1 + rho * s)^2 is finite for s <= 1, and where it overflows at
@@ -120,8 +124,9 @@ def effective_noise_target(
     """The unique s_star solving s * (1 + rho s)^2 = P_bar rho N^2 Lambda^2 / (2 gamma),
     to absolute tolerance root_tol, or to float resolution when s_star <= root_tol.
 
-    Returns 0.0 when the user has no privacy stake; SolverError when
-    s_star has no finite square.  The cubic is solved in floats where the
+    ValueError for a root_tol that is not finite and > 0.  Returns 0.0 when
+    the user has no privacy stake; SolverError when s_star has no finite
+    square.  The cubic is solved in floats where the
     right-hand side's partial products are normal floats and rho < 1e154,
     and compared exactly (_exact_excess) elsewhere, where a float partial
     would overflow or underflow or (1 + rho s)^2 could overflow near s_star.
@@ -139,6 +144,7 @@ def effective_noise_target(
     2-4 calls of g check them.  The bisection runs itself where a check fails
     (s_star <= root_tol among them), where m > 50, and on the exact branch.
     """
+    _require_finite("root_tol", root_tol, ">")
     if user.max_privacy_loss == 0:
         return 0.0
     if user.accuracy_weight == 0:
@@ -432,9 +438,9 @@ def _utility_panel(
 ) -> tuple[np.ndarray, np.ndarray]:
     """U_L (M,) and each U_S (N, M) at every sigma_L, user i playing
     responses[i, k] at sigma_L[k], with _user_columns: the public utilities'
-    arithmetic in the same order, the user-order sums by np.add.accumulate,
-    which adds strictly in order, so equal to them bit for bit, -inf
-    included (no command reaches one: _admissible refuses the game first)."""
+    arithmetic in the same order, the user-order sums by _user_sum, which
+    adds strictly in order, so equal to them bit for bit, -inf included
+    (no command reaches one: _admissible refuses the game first)."""
     n, lp = config.n_users, config.learner
     gain, weight, loss, rate, cost = columns
     squares = sigma_L * sigma_L
@@ -447,14 +453,25 @@ def _utility_panel(
         np.divide(loss, privacy, out=privacy)
         block /= n
         block[0] += squares
-        spread = np.add.accumulate(block, axis=0, out=block)[-1].copy()
+        spread = _user_sum(block).copy()
         users = np.subtract(gain, np.multiply(weight, spread, out=block), out=block)
         users -= privacy
         np.subtract(users, cost, out=users, where=responses > 0)
-        total = np.add.accumulate(privacy, axis=0, out=privacy)[-1]
+        total = _user_sum(privacy)
         leader = lp.baseline_gain - lp.accuracy_weight / (n * lp.regularizer**2) * spread - total / n
         leader -= lp.perturbation_cost * (sigma_L > 0)
     return leader, users
+
+
+def _user_sum(rows: np.ndarray) -> np.ndarray:
+    """The (N, M) rows summed in user order, spending rows: np.add.accumulate
+    on a panel narrower than _ROW_SUM_WIDTH, else one np.add per row into
+    rows[0].  Both add strictly in order, so they give the same floats."""
+    if rows.shape[1] < _ROW_SUM_WIDTH:
+        return np.add.accumulate(rows, axis=0, out=rows)[-1]
+    for row in rows[1:]:
+        rows[0] += row
+    return rows[0]
 
 
 def sweep(config: GameConfig, lo: float, hi: float, step: float) -> tuple[np.ndarray, ...]:
@@ -492,17 +509,20 @@ def _best_response_table(config: GameConfig, columns: np.ndarray, grid: np.ndarr
 
     Exact branch and bound.  In _own_noise every step (x*x, /N, +, sqrt,
     coef*, base -, rho*, 1 +, P /, -) is correctly rounded and monotone in
-    each argument; every parameter is >= 0 and rho, Lambda > 0; and the
-    column is non-decreasing.  So on a run [a, b] of levels the accuracy
-    term is highest at a, the privacy loss lowest at b and the flat cost
-    lowest at a: no computed cell of the run exceeds its bound, _own_noise
-    with acc = a and priv = b.  Row stage: level 0 is scored exactly and
-    the rest of the (padded) column is one run; where its bound is at most
-    level 0 the pick is 0, as no cell of the rest exceeds level 0 and a tie
-    goes to the smaller level.  Level 0 pays no flat cost and the bound
-    does, so a flat row, or a user whose cost outweighs its privacy gain,
-    costs 2 cells a row.  Block stage, the other rows: blocks of k = max(2,
-    isqrt(m)) levels (the last padded with the top level) have their first
+    each argument; every parameter but the gain G is >= 0 and rho, Lambda
+    > 0; and the column is non-decreasing.  So on a run [a, b] of levels
+    the accuracy term is highest at a, the privacy loss lowest at b and the
+    flat cost lowest at a: no computed cell of the run exceeds its bound,
+    _own_noise with acc = a and priv = b.  Row stage: level 0 is scored
+    exactly and the rest of the (padded) column is one run; where its bound
+    is at most level 0 the pick is 0, as no cell of the rest exceeds level
+    0 and a tie goes to the smaller level.  The sigma_L rows are cut into
+    the blocks below first, and a block settles, each row picking 0, where
+    _settled_row_blocks proves the rest's bound below level 0 in all its
+    rows; the other blocks' rows are tested one by one.  A user whose cost
+    outweighs its privacy gain settles whole blocks; a flat row, within the
+    margin, costs 2 cells a row.  Block stage, the other rows: blocks of
+    k = max(2, isqrt(m)) levels (the last padded with the top level) have their first
     levels' utilities as the row's candidates, L the highest.  A block
     whose rest, its levels after the first, has a bound below L holds
     neither the maximum nor a tie with it and keeps its first level's
@@ -519,11 +539,14 @@ def _best_response_table(config: GameConfig, columns: np.ndarray, grid: np.ndarr
     chunk = _CHUNK_CELLS // len(blocks)  # sigma_L rows bounded at once
     batch = _CHUNK_CELLS // k  # live blocks evaluated at once
     width = max(1, _CHUNK_CELLS // n)  # sigma_L rows of the row stage, all N users at once
-    unsettled = np.empty((n, m), dtype=bool)  # rows whose rest's bound exceeds level 0
-    for start in range(0, m, width):
-        sigma_sq = grid[start : start + width] * grid[start : start + width]
+    settled = _settled_row_blocks(n, columns, firsts * firsts, lasts * lasts, column[1], column[-1])
+    tested = np.flatnonzero(np.repeat(~settled.all(axis=0), k)[:m])  # rows of blocks some user leaves open
+    unsettled = np.zeros((n, m), dtype=bool)  # rows whose rest's bound exceeds level 0
+    for start in range(0, len(tested), width):
+        rows = tested[start : start + width]
+        sigma_sq = grid[rows] * grid[rows]
         rest = _own_noise(n, columns, sigma_sq, column[1:2], column[-1:])
-        unsettled[:, start : start + width] = rest > _own_noise(n, columns, sigma_sq, column[:1], column[:1])
+        unsettled[:, rows] = rest > _own_noise(n, columns, sigma_sq, column[:1], column[:1])
     picks = np.zeros((n, m), dtype=np.intp)
     for params, user_picks, open_rows in zip(columns[:, :, 0].T.tolist(), picks, unsettled):  # floats beat (1,) arrays
         rows_left = np.flatnonzero(open_rows)
@@ -543,6 +566,30 @@ def _best_response_table(config: GameConfig, columns: np.ndarray, grid: np.ndarr
             block = best.argmax(axis=1)
             user_picks[at_rows] = block * k + at[np.arange(len(block)), block]
     return column[picks]
+
+
+def _settled_row_blocks(
+    n: int, columns: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray, level_1: float, top: float
+) -> np.ndarray:
+    """(N, blocks): True where every sigma_L row of a block has the bound of
+    the column's rest below level 0, s_lo and s_hi the block's first and
+    last fl(sigma_L^2).  With q = fl(level_1^2) / N and T = fl(top^2), the
+    floats both cells use, a row at s = fl(sigma_L^2) has, in reals, bound
+    less level 0 = P/(1 + rho sqrt(s)) - P/(1 + rho sqrt(s + T)) - w q - c
+    (the w s terms cancel; level_1 > 0 pays c), at most D = the same with
+    s_lo in the first term and s_hi in the second.  Each cell errs by under
+    9u M and fl(D) by under 16u M, u = 2^-53, M = |G| + w (s_hi + T) + P +
+    c (gamma_k bounds, Higham ch. 3), plus a few subnormal roundings, each
+    at most 2^-1075, or under u P where 1 + rho sqrt(.) absorbs it.  So where
+    fl(D) + 2^-46 M + 2^-1022 is finite and < 0, each row's computed bound
+    is below its level 0.  A non-finite value settles nothing."""
+    gain, weight, loss, rate, cost = columns
+    top_sq = top * top
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = loss / (1.0 + rate * np.sqrt(s_lo)) - loss / (1.0 + rate * np.sqrt(s_hi + top_sq))
+        gap -= weight * (level_1 * level_1 / n) + cost
+        gap += 2.0**-46 * (np.abs(gain) + weight * (s_hi + top_sq) + loss + cost) + _NORMAL
+    return (gap < 0) & (gap > -math.inf)
 
 
 def brute_force_equilibrium(config: GameConfig, fine_step: Optional[float] = None) -> EquilibriumResult:

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from obfusgame import dp, erm
-from obfusgame.config_io import SHIPPED_CONFIGS, shipped_config_path
+from obfusgame import dp, erm, solver
+from obfusgame.config_io import SHIPPED_CONFIGS, load_config, shipped_config_path
 from obfusgame.game import LearnerParams, SolverSettings, StrategyProfile, UserParams
 
 
@@ -29,6 +29,17 @@ def _perturb(sigma_L=0.1, sigma_S=0.2):
     return erm.perturb_inputs(_data(), sigma_L, [0.2, sigma_S, 0.2, 0.2], seed=0)
 
 
+def _classifier_gap(lam):
+    return erm.check_classifier_gap(_zero, _zero, np.ones((4, 2)), lam)
+
+
+def _s_star(root_tol):
+    # default.cfg's user, whose s* is 6.95620769588
+    config = load_config(shipped_config_path("default"))
+    return solver.effective_noise_target(config.users[0], config.learner, root_tol)
+
+
+_zero = erm.Classifier(np.zeros(2))
 NOISE = "noise standard deviations must be finite and >= 0"
 
 
@@ -53,6 +64,10 @@ CASES = {
     "profile sigma_S negative": (lambda: StrategyProfile(0.0, (-0.5,)), "sigma_S[0] must be finite and >= 0, got -0.5"),
     "grid_step": (lambda: SolverSettings(grid_step=0.0), "grid_step must be in (0, sigma_max)"),
     "root_tol": (lambda: SolverSettings(root_tol=0.0), "root_tol must be > 0"),
+    "s_star root_tol 0": (lambda: _s_star(0.0), "root_tol must be > 0"),
+    "s_star root_tol negative": (lambda: _s_star(-1.0), "root_tol must be > 0"),
+    "s_star root_tol NaN": (lambda: _s_star(math.nan), "root_tol must be finite, got nan"),
+    "s_star root_tol inf": (lambda: _s_star(math.inf), "root_tol must be finite, got inf"),
     "tie_epsilon": (lambda: SolverSettings(tie_epsilon=-1.0), "tie_epsilon must be >= 0"),
     "features 1-D": (lambda: erm.Dataset(np.zeros(3), np.ones(3)), "features must be a 2-D array"),
     "label length": (lambda: erm.Dataset(np.zeros((3, 2)), np.ones(2)), "labels length must match feature rows"),
@@ -61,6 +76,25 @@ CASES = {
     "weights 2-D": (lambda: erm.Classifier(np.zeros((2, 2))), "weights must be a finite 1-D array"),
     "synthetic n": (lambda: erm.generate_synthetic(1, 2, 1.0, seed=0), "need n >= 2 and d >= 1"),
     "synthetic d": (lambda: erm.generate_synthetic(4, 0, 1.0, seed=0), "need n >= 2 and d >= 1"),
+    "synthetic separation NaN": (lambda: erm.generate_synthetic(4, 2, math.nan, seed=0),
+                                 "separation must be finite, got nan"),
+    "synthetic separation inf": (lambda: erm.generate_synthetic(4, 2, math.inf, seed=0),
+                                 "separation must be finite, got inf"),
+    "risk lam NaN": (lambda: erm.empirical_risk(_zero, _data(), math.nan), "lam must be finite, got nan"),
+    "risk lam inf": (lambda: erm.empirical_risk(_zero, _data(), math.inf), "lam must be finite, got inf"),
+    "risk lam negative": (lambda: erm.empirical_risk(_zero, _data(), -1.0), "lam must be >= 0"),
+    "empirical gap lam NaN": (lambda: erm.check_empirical_gap(_zero, _zero, _data(), math.nan),
+                              "lam must be finite, got nan"),
+    "empirical gap lam inf": (lambda: erm.check_empirical_gap(_zero, _zero, _data(), math.inf),
+                              "lam must be finite, got inf"),
+    "empirical gap lam 0": (lambda: erm.check_empirical_gap(_zero, _zero, _data(), 0.0), "lam must be > 0"),
+    "classifier gap lam inf": (lambda: _classifier_gap(math.inf), "lam must be finite, got inf"),
+    "classifier gap lam NaN": (lambda: _classifier_gap(math.nan), "lam must be finite, got nan"),
+    "classifier gap lam 0": (lambda: _classifier_gap(0.0), "lam must be > 0"),
+    "classifier gap lam^2 0": (lambda: _classifier_gap(1e-200),
+                               "lam = 1e-200 has no finite nonzero n^2 lam^2 at n = 4"),
+    "classifier gap lam^2 inf": (lambda: _classifier_gap(1e200),
+                                 "lam = 1e+200 has no finite nonzero n^2 lam^2 at n = 4"),
     "train lam": (lambda: erm.train_erms([_data()], 0.0), "lam must be > 0 for strict convexity"),
     "train lam NaN": (lambda: erm.train_erms([_data()], math.nan), "lam must be finite, got nan"),
     "train lam inf": (lambda: erm.train_erms([_data()], math.inf), "lam must be finite, got inf"),

@@ -860,19 +860,44 @@ def costless(config):
     return dataclasses.replace(config, users=users)
 
 
-class TestOwnNoiseKernel:
-    def test_table_evaluates_under_a_tenth_of_the_cells(self, monkeypatch):
-        # the bound prunes most blocks: a full scan evaluates all m^2 * N cells
-        config, fine_step = random_small_config(0), 1e-3
-        cells = []
-        real = solver._own_noise
+def evaluations(monkeypatch):
+    """Two lists that collect the size of each _own_noise result (cells) and
+    of each _settled_row_blocks result (one margin per user and sigma_L
+    block) while the monkeypatch holds."""
+    cells, margins = [], []
+    for name, sizes in (("_own_noise", cells), ("_settled_row_blocks", margins)):
 
-        def counting(*args):
+        def counting(*args, real=getattr(solver, name), sizes=sizes):
             values = real(*args)
-            cells.append(values.size)
+            sizes.append(values.size)
             return values
 
-        monkeypatch.setattr(solver, "_own_noise", counting)
+        monkeypatch.setattr(solver, name, counting)
+    return cells, margins
+
+
+def settled_rows(config, grid):
+    """(rows, rest, level_0), each (N, m): the sigma_L rows that
+    _settled_row_blocks settles for each user on the table's blocks of
+    grid, and the row test's two cells, the rest's bound and level 0."""
+    n, m = config.n_users, len(grid)
+    k = max(2, math.isqrt(m))
+    blocks = np.append(grid, [grid[-1]] * (-m % k)).reshape(-1, k)
+    firsts, lasts, columns = blocks[:, 0], blocks[:, -1], solver._user_columns(config)
+    settled = solver._settled_row_blocks(n, columns, firsts * firsts, lasts * lasts, grid[1], grid[-1])
+    sigma_sq = grid * grid
+    rest = solver._own_noise(n, columns, sigma_sq, grid[1:2], grid[-1:])
+    level_0 = solver._own_noise(n, columns, sigma_sq, grid[:1], grid[:1])
+    return np.repeat(settled, k, axis=1)[:, :m], rest, level_0
+
+
+class TestOwnNoiseKernel:
+    def test_table_evaluates_under_a_tenth_of_the_cells(self, monkeypatch):
+        # with no flat cost the users with a privacy stake perturb, so their
+        # sigma_L blocks fall back to the row test and the block stage runs;
+        # its bound prunes most blocks: a full scan evaluates all m^2 * N cells
+        config, fine_step = costless(random_small_config(0)), 1e-3
+        cells, _ = evaluations(monkeypatch)
         brute_force_equilibrium(config, fine_step)
         m = round(config.solver.sigma_max / fine_step) + 1
         assert 0 < sum(cells) < 0.1 * m * m * config.n_users
@@ -930,47 +955,102 @@ class TestOwnNoiseKernel:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_no_block_is_scanned_where_no_user_perturbs(self, seed, monkeypatch):
         # every user's cost exceeds its privacy stake, so level 0 wins every
-        # row and the bound of the column's rest stays below it: the table
-        # scores level 0 and bounds the rest, 2 * m * N cells, and bounds
-        # or scans no block
+        # row and every block of k = 63 sigma_L rows settles at once: the
+        # table takes one margin per user and block, 64 * N, and scores no cell
         config, fine_step = random_small_config(seed), 1e-3
-        cells = []
-        real = solver._own_noise
-
-        def counting(*args):
-            values = real(*args)
-            cells.append(values.size)
-            return values
-
-        monkeypatch.setattr(solver, "_own_noise", counting)
+        cells, margins = evaluations(monkeypatch)
         result = brute_force_equilibrium(config, fine_step)
         m = round(config.solver.sigma_max / fine_step) + 1
+        assert m == 4001 and math.isqrt(m) == 63
         assert not any(result.sigma_S_star)
-        assert sum(cells) == 2 * m * config.n_users
+        assert sum(cells) == 0 and sum(margins) == 64 * config.n_users
 
-    def test_never_perturbing_user_at_the_largest_grid_costs_two_cells_a_row(self, monkeypatch):
+    def test_never_perturbing_user_at_the_largest_grid_settles_blocks(self, monkeypatch):
         # one user at m = 44,721 points, the largest grid the budget allows
-        # at N = 1: the row stage settles every row, 2 * m cells in all
+        # at N = 1: its 212 blocks of 211 sigma_L rows settle, one margin a
+        # block, and no cell is scored
         config = never_perturbing_game(50.0)
         grid = solver._grid(0.0, 50.0, 50.0 / 44_720, 44_721)
         assert len(grid) == math.isqrt(solver._BRUTE_FORCE_BUDGET)
-        cells = []
-        real = solver._own_noise
-
-        def counting(*args):
-            values = real(*args)
-            cells.append(values.size)
-            return values
-
-        monkeypatch.setattr(solver, "_own_noise", counting)
+        cells, margins = evaluations(monkeypatch)
         tracemalloc.start()
         try:
             table = solver._best_response_table(config, solver._user_columns(config), grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not table.any() and sum(cells) == 2 * len(grid)
+        assert not table.any() and sum(cells) == 0 and margins == [212]
         assert peak < 3_000_000
+
+    def test_blocks_with_a_perturbing_user_fall_back_to_the_row_test(self, monkeypatch):
+        # mixed_population's two users perturb below their thresholds, so
+        # the sigma_L blocks there stay open and each of their rows takes the
+        # row test, 2 * N cells; blocks past both thresholds settle
+        config = mixed_population(2, 3)
+        grid = solver._grid(0.0, 20.0, 0.05, 2001)
+        m, k = 401, 20
+        row_cells, settled = [], []
+        own_noise, settle = solver._own_noise, solver._settled_row_blocks
+
+        def counting(*args):
+            values = own_noise(*args)
+            if np.ndim(args[1]) == 3:  # all N users' columns: the row test
+                row_cells.append(values.size)
+            return values
+
+        def recording(*args):
+            settled.append(settle(*args))
+            return settled[-1]
+
+        monkeypatch.setattr(solver, "_own_noise", counting)
+        monkeypatch.setattr(solver, "_settled_row_blocks", recording)
+        table = solver._best_response_table(config, solver._user_columns(config), grid)
+        [blocks] = settled
+        open_rows = int(np.repeat(~blocks.all(axis=0), k)[:m].sum())
+        assert len(grid) == m and blocks.shape == (2, 21)
+        assert blocks.any() and 0 < open_rows < m
+        assert sum(row_cells) == 2 * 2 * open_rows
+        assert table.tolist() == full_scan_table(config, grid).tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(games(), st.builds(mixed_population, st.integers(1, 6), st.integers(0, 2**32 - 1))),
+        st.integers(1, 300),
+    )
+    def test_rows_of_a_settled_block_full_scan_to_level_0(self, config, intervals):
+        """In each sigma_L block that _settled_row_blocks settles for a user,
+        every row's rest bound is at most level 0 and the full scan picks
+        level 0: exactly, not up to rounding."""
+        sigma_max = config.solver.sigma_max
+        grid = solver._grid(0.0, sigma_max, sigma_max / intervals, 301)
+        rows, rest, level_0 = settled_rows(config, grid)
+        assert not (rows & (rest > level_0)).any()
+        assert not (rows & (full_scan_table(config, grid) > 0)).any()
+
+    @pytest.mark.parametrize("intervals", [1, 7, 40, 300])
+    def test_margin_covers_the_cells_rounding_at_near_ties(self, intervals):
+        """2,000 users whose flat cost puts the first sigma_L block's bound
+        within 1 or 1,000 ulps of their gain or stake of 0, with privacy
+        rates up to 1e20, so that the block's first row agrees with the bound
+        to rounding: no block settles where a row's rest bound exceeds level
+        0.  Without _settled_row_blocks' rounding margin some of them do."""
+        rng = np.random.Generator(np.random.PCG64(intervals))
+        n, sigma_max = 2000, 10.0
+        grid = solver._grid(0.0, sigma_max, sigma_max / intervals, 301)
+        k = max(2, math.isqrt(len(grid)))
+        s_hi, level_1, top = grid[k - 1] ** 2, float(grid[1]), float(grid[-1])
+        gains = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(0.0, 3.0, n)
+        weights, losses = rng.uniform(0.1, 3.0, n), 10.0 ** rng.uniform(-2.0, 1.0, n)
+        rates = 10.0 ** rng.uniform(0.0, 20.0, n)
+        w = weights / n
+        gaps = losses - losses / (1.0 + rates * math.sqrt(s_hi + top * top)) - w * (level_1**2 / n)
+        ulps = rng.uniform(-1.0, 1.0, n) * rng.choice([1.0, 1000.0], n)  # at the tie, or past the margin
+        costs = np.maximum(0.0, gaps + ulps * np.spacing(np.maximum(abs(gains), losses)))
+        users = tuple(map(UserParams, *(a.tolist() for a in (gains, weights, losses, rates, costs))))
+        config = GameConfig(LearnerParams(5.0, 1.0, 0.2, 1.0, n), users, SolverSettings(sigma_max))
+        rows, rest, level_0 = settled_rows(config, grid)
+        assert rows[:, 0].any()
+        assert not (rows & (rest > level_0)).any()
 
     @pytest.mark.parametrize("intervals", [1, 2, 16, 99, 1999.5, 2000])
     @pytest.mark.parametrize(
@@ -1132,6 +1212,24 @@ class TestUtilityPanel:
                 _, _, _, responses, leader, users = solver.sweep(config, x, x, 1.0)
                 got = (responses.T.tolist(), leader.tolist(), users.T.tolist())
                 assert got == scalar_columns(config, [x])
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 500), (3, solver._ROW_SUM_WIDTH - 1), (3, solver._ROW_SUM_WIDTH), (16, 35), (16, 300), (3, 4001),
+         (300, 2)],
+    )
+    def test_user_sum_equals_accumulate_on_both_sides_of_the_crossover(self, shape):
+        # magnitudes 1e-20 to 1e20, so another order of the adds gives other
+        # floats, with -0.0, +-inf and NaN among them
+        rng = np.random.Generator(np.random.PCG64(shape[1]))
+        rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 21, shape)
+        rows.flat[::97] = -0.0
+        rows.flat[5::211], rows.flat[7::307], rows.flat[11::401] = math.inf, -math.inf, math.nan
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            expected = np.add.accumulate(rows, axis=0)[-1]
+            assert solver._user_sum(rows.copy()).tobytes() == expected.tobytes()
+            if shape[0] > 2:
+                assert np.add.accumulate(rows[::-1], axis=0)[-1].tobytes() != expected.tobytes()
 
     @pytest.mark.parametrize("config", panel_games()[:5] + [mixed_population(8, 3)])
     def test_oracle_leader_row_equals_scalar_kernel(self, config, monkeypatch):
