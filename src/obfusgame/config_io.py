@@ -84,7 +84,7 @@ def parse_config_text(text: str, source: str = "<string>") -> GameConfig:
             # only the keys the file sets: SolverSettings holds the defaults
             solver=SolverSettings(**{_SOLVER_FIELDS[k]: v for k, v in solver.items()}),
         )
-    except (ValueError, ConfigError) as exc:
+    except ValueError as exc:  # ConfigError is a ValueError
         raise ConfigError(f"{source}: {exc}") from exc
 
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .game import _require_finite
+
 _EPS_CONSTANT = 2.0  # absorbed L2 sensitivity
 _SUM_TOL = 1e-15  # relative size of the last term kept in a CDF sum
 
@@ -54,8 +56,7 @@ def epsilon_from_sigma(total_sigma: float, delta: float) -> DpGuarantee:
     total_sigma = 0 yields epsilon = inf (no privacy), not an error.
     """
     _check_delta(delta)
-    if total_sigma < 0 or not math.isfinite(total_sigma):
-        raise ValueError(f"total_sigma must be finite and >= 0, got {total_sigma}")
+    _require_finite("total_sigma", total_sigma, ">=")
     if total_sigma == 0:
         return DpGuarantee(math.inf, False)
     eps = _EPS_CONSTANT * math.sqrt(2.0 * math.log(1.25 / delta)) / total_sigma
@@ -65,8 +66,7 @@ def epsilon_from_sigma(total_sigma: float, delta: float) -> DpGuarantee:
 def sigma_from_epsilon(epsilon: float, delta: float) -> float:
     """Noise standard deviation achieving a given epsilon (exact inverse)."""
     _check_delta(delta)
-    if epsilon <= 0 or not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    _require_finite("epsilon", epsilon, ">")
     return _EPS_CONSTANT * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 

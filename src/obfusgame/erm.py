@@ -184,9 +184,7 @@ def train_erms(datasets: "list[Dataset]", lam: float, tol: float = 1e-8) -> list
     coefficients and the Hessian's weights are formed in arrays each step
     allocates once and writes in place; nothing is written into a
     dataset."""
-    _require_finite("lam", lam)
-    if lam <= 0:
-        raise ValueError("lam must be > 0 for strict convexity")
+    _require_finite("lam", lam, ">")  # > 0: strict convexity
     _require_finite("tol", tol, ">")
     if not datasets:
         raise ValueError("need at least one dataset")
@@ -259,8 +257,9 @@ def perturb_inputs(
     sigma_S = np.asarray(sigma_S, dtype=float)
     if sigma_S.shape != (data.n,):
         raise ValueError(f"sigma_S must have length {data.n}, got {sigma_S.shape}")
-    if not (0 <= sigma_L < np.inf and np.all((sigma_S >= 0) & (sigma_S < np.inf))):  # NaN fails both
-        raise ValueError("noise standard deviations must be finite and >= 0")
+    _require_finite("sigma_L", sigma_L, ">=")
+    if not np.all((sigma_S >= 0) & (sigma_S < np.inf)):  # NaN fails both
+        raise ValueError("sigma_S must be finite and >= 0")
     rng = np.random.Generator(np.random.PCG64(seed))
     w = sigma_L * rng.standard_normal((data.n, data.d))
     v = sigma_S[:, None] * rng.standard_normal((data.n, data.d))

@@ -21,10 +21,10 @@ from .errors import ConfigError
 
 def _require_finite(name: str, value: float, bound: str = "") -> None:
     """Refuse a non-finite value, and with bound ">" or ">=" a value that
-    is not > 0 or >= 0: the one writer of the records' domain messages."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    is not > 0 or >= 0: the one writer of the package's scalar domain
+    messages."""
+    if not math.isfinite(value):  # TypeError for a str, as for any non-number
+        raise ValueError(f"{name} must be finite, got {float(value)!r}")
     if bound and (value <= 0 if bound == ">" else value < 0):
         raise ValueError(f"{name} must be {bound} 0")
 
@@ -141,16 +141,9 @@ class StrategyProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma_S", tuple(float(s) for s in self.sigma_S))
-        _check_noise(self.sigma_L)
+        _require_finite("sigma_L", self.sigma_L, ">=")
         for i, s in enumerate(self.sigma_S):
-            _check_noise(s, i)
-
-
-def _check_noise(sigma: float, i: int | None = None) -> None:
-    """sigma_L (i None) or sigma_S[i] must be finite and >= 0."""
-    if not math.isfinite(sigma) or sigma < 0:
-        name = "sigma_L" if i is None else f"sigma_S[{i}]"
-        raise ValueError(f"{name} must be finite and >= 0, got {sigma}")
+            _require_finite(f"sigma_S[{i}]", s, ">=")
 
 
 def _check_user(config: GameConfig, i: int) -> None:

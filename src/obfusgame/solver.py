@@ -59,7 +59,6 @@ from .game import (
     SolverSettings,
     StrategyProfile,
     UserParams,
-    _check_noise,
     _check_user,
     _require_finite,
     _spread,
@@ -292,7 +291,7 @@ def _pair(config: GameConfig, i: int) -> tuple[float, float]:
 
 def user_best_response(sigma_L: float, i: int, config: GameConfig) -> float:
     """Utility-maximizing sigma_S for user i; ties go to 0 (not perturbing)."""
-    _check_noise(sigma_L)
+    _require_finite("sigma_L", sigma_L, ">=")
     s_star, t = _pair(config, i)
     return float(_best_responses(np.array([sigma_L]), [s_star], [t])[0, 0])
 
@@ -309,7 +308,7 @@ def dissuasion_threshold(i: int, config: GameConfig) -> Optional[float]:
 
 
 def best_response_profile(sigma_L: float, config: GameConfig) -> StrategyProfile:
-    _check_noise(sigma_L)
+    _require_finite("sigma_L", sigma_L, ">=")
     s_stars, cuts = zip(*(_pair(config, i) for i in range(config.n_users)))
     return StrategyProfile(sigma_L, _best_responses(np.array([sigma_L]), s_stars, cuts)[:, 0])
 
@@ -608,8 +607,8 @@ def brute_force_equilibrium(config: GameConfig, fine_step: Optional[float] = Non
     sigma_max, and otherwise the grid point after the last sigma_L at
     which they perturb.
     """
-    if fine_step is not None and not (math.isfinite(fine_step) and fine_step > 0):
-        raise ValueError(f"fine_step must be finite and > 0, got {fine_step}")
+    if fine_step is not None:
+        _require_finite("fine_step", fine_step, ">")
     settings = config.solver
     _admissible(config, settings.sigma_max)  # the solve's domain; the oracle needs no s_star
     max_points = math.isqrt(_BRUTE_FORCE_BUDGET // config.n_users)  # m points cost m * m * N evaluations

@@ -311,8 +311,9 @@ class TestCliSolve:
             "solve", "--config", str(shipped_config_path("default")),
             "--out", str(tmp_path), "--oracle", "--fine-step", fine_step,
         ]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: fine_step must be finite and > 0, got {float(fine_step)}\n"
+        finite = fine_step not in ("nan", "inf")
+        message = "fine_step must be > 0" if finite else f"fine_step must be finite, got {fine_step}"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("fine_step", ["nan", "0.5"])
     def test_fine_step_without_oracle_exit_2(self, tmp_path, capsys, fine_step):
@@ -949,6 +950,16 @@ class TestCliDp:
 
     def test_both_sigma_and_epsilon_exit_2(self, capsys):
         assert main(["dp", "--sigma", "1", "--epsilon", "1", "--delta", "0.1"]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        ("--sigma nan", "total_sigma must be finite, got nan"),
+        ("--sigma -1", "total_sigma must be >= 0"),
+        ("--epsilon 0", "epsilon must be > 0"),
+        ("--epsilon inf", "epsilon must be finite, got inf"),
+    ])
+    def test_bad_noise_or_epsilon_exit_2(self, capsys, argv, message):
+        assert main(["dp", *argv.split(), "--delta", "0.1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_delta_exit_2(self, capsys):
         assert main(["dp", "--sigma", "1", "--delta", "1.5"]) == 2
