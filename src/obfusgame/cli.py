@@ -149,9 +149,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_dp(args) -> int:
-    if (args.sigma is None) == (args.epsilon is None):
-        print("dp: exactly one of --sigma / --epsilon is required", file=sys.stderr)
-        return EXIT_USAGE
     lines = []
     if args.sigma is not None:
         guarantee = dp.epsilon_from_sigma(args.sigma, args.delta)
@@ -222,8 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_dp = sub.add_parser("dp", help="sigma <-> epsilon and norm-bound report")
-    p_dp.add_argument("--sigma", type=float, default=None)
-    p_dp.add_argument("--epsilon", type=float, default=None)
+    noise = p_dp.add_mutually_exclusive_group(required=True)  # exactly one; argparse's usage error, exit 2
+    noise.add_argument("--sigma", type=float, default=None)
+    noise.add_argument("--epsilon", type=float, default=None)
     p_dp.add_argument("--delta", type=float, required=True)
     p_dp.add_argument("--d", type=int, default=5)
     p_dp.add_argument("--zeta", type=float, default=None)

@@ -28,6 +28,14 @@ _SECTIONS = {"learner": _LEARNER_FIELDS, "solver": _SOLVER_FIELDS}  # and users[
 SHIPPED_CONFIGS = ("default", "low_cost", "mid_cost", "high_cost")
 
 
+def _user(i: int, fields: dict[str, float]) -> UserParams:
+    """users[i]'s record; an error names the user."""
+    try:
+        return UserParams(**{_USER_FIELDS[k]: v for k, v in fields.items()})
+    except ValueError as exc:
+        raise ConfigError(f"users[{i}]: {exc}") from exc
+
+
 def parse_config_text(text: str, source: str = "<string>") -> GameConfig:
     values: dict[str, dict[str, float]] = {section: {} for section in _SECTIONS}
     users: dict[int, dict[str, float]] = {}
@@ -80,7 +88,7 @@ def parse_config_text(text: str, source: str = "<string>") -> GameConfig:
         return GameConfig(
             # learner.N as the integer n, not its float
             learner=LearnerParams(**{_LEARNER_FIELDS[k]: v for k, v in learner.items()} | {"population_size": n}),
-            users=tuple(UserParams(**{_USER_FIELDS[k]: v for k, v in users[i].items()}) for i in range(n)),
+            users=tuple(_user(i, users[i]) for i in range(n)),
             # only the keys the file sets: SolverSettings holds the defaults
             solver=SolverSettings(**{_SOLVER_FIELDS[k]: v for k, v in solver.items()}),
         )

@@ -10,11 +10,6 @@ class ConfigError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-class NoFiniteOptimumError(ValueError):
-    """A user's utility has no finite maximizer (zero accuracy cost but
-    positive privacy stake)."""
-
-
 class SolverError(RuntimeError):
     """A game refused before any work (a utility that overflows at the
     domain's corner, an s_star with no finite square), or a failure below."""

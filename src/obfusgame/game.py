@@ -69,6 +69,9 @@ class UserParams:
         _require_finite("max_privacy_loss", self.max_privacy_loss, ">=")
         _require_finite("privacy_rate", self.privacy_rate, ">")
         _require_finite("perturbation_cost", self.perturbation_cost, ">=")
+        # the best response's s (1 + rho s)^2 = P_bar rho N^2 Lambda^2 / (2 gamma) has no root
+        if self.accuracy_weight == 0 and self.max_privacy_loss > 0:
+            raise ValueError("gamma = 0 with P_bar > 0 has no finite optimal perturbation")
 
 
 @dataclass(frozen=True)
@@ -106,14 +109,6 @@ class GameConfig:
                 f"learner.N = {self.learner.population_size} but "
                 f"{len(self.users)} users were given"
             )
-        for i, u in enumerate(self.users):
-            # zero accuracy weight with a positive privacy stake has no
-            # finite best response; reject up front
-            if u.accuracy_weight == 0 and u.max_privacy_loss > 0:
-                raise ConfigError(
-                    f"users[{i}]: gamma = 0 with P_bar > 0 has no finite "
-                    "optimal perturbation"
-                )
         lam, n = self.learner.regularizer, self.n_users
         if lam**2 == 0:
             raise ConfigError(f"learner.Lambda = {lam!r} squares to 0")

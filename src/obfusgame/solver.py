@@ -52,7 +52,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import GridTooLargeError, NoFiniteOptimumError, SolverError
+from .errors import GridTooLargeError, SolverError
 from .game import (
     GameConfig,
     LearnerParams,
@@ -146,10 +146,6 @@ def effective_noise_target(
     _require_finite("root_tol", root_tol, ">")
     if user.max_privacy_loss == 0:
         return 0.0
-    if user.accuracy_weight == 0:
-        raise NoFiniteOptimumError(
-            "gamma = 0 with P_bar > 0: privacy gain never saturates"
-        )
     rho, n, lam, gamma = user.privacy_rate, learner.population_size, learner.regularizer, user.accuracy_weight
     head, lam_sq = user.max_privacy_loss * rho, lam**2
     num = head * n**2 * lam_sq

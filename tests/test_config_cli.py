@@ -69,6 +69,12 @@ users[2].N_bar = 0
 """
 
 
+def three_users_with(line):
+    """THREE_USERS with the line of line's key replaced by line."""
+    [old] = [row for row in THREE_USERS.splitlines() if row.startswith(line.partition("=")[0])]
+    return THREE_USERS.replace(old, line)
+
+
 def population_config(n):
     """MINIMAL with n copies of its one user."""
     head, _, user = MINIMAL.partition("users[0]")
@@ -165,9 +171,23 @@ class TestConfigParsing:
         pytest.param(MINIMAL.replace("users[0].rho   = 1\n", ""), "game.cfg: users[0] missing keys ['rho']",
                      id="missing_user_key"),
         pytest.param(MINIMAL.replace("users[0].rho   = 1", "users[0].rho   = 0"),
-                     "game.cfg: privacy_rate must be > 0", id="dataclass_error"),
+                     "game.cfg: users[0]: privacy_rate must be > 0", id="dataclass_error"),
         pytest.param(MINIMAL + "solver.sigma_max = inf\n", "game.cfg: sigma_max must be finite, got inf",
                      id="dataclass_finite"),
+        # a user's record error names the user, one case per field
+        pytest.param(three_users_with("users[1].G_bar = inf"),
+                     "game.cfg: users[1]: baseline_gain must be finite, got inf", id="user_G_bar"),
+        pytest.param(three_users_with("users[1].gamma = -2"), "game.cfg: users[1]: accuracy_weight must be >= 0",
+                     id="user_gamma"),
+        pytest.param(three_users_with("users[1].gamma = 0"),
+                     "game.cfg: users[1]: gamma = 0 with P_bar > 0 has no finite optimal perturbation",
+                     id="user_zero_gamma"),
+        pytest.param(three_users_with("users[1].P_bar = -60"), "game.cfg: users[1]: max_privacy_loss must be >= 0",
+                     id="user_P_bar"),
+        pytest.param(three_users_with("users[1].rho   = 0"), "game.cfg: users[1]: privacy_rate must be > 0",
+                     id="user_rho"),
+        pytest.param(three_users_with("users[1].N_bar = nan"),
+                     "game.cfg: users[1]: perturbation_cost must be finite, got nan", id="user_N_bar"),
     ])
     def test_every_error_message(self, text, message):
         with pytest.raises(ConfigError) as exc:
@@ -949,7 +969,11 @@ class TestCliDp:
         assert prob == pytest.approx(0.5, abs=1e-4)
 
     def test_both_sigma_and_epsilon_exit_2(self, capsys):
-        assert main(["dp", "--sigma", "1", "--epsilon", "1", "--delta", "0.1"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["dp", "--sigma", "1", "--epsilon", "1", "--delta", "0.1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "obfusgame dp: error: argument --epsilon: not allowed with argument --sigma\n")
 
     @pytest.mark.parametrize("argv, message", [
         ("--sigma nan", "total_sigma must be finite, got nan"),

@@ -200,7 +200,7 @@ class TestValidation:
             )
 
     def test_zero_gamma_with_privacy_stake_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="gamma = 0 with P_bar > 0"):
             make_config(gamma_s=0.0, p_bar=1.0)
 
     def test_negative_sigma_rejected(self):

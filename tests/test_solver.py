@@ -2,10 +2,11 @@ import collections
 import contextlib
 import dataclasses
 import decimal
+import itertools
 import math
 import sys
 import tracemalloc
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from obfusgame.config_io import (
     parse_config_text,
     shipped_config_path,
 )
-from obfusgame.errors import GridTooLargeError, NoFiniteOptimumError, SolverError
+from obfusgame.errors import GridTooLargeError, SolverError
 from obfusgame.game import (
     GameConfig,
     LearnerParams,
@@ -290,11 +291,28 @@ class TestEffectiveNoiseTarget:
             got = solver.effective_noise_target(user, config.learner, tol)
             assert abs(decimal.Decimal(got) - ref) <= bound, (user, s, got)
 
-    def test_zero_gamma_raises(self):
-        user = UserParams(1.0, 0.0, 1.0, 1.0, 0.0)
+    def test_every_constructed_user_has_a_finite_s_star(self):
+        """UserParams refuses exactly gamma = 0 < P_bar, and no user it admits
+        is left without a finite s_star or a SolverError."""
         learner = LearnerParams(1.0, 1.0, 0.0, 1.0, 1)
-        with pytest.raises(NoFiniteOptimumError):
-            solver.effective_noise_target(user, learner)
+        for gamma, p_bar in itertools.product([0.0, 5e-324, 1.0], [0.0, 1.0, 1e300]):
+            try:
+                user = UserParams(1.0, gamma, p_bar, 1.0, 0.0)
+            except ValueError:
+                assert gamma == 0 < p_bar
+                continue
+            assert not gamma == 0 < p_bar
+            try:
+                s_star = solver.effective_noise_target(user, learner)
+            except SolverError:
+                continue
+            assert math.isfinite(s_star) and s_star >= 0, (gamma, p_bar)
+
+    def test_zero_gamma_raises(self):
+        # the record refuses the user: no s_star is ever asked of it
+        with pytest.raises(ValueError) as exc:
+            UserParams(1.0, 0.0, 1.0, 1.0, 0.0)
+        assert str(exc.value) == "gamma = 0 with P_bar > 0 has no finite optimal perturbation"
 
     @pytest.mark.parametrize("rho", [1e100, 1e200, 1e300])
     def test_root_below_root_tol_to_relative_precision(self, rho):
@@ -1552,7 +1570,7 @@ class TestRootLoops:
             for user in config.users:
                 try:
                     s_stars.append(solver.effective_noise_target(user, config.learner, config.solver.root_tol))
-                except (SolverError, NoFiniteOptimumError):
+                except SolverError:
                     s_stars.append(None)
             for user, s in zip(config.users, s_stars):
                 if s is not None:
@@ -1712,6 +1730,20 @@ def scaled_game(config, k):
     return GameConfig(learner, users, dataclasses.replace(config.solver, tie_epsilon=k * config.solver.tie_epsilon))
 
 
+@cache
+def interior_solve(n):
+    """mixed_population(n, 0) with the learner's gamma scaled by max(1, n / 16),
+    which keeps sigma_L* inside (0, sigma_max) with over a third of the
+    users perturbing at N = 64-1024, and its solve."""
+    config = mixed_population(n, 0)
+    learner = dataclasses.replace(config.learner, accuracy_weight=config.learner.accuracy_weight * max(1, n / 16))
+    config = dataclasses.replace(config, learner=learner)
+    return config, stackelberg_solve(config)
+
+
+LARGE_N = [64, 256, 1024]
+
+
 class TestUtilityScale:
     """A power-of-two k scales s*'s right-hand side, every margin and every
     utility exactly, so the equilibrium cannot move and every utility is
@@ -1726,6 +1758,19 @@ class TestUtilityScale:
             assert result.per_user_thresholds == base.per_user_thresholds, config
             assert result.learner_utility == k * base.learner_utility, config
             assert result.user_utilities == tuple(k * u for u in base.user_utilities), config
+
+    @pytest.mark.parametrize("k", [0.25, 8.0])
+    @pytest.mark.parametrize("n", LARGE_N)
+    def test_power_of_two_scale_keeps_the_interior_equilibrium(self, n, k):
+        """At N where the grid oracle cannot follow."""
+        config, base = interior_solve(n)
+        assert 0 < base.sigma_L_star < config.solver.sigma_max and 3 * sum(s > 0 for s in base.sigma_S_star) > n
+        result = stackelberg_solve(scaled_game(config, k))
+        assert result.sigma_L_star == base.sigma_L_star
+        assert result.sigma_S_star == base.sigma_S_star
+        assert result.per_user_thresholds == base.per_user_thresholds
+        assert result.learner_utility == k * base.learner_utility
+        assert result.user_utilities == tuple(k * u for u in base.user_utilities)
 
     @pytest.mark.parametrize("k", [0.25, 8.0])
     def test_power_of_two_scale_scales_the_sweep(self, k):
@@ -1807,6 +1852,20 @@ class TestUserPermutation:
                 config, order, base.sigma_L_star, base.sigma_S_star,
                 (base.learner_utility, base.user_utilities), (result.learner_utility, result.user_utilities),
             )
+
+    @pytest.mark.parametrize("n", LARGE_N)
+    def test_permuted_users_keep_the_interior_equilibrium(self, n):
+        """At N where the grid oracle cannot follow."""
+        config, base = interior_solve(n)
+        order = np.random.Generator(np.random.PCG64(n)).permutation(n)
+        result = stackelberg_solve(permuted_game(config, order))
+        assert result.sigma_L_star == base.sigma_L_star
+        assert result.sigma_S_star == tuple(base.sigma_S_star[i] for i in order)
+        assert result.per_user_thresholds == tuple(base.per_user_thresholds[i] for i in order)
+        self._assert_utilities_permuted(
+            config, order, base.sigma_L_star, base.sigma_S_star,
+            (base.learner_utility, base.user_utilities), (result.learner_utility, result.user_utilities),
+        )
 
     def test_permuted_users_permute_the_sweep(self):
         """Each user's responses and own-noise table read only that user's
