@@ -21,7 +21,7 @@ import functools
 import json
 import sys
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable
 
@@ -34,15 +34,13 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
 
-# cells formatted by one % in _write_csv: a table of 10^6 rows is written a
-# bounded slice at a time, and the default sweep's tables in one %
+# cells (a row's head is one) filled by one % in _write_csv: a table of 10^6
+# rows is written a bounded slice at a time, the default sweep's tables in one %
 _WRITE_CELLS = 2**16
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 def _formatted(values) -> list[str]:
@@ -51,35 +49,32 @@ def _formatted(values) -> list[str]:
     return (("%.12g\n" * len(values)) % tuple(values)).splitlines()
 
 
-def _columns(rows: Iterable[list]) -> list[list[str]]:
-    """The columns of equal-length rows, each value formatted by _fmt."""
-    return [list(map(_fmt, column)) for column in zip(*rows)]
-
-
-def _write_csv(path: Path, header: list[str], blocks: Iterable[list]) -> None:
-    """Write header, then each block's rows.  A block is a list of equal-length
-    columns, each a list of formatted strings (written as they are, so one
-    list can be shared by several tables) or a float array (written %.12g,
-    as _fmt writes a float).  A block is formatted by one % on its row
-    template repeated, _WRITE_CELLS cells at a time.  No field is quoted, the
-    header's included, so none may hold a comma, quote or line break; lines
-    end in \\r\\n."""
+def _write_csv(path: Path, header: list[str], blocks: Iterable[tuple]) -> None:
+    """Write header, then each block's rows.  A block is (heads, table): heads
+    holds each row's leading fields, formatted and joined by commas (written
+    as they are, so one list can serve two files), and table is None or a
+    float array of one row per head, written after it %.12g as _fmt writes a
+    float.  A slice of _WRITE_CELLS cells (a head is one) is one template, its
+    heads joined by the row's tail, filled by one %: a head beside a table may
+    hold no %.  No field is quoted, the header's included, so none may hold a
+    comma, quote or line break; lines end in \\r\\n."""
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        for columns in blocks:
-            shared = [isinstance(column, list) for column in columns]
-            row = ",".join("%s" if s else "%.12g" for s in shared) + "\r\n"
-            rows = max(1, _WRITE_CELLS // len(columns))
-            for k in range(0, len(columns[0]), rows):
-                cells = [c[k : k + rows] if s else c[k : k + rows].tolist() for c, s in zip(columns, shared)]
-                fh.write(row * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
+        for heads, table in blocks:
+            width = 0 if table is None else table.shape[1]
+            tail, rows = ",%.12g" * width + "\r\n", max(1, _WRITE_CELLS // (width + 1))
+            for k in range(0, len(heads), rows):
+                lines = tail.join(heads[k : k + rows]) + tail
+                fh.write(lines if table is None else lines % tuple(table[k : k + rows].ravel().tolist()))
 
 
-def _write_manifest(out: Path, args, command: str) -> None:
+def _write_manifest(out: Path, args, command: str, **resolved) -> None:
+    """manifest.json: what ran, on what, where, when, with each argument that shapes its outputs."""
     manifest = {
         "command": command,
         "config": getattr(args, "config", None),
         "seed": getattr(args, "seed", None),  # set by validate only; solve and sweep are not random
+        **resolved,
         "out": str(out),
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -113,12 +108,9 @@ def _cmd_solve(args) -> int:
         lines.append(f"user_utility[{i}] = {_fmt(u)}")
     (out / "equilibrium.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    _write_csv(
-        out / "thresholds.csv",
-        ["user", "threshold"],
-        [_columns([i, "" if t is None else t] for i, t in enumerate(result.per_user_thresholds))],
-    )
-    _write_manifest(out, args, "solve")
+    thresholds = [f"{i},{'' if t is None else _fmt(t)}" for i, t in enumerate(result.per_user_thresholds)]
+    _write_csv(out / "thresholds.csv", ["user", "threshold"], [(thresholds, None)])
+    _write_manifest(out, args, "solve", oracle=args.oracle, fine_step=args.fine_step)
     print("\n".join(lines))
     return EXIT_OK
 
@@ -126,24 +118,35 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     from . import solver
-    settings = config.solver
+    import numpy as np  # after solver: solver.py compiles before numpy is loaded, a lower peak
     lo = 0.0 if args.min is None else args.min
-    hi = settings.sigma_max if args.max is None else args.max
-    step = settings.grid_step if args.step is None else args.step
+    hi = config.solver.sigma_max if args.max is None else args.max
+    step = config.solver.grid_step if args.step is None else args.step
     grid, samples, own, responses, leader, utilities = solver.sweep(config, lo, hi, step)
-    out = _outdir(args)
-    # the columns several tables hold are formatted once and shared; the
-    # utilities are formatted as they are written
-    sigma, brs = _formatted(grid), list(map(_formatted, responses))
-    br_head = [f"br_user_{i}" for i in range(config.n_users)]
-    u_head = [f"U_S_{i}" for i in range(config.n_users)]
-    # one block per sampled sigma_L
-    own_blocks = ([[s] * len(sigma), sigma, *block] for s, block in zip(_formatted(samples), own))
+    out, n = _outdir(args), config.n_users
+    # each row's head, "sigma_L,br_user_0,...", is joined once for both files that
+    # hold it, a chunk of rows at a time (one % of sweep_leader.csv).  A user's
+    # responses are +0.0 from np.zeros at and after its cut, and the grid never
+    # decreases, so those zeros form a suffix, never -0.0 (nor is any sqrt(s*^2 -
+    # sigma_L^2)): a row is formatted up to its last nonzero, and the rest is "0"
+    nonzero = responses != 0
+    ends = (nonzero.any(axis=1) * (len(grid) - nonzero[:, ::-1].argmax(axis=1))).tolist()
+    sigma, heads, rows = [], [], max(1, _WRITE_CELLS // (n + 2))
+    for k in range(0, len(grid), rows):
+        sigma.append("\n".join(chunk := _formatted(grid[k : k + rows])))  # the grid's strings, one per chunk
+        brs = (_formatted(r[k : min(e, k + rows)]) for r, e in zip(responses, ends))
+        heads += map(",".join, zip_longest(chunk, *brs, fillvalue="0"))
+    del chunk  # the grid's strings live on only in sigma's text
+    br_head, u_head = [f"br_user_{i}" for i in range(n)], [f"U_S_{i}" for i in range(n)]
+    _write_csv(out / "sweep_best_response.csv", ["sigma_L", *br_head], [(heads, None)])
+    table = ((heads[k : k + rows], np.vstack((leader[k : k + rows], utilities[:, k : k + rows])).T)
+             for k in range(0, len(grid), rows))
+    _write_csv(out / "sweep_leader.csv", ["sigma_L", *br_head, "U_L", *u_head], table)
+    del heads  # the own-noise blocks hold one head per point of a chunk, one sample at a time
+    own_blocks = ((f"{s},{text}".replace("\n", f"\n{s},").split("\n"), block.T[j * rows : (j + 1) * rows])
+                  for s, block in zip(_formatted(samples), own) for j, text in enumerate(sigma))
     _write_csv(out / "sweep_user_utility.csv", ["sigma_L", "sigma_S", *u_head], own_blocks)
-    _write_csv(out / "sweep_best_response.csv", ["sigma_L", *br_head], [[sigma, *brs]])
-    leader_columns = [sigma, *brs, leader, *utilities]
-    _write_csv(out / "sweep_leader.csv", ["sigma_L", *br_head, "U_L", *u_head], [leader_columns])
-    _write_manifest(out, args, "sweep")
+    _write_manifest(out, args, "sweep", lo=lo, hi=hi, step=step, points=len(grid))
     print(f"wrote 3 sweep files to {out}")
     return EXIT_OK
 
@@ -178,12 +181,9 @@ def _cmd_validate(args) -> int:
     result = validate.run_suite(args.suite, trials=args.trials, base_seed=args.seed)
     out = _outdir(args)
     header = list(result.rows[0].keys())
-    _write_csv(
-        out / f"validate_{args.suite}.csv",
-        header,
-        [_columns([row[k] for k in header] for row in result.rows)],
-    )
-    _write_manifest(out, args, f"validate {args.suite}")
+    heads = [",".join(_fmt(row[k]) for k in header) for row in result.rows]
+    _write_csv(out / f"validate_{args.suite}.csv", header, [(heads, None)])
+    _write_manifest(out, args, f"validate {args.suite}", trials=args.trials)
     print(result.summary)
     if not result.passed:
         if result.failed_seeds:

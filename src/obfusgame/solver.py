@@ -76,8 +76,10 @@ _BRUTE_FORCE_BUDGET = 2_000_000_000
 _CHUNK_CELLS = 2**13
 # cap on a sweep's grid points, _SWEEP_MAX_CELLS // (8N + 13): 10^6 points
 # at N = 1; the default sweep has 1,001.  A point holds 7N + 2 floats in
-# sweep's columns, and N + 1 strings while the CLI writes them (the grid
-# and the best responses; it formats the rest a bounded slice at a time)
+# sweep's columns and, of the N + 1 strings budgeted while the CLI writes
+# them, uses one: its row's head (sigma_L and the best responses, joined
+# once for two files), beside its share of the grid's text, which the CLI
+# keeps one string per chunk; it formats the rest a bounded chunk at a time
 _SWEEP_MAX_CELLS = 21_000_000
 # _user_sum's crossover in columns: warm on one 2.1 GHz Xeon vCPU, np.add.accumulate took 72 us
 # against 6 for one np.add a row at (3, 4001), 4.7 against 6.4 at (8, 128), 28 against 1,585 at (4096, 2)

@@ -69,6 +69,59 @@ users[2].N_bar = 0
 """
 
 
+# the kinds of best-response row perfbench's population configs mix, at
+# sigma_max = 20: users 0, 1, 5 and 6 are dissuaded at sigma_L = 13.17, 8.13,
+# 6.08 and 3.06, user 3 at 18.82, user 7 only past sigma_max (at 24.89), and
+# users 2 (P_bar = 0) and 4 (cut at 0) never perturb
+EIGHT_USERS = """
+learner.G_bar  = 100
+learner.gamma  = 4
+learner.N_bar  = 75
+learner.Lambda = 1
+learner.N      = 8
+users[0].G_bar = 100
+users[0].gamma = 1
+users[0].P_bar = 45
+users[0].rho   = 0.1
+users[0].N_bar = 1
+users[1].G_bar = 90
+users[1].gamma = 2
+users[1].P_bar = 60
+users[1].rho   = 0.2
+users[1].N_bar = 3
+users[2].G_bar = 80
+users[2].gamma = 1
+users[2].P_bar = 0
+users[2].rho   = 1
+users[2].N_bar = 0
+users[3].G_bar = 100
+users[3].gamma = 1
+users[3].P_bar = 400
+users[3].rho   = 0.1
+users[3].N_bar = 40
+users[4].G_bar = 95
+users[4].gamma = 1
+users[4].P_bar = 2
+users[4].rho   = 0.05
+users[4].N_bar = 0.5
+users[5].G_bar = 100
+users[5].gamma = 4
+users[5].P_bar = 30
+users[5].rho   = 0.3
+users[5].N_bar = 0.2
+users[6].G_bar = 85
+users[6].gamma = 2
+users[6].P_bar = 5
+users[6].rho   = 0.1
+users[6].N_bar = 0.05
+users[7].G_bar = 100
+users[7].gamma = 1
+users[7].P_bar = 400
+users[7].rho   = 0.1
+users[7].N_bar = 20
+solver.sigma_max = 20
+"""
+
 def three_users_with(line):
     """THREE_USERS with the line of line's key replaced by line."""
     [old] = [row for row in THREE_USERS.splitlines() if row.startswith(line.partition("=")[0])]
@@ -749,6 +802,8 @@ SWEEP_GRIDS = {
     "padded": ["--min", "0.3", "--max", "1", "--step", "0.3"],  # 4 samples, --max appended
     "one_point": ["--min", "5", "--max", "5", "--step", "1"],
     "step_past_max": ["--max", "1", "--step", "5"],  # 0, then --max
+    # 8,001 points: at N = 8, more rows than the CLI formats and writes in one chunk
+    "chunked": ["--step", "0.0025"],
 }
 PINNED_SWEEP_DIGESTS = {
     ("default", "padded"): (
@@ -781,13 +836,18 @@ PINNED_SWEEP_DIGESTS = {
         "08ceefaafd91ade1cbeab1fc7998569486bae2c06faa12eef6f2be04f6c522b8",
         "04f7df1bf71e1e9986daca58285895d7ddc3276539fada358648d0a89de4bc77",
     ),
+    ("eight_users", "chunked"): (
+        "6c2b25be5ad262ada7be837ca6a4bf049d03f7cb2fc9caad767a4e48f79fc3e9",
+        "7e7223f4abefa17b5021511192f5517b5dff82faf33ead02958b0b83b87398a1",
+        "3bdb13f75d868559fd39102907454684a650c982eeff770eceb3ef13df83fc27",
+    ),
 }
 
 
 def pinned_config(tmp_path, name):
-    if name == "three_users":
-        cfg = tmp_path / "three.cfg"
-        cfg.write_text(THREE_USERS)
+    if name in ("three_users", "eight_users"):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(THREE_USERS if name == "three_users" else EIGHT_USERS)
         return cfg
     return shipped_config_path(name)
 
@@ -807,6 +867,72 @@ def test_sweep_outputs_match_pinned_digests(tmp_path, capsys, name, grid):
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), *SWEEP_GRIDS[grid]]) == 0
     digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in PINNED_FILES[2:])
     assert digests == PINNED_SWEEP_DIGESTS[name, grid]
+
+
+def test_sweep_write_memory_is_bounded(tmp_path, capsys, monkeypatch):
+    """A 50,001-point sweep of default.cfg formats and writes its files a
+    bounded chunk of rows at a time.  With sweep's arrays made before tracing
+    starts, the command peaked at 6.54 MiB traced (Python 3.11, numpy 2.4)
+    with the column writer that the row templates replaced, and at 6.86 MiB
+    with them; the bound is the first plus 10%.  Heads built for the whole grid at once (7.70
+    MiB), or one % per whole table (10.96 MiB), go past it."""
+    from obfusgame import solver
+
+    cfg = shipped_config_path("default")
+    arrays = solver.sweep(load_shipped_config("default"), 0.0, 50.0, 0.001)
+    assert len(arrays[0]) == 50_001
+    monkeypatch.setattr(solver, "sweep", lambda *args: arrays)
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--step", "0.001"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 1.1 * 6.54 * 2**20
+
+
+# each command with each flag that shapes its outputs
+MANIFEST_RUNS = {
+    "solve": ["solve"],
+    "solve_oracle": ["solve", "--oracle", "--fine-step", "0.01"],
+    "sweep": ["sweep"],
+    "sweep_grid": ["sweep", "--max", "6", "--step", "0.05"],
+    "sweep_min": ["sweep", "--min", "2.5", "--max", "3"],
+    "validate": ["validate", "--suite", "lemma1", "--seed", "3"],
+    "validate_trials": ["validate", "--suite", "lemma1", "--trials", "5"],
+}
+
+
+def argv_from_manifest(manifest):
+    """The argv, --out aside, that reruns a run, built from its manifest alone."""
+    command, _, suite = manifest["command"].partition(" ")
+    if command == "validate":
+        argv = [command, "--suite", suite, "--seed", str(manifest["seed"])]
+        return argv + ([] if manifest.get("trials") is None else ["--trials", str(manifest["trials"])])
+    argv = [command, "--config", manifest["config"]]
+    if command == "solve":
+        argv += ["--oracle"] if manifest.get("oracle") else []
+        return argv + ([] if manifest.get("fine_step") is None else ["--fine-step", repr(manifest["fine_step"])])
+    flags = (("--min", "lo"), ("--max", "hi"), ("--step", "step"))
+    return argv + [v for flag, key in flags if key in manifest for v in (flag, repr(manifest[key]))]
+
+
+@pytest.mark.parametrize("run", list(MANIFEST_RUNS))
+def test_manifest_reruns_its_run(tmp_path, capsys, run):
+    """Rerun from nothing but its manifest, a run writes the same files."""
+    argv = MANIFEST_RUNS[run]
+    if argv[0] != "validate":
+        argv = [*argv, "--config", str(shipped_config_path("default"))]
+    assert main([*argv, "--out", str(tmp_path / "first")]) == 0
+    manifest = json.loads((tmp_path / "first" / "manifest.json").read_text())
+    assert main([*argv_from_manifest(manifest), "--out", str(tmp_path / "again")]) == 0
+    files = sorted(p.name for p in (tmp_path / "first").iterdir() if p.name != "manifest.json")
+    assert files == sorted(p.name for p in (tmp_path / "again").iterdir() if p.name != "manifest.json")
+    for name in files:
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "first" / name).read_bytes(), name
+    if argv[0] == "sweep":
+        lines = (tmp_path / "first" / "sweep_leader.csv").read_bytes().count(b"\n")
+        assert manifest["points"] == lines - 1
 
 
 # sha256 of equilibrium.txt and thresholds.csv of `solve --oracle --fine-step
@@ -864,28 +990,52 @@ def reference_csv(path, header, rows):
 WRITER_TABLES = (
     "sweep_user_utility", "sweep_best_response", "sweep_leader", "thresholds",
     "validate_oracle", "validate_chi2", "validate_lemma1", "special", "float_arrays",
+    "eight_users_sweep_user_utility", "eight_users_sweep_best_response", "eight_users_sweep_leader",
 )
 
 
-@pytest.fixture(scope="module")
-def writer_tables(tmp_path_factory):
-    """Each table's rows of values, and the directory of the CLI's sweep of
-    THREE_USERS, whose three files hold the sweep tables."""
+def sweep_tables(directory, text, grid_args):
+    """The rows of the three sweep tables of config text over the grid that
+    grid_args (sweep's flags) give, with the sweep's best responses, after
+    the CLI has written the files into directory."""
     import numpy as np
 
-    from obfusgame import solver, validate
+    from obfusgame import solver
 
-    three = parse_config_text(THREE_USERS)
-    columns = solver.sweep(three, 0.0, three.solver.sigma_max, three.solver.grid_step)
+    (directory / "game.cfg").write_text(text)
+    assert main(["sweep", "--config", str(directory / "game.cfg"), "--out", str(directory), *grid_args]) == 0
+    config, flags = parse_config_text(text), dict(zip(grid_args[::2], grid_args[1::2]))
+    step = float(flags.get("--step", config.solver.grid_step))
+    columns = solver.sweep(config, 0.0, config.solver.sigma_max, step)
     grid, samples, own, responses, leader, users = (np.asarray(c).tolist() for c in columns)
     tables = {
         "sweep_user_utility": [[s, *row] for s, block in zip(samples, own) for row in zip(grid, *block)],
         "sweep_best_response": [list(row) for row in zip(grid, *responses)],
         "sweep_leader": [list(row) for row in zip(grid, *responses, leader, *users)],
     }
-    sweep_out = tmp_path_factory.mktemp("sweep")
-    (sweep_out / "three.cfg").write_text(THREE_USERS)
-    assert main(["sweep", "--config", str(sweep_out / "three.cfg"), "--out", str(sweep_out)]) == 0
+    return tables, columns[3]
+
+
+@pytest.fixture(scope="module")
+def writer_tables(tmp_path_factory):
+    """Each table's rows of values, and the directory of the CLI's sweep of
+    each table that starts with a sweep file's name: THREE_USERS' on its
+    grid, and EIGHT_USERS' on the grid of more rows than one chunk."""
+    import numpy as np
+
+    from obfusgame import cli, solver, validate
+
+    outs = {"": tmp_path_factory.mktemp("sweep"), "eight_users_": tmp_path_factory.mktemp("sweep8")}
+    tables, _ = sweep_tables(outs[""], THREE_USERS, [])
+    eight, responses = sweep_tables(outs["eight_users_"], EIGHT_USERS, SWEEP_GRIDS["chunked"])
+    tables |= {f"eight_users_{name}": rows for name, rows in eight.items()}
+    # the heads span more than one chunk of rows, and the best-response rows
+    # hold each kind of zero tail: none (user 7), the whole row (users 2 and
+    # 4), and one that starts inside the first chunk and inside the second
+    m, rows = responses.shape[1], cli._WRITE_CELLS // 9
+    ends = [int(np.flatnonzero(row)[-1]) + 1 if row.any() else 0 for row in responses]
+    assert m > rows and ends[7] == m and ends[2] == ends[4] == 0
+    assert 0 < ends[6] < rows < ends[3] < m and ends[3] % rows
     # user 0's threshold lies past sigma_max and is written as an empty field
     capped = solver.stackelberg_solve(parse_config_text(THREE_USERS + "solver.sigma_max = 4\n"))
     assert capped.per_user_thresholds[0] is None
@@ -895,36 +1045,38 @@ def writer_tables(tmp_path_factory):
     special = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 10**20,
                np.float64(1 / 3), np.int64(5), True]
     tables["special"] = [special, special[::-1], [0, ""] * 5, [2.5] * 10]
-    # each column holds each value; each half has more cells than one % of
-    # the writer formats
+    # each column holds each value; each half has more rows (a head and six
+    # floats each) than one % of the writer formats
     floats = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 1 / 3]
     tables["float_arrays"] = [[floats[(j + c) % 7] for c in range(7)] for j in range(2 * 10**4)]
-    return tables, sweep_out
+    assert 10**4 > cli._WRITE_CELLS // 7
+    return tables, outs
 
 
 @pytest.mark.parametrize("name", WRITER_TABLES)
 def test_writer_matches_reference_bytes(tmp_path, writer_tables, name):
     """The sweep files as the CLI writes them, float_arrays in two blocks of
-    float arrays beside a shared string column, as the sweep passes its
-    utilities, and every other table through the writer as solve and
-    validate call it, are byte for byte what csv.writer writes from _fmt of
-    each value."""
+    a float table beside heads of one formatted column, as the sweep writes
+    its utilities, and every other table as heads of _fmt of each value
+    joined by commas, as solve and validate write them, are byte for byte
+    what csv.writer writes from _fmt of each value."""
     import numpy as np
 
-    from obfusgame.cli import _columns, _formatted, _write_csv
+    from obfusgame.cli import _fmt, _formatted, _write_csv
 
-    tables, sweep_out = writer_tables
+    tables, outs = writer_tables
     rows = tables[name]
-    if name.startswith("sweep_"):
-        written = sweep_out / f"{name}.csv"
+    prefix, sweep, file = name.partition("sweep_")
+    if sweep:
+        written = outs[prefix] / f"sweep_{file}.csv"
         header = written.read_text().splitlines()[0].split(",")
     else:
         written = tmp_path / "written.csv"
         header = [f"c{k}" for k in range(len(rows[0]))]
         if name == "float_arrays":
-            blocks = [[_formatted(block[0]), *block[1:]] for block in np.split(np.array(rows).T, 2, axis=1)]
+            blocks = [(_formatted(half[:, 0]), half[:, 1:]) for half in np.split(np.array(rows), 2)]
         else:
-            blocks = [_columns(rows)]
+            blocks = [([",".join(map(_fmt, row)) for row in rows], None)]
         _write_csv(written, header, blocks)
     reference_csv(tmp_path / "reference.csv", header, rows)
     assert written.read_bytes() == (tmp_path / "reference.csv").read_bytes()
