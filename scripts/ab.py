@@ -2,6 +2,7 @@
 """A/B judge: the benchmark at two revisions, in alternating pairs on one CPU.
 
     python3 scripts/ab.py --base REV [--head REV] --workload W [--pairs K]
+    python3 scripts/ab.py --base REV [--head REV] --cold [--pairs K]
 
 Each side is a fresh directory holding that revision's `src/` (from `git
 archive`; without --head, the working tree's tracked and unignored files)
@@ -20,6 +21,15 @@ with "+" appended for the working tree ("-base" and "-head" follow the
 name when both sides are one revision): every run's metrics, seed, order
 and CPU, and in the head's file the verdicts.  It may run from any
 directory; git runs in this repository.
+
+With --cold, a run is one fresh `python -m obfusgame.cli` process of each
+of COLD_COMMANDS, pinned and with numpy's threads pinned as perfbench pins
+them, and its metric is each process's wall time.  These are the
+commands' end-to-end times, start-up included, which perfbench's ops,
+run in one warm process, do not see.  Each side's src/ is compiled to
+bytecode first, as an installed package is.  Each command is judged with
+setup_s's bound, the benchmark's one cold-start metric, and the workload
+is named "cold".
 """
 
 from __future__ import annotations
@@ -34,9 +44,18 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# metric name: the obfusgame arguments of one cold process, run in its side's directory
+COLD_COMMANDS = {
+    "dp_s": ["dp", "--sigma", "2", "--delta", "1e-5"],
+    "solve_s": ["solve", "--config", "src/obfusgame/configs/default.cfg", "--out", "cold-out"],
+}
+# perfbench/run.py's thread pins, set before numpy is imported
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS")
 
 
 def verdict(base: list[float], head: list[float], better: str, bound: float) -> str:
@@ -120,16 +139,48 @@ def run_once(where: Path, workload: str, seed: int, cpu: int) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def main(argv: list[str] | None = None) -> int:
+def cold_once(where: Path, cpu: int) -> dict:
+    """Each of COLD_COMMANDS once, a fresh interpreter on the side at where
+    pinned to cpu: its wall time in seconds as a metric."""
+    env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1"), "PYTHONPATH": str(where / "src")}
+    metrics = {}
+    for name, command in COLD_COMMANDS.items():
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "obfusgame.cli", *command], capture_output=True, text=True,
+                              cwd=where, env=env, preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+        metrics[name] = {"value": time.perf_counter() - start, "unit": "s"}
+        if done.returncode != 0:
+            raise SystemExit(f"obfusgame {' '.join(command)} failed ({done.returncode}) in {where}:\n{done.stderr}")
+    return {"metrics": metrics}
+
+
+def parse_args(argv: list[str] | None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="revision of the parent side")
     parser.add_argument("--head", help="revision of the changed side (default: the working tree)")
-    parser.add_argument("--workload", required=True)
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload")
+    mode.add_argument("--cold", action="store_true", help="time fresh CLI processes of COLD_COMMANDS")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    return args
+
+
+def judged(spec: dict, cold: bool) -> list[dict]:
+    """The metrics to judge: BENCHMARK.json's end-to-end metrics, or with
+    cold each COLD_COMMANDS time, with setup_s's direction and bound."""
+    if not cold:
+        return spec["end_to_end"]
+    setup = next(metric for metric in spec["end_to_end"] if metric["name"] == "setup_s")
+    return [{**setup, "name": name} for name in COLD_COMMANDS]
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workload = "cold" if args.cold else args.workload
     cpu = min(os.sched_getaffinity(0))
     work = Path(tempfile.mkdtemp(prefix="ab-"))
     try:
@@ -137,21 +188,27 @@ def main(argv: list[str] | None = None) -> int:
         for key, rev in (("base", args.base), ("head", args.head)):
             (work / key).mkdir()
             sides[key] = {"name": side(rev, work / key), "revision": rev or "working tree", "runs": []}
+            if args.cold:  # an installed package starts from its bytecode, not by compiling src/
+                subprocess.run([sys.executable, "-m", "compileall", "-q", str(work / key / "src")], check=True)
         for i in range(args.pairs):
             for key in ("base", "head") if i % 2 == 0 else ("head", "base"):
-                result = run_once(work / key, args.workload, i + 1, cpu)
+                if args.cold:
+                    result, seed, status = cold_once(work / key, cpu), None, "ok"
+                else:
+                    result, seed = run_once(work / key, workload, i + 1, cpu), i + 1
+                    status = f"correct {result['correct']}"
                 sides[key]["runs"].append({"pair": i, "first": (i % 2 == 0) == (key == "base"),
-                                           "seed": i + 1, "cpu": cpu, **result})
-                print(f"pair {i + 1}/{args.pairs} {key}: correct {result['correct']}", file=sys.stderr)
+                                           "seed": seed, "cpu": cpu, **result})
+                print(f"pair {i + 1}/{args.pairs} {key}: {status}", file=sys.stderr)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
     verdicts = {}
-    print(f"{args.workload}: base {sides['base']['name']}, head {sides['head']['name']}, "
+    print(f"{workload}: base {sides['base']['name']}, head {sides['head']['name']}, "
           f"{args.pairs} pairs on CPU {cpu}")
     print(f"{'metric':12s} {'base median [q1, q3]':>30s} {'head median [q1, q3]':>30s} {'head/base':>9s} "
           f"{'wins':>6s}  verdict")
-    for metric in spec["end_to_end"]:
+    for metric in judged(spec, args.cold):
         name, better = metric["name"], metric["better"]
         base, head = ([run["metrics"][name]["value"] for run in sides[key]["runs"]] for key in ("base", "head"))
         verdicts[name] = {"verdict": verdict(base, head, better, metric["bound"]),
@@ -160,14 +217,15 @@ def main(argv: list[str] | None = None) -> int:
         cells = ["{:.4g} [{:.4g}, {:.4g}]".format(statistics.median(v), *quartiles(v)) for v in (base, head)]
         print(f"{name:12s} {cells[0]:>30s} {cells[1]:>30s} {verdicts[name]['ratio']:9.3f} "
               f"{verdicts[name]['wins']:>2d}/{args.pairs:<3d}  {verdicts[name]['verdict']}")
-    for key in sides:
-        runs = sides[key]["runs"]
-        print(f"{key} failed ops: {sum(r['failed'] for r in runs)} of {sum(r['attempted'] for r in runs)}")
+    if not args.cold:  # a cold command that fails stops the judge
+        for key in sides:
+            runs = sides[key]["runs"]
+            print(f"{key} failed ops: {sum(r['failed'] for r in runs)} of {sum(r['attempted'] for r in runs)}")
     sides["head"]["verdicts"] = {"base": sides["base"]["name"], **verdicts}
     same = sides["base"]["name"] == sides["head"]["name"]  # an A/A run of one revision
     for key, record in sides.items():
-        path = ROOT / f"BENCH_{args.workload}_{record['name']}{'-' + key if same else ''}.json"
-        path.write_text(json.dumps({"workload": args.workload, **record}, indent=1) + "\n", encoding="utf-8")
+        path = ROOT / f"BENCH_{workload}_{record['name']}{'-' + key if same else ''}.json"
+        path.write_text(json.dumps({"workload": workload, **record}, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {path.name}")
     return 0
 

@@ -22,8 +22,6 @@ Usage: python3 scripts/find_default_config.py
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from obfusgame.config_io import load_shipped_config
@@ -37,11 +35,16 @@ BASE = load_shipped_config("mid_cost")  # every shipped parameter but the two N_
 SHIPPED_NBAR_L = BASE.learner.perturbation_cost
 
 
+def replace(record, **changes):
+    """A new record of record's type with the given fields changed."""
+    return type(record)(**{**vars(record), **changes})
+
+
 def build_config(nbar_l: float, nbar_s: float) -> GameConfig:
-    return dataclasses.replace(
+    return replace(
         BASE,
-        learner=dataclasses.replace(BASE.learner, perturbation_cost=nbar_l),
-        users=(dataclasses.replace(BASE.users[0], perturbation_cost=nbar_s),),
+        learner=replace(BASE.learner, perturbation_cost=nbar_l),
+        users=(replace(BASE.users[0], perturbation_cost=nbar_s),),
     )
 
 

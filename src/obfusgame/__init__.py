@@ -2,7 +2,12 @@
 Gaussian-mechanism privacy guarantees and ERM accuracy validation.
 
 `import obfusgame` loads no numpy: the solver's exports are imported on
-first access (PEP 562), so the commands that compute nothing start fast."""
+first access (PEP 562), so the commands that compute nothing start fast.
+A bare `import obfusgame.cli` loads the game's records, dp, the config
+reader and the CLI, and from the standard library little more than
+argparse, json, datetime and pathlib: no numpy, csv, importlib.resources,
+inspect or the standard library's data classes (the records are plain
+classes on game._Record)."""
 
 __version__ = "0.1.0"
 

@@ -9,9 +9,12 @@ Subcommands:
     validate  run a named property suite
 
 Exit codes: 0 success, 1 validation failure, 2 usage/config error,
-3 internal solver error.  All file outputs are byte-reproducible for a
-fixed (config, version), and for validate also a fixed seed; only the
-manifest timestamp varies.
+3 internal solver error.  The outputs of solve, sweep, dp and validate
+--suite oracle|chi2 are byte-reproducible for a fixed (config, version),
+and for validate also a fixed seed, on any BLAS: their arithmetic is
+elementwise.  validate lemma1, lemma2 and scaling train with BLAS matrix
+products, so their bytes hold for one BLAS build (lemma2's lhs moves in the
+12th digit under another OpenBLAS kernel).  The manifest's timestamp varies.
 """
 
 from __future__ import annotations

@@ -18,31 +18,30 @@ instead, which does not cancel.  Target accuracy 1e-10 absolute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .game import _require_finite
+from .game import _Record, _require_finite
 
 _EPS_CONSTANT = 2.0  # absorbed L2 sensitivity
 _SUM_TOL = 1e-15  # relative size of the last term kept in a CDF sum
 
 
-@dataclass(frozen=True)
-class DpGuarantee:
-    """The epsilon a total noise standard deviation buys at a given delta."""
+class DpGuarantee(_Record):
+    """The epsilon a total noise standard deviation buys at a given delta;
+    in_stated_range is True when epsilon lies in (0, 1)."""
 
-    epsilon: float
-    in_stated_range: bool  # True when epsilon lies in (0, 1)
+    def __init__(self, epsilon: float, in_stated_range: bool):
+        self._store(locals())
 
 
-@dataclass(frozen=True)
-class NormBoundReport:
+class NormBoundReport(_Record):
     """Probability that a noise row's squared norm stays below
     zeta * (sigma_L^2 + sigma_S^2), plus the combined success probability
-    of the accuracy bound."""
+    of the accuracy bound, in product form (combined_success = 1 - delta *
+    (1 - probability)) and by the union bound (union_bound_success =
+    1 - delta - (1 - probability), clipped at 0)."""
 
-    probability: float
-    combined_success: float  # 1 - delta * (1 - probability), product form
-    union_bound_success: float  # 1 - delta - (1 - probability), clipped at 0
+    def __init__(self, probability: float, combined_success: float, union_bound_success: float):
+        self._store(locals())
 
 
 def _check_delta(delta: float) -> None:

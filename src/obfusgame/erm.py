@@ -13,28 +13,26 @@ gradient-norm tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .game import _require_finite
+from .game import _Record, _require_finite
 
 _CURVATURE_BOUND = 0.25  # c: the logistic loss's second derivative is at most 1/4
 _DRAW_ROWS = 4096  # rows of normals drawn per block in generate_synthetic
 _MAX_ITER = 200  # Newton iterations before train_erms gives up
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(_Record):
     """Feature matrix (n, d) with labels in {-1, +1}.
 
     The features are stored column-major, whatever layout the caller
     passes: with n >> d, X w, X^T v and the Hessian's X^T diag(h) X then
     run along contiguous columns of length n instead of rows of length d."""
 
-    features: np.ndarray
-    labels: np.ndarray
+    def __init__(self, features: np.ndarray, labels: np.ndarray):
+        self._store(locals())
 
     def __post_init__(self):
         features = np.asfortranarray(self.features, dtype=float)
@@ -61,11 +59,11 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class Classifier:
+class Classifier(_Record):
     """Linear classifier: sign(weights . x)."""
 
-    weights: np.ndarray
+    def __init__(self, weights: np.ndarray):
+        self._store(locals())
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -74,13 +72,11 @@ class Classifier:
         object.__setattr__(self, "weights", w)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """One side-by-side inequality check, lhs <= rhs, with slack rhs - lhs."""
 
-    lhs: float
-    rhs: float
-    slack: float
+    def __init__(self, lhs: float, rhs: float, slack: float):
+        self._store(locals())
 
 
 def _logistic_loss(margins: np.ndarray, ez: np.ndarray | None = None) -> np.ndarray:

@@ -13,7 +13,6 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import ConfigError
@@ -29,16 +28,51 @@ def _require_finite(name: str, value: float, bound: str = "") -> None:
         raise ValueError(f"{name} must be {bound} 0")
 
 
-@dataclass(frozen=True)
-class LearnerParams:
+class _Record:
+    """A frozen record: its fields are its __init__'s parameters, which
+    __init__ hands to _store as its first statement.  ==, hash and repr
+    read the fields in order, and assigning or deleting an attribute raises
+    AttributeError.  No method is generated: the standard library's
+    generated records cost a cold start about 6 ms to import (with inspect)
+    and about 1 ms a class."""
+
+    def _store(self, fields: dict) -> None:
+        """Set the fields from locals() at the top of __init__ (self, then
+        the parameters in order), then run __post_init__."""
+        stored = self.__dict__
+        stored.update(fields)
+        del stored["self"]
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return tuple(vars(self).values()) == tuple(vars(other).values())
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class LearnerParams(_Record):
     """Learner-side scalars: baseline gain, accuracy weight, flat
     perturbation cost, ERM regularizer and population size."""
 
-    baseline_gain: float
-    accuracy_weight: float
-    perturbation_cost: float
-    regularizer: float
-    population_size: int
+    def __init__(self, baseline_gain: float, accuracy_weight: float, perturbation_cost: float,
+                 regularizer: float, population_size: int):
+        self._store(locals())
 
     def __post_init__(self):
         _require_finite("baseline_gain", self.baseline_gain)
@@ -52,16 +86,13 @@ class LearnerParams:
             raise ValueError(f"regularizer {self.regularizer} has no finite (N * regularizer)^2")
 
 
-@dataclass(frozen=True)
-class UserParams:
+class UserParams(_Record):
     """Per-user scalars: baseline gain, accuracy weight, maximum privacy
     loss, privacy-loss rate and flat perturbation cost."""
 
-    baseline_gain: float
-    accuracy_weight: float
-    max_privacy_loss: float
-    privacy_rate: float
-    perturbation_cost: float
+    def __init__(self, baseline_gain: float, accuracy_weight: float, max_privacy_loss: float,
+                 privacy_rate: float, perturbation_cost: float):
+        self._store(locals())
 
     def __post_init__(self):
         _require_finite("baseline_gain", self.baseline_gain)
@@ -74,14 +105,18 @@ class UserParams:
             raise ValueError("gamma = 0 with P_bar > 0 has no finite optimal perturbation")
 
 
-@dataclass(frozen=True)
-class SolverSettings:
+class SolverSettings(_Record):
     """Search bounds and tolerances for the best-response solver."""
 
-    sigma_max: float = 50.0
-    grid_step: float = 0.05  # the sweep's default step; the solve uses no grid
-    root_tol: float = 1e-9
-    tie_epsilon: float = 1e-9
+    # the defaults, which callers also read off the class
+    sigma_max = 50.0
+    grid_step = 0.05  # the sweep's default step; the solve uses no grid
+    root_tol = 1e-9
+    tie_epsilon = 1e-9
+
+    def __init__(self, sigma_max: float = sigma_max, grid_step: float = grid_step, root_tol: float = root_tol,
+                 tie_epsilon: float = tie_epsilon):
+        self._store(locals())
 
     def __post_init__(self):
         _require_finite("sigma_max", self.sigma_max, ">")
@@ -94,13 +129,13 @@ class SolverSettings:
         _require_finite("tie_epsilon", self.tie_epsilon, ">=")
 
 
-@dataclass(frozen=True)
-class GameConfig:
+class GameConfig(_Record):
     """Full game instance: learner, user list, solver settings."""
 
-    learner: LearnerParams
-    users: tuple[UserParams, ...]
-    solver: SolverSettings = field(default_factory=SolverSettings)
+    # one default SolverSettings for every config: a record is never changed
+    def __init__(self, learner: LearnerParams, users: tuple[UserParams, ...],
+                 solver: SolverSettings = SolverSettings()):
+        self._store(locals())
 
     def __post_init__(self):
         object.__setattr__(self, "users", tuple(self.users))
@@ -127,12 +162,11 @@ class GameConfig:
         return self.learner.population_size
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
+class StrategyProfile(_Record):
     """One noise level for the learner plus one per user."""
 
-    sigma_L: float
-    sigma_S: tuple[float, ...]
+    def __init__(self, sigma_L: float, sigma_S: tuple[float, ...]):
+        self._store(locals())
 
     def __post_init__(self):
         object.__setattr__(self, "sigma_S", tuple(float(s) for s in self.sigma_S))

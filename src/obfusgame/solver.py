@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -59,6 +58,7 @@ from .game import (
     SolverSettings,
     StrategyProfile,
     UserParams,
+    _Record,
     _check_user,
     _require_finite,
     _spread,
@@ -91,15 +91,12 @@ _NORMAL = sys.float_info.min
 _FLOAT_RHO = 1e154
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
+class EquilibriumResult(_Record):
     """Equilibrium strategies with the utilities they induce."""
 
-    sigma_L_star: float
-    sigma_S_star: tuple[float, ...]
-    learner_utility: float
-    user_utilities: tuple[float, ...]
-    per_user_thresholds: tuple[Optional[float], ...]
+    def __init__(self, sigma_L_star: float, sigma_S_star: tuple[float, ...], learner_utility: float,
+                 user_utilities: tuple[float, ...], per_user_thresholds: tuple[Optional[float], ...]):
+        self._store(locals())
 
 
 def _bisect_root(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:

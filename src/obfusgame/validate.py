@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import SUITES, erm
 from .dp import chi_square_cdf
-from .game import GameConfig, LearnerParams, SolverSettings, UserParams
+from .game import GameConfig, LearnerParams, SolverSettings, UserParams, _Record
 from .solver import brute_force_equilibrium, stackelberg_solve
 
 # mixed noise levels cycled through the ERM trials
@@ -50,12 +49,9 @@ _MIN_SPEARMAN = 0.9
 _ORACLE_UTILITY_TOL = 1e-6
 
 
-@dataclass
-class SuiteResult:
-    passed: bool
-    rows: list[dict]
-    summary: str
-    failed_seeds: list[int]
+class SuiteResult(_Record):
+    def __init__(self, passed: bool, rows: list[dict], summary: str, failed_seeds: list[int]):
+        self._store(locals())
 
 
 def _verdict(rows: list[dict], seed_of, summary: str) -> SuiteResult:

@@ -1,6 +1,9 @@
-"""The A/B judge's verdict rule (scripts/ab.py) on synthetic paired runs."""
+"""The A/B judge (scripts/ab.py): its verdict rule on synthetic paired runs,
+and its cold mode on stub sides, without a benchmark run."""
 
 import importlib.util
+import json
+import os
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,69 @@ def test_ties_count_for_neither_side():
 
 def test_one_run_has_no_spread():
     assert ab.quartiles([3.0]) == (3.0, 3.0) and ab.spread([3.0]) == 0.0
+
+
+SPEC = {"end_to_end": [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+                       {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.2}]}
+
+
+def test_cold_and_workload_are_the_two_modes():
+    assert ab.parse_args(["--base", "HEAD", "--cold"]).cold
+    assert ab.parse_args(["--base", "HEAD", "--workload", "grid_sweep"]).workload == "grid_sweep"
+    for argv in (["--base", "HEAD"], ["--base", "HEAD", "--cold", "--workload", "grid_sweep"]):
+        with pytest.raises(SystemExit):
+            ab.parse_args(argv)
+
+
+def test_cold_commands_are_judged_by_the_setup_bound():
+    assert ab.judged(SPEC, cold=False) == SPEC["end_to_end"]
+    assert ab.judged(SPEC, cold=True) == [{**SPEC["end_to_end"][0], "name": name} for name in ("dp_s", "solve_s")]
+
+
+def _stub_side(where, body):
+    """A side whose obfusgame.cli runs body in place of the program."""
+    (where / "src" / "obfusgame").mkdir(parents=True)
+    (where / "src" / "obfusgame" / "__init__.py").write_text("")
+    (where / "src" / "obfusgame" / "cli.py").write_text(body)
+
+
+def test_cold_run_times_one_fresh_process_per_command(tmp_path):
+    # each process appends its arguments and numpy's thread pin to calls.txt
+    _stub_side(tmp_path, "import os, sys\nwith open('calls.txt', 'a') as f:\n"
+                         "    print(*sys.argv[1:], os.environ['OPENBLAS_NUM_THREADS'], file=f)\n")
+    cpu = min(os.sched_getaffinity(0))
+    result = ab.cold_once(tmp_path, cpu)
+    assert list(result["metrics"]) == list(ab.COLD_COMMANDS)
+    assert all(metric["value"] > 0 and metric["unit"] == "s" for metric in result["metrics"].values())
+    calls = (tmp_path / "calls.txt").read_text().splitlines()
+    assert calls == [" ".join([*command, "1"]) for command in ab.COLD_COMMANDS.values()]
+
+
+def test_a_failing_cold_command_stops_the_judge(tmp_path):
+    _stub_side(tmp_path, "raise SystemExit(2)\n")
+    with pytest.raises(SystemExit, match="obfusgame dp .* failed \\(2\\)"):
+        ab.cold_once(tmp_path, min(os.sched_getaffinity(0)))
+
+
+def test_cold_judge_writes_one_record_per_side(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+
+    def side(rev, where):
+        (where / "src").mkdir()  # an empty src/ to compile
+        return "base" if rev else "head+"
+
+    monkeypatch.setattr(ab, "side", side)
+    times = iter(range(1, 100))
+    monkeypatch.setattr(ab, "cold_once", lambda where, cpu: {
+        "metrics": {name: {"value": next(times) * (0.5 if where.name == "head" else 1.0), "unit": "s"}
+                    for name in ab.COLD_COMMANDS}})
+    assert ab.main(["--base", "REV", "--cold", "--pairs", "2"]) == 0
+    written = [line.removeprefix("wrote ") for line in capsys.readouterr().out.splitlines() if line.startswith("wrote")]
+    assert written == ["BENCH_cold_base.json", "BENCH_cold_head+.json"]
+    base, head = (json.loads((tmp_path / name).read_text()) for name in written)
+    assert base["workload"] == head["workload"] == "cold"
+    assert [run["first"] for run in base["runs"]] == [True, False]
+    assert all(run["seed"] is None and set(run["metrics"]) == set(ab.COLD_COMMANDS) for run in base["runs"])
+    assert set(head["verdicts"]) == {"base", *ab.COLD_COMMANDS}
+    assert head["verdicts"]["dp_s"]["pairs"] == 2

@@ -1,6 +1,5 @@
 import ast
 import csv
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -27,6 +26,12 @@ from obfusgame.config_io import (
 )
 from obfusgame.errors import ConfigError, ConvergenceError
 from obfusgame.game import SolverSettings
+
+
+def replace(record, **changes):
+    """A new record of record's type with the given fields changed."""
+    return type(record)(**{**vars(record), **changes})
+
 
 MINIMAL = """
 learner.G_bar  = 1
@@ -935,6 +940,44 @@ def test_manifest_reruns_its_run(tmp_path, capsys, run):
         assert manifest["points"] == lines - 1
 
 
+# Runs solve, solve --oracle and sweep on each config given, into directories
+# of the working directory, and prints what each printed
+BLAS_SESSION = """
+import sys
+from obfusgame.cli import main
+for k, config in enumerate(sys.argv[1:]):
+    for name, argv in (("solve", ["solve"]), ("oracle", ["solve", "--oracle", "--fine-step", "0.01"]),
+                       ("sweep", ["sweep"])):
+        assert main([*argv, "--config", config, "--out", f"{k}-{name}"]) == 0
+"""
+
+
+def test_game_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    """solve, solve --oracle and sweep print and write the same bytes, the
+    manifests aside, under OpenBLAS's default kernel and under
+    OPENBLAS_CORETYPE=Prescott: the game's arithmetic is elementwise, so
+    no BLAS kernel enters it (the ERM suites' matrix products do).  On a
+    numpy without OpenBLAS the variable does nothing, and the two sides
+    run alike."""
+    (tmp_path / "eight.cfg").write_text(EIGHT_USERS)
+    configs = [str(shipped_config_path("default")), str(tmp_path / "eight.cfg")]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(obfusgame.__file__).parents[1])
+    printed, written = {}, {}
+    for kernel in ("default", "Prescott"):
+        where = tmp_path / kernel
+        where.mkdir()
+        printed[kernel] = subprocess.run(
+            [sys.executable, "-c", BLAS_SESSION, *configs], capture_output=True, check=True, cwd=where,
+            env=env if kernel == "default" else {**env, "OPENBLAS_CORETYPE": kernel},
+        ).stdout
+        written[kernel] = {str(p.relative_to(where)): p.read_bytes() for p in sorted(where.rglob("*"))
+                           if p.is_file() and p.name != "manifest.json"}
+    assert len(written["default"]) == 2 * (2 + 2 + 3)  # equilibrium.txt and thresholds.csv, twice; 3 sweep files
+    assert printed["Prescott"] == printed["default"]
+    assert written["Prescott"] == written["default"]
+
+
 # sha256 of equilibrium.txt and thresholds.csv of `solve --oracle --fine-step
 # 0.002` (25,001 points), and of validate_oracle.csv of `validate --suite
 # oracle` (20 configs, seed 0): the oracle's table must not move them
@@ -1176,7 +1219,7 @@ class TestCliValidate:
 
         def every_other_fails(*args):  # calls 1, 3 and 5: seeds 3, 5 and 7
             report = check(*args)
-            return dataclasses.replace(report, slack=-1.0) if next(calls) % 2 else report
+            return replace(report, slack=-1.0) if next(calls) % 2 else report
 
         monkeypatch.setattr(erm, "check_classifier_gap", every_other_fails)
         assert main(["validate", "--suite", "lemma1", "--trials", "6", "--seed", "3",
@@ -1194,7 +1237,7 @@ class TestCliValidate:
             result = solve(config)
             if config.n_users != 2:
                 return result
-            return dataclasses.replace(result, learner_utility=result.learner_utility + 1.0)
+            return replace(result, learner_utility=result.learner_utility + 1.0)
 
         monkeypatch.setattr(validate, "stackelberg_solve", off_by_one_on_two_users)
         assert main(["validate", "--suite", "oracle", "--trials", "8", "--seed", "0",
@@ -1293,12 +1336,13 @@ def test_cli_import_loads_no_scipy():
 
 
 @pytest.mark.parametrize("flags, modules", [
-    pytest.param([], ["csv"], id="site"),
+    pytest.param([], ["csv", "dataclasses", "inspect"], id="site"),
     # -S: no site hook loads importlib.resources ahead of the package
-    pytest.param(["-S"], ["csv", "importlib.resources"], id="no_site"),
+    pytest.param(["-S"], ["csv", "dataclasses", "inspect", "importlib.resources"], id="no_site"),
 ])
 def test_cli_import_loads_no_csv_or_resources(flags, modules):
-    # a CSV header is one join, and a shipped config's path is next to its module
+    # a CSV header is one join, a shipped config's path is next to its module,
+    # and a record is a plain class
     code = f"import sys, obfusgame.cli; print([m for m in {modules!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(Path(obfusgame.__file__).parents[1])}
     loaded = subprocess.run(
@@ -1567,8 +1611,8 @@ def test_shipped_configs_differ_only_in_the_user_cost():
     costs = {}
     for name, config in configs.items():
         costs[name] = config.users[0].perturbation_cost
-        user = dataclasses.replace(config.users[0], perturbation_cost=base.users[0].perturbation_cost)
-        assert dataclasses.replace(config, users=(user,)) == base
+        user = replace(config.users[0], perturbation_cost=base.users[0].perturbation_cost)
+        assert replace(config, users=(user,)) == base
     assert costs == {"default": 20.0, "low_cost": 10.0, "mid_cost": 20.0, "high_cost": 30.0}
 
 

@@ -71,6 +71,50 @@ class TestSigmaFromEpsilon:
             sigma_from_epsilon(0.0, 0.1)
 
 
+def exact_delta(epsilon, sigma, sensitivity=2.0):
+    """The least delta for which Gaussian noise of standard deviation sigma
+    makes a query of L2 sensitivity sensitivity (epsilon, delta)-DP (Balle &
+    Wang, ICML 2018, Thm 8): Phi(D / (2 sigma) - epsilon sigma / D) - e^epsilon
+    Phi(-D / (2 sigma) - epsilon sigma / D), with Phi(x) = erfc(-x / sqrt 2) / 2,
+    which keeps its relative accuracy in the far lower tail.  D = 2 is the
+    sensitivity dp's _EPS_CONSTANT absorbs."""
+    a, b = sensitivity / (2.0 * sigma), epsilon * sigma / sensitivity
+
+    def phi(x):
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    return phi(a - b) - math.exp(epsilon) * phi(-a - b)
+
+
+# delta from 0.9 down to 1e-12, sigma from 0.01 to 10^4 in twentieths of a decade
+DELTAS = [0.9, 0.5, *(10.0**-k for k in range(1, 13))]
+SIGMAS = [10.0 ** (k / 20) for k in range(-40, 81)]
+
+
+class TestExactPrivacyCurve:
+    """epsilon_from_sigma's classic bound (Dwork & Roth 2014, Thm A.1) is a
+    true (epsilon, delta) guarantee wherever it flags epsilon in range, and
+    not everywhere outside that range."""
+
+    def test_in_range_epsilon_is_a_guarantee_on_a_grid(self):
+        in_range = [(g.epsilon, sigma, delta) for delta in DELTAS for sigma in SIGMAS
+                    if (g := epsilon_from_sigma(sigma, delta)).in_stated_range]
+        assert len(in_range) > 700
+        assert all(exact_delta(eps, sigma) <= delta for eps, sigma, delta in in_range)
+
+    @given(st.floats(1e-15, 0.99), st.floats(1e-3, 1.0, exclude_max=True))
+    def test_in_range_epsilon_is_a_guarantee_on_draws(self, delta, epsilon):
+        sigma = sigma_from_epsilon(epsilon, delta)
+        g = epsilon_from_sigma(sigma, delta)
+        if g.in_stated_range:
+            assert exact_delta(g.epsilon, sigma) <= delta
+
+    def test_out_of_range_epsilon_can_break_its_delta(self):
+        # sigma = 1 at delta = 1e-5: epsilon = 9.7, and the exact curve needs more than 1.9 delta
+        g = epsilon_from_sigma(1.0, 1e-5)
+        assert not g.in_stated_range and exact_delta(g.epsilon, 1.0) > 1.9e-5
+
+
 class TestChiSquareCdf:
     def test_d2_closed_form(self):
         zeta = 2 * math.log(2)

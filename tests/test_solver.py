@@ -1,6 +1,5 @@
 import collections
 import contextlib
-import dataclasses
 import decimal
 import itertools
 import math
@@ -39,7 +38,7 @@ from obfusgame.solver import (
     user_best_response,
 )
 from obfusgame.validate import random_small_config
-from test_config_cli import NEVER_PERTURBS, OVERFLOW, THREE_USERS, fuzz_configs
+from test_config_cli import NEVER_PERTURBS, OVERFLOW, THREE_USERS, fuzz_configs, replace
 
 
 def simple_config(p_bar=8.0, rho=1.0, gamma_s=1.0, nbar_s=0.1, nbar_l=0.2,
@@ -282,7 +281,7 @@ class TestEffectiveNoiseTarget:
         extremes = [dict(privacy_rate=1e100), dict(privacy_rate=1e300), dict(max_privacy_loss=2e23),
                     dict(max_privacy_loss=2e40), dict(max_privacy_loss=1e-300, privacy_rate=1e-10)]
         cases = [(u, config) for config in panel_games() for u in config.users]
-        cases += [(dataclasses.replace(default.users[0], **kw), default) for kw in extremes]
+        cases += [(replace(default.users[0], **kw), default) for kw in extremes]
         for user, config in cases:
             tol = config.solver.root_tol
             ref = decimal_s_star(user, config.learner)
@@ -317,7 +316,7 @@ class TestEffectiveNoiseTarget:
     @pytest.mark.parametrize("rho", [1e100, 1e200, 1e300])
     def test_root_below_root_tol_to_relative_precision(self, rho):
         config = load_shipped_config("default")
-        user = dataclasses.replace(config.users[0], privacy_rate=rho)
+        user = replace(config.users[0], privacy_rate=rho)
         rhs = stationarity_rhs(user, config.learner)
         s_star = solver.effective_noise_target(user, config.learner, config.solver.root_tol)
         assert s_star < config.solver.root_tol
@@ -443,9 +442,7 @@ class TestDissuasionThreshold:
     @pytest.mark.parametrize("rho", [1e100, 1e200, 1e300])
     def test_threshold_below_root_tol_to_relative_precision(self, rho):
         config = load_shipped_config("default")
-        config = dataclasses.replace(
-            config, users=(dataclasses.replace(config.users[0], privacy_rate=rho),)
-        )
+        config = replace(config, users=(replace(config.users[0], privacy_rate=rho),))
         u = config.users[0]
         t = dissuasion_threshold(0, config)
         assert 0 < t < config.solver.root_tol
@@ -874,8 +871,8 @@ def never_perturbing_game(sigma_max):
 def costless(config):
     """config with every user's flat cost N_bar at 0: no bound prunes the
     rest of block 0 by the cost its first level, 0, does not pay."""
-    users = tuple(dataclasses.replace(u, perturbation_cost=0.0) for u in config.users)
-    return dataclasses.replace(config, users=users)
+    users = tuple(replace(u, perturbation_cost=0.0) for u in config.users)
+    return replace(config, users=users)
 
 
 def evaluations(monkeypatch):
@@ -1433,8 +1430,8 @@ class TestAdmissibility:
         s_stars = s_stars_of(NEVER_AT_TOP)
         assert dissuasion_threshold(0, NEVER_AT_TOP) == 0.0 and s_stars[0] > 1e66
         assert solver._admissible(NEVER_AT_TOP, 1.0) == s_stars
-        user = dataclasses.replace(NEVER_AT_TOP.users[0], perturbation_cost=0.0)
-        perturbs = dataclasses.replace(NEVER_AT_TOP, users=(user,))
+        user = replace(NEVER_AT_TOP.users[0], perturbation_cost=0.0)
+        perturbs = replace(NEVER_AT_TOP, users=(user,))
         assert dissuasion_threshold(0, perturbs) != 0.0
         with pytest.raises(SolverError, match=f"{OVERFLOW} = 1.0 "):
             solver._admissible(perturbs, 1.0)
@@ -1711,14 +1708,14 @@ def scaled_game(config, k):
     """config with every gain, gamma, P_bar and flat cost, the learner's
     too, and tie_epsilon multiplied by k."""
     lp = config.learner
-    learner = dataclasses.replace(
+    learner = replace(
         lp,
         baseline_gain=k * lp.baseline_gain,
         accuracy_weight=k * lp.accuracy_weight,
         perturbation_cost=k * lp.perturbation_cost,
     )
     users = tuple(
-        dataclasses.replace(
+        replace(
             u,
             baseline_gain=k * u.baseline_gain,
             accuracy_weight=k * u.accuracy_weight,
@@ -1727,7 +1724,7 @@ def scaled_game(config, k):
         )
         for u in config.users
     )
-    return GameConfig(learner, users, dataclasses.replace(config.solver, tie_epsilon=k * config.solver.tie_epsilon))
+    return GameConfig(learner, users, replace(config.solver, tie_epsilon=k * config.solver.tie_epsilon))
 
 
 @cache
@@ -1736,8 +1733,8 @@ def interior_solve(n):
     which keeps sigma_L* inside (0, sigma_max) with over a third of the
     users perturbing at N = 64-1024, and its solve."""
     config = mixed_population(n, 0)
-    learner = dataclasses.replace(config.learner, accuracy_weight=config.learner.accuracy_weight * max(1, n / 16))
-    config = dataclasses.replace(config, learner=learner)
+    learner = replace(config.learner, accuracy_weight=config.learner.accuracy_weight * max(1, n / 16))
+    config = replace(config, learner=learner)
     return config, stackelberg_solve(config)
 
 
@@ -1799,7 +1796,7 @@ class TestUtilityScale:
 
 def permuted_game(config, order):
     """config with user order[j] in place j."""
-    return dataclasses.replace(config, users=tuple(config.users[i] for i in order))
+    return replace(config, users=tuple(config.users[i] for i in order))
 
 
 class TestUserPermutation:
@@ -1900,3 +1897,63 @@ class TestUserPermutation:
             )
 
 
+
+
+class TestComparativeStatics:
+    """Monotone relations, each read off one term's sign in the utilities,
+    on every panel_games() game and on the interior family at N = 64 and
+    256.  A user's s*, cut and best response read only its own parameters
+    and N, Λ, so every user's parameter moves at once."""
+
+    GAMES = [*panel_games(), *(interior_solve(n)[0] for n in (64, 256))]
+
+    @staticmethod
+    def _users(config, field):
+        """config with every user's field x made 2x + 1."""
+        return replace(config, users=tuple(replace(u, **{field: 2 * getattr(u, field) + 1}) for u in config.users))
+
+    @staticmethod
+    def _learner(config, **changes):
+        return replace(config, learner=replace(config.learner, **changes))
+
+    def test_a_users_cut_does_not_rise_with_its_flat_cost(self):
+        # a higher cost raises the margin's floor; s* does not read the cost
+        for config in self.GAMES:
+            s_stars = s_stars_of(config)
+            costlier = self._users(config, "perturbation_cost")
+            assert all(b <= a for a, b in zip(solver._cuts(config, s_stars), solver._cuts(costlier, s_stars))), config
+
+    def test_s_star_does_not_fall_with_p_bar_or_rise_with_gamma(self):
+        # s (1 + rho s)^2 = P_bar rho N^2 Lambda^2 / (2 gamma): the right-hand side rises with P_bar, falls with gamma
+        for config in self.GAMES:
+            base = s_stars_of(config)
+            assert all(b <= a for a, b in zip(base, s_stars_of(self._users(config, "accuracy_weight")))), config
+            if all(u.accuracy_weight > 0 for u in config.users):  # gamma = 0 < P_bar has no s*
+                assert all(a <= b for a, b in zip(base, s_stars_of(self._users(config, "max_privacy_loss")))), config
+
+    def test_learner_utility_does_not_rise_with_its_gamma_or_flat_cost(self):
+        # either lowers the leader objective at every sigma_L, and the solve
+        # picks within tie_epsilon of the best candidate
+        for config in self.GAMES:
+            lp, tie = config.learner, config.solver.tie_epsilon
+            base = stackelberg_solve(config).learner_utility
+            for field in ("accuracy_weight", "perturbation_cost"):
+                changed = self._learner(config, **{field: 2 * getattr(lp, field) + 1})
+                assert stackelberg_solve(changed).learner_utility <= base + tie, (field, config)
+
+    @pytest.mark.parametrize("delta", [0.5, -64.0])
+    def test_a_learner_gain_moves_only_its_utility(self, delta):
+        """No user and no sigma_L's ranking reads the learner's gain.  U_L is
+        the gain less three terms, each subtraction rounded to within u of a
+        partial result no larger than M = |delta| + the terms' magnitudes
+        (TestUserPermutation._terms), and so is the gain's sum: 8 u M covers
+        both solves and the sum of base U_L and delta."""
+        for config in self.GAMES:
+            base = stackelberg_solve(config)
+            result = stackelberg_solve(self._learner(config, baseline_gain=config.learner.baseline_gain + delta))
+            assert result.sigma_L_star == base.sigma_L_star, config
+            assert result.sigma_S_star == base.sigma_S_star, config
+            assert result.user_utilities == base.user_utilities, config
+            terms = TestUserPermutation._terms(config, base.sigma_L_star, base.sigma_S_star)[0]
+            bound = 8 * 2.0**-53 * (abs(delta) + sum(map(abs, terms)))
+            assert abs(result.learner_utility - (base.learner_utility + delta)) <= bound, config
