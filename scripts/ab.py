@@ -19,11 +19,13 @@ neither) and the verdict of `verdict`.  It writes BENCH_<workload>_<name>.json
 at the repository root for each side, name being the revision's short hash,
 with "+" appended for the working tree ("-base" and "-head" follow the
 name when both sides are one revision): every run's metrics, seed, order
-and CPU, and in the head's file the verdicts.  It may run from any
+and CPU, the numpy version and the BLAS it was built against (one
+interpreter runs both sides), and in the head's file the verdicts.  It may run from any
 directory; git runs in this repository.
 
 With --cold, a run is one fresh `python -m obfusgame.cli` process of each
-of COLD_COMMANDS, pinned and with numpy's threads pinned as perfbench pins
+of COLD_COMMANDS (`dp`, `solve` and `sweep`, and each `validate` suite at
+perfbench's trial counts), pinned and with numpy's threads pinned as perfbench pins
 them, and its metric is each process's wall time.  These are the
 commands' end-to-end times, start-up included, which perfbench's ops,
 run in one warm process, do not see.  Each side's src/ is compiled to
@@ -52,6 +54,10 @@ ROOT = Path(__file__).resolve().parents[1]
 COLD_COMMANDS = {
     "dp_s": ["dp", "--sigma", "2", "--delta", "1e-5"],
     "solve_s": ["solve", "--config", "src/obfusgame/configs/default.cfg", "--out", "cold-out"],
+    "sweep_s": ["sweep", "--config", "src/obfusgame/configs/default.cfg", "--out", "cold-out"],
+    # each suite at perfbench's --trials (workloads.ERM_SUITES, and the oracle suite's 1)
+    **{f"validate_{suite}_s": ["validate", "--suite", suite, "--trials", str(trials), "--out", "cold-out"]
+       for suite, trials in (("lemma1", 5), ("lemma2", 5), ("chi2", 50_000), ("scaling", 2), ("oracle", 1))},
 }
 # perfbench/run.py's thread pins, set before numpy is imported
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
@@ -154,6 +160,15 @@ def cold_once(where: Path, cpu: int) -> dict:
     return {"metrics": metrics}
 
 
+def numpy_build() -> dict:
+    """The version of the numpy that the runs import, and the BLAS it was
+    built against as numpy.show_config reports it."""
+    code = ("import json, numpy; blas = numpy.show_config(mode='dicts')['Build Dependencies']['blas']; "
+            "print(json.dumps({'version': numpy.__version__, 'blas': blas}))")
+    return json.loads(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                     check=True).stdout)
+
+
 def parse_args(argv: list[str] | None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="revision of the parent side")
@@ -182,12 +197,14 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workload = "cold" if args.cold else args.workload
     cpu = min(os.sched_getaffinity(0))
+    build = numpy_build()  # both sides run on this interpreter's numpy
     work = Path(tempfile.mkdtemp(prefix="ab-"))
     try:
         sides = {}
         for key, rev in (("base", args.base), ("head", args.head)):
             (work / key).mkdir()
-            sides[key] = {"name": side(rev, work / key), "revision": rev or "working tree", "runs": []}
+            sides[key] = {"name": side(rev, work / key), "revision": rev or "working tree", "numpy": build,
+                          "runs": []}
             if args.cold:  # an installed package starts from its bytecode, not by compiling src/
                 subprocess.run([sys.executable, "-m", "compileall", "-q", str(work / key / "src")], check=True)
         for i in range(args.pairs):
@@ -206,16 +223,18 @@ def main(argv: list[str] | None = None) -> int:
     verdicts = {}
     print(f"{workload}: base {sides['base']['name']}, head {sides['head']['name']}, "
           f"{args.pairs} pairs on CPU {cpu}")
-    print(f"{'metric':12s} {'base median [q1, q3]':>30s} {'head median [q1, q3]':>30s} {'head/base':>9s} "
+    metrics = judged(spec, args.cold)
+    width = max(len(metric["name"]) for metric in metrics)
+    print(f"{'metric':{width}s} {'base median [q1, q3]':>30s} {'head median [q1, q3]':>30s} {'head/base':>9s} "
           f"{'wins':>6s}  verdict")
-    for metric in judged(spec, args.cold):
+    for metric in metrics:
         name, better = metric["name"], metric["better"]
         base, head = ([run["metrics"][name]["value"] for run in sides[key]["runs"]] for key in ("base", "head"))
         verdicts[name] = {"verdict": verdict(base, head, better, metric["bound"]),
                           "wins": wins(base, head, better), "pairs": args.pairs,
                           "ratio": statistics.median(head) / statistics.median(base)}
         cells = ["{:.4g} [{:.4g}, {:.4g}]".format(statistics.median(v), *quartiles(v)) for v in (base, head)]
-        print(f"{name:12s} {cells[0]:>30s} {cells[1]:>30s} {verdicts[name]['ratio']:9.3f} "
+        print(f"{name:{width}s} {cells[0]:>30s} {cells[1]:>30s} {verdicts[name]['ratio']:9.3f} "
               f"{verdicts[name]['wins']:>2d}/{args.pairs:<3d}  {verdicts[name]['verdict']}")
     if not args.cold:  # a cold command that fails stops the judge
         for key in sides:

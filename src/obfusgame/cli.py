@@ -13,29 +13,36 @@ Exit codes: 0 success, 1 validation failure, 2 usage/config error,
 --suite oracle|chi2 are byte-reproducible for a fixed (config, version),
 and for validate also a fixed seed, on any BLAS: their arithmetic is
 elementwise.  validate lemma1, lemma2 and scaling train with BLAS matrix
-products, so their bytes hold for one BLAS build (lemma2's lhs moves in the
-12th digit under another OpenBLAS kernel).  The manifest's timestamp varies.
+products, so their bytes hold for one BLAS build.  lemma2's lhs, a
+difference of two risks equal to about 11 digits, moves in the 12th digit
+under OPENBLAS_CORETYPE=Prescott by two dgemv calls: the gradient's
+X^T coef in erm.train_erms and the margins X w in erm.empirical_risk.
+With both summed without BLAS its bytes hold under both kernels; with
+either alone they do not.  The manifest's timestamp varies.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
+import os
 import sys
-from datetime import datetime, timezone
+import time
 from itertools import zip_longest
-from pathlib import Path
-from typing import Iterable
 
-from . import SUITES, __version__, dp  # solver and validate load numpy: the commands that compute import them
-from .config_io import load_config
+from . import SUITES, __version__  # dp, solver and validate: each command imports what it runs
+from .config_io import load_config, path_text
 from .errors import SolverError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
+
+# json.dumps's escapes of the printable ASCII characters it does not write as
+# they are, and of the control characters it writes by a letter
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 # cells (a row's head is one) filled by one % in _write_csv: a table of 10^6
 # rows is written a bounded slice at a time, the default sweep's tables in one %
@@ -52,7 +59,7 @@ def _formatted(values) -> list[str]:
     return (("%.12g\n" * len(values)) % tuple(values)).splitlines()
 
 
-def _write_csv(path: Path, header: list[str], blocks: Iterable[tuple]) -> None:
+def _write_csv(path: str, header: list[str], blocks) -> None:
     """Write header, then each block's rows.  A block is (heads, table): heads
     holds each row's leading fields, formatted and joined by commas (written
     as they are, so one list can serve two files), and table is None or a
@@ -61,7 +68,7 @@ def _write_csv(path: Path, header: list[str], blocks: Iterable[tuple]) -> None:
     heads joined by the row's tail, filled by one %: a head beside a table may
     hold no %.  No field is quoted, the header's included, so none may hold a
     comma, quote or line break; lines end in \\r\\n."""
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for heads, table in blocks:
             width = 0 if table is None else table.shape[1]
@@ -71,23 +78,77 @@ def _write_csv(path: Path, header: list[str], blocks: Iterable[tuple]) -> None:
                 fh.write(lines if table is None else lines % tuple(table[k : k + rows].ravel().tolist()))
 
 
-def _write_manifest(out: Path, args, command: str, **resolved) -> None:
-    """manifest.json: what ran, on what, where, when, with each argument that shapes its outputs."""
+def _json(value) -> str:
+    """A str, int, float, bool or None as json.dumps writes it: a string in
+    ASCII, each other character as \\uXXXX (a surrogate pair above U+FFFF)."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _JSON_FLOATS.get(text := float.__repr__(value), text)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+        return f'"{value}"'
+    chars = []
+    for char in value:
+        if char in _JSON_ESCAPES:
+            chars.append(_JSON_ESCAPES[char])
+        elif " " <= char <= "~":
+            chars.append(char)
+        elif (code := ord(char)) < 0x10000:
+            chars.append(f"\\u{code:04x}")
+        else:
+            code -= 0x10000
+            chars.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
+    return '"' + "".join(chars) + '"'
+
+
+def _write_manifest(out: str, args, command: str, **resolved) -> None:
+    """manifest.json: what ran, on what, where, when, with each argument that
+    shapes its outputs.  Its bytes are json.dumps(manifest, indent=2) + "\\n"."""
+    seconds, ns = divmod(time.time_ns(), 10**9)
     manifest = {
         "command": command,
         "config": getattr(args, "config", None),
         "seed": getattr(args, "seed", None),  # set by validate only; solve and sweep are not random
         **resolved,
-        "out": str(out),
+        "out": out,
         "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
+        # ISO 8601 in UTC, to the microsecond
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + f".{ns // 1000:06d}+00:00",
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    fields = ",\n".join(f"  {_json(key)}: {_json(value)}" for key, value in manifest.items())
+    with open(_in(out, "manifest.json"), "w", encoding="utf-8") as fh:
+        fh.write("{\n" + fields + "\n}\n")
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _in(out: str, name: str) -> str:
+    """The path of file name in directory out, as str(Path(out) / name)."""
+    return name if out == "." else os.path.join(out, name)
+
+
+def _mkdir(path: str, parents: bool = True) -> None:
+    """Path(path).mkdir(parents=parents, exist_ok=True), with the same
+    errors, for a path as path_text writes it."""
+    try:
+        os.mkdir(path)
+    except FileNotFoundError:
+        head, sep, _ = path.rpartition("/")
+        parent = head if head.strip("/") else head + sep or "."  # Path(path).parent
+        if not parents or parent == path:
+            raise
+        _mkdir(parent)
+        _mkdir(path, parents=False)
+    except OSError:
+        if not os.path.isdir(path):
+            raise
+
+
+def _outdir(args) -> str:
+    out = path_text(args.out)
+    _mkdir(out)
     return out
 
 
@@ -109,10 +170,11 @@ def _cmd_solve(args) -> int:
     for i, (s, u) in enumerate(zip(result.sigma_S_star, result.user_utilities)):
         lines.append(f"sigma_S_star[{i}] = {_fmt(s)}")
         lines.append(f"user_utility[{i}] = {_fmt(u)}")
-    (out / "equilibrium.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(_in(out, "equilibrium.txt"), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
     thresholds = [f"{i},{'' if t is None else _fmt(t)}" for i, t in enumerate(result.per_user_thresholds)]
-    _write_csv(out / "thresholds.csv", ["user", "threshold"], [(thresholds, None)])
+    _write_csv(_in(out, "thresholds.csv"), ["user", "threshold"], [(thresholds, None)])
     _write_manifest(out, args, "solve", oracle=args.oracle, fine_step=args.fine_step)
     print("\n".join(lines))
     return EXIT_OK
@@ -141,20 +203,23 @@ def _cmd_sweep(args) -> int:
         heads += map(",".join, zip_longest(chunk, *brs, fillvalue="0"))
     del chunk  # the grid's strings live on only in sigma's text
     br_head, u_head = [f"br_user_{i}" for i in range(n)], [f"U_S_{i}" for i in range(n)]
-    _write_csv(out / "sweep_best_response.csv", ["sigma_L", *br_head], [(heads, None)])
+    _write_csv(_in(out, "sweep_best_response.csv"), ["sigma_L", *br_head], [(heads, None)])
     table = ((heads[k : k + rows], np.vstack((leader[k : k + rows], utilities[:, k : k + rows])).T)
              for k in range(0, len(grid), rows))
-    _write_csv(out / "sweep_leader.csv", ["sigma_L", *br_head, "U_L", *u_head], table)
+    _write_csv(_in(out, "sweep_leader.csv"), ["sigma_L", *br_head, "U_L", *u_head], table)
     del heads  # the own-noise blocks hold one head per point of a chunk, one sample at a time
     own_blocks = ((f"{s},{text}".replace("\n", f"\n{s},").split("\n"), block.T[j * rows : (j + 1) * rows])
                   for s, block in zip(_formatted(samples), own) for j, text in enumerate(sigma))
-    _write_csv(out / "sweep_user_utility.csv", ["sigma_L", "sigma_S", *u_head], own_blocks)
+    _write_csv(_in(out, "sweep_user_utility.csv"), ["sigma_L", "sigma_S", *u_head], own_blocks)
     _write_manifest(out, args, "sweep", lo=lo, hi=hi, step=step, points=len(grid))
     print(f"wrote 3 sweep files to {out}")
     return EXIT_OK
 
 
 def _cmd_dp(args) -> int:
+    if args.d is not None and args.zeta is None:
+        raise ValueError("--d applies only with --zeta")
+    from . import dp
     lines = []
     if args.sigma is not None:
         guarantee = dp.epsilon_from_sigma(args.sigma, args.delta)
@@ -169,8 +234,9 @@ def _cmd_dp(args) -> int:
     lines.append(f"delta   = {_fmt(args.delta)}")
 
     if args.zeta is not None:
-        report = dp.norm_bound_probability(args.d, args.zeta, args.delta)
-        lines.append(f"d                   = {args.d}")
+        d = 5 if args.d is None else args.d
+        report = dp.norm_bound_probability(d, args.zeta, args.delta)
+        lines.append(f"d                   = {d}")
         lines.append(f"zeta                = {_fmt(args.zeta)}")
         lines.append(f"norm_bound_prob     = {_fmt(report.probability)}")
         lines.append(f"combined_success    = {_fmt(report.combined_success)}")
@@ -185,7 +251,7 @@ def _cmd_validate(args) -> int:
     out = _outdir(args)
     header = list(result.rows[0].keys())
     heads = [",".join(_fmt(row[k]) for k in header) for row in result.rows]
-    _write_csv(out / f"validate_{args.suite}.csv", header, [(heads, None)])
+    _write_csv(_in(out, f"validate_{args.suite}.csv"), header, [(heads, None)])
     _write_manifest(out, args, f"validate {args.suite}", trials=args.trials)
     print(result.summary)
     if not result.passed:
@@ -226,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     noise.add_argument("--sigma", type=float, default=None)
     noise.add_argument("--epsilon", type=float, default=None)
     p_dp.add_argument("--delta", type=float, required=True)
-    p_dp.add_argument("--d", type=int, default=5)
+    p_dp.add_argument("--d", type=int, default=None)  # 5 with --zeta; refused without it
     p_dp.add_argument("--zeta", type=float, default=None)
     p_dp.set_defaults(func=_cmd_dp)
 

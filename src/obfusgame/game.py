@@ -13,7 +13,6 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from .errors import ConfigError
 
@@ -180,7 +179,7 @@ def _check_user(config: GameConfig, i: int) -> None:
         raise IndexError(f"user index {i} out of range for N={config.n_users}")
 
 
-def _spread(sigma_L: float, sigma_S: Sequence[float], n_users: int) -> float:
+def _spread(sigma_L: float, sigma_S: "list[float] | tuple[float, ...]", n_users: int) -> float:
     """sigma_L^2 + sum_i sigma_S[i]^2 / N, summed in user order."""
     total = sigma_L * sigma_L
     for s in sigma_S:

@@ -4,11 +4,13 @@ and its cold mode on stub sides, without a benchmark run."""
 import importlib.util
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location("ab", Path(__file__).resolve().parents[1] / "scripts" / "ab.py")
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("ab", ROOT / "scripts" / "ab.py")
 ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab)
 
@@ -82,7 +84,32 @@ def test_cold_and_workload_are_the_two_modes():
 
 def test_cold_commands_are_judged_by_the_setup_bound():
     assert ab.judged(SPEC, cold=False) == SPEC["end_to_end"]
-    assert ab.judged(SPEC, cold=True) == [{**SPEC["end_to_end"][0], "name": name} for name in ("dp_s", "solve_s")]
+    assert ab.judged(SPEC, cold=True) == [{**SPEC["end_to_end"][0], "name": name} for name in ab.COLD_COMMANDS]
+
+
+def test_cold_commands_are_every_command_and_each_suite_at_perfbenchs_trials(monkeypatch):
+    from obfusgame import SUITES
+
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its data classes look their module up
+    spec.loader.exec_module(workloads)
+    assert [command[0] for command in ab.COLD_COMMANDS.values()] == ["dp", "solve", "sweep", *["validate"] * 5]
+    suites = {command[2]: int(command[4]) for command in ab.COLD_COMMANDS.values() if command[0] == "validate"}
+    # the oracle workload runs its suite at --trials 1, one seed per op
+    assert suites == {**dict(workloads.ERM_SUITES), "oracle": 1} and set(suites) == set(SUITES)
+    assert list(ab.COLD_COMMANDS) == ["dp_s", "solve_s", "sweep_s", *(f"validate_{s}_s" for s in suites)]
+    for command in ab.COLD_COMMANDS.values():  # each runs from its side's root; the writers write under it
+        assert "--config" not in command or (ROOT / command[command.index("--config") + 1]).is_file()
+        assert command[0] == "dp" or command[-2:] == ["--out", "cold-out"]
+
+
+def test_numpy_build_names_the_version_and_the_blas():
+    import numpy
+
+    build = ab.numpy_build()
+    assert build["version"] == numpy.__version__
+    assert build["blas"] == numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
 
 
 def _stub_side(where, body):
@@ -119,6 +146,7 @@ def test_cold_judge_writes_one_record_per_side(tmp_path, monkeypatch, capsys):
         return "base" if rev else "head+"
 
     monkeypatch.setattr(ab, "side", side)
+    monkeypatch.setattr(ab, "numpy_build", lambda: {"version": "9.9", "blas": {"name": "stub"}})
     times = iter(range(1, 100))
     monkeypatch.setattr(ab, "cold_once", lambda where, cpu: {
         "metrics": {name: {"value": next(times) * (0.5 if where.name == "head" else 1.0), "unit": "s"}
@@ -128,6 +156,7 @@ def test_cold_judge_writes_one_record_per_side(tmp_path, monkeypatch, capsys):
     assert written == ["BENCH_cold_base.json", "BENCH_cold_head+.json"]
     base, head = (json.loads((tmp_path / name).read_text()) for name in written)
     assert base["workload"] == head["workload"] == "cold"
+    assert base["numpy"] == head["numpy"] == {"version": "9.9", "blas": {"name": "stub"}}
     assert [run["first"] for run in base["runs"]] == [True, False]
     assert all(run["seed"] is None and set(run["metrics"]) == set(ab.COLD_COMMANDS) for run in base["runs"])
     assert set(head["verdicts"]) == {"base", *ab.COLD_COMMANDS}

@@ -14,14 +14,18 @@ from itertools import chain, count
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import obfusgame
-from obfusgame import erm
+from obfusgame import cli, erm
 from obfusgame.cli import main
 from obfusgame.config_io import (
     SHIPPED_CONFIGS,
+    load_config,
     load_shipped_config,
     parse_config_text,
+    path_text,
     shipped_config_path,
 )
 from obfusgame.errors import ConfigError, ConvergenceError
@@ -1184,6 +1188,22 @@ class TestCliDp:
         assert main(["dp", "--sigma", "1", "--delta", "1.5"]) == 2
         assert "delta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d", ["3", "5", "0"])
+    def test_d_without_zeta_exit_2(self, capsys, d):
+        # the --d given without --zeta would be ignored, so it is refused, as
+        # --fine-step is without --oracle, before any check of the other values
+        assert main(["dp", "--sigma", "2", "--delta", "1e-5", "--d", d]) == 2
+        assert capsys.readouterr() == ("", "error: --d applies only with --zeta\n")
+        assert main(["dp", "--sigma", "nan", "--delta", "1e-5", "--d", d]) == 2
+        assert capsys.readouterr().err == "error: --d applies only with --zeta\n"
+
+    def test_d_is_5_by_default_with_zeta(self, capsys):
+        assert main(["dp", "--sigma", "1", "--delta", "0.1", "--zeta", "1.3863"]) == 0
+        implicit = capsys.readouterr().out
+        assert main(["dp", "--sigma", "1", "--delta", "0.1", "--zeta", "1.3863", "--d", "5"]) == 0
+        assert capsys.readouterr().out == implicit
+        assert "d                   = 5\n" in implicit
+
     def test_delta_domain_same_with_and_without_zeta(self, capsys):
         assert main(["dp", "--sigma", "1", "--delta", "1.1"]) == 2
         assert main(["dp", "--sigma", "1", "--delta", "1.1", "--zeta", "5"]) == 2
@@ -1335,20 +1355,131 @@ def test_cli_import_loads_no_scipy():
     assert loaded == "{'numpy': False, 'cli': []}"
 
 
+# what no command needs before it runs, and the package's dp, which only dp's
+# command and the chi2 suite use
+NOT_AT_START = ["csv", "dataclasses", "inspect", "json", "datetime", "obfusgame.dp"]
+
+
 @pytest.mark.parametrize("flags, modules", [
-    pytest.param([], ["csv", "dataclasses", "inspect"], id="site"),
-    # -S: no site hook loads importlib.resources ahead of the package
-    pytest.param(["-S"], ["csv", "dataclasses", "inspect", "importlib.resources"], id="no_site"),
+    pytest.param([], NOT_AT_START, id="site"),
+    # -S: no site hook loads importlib.resources, typing or pathlib ahead of the package
+    pytest.param(["-S"], [*NOT_AT_START, "importlib.resources", "typing", "pathlib"], id="no_site"),
 ])
 def test_cli_import_loads_no_csv_or_resources(flags, modules):
     # a CSV header is one join, a shipped config's path is next to its module,
-    # and a record is a plain class
+    # a record is a plain class, the manifest is written without json or
+    # datetime, annotations are strings and paths are os paths
     code = f"import sys, obfusgame.cli; print([m for m in {modules!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(Path(obfusgame.__file__).parents[1])}
     loaded = subprocess.run(
         [sys.executable, *flags, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout.strip()
     assert loaded == "[]"
+
+
+def test_dp_module_loads_with_the_dp_command():
+    # --help and a usage error load no dp; the dp command loads it, and no
+    # command writes its manifest with json or stamps it with datetime
+    code = ("import sys, obfusgame.cli as cli; loaded = []\n"
+            "for argv in (['--help'], ['dp', '--delta', '0.1'], ['dp', '--sigma', '2', '--delta', '1e-5']):\n"
+            "    try:\n"
+            "        cli.main(argv)\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "    loaded.append('obfusgame.dp' in sys.modules)\n"
+            "print(loaded, 'json' in sys.modules, 'datetime' in sys.modules, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True, env=CLI_ENV)
+    assert done.stderr.splitlines()[-1] == "[False, False, True] False False"
+
+
+# drawn manifest values: the records' scalars, and paths that hold control,
+# non-ASCII and astral characters (and, in --config, lone surrogates, which
+# os.fsdecode makes of undecodable bytes)
+ANY_TEXT = st.text(st.characters(blacklist_categories=()), max_size=12)
+NAME_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="/\0"), min_size=1,
+                    max_size=8).filter(lambda name: name not in (".", ".."))
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | ANY_TEXT
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=NAME_TEXT, config=st.none() | ANY_TEXT, seed=st.none() | st.integers(),
+       resolved=st.dictionaries(ANY_TEXT, SCALARS, max_size=4))
+@example(name="\x01\x7f\u00e9\u20ac\U0001F600\"\\", config="\udcff\n\t", seed=-1,
+         resolved={"lo": -0.0, "hi": float("inf"), "step": float("nan"), "fine_step": 1e-320, "oracle": True})
+def test_manifest_bytes_are_json_dumps(tmp_path_factory, name, config, seed, resolved):
+    """The manifest writer's bytes are json.dumps(manifest, indent=2) + "\\n"."""
+    out = path_text(tmp_path_factory.mktemp("manifest") / name)
+    os.mkdir(out)
+    args = type("Args", (), {"config": config, "seed": seed})()
+    cli._write_manifest(out, args, "solve", **resolved)
+    written = Path(out, "manifest.json").read_bytes()
+    timestamp = json.loads(written)["timestamp"]
+    manifest = {"command": "solve", "config": config, "seed": seed, **resolved, "out": out,
+                "version": obfusgame.__version__, "timestamp": timestamp}
+    assert written == (json.dumps(manifest, indent=2) + "\n").encode()
+
+
+def test_manifest_timestamp_is_utc_iso_8601_to_the_microsecond(tmp_path):
+    from datetime import datetime, timezone
+
+    before = datetime.now(timezone.utc)
+    assert main(["solve", "--config", str(shipped_config_path("default")), "--out", str(tmp_path)]) == 0
+    stamp = json.loads((tmp_path / "manifest.json").read_text())["timestamp"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}\+00:00", stamp)
+    assert before.replace(microsecond=0) <= datetime.fromisoformat(stamp) <= datetime.now(timezone.utc)
+
+
+PATHS = ["", ".", "./", "a", "a/", "a//b", "./a/./b/.", "/", "//", "///", "//a//b/", "///a/", "a/../b", ".a/..b"]
+
+
+@given(st.text("/.ab", max_size=8))
+@example("//./")
+def test_path_text_is_pathlibs(text):
+    assert path_text(text) == str(Path(text))
+
+
+@pytest.mark.parametrize("text", PATHS)
+def test_path_text_of_listed_paths(text):
+    assert path_text(text) == str(Path(text)) == path_text(Path(text))
+
+
+@pytest.mark.parametrize("out", ["file", "file/", "./file", "file/sub", "file//a/b/", "new/./a//b", "new", ".",
+                                 "dir/.", "deep/er/still/"])
+def test_out_is_made_as_pathlib_makes_it(tmp_path, monkeypatch, out):
+    # the same directories, or the same error (the CLI's one error: line)
+    made = {}
+    for side, mkdir in (("pathlib", lambda: Path(out).mkdir(parents=True, exist_ok=True)),
+                        ("cli", lambda: cli._mkdir(path_text(out)))):
+        (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / side)
+        Path("file").write_text("")
+        Path("dir").mkdir()
+        try:
+            mkdir()
+            error = None
+        except OSError as exc:
+            error = (type(exc), str(exc))
+        made[side] = error, sorted(p.relative_to(tmp_path / side) for p in (tmp_path / side).rglob("*"))
+    assert made["cli"] == made["pathlib"]
+
+
+@pytest.mark.parametrize("config", ["missing.cfg", "./missing.cfg", "a//missing.cfg", "dir", "dir/"])
+def test_config_read_errors_are_pathlibs(tmp_path, monkeypatch, config):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(OSError) as ours:
+        load_config(config)
+    with pytest.raises(type(ours.value)) as theirs:
+        Path(config).read_text(encoding="utf-8")
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_config_error_names_the_file_as_pathlib_does(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.cfg").write_text(MINIMAL.replace("learner.N_bar  = 0\n", ""))
+    for name in ("bad.cfg", "./bad.cfg", ".//bad.cfg"):
+        with pytest.raises(ConfigError, match=r"^bad\.cfg: missing learner keys \['N_bar'\]$"):
+            load_config(name)
 
 
 def test_cli_imports_nothing_private():
@@ -1583,6 +1714,12 @@ def test_package_exports_are_their_modules_objects():
     fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=CLI_ENV)
     modules = {"config_io", "dp", "errors", "game", "solver"}
     assert fresh.stdout.split() == sorted({*chain.from_iterable(EXPORTS.values()), "SUITES", *modules})
+    # in a fresh interpreter dir() lists these names, and dp and solver's are imported on first access
+    code = ("import sys, obfusgame; print(*[n for n in dir(obfusgame) if not n.startswith('_')]); "
+            "print(obfusgame.dp is sys.modules['obfusgame.dp'], obfusgame.chi_square_cdf.__module__)")
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=CLI_ENV)
+    names = sorted({*chain.from_iterable(EXPORTS.values()), "SUITES", *modules - {"solver"}})
+    assert fresh.stdout == " ".join(names) + "\nTrue obfusgame.dp\n"
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         obfusgame.no_such_name
 

@@ -9,7 +9,7 @@ from functools import cache, partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from obfusgame import solver
@@ -1741,6 +1741,26 @@ def interior_solve(n):
 LARGE_N = [64, 256, 1024]
 
 
+@st.composite
+def scaled_games(draw):
+    """A games() game and k = 2^j, j in [-512, 1018] but not 0, such that
+    every value scaled_game scales, and every value of the solve and the
+    sweep that scales with k, stays in the normal range.  Each such value is
+    a scaled parameter (below 2^5 here, so 2^1018 keeps it finite) times a
+    factor of the noise levels, rho, N and Lambda.  Where the nonzero scaled
+    parameters are at least 2^-64, s* is 0 or above about 2^-80, and a
+    nonzero factor is at least about an ulp of s*^2, above 2^-300; so
+    2^-512 keeps the value normal.  A game with a smaller parameter is
+    skipped: where a value leaves the normal range, k rounds it anew."""
+    config = draw(games())
+    lp = config.learner
+    scaled = [lp.baseline_gain, lp.accuracy_weight, lp.perturbation_cost, config.solver.tie_epsilon]
+    for u in config.users:
+        scaled += [u.baseline_gain, u.accuracy_weight, u.max_privacy_loss, u.perturbation_cost]
+    assume(all(v == 0 or v >= 2.0**-64 for v in scaled))
+    return config, 2.0 ** draw(st.integers(-512, 1017).map(lambda j: j + (j >= 0)))
+
+
 class TestUtilityScale:
     """A power-of-two k scales s*'s right-hand side, every margin and every
     utility exactly, so the equilibrium cannot move and every utility is
@@ -1792,6 +1812,34 @@ class TestUtilityScale:
             assert result.per_user_thresholds == base.per_user_thresholds, config
             assert result.learner_utility == k * base.learner_utility, config
             assert result.user_utilities == tuple(k * u for u in base.user_utilities), config
+
+
+    @settings(max_examples=20, deadline=None)
+    @given(scaled_games())
+    def test_power_of_two_scale_on_drawn_games(self, drawn):
+        """The solve's and the sweep's relations on games() draws: a draw
+        whose scaled game overflows (its record refuses a coefficient, or
+        the solver its utilities) is skipped, not judged looser."""
+        config, k = drawn
+        base = stackelberg_solve(config)
+        try:
+            scaled = scaled_game(config, k)
+            result = stackelberg_solve(scaled)
+        except (ValueError, SolverError) as exc:  # ConfigError is a ValueError
+            assert "is not finite" in str(exc) or OVERFLOW in str(exc)
+            reject()
+        assert result.sigma_L_star == base.sigma_L_star
+        assert result.sigma_S_star == base.sigma_S_star
+        assert result.per_user_thresholds == base.per_user_thresholds
+        assert result.learner_utility == k * base.learner_utility
+        assert result.user_utilities == tuple(k * u for u in base.user_utilities)
+        settings_ = config.solver
+        grid, samples, own, responses, leader, users = solver.sweep(
+            config, 0.0, settings_.sigma_max, settings_.grid_step
+        )
+        result = solver.sweep(scaled, 0.0, settings_.sigma_max, settings_.grid_step)
+        expected = (grid, samples, k * own, responses, k * leader, k * users)
+        assert all(map(np.array_equal, result, expected))
 
 
 def permuted_game(config, order):
@@ -1897,6 +1945,36 @@ class TestUserPermutation:
             )
 
 
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(games(), st.data())
+    def test_permuted_users_on_drawn_games(self, config, data):
+        """The solve's and the sweep's relations on games() draws, each
+        under a drawn relabelling, at tie_epsilon > 0.  At tie_epsilon = 0
+        an exact tie goes to whichever side a user-order sum rounds up, so
+        the order can move sigma_L*: four users at zero flat cost (three
+        alike) leave the leader indifferent on [0, s*], and one relabelling
+        moved sigma_L* from 0 to s* = 2.5456."""
+        assume(config.solver.tie_epsilon > 0)
+        order = data.draw(st.permutations(range(config.n_users)))
+        base, result = stackelberg_solve(config), stackelberg_solve(permuted_game(config, order))
+        assert result.sigma_L_star == base.sigma_L_star
+        assert result.sigma_S_star == tuple(base.sigma_S_star[i] for i in order)
+        assert result.per_user_thresholds == tuple(base.per_user_thresholds[i] for i in order)
+        self._assert_utilities_permuted(
+            config, order, base.sigma_L_star, base.sigma_S_star,
+            (base.learner_utility, base.user_utilities), (result.learner_utility, result.user_utilities),
+        )
+        settings_ = config.solver
+        grid, samples, own, responses, leader, users = solver.sweep(
+            config, 0.0, settings_.sigma_max, settings_.grid_step
+        )
+        result = solver.sweep(permuted_game(config, order), 0.0, settings_.sigma_max, settings_.grid_step)
+        assert np.array_equal(result[0], grid) and np.array_equal(result[1], samples)
+        assert np.array_equal(result[2], own[:, order])
+        assert np.array_equal(result[3], responses[order])
+        self._assert_utilities_permuted(config, order, grid, responses, (leader, users), result[4:])
 
 
 class TestComparativeStatics:
