@@ -5,17 +5,17 @@ Gaussian-mechanism privacy guarantees and ERM accuracy validation.
 are imported on first access (PEP 562), so the commands that compute
 nothing start fast.  A bare `import obfusgame.cli` loads the game's
 records, the config reader and the CLI, and from the standard library
-little more than argparse: no numpy, json, datetime, csv, inspect or the
-standard library's data classes (the records are plain classes on
-game._Record, and the CLI writes its manifest itself), and without a
-site hook that loads them first no importlib.resources, typing or pathlib
-(annotations are strings, and paths are os paths).  The import took
-about 15 ms before json, datetime, dp, typing and pathlib left it, and
-11.6 ms after (perfbench setup_s).  A command loads what it runs: numpy
-brings datetime and typing back to solve, sweep and validate, and
-validate loads dp, so solve and sweep save json and dp, validate json,
-and dp json and datetime; a usage or config error exits before any of
-them."""
+little more than argparse and pathlib: no numpy, json, datetime, csv,
+inspect or the standard library's data classes (the records are plain
+classes on game._Record, and the CLI imports json and datetime when it
+writes a manifest), and without a site hook that loads them first no
+importlib.resources or typing (annotations are strings).  The import took
+15.0 ms before json, datetime and dp left it, and 11.1 ms after
+(perfbench setup_s on oracle_suite, with the site hook).  A command loads
+what it runs: numpy brings datetime and typing back to solve, sweep and
+validate, validate loads dp, and each of the three writes a manifest, so
+solve and sweep save dp, validate nothing, and dp json and datetime; a
+usage or config error exits before any of them."""
 
 __version__ = "0.1.0"
 

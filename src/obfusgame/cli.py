@@ -25,24 +25,18 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
-import time
 from itertools import zip_longest
+from pathlib import Path
 
 from . import SUITES, __version__  # dp, solver and validate: each command imports what it runs
-from .config_io import load_config, path_text
+from .config_io import load_config
 from .errors import SolverError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
-
-# json.dumps's escapes of the printable ASCII characters it does not write as
-# they are, and of the control characters it writes by a letter
-_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 # cells (a row's head is one) filled by one % in _write_csv: a table of 10^6
 # rows is written a bounded slice at a time, the default sweep's tables in one %
@@ -59,7 +53,7 @@ def _formatted(values) -> list[str]:
     return (("%.12g\n" * len(values)) % tuple(values)).splitlines()
 
 
-def _write_csv(path: str, header: list[str], blocks) -> None:
+def _write_csv(path: Path, header: list[str], blocks) -> None:
     """Write header, then each block's rows.  A block is (heads, table): heads
     holds each row's leading fields, formatted and joined by commas (written
     as they are, so one list can serve two files), and table is None or a
@@ -68,7 +62,7 @@ def _write_csv(path: str, header: list[str], blocks) -> None:
     heads joined by the row's tail, filled by one %: a head beside a table may
     hold no %.  No field is quoted, the header's included, so none may hold a
     comma, quote or line break; lines end in \\r\\n."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for heads, table in blocks:
             width = 0 if table is None else table.shape[1]
@@ -78,77 +72,28 @@ def _write_csv(path: str, header: list[str], blocks) -> None:
                 fh.write(lines if table is None else lines % tuple(table[k : k + rows].ravel().tolist()))
 
 
-def _json(value) -> str:
-    """A str, int, float, bool or None as json.dumps writes it: a string in
-    ASCII, each other character as \\uXXXX (a surrogate pair above U+FFFF)."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _JSON_FLOATS.get(text := float.__repr__(value), text)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
-        return f'"{value}"'
-    chars = []
-    for char in value:
-        if char in _JSON_ESCAPES:
-            chars.append(_JSON_ESCAPES[char])
-        elif " " <= char <= "~":
-            chars.append(char)
-        elif (code := ord(char)) < 0x10000:
-            chars.append(f"\\u{code:04x}")
-        else:
-            code -= 0x10000
-            chars.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
-    return '"' + "".join(chars) + '"'
-
-
-def _write_manifest(out: str, args, command: str, **resolved) -> None:
+def _write_manifest(out: Path, args, command: str, **resolved) -> None:
     """manifest.json: what ran, on what, where, when, with each argument that
-    shapes its outputs.  Its bytes are json.dumps(manifest, indent=2) + "\\n"."""
-    seconds, ns = divmod(time.time_ns(), 10**9)
+    shapes its outputs.  json and datetime are imported here, not at start-up:
+    dp, --help and a usage or config error write no manifest."""
+    import json
+    from datetime import datetime, timezone
+
     manifest = {
         "command": command,
         "config": getattr(args, "config", None),
         "seed": getattr(args, "seed", None),  # set by validate only; solve and sweep are not random
         **resolved,
-        "out": out,
+        "out": str(out),
         "version": __version__,
-        # ISO 8601 in UTC, to the microsecond
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + f".{ns // 1000:06d}+00:00",
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="microseconds"),
     }
-    fields = ",\n".join(f"  {_json(key)}: {_json(value)}" for key, value in manifest.items())
-    with open(_in(out, "manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write("{\n" + fields + "\n}\n")
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def _in(out: str, name: str) -> str:
-    """The path of file name in directory out, as str(Path(out) / name)."""
-    return name if out == "." else os.path.join(out, name)
-
-
-def _mkdir(path: str, parents: bool = True) -> None:
-    """Path(path).mkdir(parents=parents, exist_ok=True), with the same
-    errors, for a path as path_text writes it."""
-    try:
-        os.mkdir(path)
-    except FileNotFoundError:
-        head, sep, _ = path.rpartition("/")
-        parent = head if head.strip("/") else head + sep or "."  # Path(path).parent
-        if not parents or parent == path:
-            raise
-        _mkdir(parent)
-        _mkdir(path, parents=False)
-    except OSError:
-        if not os.path.isdir(path):
-            raise
-
-
-def _outdir(args) -> str:
-    out = path_text(args.out)
-    _mkdir(out)
+def _outdir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -170,11 +115,10 @@ def _cmd_solve(args) -> int:
     for i, (s, u) in enumerate(zip(result.sigma_S_star, result.user_utilities)):
         lines.append(f"sigma_S_star[{i}] = {_fmt(s)}")
         lines.append(f"user_utility[{i}] = {_fmt(u)}")
-    with open(_in(out, "equilibrium.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    (out / "equilibrium.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     thresholds = [f"{i},{'' if t is None else _fmt(t)}" for i, t in enumerate(result.per_user_thresholds)]
-    _write_csv(_in(out, "thresholds.csv"), ["user", "threshold"], [(thresholds, None)])
+    _write_csv(out / "thresholds.csv", ["user", "threshold"], [(thresholds, None)])
     _write_manifest(out, args, "solve", oracle=args.oracle, fine_step=args.fine_step)
     print("\n".join(lines))
     return EXIT_OK
@@ -203,14 +147,14 @@ def _cmd_sweep(args) -> int:
         heads += map(",".join, zip_longest(chunk, *brs, fillvalue="0"))
     del chunk  # the grid's strings live on only in sigma's text
     br_head, u_head = [f"br_user_{i}" for i in range(n)], [f"U_S_{i}" for i in range(n)]
-    _write_csv(_in(out, "sweep_best_response.csv"), ["sigma_L", *br_head], [(heads, None)])
+    _write_csv(out / "sweep_best_response.csv", ["sigma_L", *br_head], [(heads, None)])
     table = ((heads[k : k + rows], np.vstack((leader[k : k + rows], utilities[:, k : k + rows])).T)
              for k in range(0, len(grid), rows))
-    _write_csv(_in(out, "sweep_leader.csv"), ["sigma_L", *br_head, "U_L", *u_head], table)
+    _write_csv(out / "sweep_leader.csv", ["sigma_L", *br_head, "U_L", *u_head], table)
     del heads  # the own-noise blocks hold one head per point of a chunk, one sample at a time
     own_blocks = ((f"{s},{text}".replace("\n", f"\n{s},").split("\n"), block.T[j * rows : (j + 1) * rows])
                   for s, block in zip(_formatted(samples), own) for j, text in enumerate(sigma))
-    _write_csv(_in(out, "sweep_user_utility.csv"), ["sigma_L", "sigma_S", *u_head], own_blocks)
+    _write_csv(out / "sweep_user_utility.csv", ["sigma_L", "sigma_S", *u_head], own_blocks)
     _write_manifest(out, args, "sweep", lo=lo, hi=hi, step=step, points=len(grid))
     print(f"wrote 3 sweep files to {out}")
     return EXIT_OK
@@ -251,7 +195,7 @@ def _cmd_validate(args) -> int:
     out = _outdir(args)
     header = list(result.rows[0].keys())
     heads = [",".join(_fmt(row[k]) for k in header) for row in result.rows]
-    _write_csv(_in(out, f"validate_{args.suite}.csv"), header, [(heads, None)])
+    _write_csv(out / f"validate_{args.suite}.csv", header, [(heads, None)])
     _write_manifest(out, args, f"validate {args.suite}", trials=args.trials)
     print(result.summary)
     if not result.passed:

@@ -13,7 +13,7 @@ found on a line names its number; a missing or invalid value names the file.
 
 from __future__ import annotations
 
-import os
+from pathlib import Path
 
 from .errors import ConfigError
 from .game import GameConfig, LearnerParams, SolverSettings, UserParams
@@ -96,28 +96,14 @@ def parse_config_text(text: str, source: str = "<string>") -> GameConfig:
         raise ConfigError(f"{source}: {exc}") from exc
 
 
-def path_text(path: "str | os.PathLike[str]") -> str:
-    """str(pathlib.Path(path)) on POSIX, without importing pathlib: empty
-    and "." components dropped, "." for none left, and two leading slashes
-    kept (more become one)."""
-    text = os.fspath(path)
-    parts = text.lstrip("/")
-    root = "//" if len(text) - len(parts) == 2 else "/" if parts != text else ""
-    return root + "/".join(part for part in parts.split("/") if part not in ("", ".")) or "."
+def load_config(path: "str | Path") -> GameConfig:
+    path = Path(path)
+    return parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
 
 
-def load_config(path: "str | os.PathLike[str]") -> GameConfig:
-    path = path_text(path)  # the name errors give, as pathlib writes it
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_config_text(text, source=path)
-
-
-def shipped_config_path(name: str):
-    """The pathlib.Path of a config shipped with the package, in the
+def shipped_config_path(name: str) -> Path:
+    """Filesystem path of a config shipped with the package, in the
     configs directory next to this module."""
-    from pathlib import Path  # only here: the CLI's start-up loads no pathlib
-
     if name not in SHIPPED_CONFIGS:
         raise ValueError(f"unknown shipped config {name!r}; choose from {SHIPPED_CONFIGS}")
     return Path(__file__).with_name("configs") / f"{name}.cfg"

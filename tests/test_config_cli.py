@@ -14,18 +14,14 @@ from itertools import chain, count
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import obfusgame
-from obfusgame import cli, erm
+from obfusgame import erm
 from obfusgame.cli import main
 from obfusgame.config_io import (
     SHIPPED_CONFIGS,
-    load_config,
     load_shipped_config,
     parse_config_text,
-    path_text,
     shipped_config_path,
 )
 from obfusgame.errors import ConfigError, ConvergenceError
@@ -1362,13 +1358,13 @@ NOT_AT_START = ["csv", "dataclasses", "inspect", "json", "datetime", "obfusgame.
 
 @pytest.mark.parametrize("flags, modules", [
     pytest.param([], NOT_AT_START, id="site"),
-    # -S: no site hook loads importlib.resources, typing or pathlib ahead of the package
-    pytest.param(["-S"], [*NOT_AT_START, "importlib.resources", "typing", "pathlib"], id="no_site"),
+    # -S: no site hook loads importlib.resources or typing ahead of the package
+    pytest.param(["-S"], [*NOT_AT_START, "importlib.resources", "typing"], id="no_site"),
 ])
 def test_cli_import_loads_no_csv_or_resources(flags, modules):
     # a CSV header is one join, a shipped config's path is next to its module,
-    # a record is a plain class, the manifest is written without json or
-    # datetime, annotations are strings and paths are os paths
+    # a record is a plain class, json and datetime wait for the manifest,
+    # and annotations are strings
     code = f"import sys, obfusgame.cli; print([m for m in {modules!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(Path(obfusgame.__file__).parents[1])}
     loaded = subprocess.run(
@@ -1378,8 +1374,8 @@ def test_cli_import_loads_no_csv_or_resources(flags, modules):
 
 
 def test_dp_module_loads_with_the_dp_command():
-    # --help and a usage error load no dp; the dp command loads it, and no
-    # command writes its manifest with json or stamps it with datetime
+    # --help and a usage error load no dp; the dp command loads it, and as it
+    # writes no manifest it loads no json or datetime
     code = ("import sys, obfusgame.cli as cli; loaded = []\n"
             "for argv in (['--help'], ['dp', '--delta', '0.1'], ['dp', '--sigma', '2', '--delta', '1e-5']):\n"
             "    try:\n"
@@ -1392,33 +1388,6 @@ def test_dp_module_loads_with_the_dp_command():
     assert done.stderr.splitlines()[-1] == "[False, False, True] False False"
 
 
-# drawn manifest values: the records' scalars, and paths that hold control,
-# non-ASCII and astral characters (and, in --config, lone surrogates, which
-# os.fsdecode makes of undecodable bytes)
-ANY_TEXT = st.text(st.characters(blacklist_categories=()), max_size=12)
-NAME_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="/\0"), min_size=1,
-                    max_size=8).filter(lambda name: name not in (".", ".."))
-SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | ANY_TEXT
-
-
-@settings(max_examples=60, deadline=None)
-@given(name=NAME_TEXT, config=st.none() | ANY_TEXT, seed=st.none() | st.integers(),
-       resolved=st.dictionaries(ANY_TEXT, SCALARS, max_size=4))
-@example(name="\x01\x7f\u00e9\u20ac\U0001F600\"\\", config="\udcff\n\t", seed=-1,
-         resolved={"lo": -0.0, "hi": float("inf"), "step": float("nan"), "fine_step": 1e-320, "oracle": True})
-def test_manifest_bytes_are_json_dumps(tmp_path_factory, name, config, seed, resolved):
-    """The manifest writer's bytes are json.dumps(manifest, indent=2) + "\\n"."""
-    out = path_text(tmp_path_factory.mktemp("manifest") / name)
-    os.mkdir(out)
-    args = type("Args", (), {"config": config, "seed": seed})()
-    cli._write_manifest(out, args, "solve", **resolved)
-    written = Path(out, "manifest.json").read_bytes()
-    timestamp = json.loads(written)["timestamp"]
-    manifest = {"command": "solve", "config": config, "seed": seed, **resolved, "out": out,
-                "version": obfusgame.__version__, "timestamp": timestamp}
-    assert written == (json.dumps(manifest, indent=2) + "\n").encode()
-
-
 def test_manifest_timestamp_is_utc_iso_8601_to_the_microsecond(tmp_path):
     from datetime import datetime, timezone
 
@@ -1427,59 +1396,6 @@ def test_manifest_timestamp_is_utc_iso_8601_to_the_microsecond(tmp_path):
     stamp = json.loads((tmp_path / "manifest.json").read_text())["timestamp"]
     assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}\+00:00", stamp)
     assert before.replace(microsecond=0) <= datetime.fromisoformat(stamp) <= datetime.now(timezone.utc)
-
-
-PATHS = ["", ".", "./", "a", "a/", "a//b", "./a/./b/.", "/", "//", "///", "//a//b/", "///a/", "a/../b", ".a/..b"]
-
-
-@given(st.text("/.ab", max_size=8))
-@example("//./")
-def test_path_text_is_pathlibs(text):
-    assert path_text(text) == str(Path(text))
-
-
-@pytest.mark.parametrize("text", PATHS)
-def test_path_text_of_listed_paths(text):
-    assert path_text(text) == str(Path(text)) == path_text(Path(text))
-
-
-@pytest.mark.parametrize("out", ["file", "file/", "./file", "file/sub", "file//a/b/", "new/./a//b", "new", ".",
-                                 "dir/.", "deep/er/still/"])
-def test_out_is_made_as_pathlib_makes_it(tmp_path, monkeypatch, out):
-    # the same directories, or the same error (the CLI's one error: line)
-    made = {}
-    for side, mkdir in (("pathlib", lambda: Path(out).mkdir(parents=True, exist_ok=True)),
-                        ("cli", lambda: cli._mkdir(path_text(out)))):
-        (tmp_path / side).mkdir()
-        monkeypatch.chdir(tmp_path / side)
-        Path("file").write_text("")
-        Path("dir").mkdir()
-        try:
-            mkdir()
-            error = None
-        except OSError as exc:
-            error = (type(exc), str(exc))
-        made[side] = error, sorted(p.relative_to(tmp_path / side) for p in (tmp_path / side).rglob("*"))
-    assert made["cli"] == made["pathlib"]
-
-
-@pytest.mark.parametrize("config", ["missing.cfg", "./missing.cfg", "a//missing.cfg", "dir", "dir/"])
-def test_config_read_errors_are_pathlibs(tmp_path, monkeypatch, config):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "dir").mkdir()
-    with pytest.raises(OSError) as ours:
-        load_config(config)
-    with pytest.raises(type(ours.value)) as theirs:
-        Path(config).read_text(encoding="utf-8")
-    assert str(ours.value) == str(theirs.value)
-
-
-def test_config_error_names_the_file_as_pathlib_does(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    Path("bad.cfg").write_text(MINIMAL.replace("learner.N_bar  = 0\n", ""))
-    for name in ("bad.cfg", "./bad.cfg", ".//bad.cfg"):
-        with pytest.raises(ConfigError, match=r"^bad\.cfg: missing learner keys \['N_bar'\]$"):
-            load_config(name)
 
 
 def test_cli_imports_nothing_private():
