@@ -13,6 +13,12 @@ pinned to one CPU (`os.sched_setaffinity` on the child before it starts
 the interpreter), the same CPU for every pair, and the CPU is recorded: on
 a small VM the CPU can move a run more than the change does.
 
+Before the timed pairs, each side runs every pool op of the workload
+once (perfbench's `workloads.pool_ops`) into its own directory, and the
+report lists every op whose exit code or output files differ between the
+sides, each op's manifest.json left out: it names the config and the
+output paths, and holds a timestamp.
+
 For each end-to-end metric of BENCHMARK.json it prints both sides'
 medians and quartiles, head/base, the pairs the head won (ties count for
 neither) and the verdict of `verdict`.  It writes BENCH_<workload>_<name>.json
@@ -20,7 +26,8 @@ at the repository root for each side, name being the revision's short hash,
 with "+" appended for the working tree ("-base" and "-head" follow the
 name when both sides are one revision): every run's metrics, seed, order
 and CPU, the numpy version and the BLAS it was built against (one
-interpreter runs both sides), and in the head's file the verdicts.  It may run from any
+interpreter runs both sides), and in the head's file the verdicts and the
+ops whose outputs differ.  It may run from any
 directory; git runs in this repository.
 
 With --cold, a run is one fresh `python -m obfusgame.cli` process of each
@@ -105,6 +112,22 @@ def spread(values: list[float]) -> float:
     return q3 - q1
 
 
+# run in a side's directory: each pool op of the workload argv[1] once, into pool/<op key>; prints "key code" a line
+POOL_RUN = """
+import contextlib, io, sys
+sys.path.insert(0, "perfbench")
+import run, workloads
+from pathlib import Path
+cli, out = run.import_program(), Path("pool")
+inputs = out / "inputs"
+workloads.write_inputs(sys.argv[1], inputs)
+for op in workloads.pool_ops(sys.argv[1], inputs, run.SHIPPED_CONFIGS, run.load_reference()["oracle_seeds"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(op.command(out / op.key))
+    print(op.key, code)
+"""
+
+
 def git(*args: str) -> bytes:
     return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, check=True).stdout
 
@@ -143,6 +166,30 @@ def run_once(where: Path, workload: str, seed: int, cpu: int) -> dict:
     if done.returncode != 0:
         raise SystemExit(f"perfbench failed ({done.returncode}) in {where}:\n{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def pool_run(where: Path, workload: str) -> dict[str, str]:
+    """Each pool op of the workload once on the side at where, into
+    where/pool/<op key>: the exit code of each op, by key."""
+    done = subprocess.run([sys.executable, "-c", POOL_RUN, workload], capture_output=True, text=True, cwd=where)
+    if done.returncode != 0:
+        raise SystemExit(f"pool ops failed ({done.returncode}) in {where}:\n{done.stderr}")
+    return dict(line.split() for line in done.stdout.splitlines())
+
+
+def outputs(op: Path) -> dict[str, bytes]:
+    """The files under one op's output directory by relative path, manifest.json left out."""
+    return {path.relative_to(op).as_posix(): path.read_bytes()
+            for path in op.rglob("*") if path.is_file() and path.name != "manifest.json"}
+
+
+def differing_ops(base: Path, head: Path, workload: str) -> tuple[int, list[str]]:
+    """Run the workload's pool ops on both sides: how many there are, and
+    the keys of those whose exit code or output files differ."""
+    codes = {key: pool_run(where, workload) for key, where in (("base", base), ("head", head))}
+    keys = sorted(codes["base"].keys() | codes["head"].keys())
+    return len(keys), [key for key in keys if codes["base"].get(key) != codes["head"].get(key)
+                       or outputs(base / "pool" / key) != outputs(head / "pool" / key)]
 
 
 def cold_once(where: Path, cpu: int) -> dict:
@@ -207,6 +254,10 @@ def main(argv: list[str] | None = None) -> int:
                           "runs": []}
             if args.cold:  # an installed package starts from its bytecode, not by compiling src/
                 subprocess.run([sys.executable, "-m", "compileall", "-q", str(work / key / "src")], check=True)
+        if not args.cold:
+            ops, differ = differing_ops(work / "base", work / "head", workload)
+            for key in sides:
+                shutil.rmtree(work / key / "pool")
         for i in range(args.pairs):
             for key in ("base", "head") if i % 2 == 0 else ("head", "base"):
                 if args.cold:
@@ -240,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
         for key in sides:
             runs = sides[key]["runs"]
             print(f"{key} failed ops: {sum(r['failed'] for r in runs)} of {sum(r['attempted'] for r in runs)}")
+        print(f"outputs differ in {len(differ)} of {ops} pool ops (manifest.json left out)"
+              + "".join(f"\n  {key}" for key in differ))
+        sides["head"]["outputs_differ"] = differ
     sides["head"]["verdicts"] = {"base": sides["base"]["name"], **verdicts}
     same = sides["base"]["name"] == sides["head"]["name"]  # an A/A run of one revision
     for key, record in sides.items():

@@ -206,7 +206,8 @@ def _cmd_validate(args) -> int:
 
 
 @functools.cache  # built by the first main call, not at import; parse_args leaves it as it was
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser, and each command's parser by its name."""
     parser = argparse.ArgumentParser(
         prog="obfusgame",
         description="Stackelberg obfuscation game: equilibria, sweeps, DP "
@@ -246,12 +247,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--seed", type=int, default=0)
     p_val.add_argument("--out", default="out")
     p_val.set_defaults(func=_cmd_validate)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in commands:  # one pass, the command's parser, with the full parser's leftover error
+        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:  # no command, a help flag or an unknown command: the full parser's usage
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError; OSError: unusable --config or --out

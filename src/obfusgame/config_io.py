@@ -23,7 +23,9 @@ _LEARNER_FIELDS = {"G_bar": "baseline_gain", "gamma": "accuracy_weight", "N_bar"
 _USER_FIELDS = {"G_bar": "baseline_gain", "gamma": "accuracy_weight", "P_bar": "max_privacy_loss",
                 "rho": "privacy_rate", "N_bar": "perturbation_cost"}
 _SOLVER_FIELDS = {"sigma_max": "sigma_max", "grid_step": "grid_step", "tol": "root_tol"}
-_SECTIONS = {"learner": _LEARNER_FIELDS, "solver": _SOLVER_FIELDS}  # and users[i].<field>
+# each learner and solver key, whole, to its section and field; users[i].<field> is read apart
+_SECTION_KEYS = {f"{section}.{field}": (section, field)
+                 for section, fields in (("learner", _LEARNER_FIELDS), ("solver", _SOLVER_FIELDS)) for field in fields}
 
 SHIPPED_CONFIGS = ("default", "low_cost", "mid_cost", "high_cost")
 
@@ -36,33 +38,45 @@ def _user(i: int, fields: dict[str, float]) -> UserParams:
         raise ConfigError(f"users[{i}]: {exc}") from exc
 
 
+def _number(text: str, key: str, line: int) -> float:
+    """float(text.strip()), for a value that float() refuses as it stands:
+    float() strips the whitespace that str.strip() strips but \x1f."""
+    text = text.strip()
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"non-numeric value {text!r} for {key}", line=line)
+
+
 def parse_config_text(text: str, source: str = "<string>") -> GameConfig:
-    values: dict[str, dict[str, float]] = {section: {} for section in _SECTIONS}
+    values: dict[str, dict[str, float]] = {"learner": {}, "solver": {}}
     users: dict[int, dict[str, float]] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.partition("#")[0]
         key, eq, value_str = line.partition("=")
         if not eq:
-            raise ConfigError(f"expected 'key = value', got {line!r}", line=lineno)
-        key, value_str = key.strip(), value_str.strip()
+            if line := line.strip():
+                raise ConfigError(f"expected 'key = value', got {line!r}", line=lineno)
+            continue
+        key = key.strip()
         try:
-            value = float(value_str)
+            value = float(value_str)  # float() strips its own whitespace
         except ValueError:
-            raise ConfigError(f"non-numeric value {value_str!r} for {key}", line=lineno)
+            value = _number(value_str, key, lineno)
 
-        section, _, field = key.partition(".")
-        if field in _SECTIONS.get(section, ()):
+        if (where := _SECTION_KEYS.get(key)) is not None:
+            section, field = where
             target = values[section]
-        elif section[:6] == "users[" and section[-1:] == "]" and section[6:-1].isdecimal() and field in _USER_FIELDS:
-            target = users.setdefault(int(section[6:-1]), {})  # i: any Unicode decimal digits
         else:
-            raise ConfigError(f"unknown key {key!r}", line=lineno)
+            index, dot, field = key.partition("].")
+            if not (dot and index[:6] == "users[" and index[6:].isdecimal() and field in _USER_FIELDS):
+                raise ConfigError(f"unknown key {key!r}", line=lineno)
+            target = users.setdefault(int(index[6:]), {})  # i: any Unicode decimal digits
         if key == "learner.N":
             if not (value >= 1 and value.is_integer()):
-                raise ConfigError(f"learner.N must be an integer >= 1, got {value_str}", line=lineno)
+                raise ConfigError(f"learner.N must be an integer >= 1, got {value_str.strip()}", line=lineno)
             n_line = lineno
         if field in target:
             raise ConfigError(f"duplicate key {key!r}", line=lineno)

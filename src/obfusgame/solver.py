@@ -13,11 +13,12 @@ over not perturbing is taken in closed form (other users' terms cancel)
 and falls strictly in sigma_L, so the user perturbs exactly below its
 dissuasion threshold t, the root of that gain less tie_epsilon, bisected
 to float resolution.  The pair (s_star, t) is the user's whole best
-response: sqrt(s_star^2 - sigma_L^2) if sigma_L < t, else 0.  It depends
-on the user alone, so a solve or sweep finds it once per user, and each
-public per-user query finds it with _pair.  Every command
-scores sigma_L values with _best_responses and _utility_panel, which equal
-game.learner_utility and user_utility bit for bit.
+response: sqrt(s_star^2 - sigma_L^2) if sigma_L < t, else 0, _response
+in plain floats and _best_responses over arrays, the same floats.  It
+depends on the user alone, so a solve or sweep finds it once per user, and
+each public per-user query finds it with _pair.  The sweep and the oracle
+score sigma_L values with _utility_panel, the solve with _leader in plain
+floats; both equal game.learner_utility and user_utility bit for bit.
 
 The leader's induced objective jumps where a user stops perturbing (a
 dissuasion threshold) and at sigma_L = 0 (the leader's flat cost).
@@ -41,10 +42,39 @@ each threshold adds those two candidates, and they are the only
 candidates the solve evaluates.  This is the one-dimensional form of
 enumerating the follower's best-response regions in optimal commitment
 (Conitzer & Sandholm, EC 2006).
+
+The solve scores only the pieces that can hold the winner.  On a piece
+[lo, hi) with k users outside and S the rest, with A = gamma_L / (N
+Lambda^2) and the floats s_star, the objective in reals is
+
+    G_L - A * (x^2 * k / N + sum_S s_star^2 / N)
+        - (sum_S P_bar / (1 + rho s_star) + sum_out P_bar / (1 + rho x)) / N - N_bar_L
+
+at x > 0, its spread term rising in x and each outside term falling.  So
+on the piece it is at most its bound: the spread at lo and the outside
+losses at any R >= hi, at sigma_max by O(1) sums over the users ranked by
+cut (S is a suffix), or at hi, O(k), where that bound leaves the piece
+live.  A candidate's float utility is within (N + 12) u M of those reals
+and the bound's float within (N + 9) u M (gamma_k bounds over their sums
+of at most N + 1 terms and a few correctly rounded steps a term, Higham
+ch. 3; u = 2^-53, M = |G_L| + A (sigma_max^2 + sum_{cut > 0} s_star^2 /
+N) + sum P_bar / N + N_bar_L), plus at most 2^-1075 for each product that
+underflows, times A in the spread.  The margin, 2^-50 (N + 16) (M + (1 +
+A) 2^-1022), is over four times all of that, which covers M's own
+rounding.  0 and sigma_max are scored first.  Every other candidate of a
+piece lies in [lo, hi), or is hi, which is the next piece's lo or
+sigma_max.  A piece with fl(bound + margin) below fl(best - tie_epsilon),
+best the highest utility scored so far, holds only candidates below that
+float, as rounding is monotone: none is the maximum (best is at most it),
+nor within tie_epsilon of it, tie_epsilon = 0 included, since fl(best -
+tie_epsilon) is at most fl(max - tie_epsilon).  So the scored candidates
+hold the maximum and every candidate that ties with it, and the first of
+them is the winner of a scan of every candidate.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from typing import Callable, Iterable, Optional, Sequence
@@ -60,6 +90,7 @@ from .game import (
     UserParams,
     _Record,
     _check_user,
+    _privacy_loss,
     _require_finite,
     _spread,
     learner_utility,
@@ -71,8 +102,7 @@ _BRUTE_FORCE_BUDGET = 2_000_000_000
 # cells evaluated at once, 64 KB a float array: the oracle's own-noise
 # cells (rows by N users in its row stage, by blocks or levels in its block
 # stage), so its worst case, no block pruned, peaks at a few MB at any grid
-# the budget allows (larger chunks raised the oracle suite's peak RSS), and
-# the solve's N users at each candidate, so its working set stays bounded in N
+# the budget allows (larger chunks raised the oracle suite's peak RSS)
 _CHUNK_CELLS = 2**13
 # cap on a sweep's grid points, _SWEEP_MAX_CELLS // (8N + 13): 10^6 points
 # at N = 1; the default sweep has 1,001.  A point holds 7N + 2 floats in
@@ -276,6 +306,13 @@ def _best_responses(sigma_L: np.ndarray, s_stars: Sequence[float], cuts: Sequenc
     return np.sqrt(s * s - sigma_L * sigma_L, out=np.zeros(below.shape), where=below)
 
 
+def _response(sigma_L: float, s_star: float, cut: float) -> float:
+    """The user's best response at sigma_L, sqrt(s_star^2 - sigma_L^2) below
+    its cut, where s_star > sigma_L, and 0.0 from it on: _best_responses'
+    expression in plain floats."""
+    return math.sqrt(s_star * s_star - sigma_L * sigma_L) if sigma_L < cut else 0.0
+
+
 def _pair(config: GameConfig, i: int) -> tuple[float, float]:
     """User i's whole best response: its s_star and its cut."""
     _check_user(config, i)
@@ -287,8 +324,7 @@ def _pair(config: GameConfig, i: int) -> tuple[float, float]:
 def user_best_response(sigma_L: float, i: int, config: GameConfig) -> float:
     """Utility-maximizing sigma_S for user i; ties go to 0 (not perturbing)."""
     _require_finite("sigma_L", sigma_L, ">=")
-    s_star, t = _pair(config, i)
-    return float(_best_responses(np.array([sigma_L]), [s_star], [t])[0, 0])
+    return _response(sigma_L, *_pair(config, i))
 
 
 def dissuasion_threshold(i: int, config: GameConfig) -> Optional[float]:
@@ -304,8 +340,7 @@ def dissuasion_threshold(i: int, config: GameConfig) -> Optional[float]:
 
 def best_response_profile(sigma_L: float, config: GameConfig) -> StrategyProfile:
     _require_finite("sigma_L", sigma_L, ">=")
-    s_stars, cuts = zip(*(_pair(config, i) for i in range(config.n_users)))
-    return StrategyProfile(sigma_L, _best_responses(np.array([sigma_L]), s_stars, cuts)[:, 0])
+    return StrategyProfile(sigma_L, [_response(sigma_L, *_pair(config, i)) for i in range(config.n_users)])
 
 
 def leader_objective(sigma_L: float, config: GameConfig) -> float:
@@ -345,63 +380,108 @@ def _winner(leader: np.ndarray, tie_epsilon: float) -> int:
     return int(np.argmax(leader >= leader.max() - tie_epsilon))
 
 
-def _result(panel: tuple, j: int, thresholds: Iterable[Optional[float]]) -> EquilibriumResult:
-    """The equilibrium at column j of panel, (sigma_L, responses, U_L, U_S)."""
-    sigma_L, responses, leader, users = panel
-    return EquilibriumResult(
-        sigma_L_star=float(sigma_L[j]),
-        sigma_S_star=tuple(responses[:, j].tolist()),
-        learner_utility=float(leader[j]),
-        user_utilities=tuple(users[:, j].tolist()),
-        per_user_thresholds=tuple(thresholds),
+def _result(config: GameConfig, sigma_L: float, responses: list[float], leader: float,
+            thresholds: Iterable[Optional[float]]) -> EquilibriumResult:
+    """The equilibrium at sigma_L with U_L = leader, user i playing the float
+    responses[i]: each U_S by user_utility's arithmetic, the spread summed once."""
+    n, scale = config.n_users, config.n_users * config.learner.regularizer**2
+    spread = _spread(sigma_L, responses, n)
+    users = tuple(
+        u.baseline_gain - u.accuracy_weight / scale * spread
+        - _privacy_loss(u.max_privacy_loss, u.privacy_rate, sigma_L, r) - (u.perturbation_cost if r > 0 else 0.0)
+        for u, r in zip(config.users, responses)
     )
+    return EquilibriumResult(sigma_L, tuple(responses), leader, users, tuple(thresholds))
 
 
-def _candidates(config: GameConfig, cuts: list[float]) -> list[float]:
-    """The solve's sigma_L candidates, sorted: 0, sigma_max, each threshold in
-    between and the float below it, and each concave piece's slope root, by
-    _bisect_root's loop (sign +1) over its outside users' (P_bar, rho)."""
+def _candidates(config: GameConfig, cuts: list[float], lo: float, hi: float) -> list[float]:
+    """The solve's sigma_L candidates on the piece [lo, hi] between two
+    consecutive thresholds (or 0 and sigma_max), 0 and sigma_max left out:
+    lo, the float below hi, and the piece's slope root, by _bisect_root's
+    loop (sign +1) over its outside users' (P_bar, rho) in user order."""
     sigma_max, tol, n, lp = config.solver.sigma_max, config.solver.root_tol, config.n_users, config.learner
+    candidates = [lo] if lo > 0 else []
+    if hi < sigma_max:
+        candidates.append(math.nextafter(hi, 0.0))
+    outside = [(u.max_privacy_loss, u.privacy_rate) for u, t in zip(config.users, cuts) if t <= lo]
+    tilt = 2.0 * lp.accuracy_weight / (n * lp.regularizer**2) * (len(outside) / n)
+    if _piece_slope(lo, outside, n, tilt) > 0 > _piece_slope(hi, outside, n, tilt):
+        while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+            if _piece_slope(mid, outside, n, tilt) >= 0:
+                lo = mid
+            else:
+                hi = mid
+        candidates.append(0.5 * (lo + hi))
+    return candidates
+
+
+def _leader(config: GameConfig, sigma_L: float, users: list[tuple[float, float, float, float]]) -> float:
+    """U_L at sigma_L with every user at its _response, users the (P_bar,
+    rho, s_star, cut) of each: learner_utility's arithmetic in its order,
+    in plain floats, so equal to it bit for bit."""
+    n, lp, square = config.n_users, config.learner, sigma_L * sigma_L
+    spread, privacy = square, 0.0
+    for p, rho, s, t in users:
+        r = _response(sigma_L, s, t)
+        spread += r * r / n
+        privacy += p / (1.0 + rho * math.sqrt(square + r * r))
+    cost = lp.perturbation_cost if sigma_L > 0 else 0.0
+    return lp.baseline_gain - lp.accuracy_weight / (n * lp.regularizer**2) * spread - privacy / n - cost
+
+
+def _piece_bounds(config: GameConfig, ranked: list[tuple[float, float, float, float]]) -> tuple[list, float]:
+    """(bound, lo, hi, k, rest) for each piece, and the rounding margin of the
+    module docstring; ranked holds each user's (P_bar, rho, s_star, cut),
+    sorted by cut.  The first k ranked users are outside the piece (cut <=
+    lo); bound takes their losses at sigma_max and rest leaves them out.
+    Each bound is O(1) from prefix and suffix sums."""
+    n, lp, sigma_max = config.n_users, config.learner, config.solver.sigma_max
+    coef = lp.accuracy_weight / (n * lp.regularizer**2)
+    cuts = [t for p, rho, s, t in ranked]
+    at_top, inside, squares = [0.0], [0.0] * (n + 1), [0.0] * (n + 1)
+    for p, rho, s, t in ranked:
+        at_top.append(at_top[-1] + p / (1.0 + rho * sigma_max))
+    for k in range(n - 1, -1, -1):  # the users from k on, each perturbing where its cut is above lo
+        p, rho, s, t = ranked[k]
+        inside[k], squares[k] = inside[k + 1] + p / (1.0 + rho * s), squares[k + 1] + s * s / n
     breakpoints = sorted({t for t in cuts if 0.0 < t < sigma_max})
-    candidates = {0.0, sigma_max, *breakpoints, *(math.nextafter(t, 0.0) for t in breakpoints)}
-    stakes = [(u.max_privacy_loss, u.privacy_rate) for u in config.users]
+    pieces = []
     for lo, hi in zip([0.0, *breakpoints], [*breakpoints, sigma_max]):
-        outside = [stake for stake, t in zip(stakes, cuts) if t <= lo]
-        tilt = 2.0 * lp.accuracy_weight / (n * lp.regularizer**2) * (len(outside) / n)
-        if _piece_slope(lo, outside, n, tilt) > 0 > _piece_slope(hi, outside, n, tilt):
-            while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
-                if _piece_slope(mid, outside, n, tilt) >= 0:
-                    lo = mid
-                else:
-                    hi = mid
-            candidates.add(0.5 * (lo + hi))
-    return sorted(candidates)
+        k = bisect.bisect_right(cuts, lo)
+        rest = lp.baseline_gain - coef * (lo * lo * (k / n) + squares[k]) - inside[k] / n - lp.perturbation_cost
+        pieces.append((rest - at_top[k] / n, lo, hi, k, rest))
+    stakes = sum(p for p, rho, s, t in ranked)
+    scale = abs(lp.baseline_gain) + coef * (sigma_max * sigma_max + squares[bisect.bisect_right(cuts, 0.0)])
+    scale += stakes / n + lp.perturbation_cost
+    return pieces, 2.0**-50 * (n + 16) * (scale + (1.0 + coef) * _NORMAL)
 
 
 def stackelberg_solve(config: GameConfig) -> EquilibriumResult:
     """Leader-optimal sigma_L over _candidates; the module docstring shows
-    that no other sigma_L does better.  Utility ties within tie_epsilon
-    resolve to the smaller sigma_L."""
-    settings = config.solver
-    s_stars = _admissible(config, settings.sigma_max)
+    that no other sigma_L does better, and that no piece left unscored holds
+    the winner or a tie with it.  Utility ties within tie_epsilon resolve to
+    the smaller sigma_L."""
+    settings, n = config.solver, config.n_users
+    sigma_max, tie = settings.sigma_max, settings.tie_epsilon
+    s_stars = _admissible(config, sigma_max)
     cuts = _cuts(config, s_stars)
-
-    # scored _CHUNK_CELLS // N candidates at a time, keeping the last chunk's panel
-    grid, columns = np.array(_candidates(config, cuts)), _user_columns(config)
-    pairs = np.array(s_stars), np.array(cuts)
-
-    def panel(x: np.ndarray) -> tuple[np.ndarray, ...]:
-        responses = _best_responses(x, *pairs)
-        return (x, responses, *_utility_panel(config, columns, x, responses))
-
-    width, leaders = max(1, _CHUNK_CELLS // config.n_users), []
-    for k in range(0, len(grid), width):
-        scored = panel(grid[k : k + width])
-        leaders.append(scored[2])
-    j = _winner(np.concatenate(leaders), settings.tie_epsilon)
-    if j < k:  # the winner lies in an earlier chunk: score its column again
-        k, scored = j, panel(grid[j : j + 1])
-    return _result(scored, j - k, (None if t > settings.sigma_max else t for t in cuts))
+    users = [(u.max_privacy_loss, u.privacy_rate, s, t) for u, s, t in zip(config.users, s_stars, cuts)]
+    scored = {x: _leader(config, x, users) for x in (0.0, sigma_max)}
+    best = max(scored.values())
+    ranked = sorted(users, key=lambda user: user[3])
+    pieces, margin = _piece_bounds(config, ranked)
+    for bound, lo, hi, k, rest in sorted(pieces, reverse=True):  # the highest bounds first
+        if bound + margin < best - tie:
+            continue
+        at_hi = sum(p / (1.0 + rho * hi) for p, rho, s, t in ranked[:k])  # the outside users' losses at hi
+        if rest - at_hi / n + margin < best - tie:
+            continue
+        for x in _candidates(config, cuts, lo, hi):
+            scored[x] = value = _leader(config, x, users)
+            best = max(best, value)
+    sigma_L = min(x for x, value in scored.items() if value >= best - tie)
+    responses = [_response(sigma_L, s, t) for s, t in zip(s_stars, cuts)]
+    return _result(config, sigma_L, responses, scored[sigma_L], (None if t > sigma_max else t for t in cuts))
 
 
 def _own_noise(
@@ -616,7 +696,7 @@ def brute_force_equilibrium(config: GameConfig, fine_step: Optional[float] = Non
 
     columns = _user_columns(config)
     responses = _best_response_table(config, columns, grid)
-    leader, users = _utility_panel(config, columns, grid, responses)
+    leader = _utility_panel(config, columns, grid, responses)[0]
 
     def table_threshold(row: np.ndarray) -> Optional[float]:
         perturbing = np.flatnonzero(row > 0)
@@ -625,5 +705,5 @@ def brute_force_equilibrium(config: GameConfig, fine_step: Optional[float] = Non
         last = int(perturbing[-1])
         return None if last == len(grid) - 1 else float(grid[last + 1])
 
-    panel = grid, responses, leader, users
-    return _result(panel, _winner(leader, settings.tie_epsilon), map(table_threshold, responses))
+    j = _winner(leader, settings.tie_epsilon)
+    return _result(config, float(grid[j]), responses[:, j].tolist(), float(leader[j]), map(table_threshold, responses))

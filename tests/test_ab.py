@@ -1,9 +1,12 @@
 """The A/B judge (scripts/ab.py): its verdict rule on synthetic paired runs,
-and its cold mode on stub sides, without a benchmark run."""
+and its cold mode and output comparison on stub sides, without a benchmark
+run."""
 
+import gzip
 import importlib.util
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -161,3 +164,35 @@ def test_cold_judge_writes_one_record_per_side(tmp_path, monkeypatch, capsys):
     assert all(run["seed"] is None and set(run["metrics"]) == set(ab.COLD_COMMANDS) for run in base["runs"])
     assert set(head["verdicts"]) == {"base", *ab.COLD_COMMANDS}
     assert head["verdicts"]["dp_s"]["pairs"] == 2
+
+
+# a stub obfusgame.cli: each op writes its arguments, but its --out, and a manifest naming the side
+POOL_STUB = """import sys
+from pathlib import Path
+
+
+def main(argv):
+    out = Path(argv[argv.index("--out") + 1])
+    out.mkdir(parents=True)
+    (out / "manifest.json").write_text(str(Path.cwd()))
+    (out / "ran.txt").write_text(" ".join(argv[:-2]) + {changed!r} * ("--seed" in argv and argv[-3] == {seed!r}))
+    return 3 if argv[-3] == {fails!r} else 0
+"""
+
+
+def test_pool_ops_whose_outputs_differ_are_listed(tmp_path):
+    with gzip.open(ROOT / "perfbench" / "reference.json.gz", "rt") as fh:
+        seeds = json.load(fh)["oracle_seeds"]
+    changed, fails = str(seeds["2"][0]), str(seeds["3"][1])
+    for key, edit in (("base", ""), ("twin", ""), ("head", " changed")):
+        shutil.copytree(ROOT / "perfbench", tmp_path / key / "perfbench",
+                        ignore=shutil.ignore_patterns(".out", "__pycache__"))
+        _stub_side(tmp_path / key, POOL_STUB.format(changed=edit, seed=changed, fails=fails if edit else None))
+    # every manifest differs, and is left out; the head writes other bytes in one op and fails another
+    ops, differ = ab.differing_ops(tmp_path / "base", tmp_path / "head", "oracle_suite")
+    assert ops == 9 and differ == sorted([f"validate/oracle/{changed}", f"validate/oracle/{fails}"])
+    assert (tmp_path / "head" / "pool" / "validate" / "oracle" / fails / "ran.txt").is_file()
+    shutil.rmtree(tmp_path / "base" / "pool")
+    ops, differ = ab.differing_ops(tmp_path / "base", tmp_path / "twin", "oracle_suite")
+    assert ops == 9 and differ == []
+

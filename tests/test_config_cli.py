@@ -177,6 +177,11 @@ class TestConfigParsing:
         config = parse_config_text("# top\n\n" + MINIMAL + "solver.tol = 0.1 # inline\n")
         assert config.solver.root_tol == 0.1
 
+    @pytest.mark.parametrize("pad", [" ", "\t", "\x1f", "\u3000"])
+    def test_a_value_is_read_as_str_strip_strips_it(self, pad):
+        # float() strips whitespace itself, but for \x1f, which str.strip strips
+        assert parse_config_text(MINIMAL + f"solver.tol = {pad}0.5{pad}\n").solver.root_tol == 0.5
+
     @pytest.mark.parametrize("key", ["dp.delta", "dp.d"])
     def test_dp_keys_are_unknown(self, tmp_path, capsys, key):
         # delta and d are flags of the dp subcommand; no game quantity reads them
@@ -1643,8 +1648,7 @@ def test_package_exports_are_their_modules_objects():
 def test_suite_choices_are_the_suites_run_suite_runs(monkeypatch):
     from obfusgame import cli, validate
 
-    [commands] = [a for a in cli.build_parser()._actions if a.dest == "command"]
-    [suite] = [a for a in commands.choices["validate"]._actions if a.dest == "suite"]
+    [suite] = [a for a in cli.build_parser()[1]["validate"]._actions if a.dest == "suite"]
     for runner in ("run_lemma_suite", "run_chi2_suite", "run_scaling_suite", "run_oracle_suite"):
         monkeypatch.setattr(validate, runner, lambda *args, runner=runner, **kwargs: (runner, args))
     ran = {name: validate.run_suite(name) for name in suite.choices}

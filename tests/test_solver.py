@@ -1187,7 +1187,8 @@ def scalar_columns(config, points):
 
 
 class TestUtilityPanel:
-    """The best responses and the numpy panel that score every command equal
+    """The best responses and the numpy panel that score the sweep and the
+    oracle, and the scalar response that the solve plays, equal
     the scalar reference and the public utilities exactly, not
     approximately."""
 
@@ -1199,6 +1200,16 @@ class TestUtilityPanel:
         points += [x for t in cuts for x in (math.nextafter(t, 0.0), t)]  # the one-sided limits
         got = solver._best_responses(np.array(points), s_stars, cuts)
         assert got.T.tolist() == [scalar_responses(x, s_stars, cuts) for x in points]
+
+    @pytest.mark.parametrize("config", panel_games())
+    def test_one_response_kernel_at_every_candidate(self, config):
+        # the scalar response, which the solve and the per-user queries play,
+        # is _best_responses bit for bit at every candidate of the solve
+        s_stars = s_stars_of(config)
+        cuts = solver._cuts(config, s_stars)
+        points = all_candidates(config, cuts)
+        got = solver._best_responses(np.array(points), s_stars, cuts).T.tolist()
+        assert got == [[solver._response(x, s, t) for s, t in zip(s_stars, cuts)] for x in points]
 
     @pytest.mark.parametrize("config", panel_games())
     def test_sweep_equals_scalar_kernel(self, config):
@@ -1389,19 +1400,27 @@ class TestAdmissibility:
     def test_corner_bounds_every_evaluated_utility(self, config, monkeypatch):
         settings = config.solver
         leader_floor, user_floors = corner_utilities(config, settings.sigma_max)
-        panels, real = [], solver._utility_panel
+        panels, scores = [], []
 
-        def recording(*args):
-            panels.append(real(*args))
-            return panels[-1]
+        def recording(kernel, into):
+            def record(*args):
+                into.append(kernel(*args))
+                return into[-1]
 
-        monkeypatch.setattr(solver, "_utility_panel", recording)
-        stackelberg_solve(config)
+            return record
+
+        # the oracle and the sweep score by the panel, the solve by the scalar scorer
+        monkeypatch.setattr(solver, "_utility_panel", recording(solver._utility_panel, panels))
+        monkeypatch.setattr(solver, "_leader", recording(solver._leader, scores))
+        result = stackelberg_solve(config)
         brute_force_equilibrium(config, settings.sigma_max / 200)
         own = solver.sweep(config, 0.0, settings.sigma_max, settings.grid_step)[2]
-        assert len(panels) >= 3
+        assert len(panels) == 2 and len(scores) >= 2
         for leader, users in panels:
             assert (leader >= leader_floor).all() and (users >= user_floors).all()
+        # U_L at every candidate the solve scores, and each U_S, which it evaluates at its winner only
+        assert all(leader >= leader_floor for leader in scores)
+        assert result.learner_utility >= leader_floor and (np.array(result.user_utilities) >= user_floors[:, 0]).all()
         assert (own >= user_floors).all()
 
     @pytest.mark.parametrize(
@@ -1555,6 +1574,17 @@ def bisected_candidates(config, cuts):
     return sorted(candidates)
 
 
+def all_candidates(config, cuts):
+    """Every sigma_L candidate of the unpruned solve: 0, sigma_max and each
+    piece's _candidates."""
+    sigma_max = config.solver.sigma_max
+    edges = [0.0, *sorted({t for t in cuts if 0.0 < t < sigma_max}), sigma_max]
+    found = {0.0, sigma_max}
+    for lo, hi in zip(edges, edges[1:]):
+        found.update(solver._candidates(config, cuts, lo, hi))
+    return sorted(found)
+
+
 class TestRootLoops:
     """_cut and _candidates run _bisect_root's loop with the function written
     inline: the same floats as _bisect_root on _margin and on _piece_slope."""
@@ -1577,7 +1607,7 @@ class TestRootLoops:
                     cuts_found += cut > 0
             if None not in s_stars:
                 cuts = solver._cuts(config, s_stars)
-                candidates = solver._candidates(config, cuts)
+                candidates = all_candidates(config, cuts)
                 assert candidates == bisected_candidates(config, cuts)
                 roots_found += len(set(candidates) - {0.0, config.solver.sigma_max, *cuts,
                                                       *(math.nextafter(t, 0.0) for t in cuts)})
@@ -2008,44 +2038,157 @@ class TestComparativeStatics:
     def _learner(config, **changes):
         return replace(config, learner=replace(config.learner, **changes))
 
-    def test_a_users_cut_does_not_rise_with_its_flat_cost(self):
+    @staticmethod
+    def _cut_relation(config):
         # a higher cost raises the margin's floor; s* does not read the cost
-        for config in self.GAMES:
-            s_stars = s_stars_of(config)
-            costlier = self._users(config, "perturbation_cost")
-            assert all(b <= a for a, b in zip(solver._cuts(config, s_stars), solver._cuts(costlier, s_stars))), config
+        s_stars = s_stars_of(config)
+        costlier = TestComparativeStatics._users(config, "perturbation_cost")
+        assert all(b <= a for a, b in zip(solver._cuts(config, s_stars), solver._cuts(costlier, s_stars))), config
 
-    def test_s_star_does_not_fall_with_p_bar_or_rise_with_gamma(self):
+    @staticmethod
+    def _s_star_relation(config):
         # s (1 + rho s)^2 = P_bar rho N^2 Lambda^2 / (2 gamma): the right-hand side rises with P_bar, falls with gamma
-        for config in self.GAMES:
-            base = s_stars_of(config)
-            assert all(b <= a for a, b in zip(base, s_stars_of(self._users(config, "accuracy_weight")))), config
-            if all(u.accuracy_weight > 0 for u in config.users):  # gamma = 0 < P_bar has no s*
-                assert all(a <= b for a, b in zip(base, s_stars_of(self._users(config, "max_privacy_loss")))), config
+        base, users = s_stars_of(config), TestComparativeStatics._users
+        assert all(b <= a for a, b in zip(base, s_stars_of(users(config, "accuracy_weight")))), config
+        if all(u.accuracy_weight > 0 for u in config.users):  # gamma = 0 < P_bar has no s*
+            assert all(a <= b for a, b in zip(base, s_stars_of(users(config, "max_privacy_loss")))), config
 
-    def test_learner_utility_does_not_rise_with_its_gamma_or_flat_cost(self):
+    @staticmethod
+    def _learner_cost_relation(config):
         # either lowers the leader objective at every sigma_L, and the solve
         # picks within tie_epsilon of the best candidate
-        for config in self.GAMES:
-            lp, tie = config.learner, config.solver.tie_epsilon
-            base = stackelberg_solve(config).learner_utility
-            for field in ("accuracy_weight", "perturbation_cost"):
-                changed = self._learner(config, **{field: 2 * getattr(lp, field) + 1})
-                assert stackelberg_solve(changed).learner_utility <= base + tie, (field, config)
+        lp, tie = config.learner, config.solver.tie_epsilon
+        base = stackelberg_solve(config).learner_utility
+        for field in ("accuracy_weight", "perturbation_cost"):
+            changed = TestComparativeStatics._learner(config, **{field: 2 * getattr(lp, field) + 1})
+            assert stackelberg_solve(changed).learner_utility <= base + tie, (field, config)
 
-    @pytest.mark.parametrize("delta", [0.5, -64.0])
-    def test_a_learner_gain_moves_only_its_utility(self, delta):
+    @staticmethod
+    def _learner_gain_relation(config, delta):
         """No user and no sigma_L's ranking reads the learner's gain.  U_L is
         the gain less three terms, each subtraction rounded to within u of a
         partial result no larger than M = |delta| + the terms' magnitudes
         (TestUserPermutation._terms), and so is the gain's sum: 8 u M covers
         both solves and the sum of base U_L and delta."""
+        base = stackelberg_solve(config)
+        result = stackelberg_solve(TestComparativeStatics._learner(config, baseline_gain=config.learner.baseline_gain
+                                                                    + delta))
+        assert result.sigma_L_star == base.sigma_L_star, config
+        assert result.sigma_S_star == base.sigma_S_star, config
+        assert result.user_utilities == base.user_utilities, config
+        terms = TestUserPermutation._terms(config, base.sigma_L_star, base.sigma_S_star)[0]
+        bound = 8 * 2.0**-53 * (abs(delta) + sum(map(abs, terms)))
+        assert abs(result.learner_utility - (base.learner_utility + delta)) <= bound, config
+
+    def test_a_users_cut_does_not_rise_with_its_flat_cost(self):
         for config in self.GAMES:
-            base = stackelberg_solve(config)
-            result = stackelberg_solve(self._learner(config, baseline_gain=config.learner.baseline_gain + delta))
-            assert result.sigma_L_star == base.sigma_L_star, config
-            assert result.sigma_S_star == base.sigma_S_star, config
-            assert result.user_utilities == base.user_utilities, config
-            terms = TestUserPermutation._terms(config, base.sigma_L_star, base.sigma_S_star)[0]
-            bound = 8 * 2.0**-53 * (abs(delta) + sum(map(abs, terms)))
-            assert abs(result.learner_utility - (base.learner_utility + delta)) <= bound, config
+            self._cut_relation(config)
+
+    def test_s_star_does_not_fall_with_p_bar_or_rise_with_gamma(self):
+        for config in self.GAMES:
+            self._s_star_relation(config)
+
+    def test_learner_utility_does_not_rise_with_its_gamma_or_flat_cost(self):
+        for config in self.GAMES:
+            self._learner_cost_relation(config)
+
+    @pytest.mark.parametrize("delta", [0.5, -64.0])
+    def test_a_learner_gain_moves_only_its_utility(self, delta):
+        for config in self.GAMES:
+            self._learner_gain_relation(config, delta)
+
+    @settings(max_examples=40, deadline=None)
+    @given(games())
+    def test_every_relation_on_drawn_games(self, config):
+        """The gain's relation at tie_epsilon > 0 only: at 0, G_bar + delta
+        can round candidates' utilities to one float, and the tie then goes
+        to the smallest sigma_L (a one-user draw with P_bar = 3.7e-45 moved
+        sigma_L* with delta = 0.5).  4,000 draws passed this test."""
+        self._cut_relation(config)
+        self._s_star_relation(config)
+        self._learner_cost_relation(config)
+        if config.solver.tie_epsilon > 0:
+            for delta in (0.5, -64.0):
+                self._learner_gain_relation(config, delta)
+
+
+def unpruned_solve(config):
+    """The solve without pruning: every candidate of every piece scored by
+    _best_responses and _utility_panel, the winner by _winner."""
+    settings = config.solver
+    s_stars = solver._admissible(config, settings.sigma_max)
+    cuts = solver._cuts(config, s_stars)
+    grid = np.array(all_candidates(config, cuts))
+    responses = solver._best_responses(grid, s_stars, cuts)
+    leader, users = solver._utility_panel(config, solver._user_columns(config), grid, responses)
+    j = solver._winner(leader, settings.tie_epsilon)
+    thresholds = tuple(None if t > settings.sigma_max else t for t in cuts)
+    return solver.EquilibriumResult(float(grid[j]), tuple(responses[:, j].tolist()), float(leader[j]),
+                                    tuple(users[:, j].tolist()), thresholds)
+
+
+class TestPrunedSolve:
+    """The solve scores only the pieces whose bound reaches the best exact
+    utility less tie_epsilon and the rounding margin, in plain floats, and
+    returns what scoring every candidate through the numpy panel returns."""
+
+    @pytest.mark.parametrize("config", panel_games())
+    def test_equals_the_unpruned_solve(self, config):
+        # and at tie_epsilon 1 and 5, where a tie reaches pieces below the best one
+        for game in (config, *(replace(config, solver=replace(config.solver, tie_epsilon=t)) for t in (1.0, 5.0))):
+            assert stackelberg_solve(game) == unpruned_solve(game)
+
+    @settings(max_examples=60, deadline=None)
+    @given(games())
+    def test_equals_the_unpruned_solve_at_both_tie_epsilons(self, config):
+        # and at 0.5, where the winner is often not the best candidate
+        for tie in (0.0, 1e-9, 0.5):
+            game = replace(config, solver=replace(config.solver, tie_epsilon=tie))
+            assert stackelberg_solve(game) == unpruned_solve(game)
+
+    @pytest.mark.parametrize("config", panel_games() + [interior_solve(256)[0]])
+    def test_piece_bounds_are_the_stated_sums(self, config):
+        """Each piece's two bounds within the margin of the bound summed in
+        user order, by its formula; on a piece where every user perturbs the
+        objective is flat, and its bound is the utility there."""
+        n, lp, sigma_max = config.n_users, config.learner, config.solver.sigma_max
+        s_stars = s_stars_of(config)
+        cuts = solver._cuts(config, s_stars)
+        users = [(u.max_privacy_loss, u.privacy_rate, s, t) for u, s, t in zip(config.users, s_stars, cuts)]
+        pieces, margin = solver._piece_bounds(config, sorted(users, key=lambda user: user[3]))
+        assert 0 < margin < 1e-9 * max(1.0, abs(lp.baseline_gain))
+
+        def stated(lo, at):
+            inside = [(p, rho, s) for p, rho, s, t in users if t > lo]
+            spread = lo * lo * (1 - len(inside) / n) + sum(s * s for p, rho, s in inside) / n
+            privacy = sum(p / (1 + rho * s) for p, rho, s in inside)
+            privacy += sum(p / (1 + rho * at) for p, rho, s, t in users if t <= lo)
+            return lp.baseline_gain - lp.accuracy_weight / (n * lp.regularizer**2) * spread - privacy / n \
+                - lp.perturbation_cost
+
+        assert [piece[1:3] for piece in pieces] == list(itertools.pairwise(
+            [0.0, *sorted({t for t in cuts if 0 < t < sigma_max}), sigma_max]))
+        for bound, lo, hi, k, rest in pieces:
+            assert k == sum(t <= lo for t in cuts)
+            assert abs(bound - stated(lo, sigma_max)) <= margin
+            at_hi = sum(p / (1 + rho * hi) for p, rho, s, t in users if t <= lo)
+            assert abs(rest - at_hi / n - stated(lo, hi)) <= margin
+            if k == 0:
+                assert abs(solver._leader(config, math.nextafter(hi, 0.0), users) - bound) <= margin
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024])
+    def test_equals_the_unpruned_solve_on_the_interior_family(self, n):
+        config, result = interior_solve(n)
+        assert result == unpruned_solve(config)
+
+    def test_scores_a_few_candidates_at_n_1024(self, monkeypatch):
+        config = interior_solve(1024)[0]
+        cuts = solver._cuts(config, s_stars_of(config))
+        assert len(all_candidates(config, cuts)) > 1300
+        scored, live, leader, candidates = [], [], solver._leader, solver._candidates
+        monkeypatch.setattr(solver, "_leader", lambda *args: scored.append(args[1]) or leader(*args))
+        monkeypatch.setattr(solver, "_candidates", lambda *args: live.append(args[2:]) or candidates(*args))
+        stackelberg_solve(config)
+        # 0, sigma_max and the candidates of one live piece of 684
+        assert len(live) == 1 and len(scored) <= 5
+
