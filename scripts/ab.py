@@ -31,14 +31,14 @@ ops whose outputs differ.  It may run from any
 directory; git runs in this repository.
 
 With --cold, a run is one fresh `python -m obfusgame.cli` process of each
-of COLD_COMMANDS (`dp`, `solve` and `sweep`, and each `validate` suite at
-perfbench's trial counts), pinned and with numpy's threads pinned as perfbench pins
-them, and its metric is each process's wall time.  These are the
-commands' end-to-end times, start-up included, which perfbench's ops,
-run in one warm process, do not see.  Each side's src/ is compiled to
-bytecode first, as an installed package is.  Each command is judged with
-setup_s's bound, the benchmark's one cold-start metric, and the workload
-is named "cold".
+of COLD_COMMANDS (`dp`, `solve`, `solve --oracle` and `sweep`, and each
+`validate` suite at perfbench's trial counts), pinned and with numpy's
+threads pinned as perfbench pins them, and its metric is each process's
+wall time.  These are the commands' end-to-end times, start-up included,
+which perfbench's ops, run in one warm process, do not see.  Each side's
+src/ is compiled to bytecode first, as an installed package is.  Each
+command is judged with setup_s's bound, the benchmark's one cold-start
+metric, and the workload is named "cold".
 """
 
 from __future__ import annotations
@@ -61,6 +61,9 @@ ROOT = Path(__file__).resolve().parents[1]
 COLD_COMMANDS = {
     "dp_s": ["dp", "--sigma", "2", "--delta", "1e-5"],
     "solve_s": ["solve", "--config", "src/obfusgame/configs/default.cfg", "--out", "cold-out"],
+    # at the config's grid step, 1,001 points: the oracle's import path more than its table
+    "solve_oracle_s": ["solve", "--oracle", "--fine-step", "0.05", "--config", "src/obfusgame/configs/default.cfg",
+                       "--out", "cold-out"],
     "sweep_s": ["sweep", "--config", "src/obfusgame/configs/default.cfg", "--out", "cold-out"],
     # each suite at perfbench's --trials (workloads.ERM_SUITES, and the oracle suite's 1)
     **{f"validate_{suite}_s": ["validate", "--suite", suite, "--trials", str(trials), "--out", "cold-out"]

@@ -2,20 +2,18 @@
 Gaussian-mechanism privacy guarantees and ERM accuracy validation.
 
 `import obfusgame` loads no numpy and no dp: the solver's and dp's exports
-are imported on first access (PEP 562), so the commands that compute
-nothing start fast.  A bare `import obfusgame.cli` loads the game's
-records, the config reader and the CLI, and from the standard library
-little more than argparse and pathlib: no numpy, json, datetime, csv,
-inspect or the standard library's data classes (the records are plain
+are imported on first access (PEP 562).  A bare `import obfusgame.cli`
+loads the game's records, the config reader and the CLI, and from the
+standard library little more than argparse and pathlib: no json, datetime,
+csv, inspect or the standard library's data classes (the records are plain
 classes on game._Record, and the CLI imports json and datetime when it
 writes a manifest), and without a site hook that loads them first no
-importlib.resources or typing (annotations are strings).  The import took
-15.0 ms before json, datetime and dp left it, and 11.1 ms after
-(perfbench setup_s on oracle_suite, with the site hook).  A command loads
-what it runs: numpy brings datetime and typing back to solve, sweep and
-validate, validate loads dp, and each of the three writes a manifest, so
-solve and sweep save dp, validate nothing, and dp json and datetime; a
-usage or config error exits before any of them."""
+importlib.resources or typing (annotations are strings).  A command loads
+what it runs.  The solver imports no numpy: obfusgame.panel, which only
+its sweep and oracle import, does.  So numpy comes with sweep, solve
+--oracle and validate, and a solve or `from obfusgame import *` loads none
+(a cold solve takes under half its time with numpy).  validate loads dp;
+a usage or config error exits before any of them."""
 
 __version__ = "0.1.0"
 
@@ -34,7 +32,8 @@ from .config_io import load_config, load_shipped_config, shipped_config_path  # 
 SUITES = ("lemma1", "lemma2", "chi2", "scaling", "oracle")
 
 # name -> the submodule that defines it, imported on the name's first access:
-# the solver loads numpy, and only dp's command and the chi2 suite use dp
+# with no bytecode to read, as in perfbench's setup_s, compiling solver.py would
+# add half to `import obfusgame.cli`; only dp's command and the chi2 suite use dp
 _LAZY_EXPORTS = {
     **dict.fromkeys(("EquilibriumResult", "brute_force_equilibrium", "dissuasion_threshold", "leader_objective",
                      "stackelberg_solve", "user_best_response"), "solver"),

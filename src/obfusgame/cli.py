@@ -18,7 +18,8 @@ difference of two risks equal to about 11 digits, moves in the 12th digit
 under OPENBLAS_CORETYPE=Prescott by two dgemv calls: the gradient's
 X^T coef in erm.train_erms and the margins X w in erm.empirical_risk.
 With both summed without BLAS its bytes hold under both kernels; with
-either alone they do not.  The manifest's timestamp varies.
+either alone they do not.  The manifest's timestamp varies.  A command
+imports what it runs: numpy comes with solve --oracle, sweep and validate.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def _cmd_solve(args) -> int:
     if args.fine_step is not None and not args.oracle:
         raise ValueError("--fine-step applies only with --oracle")
     config = load_config(args.config)
-    from . import solver  # after the config parses: a config error needs no numpy
+    from . import solver  # not at start-up, which may have no bytecode to read: see obfusgame._LAZY_EXPORTS
     if args.oracle:
         result = solver.brute_force_equilibrium(config, args.fine_step)
     else:
@@ -127,7 +128,7 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     from . import solver
-    import numpy as np  # after solver: solver.py compiles before numpy is loaded, a lower peak
+    import numpy as np
     lo = 0.0 if args.min is None else args.min
     hi = config.solver.sigma_max if args.max is None else args.max
     step = config.solver.grid_step if args.step is None else args.step

@@ -97,11 +97,14 @@ def test_cold_commands_are_every_command_and_each_suite_at_perfbenchs_trials(mon
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "workloads", workloads)  # its data classes look their module up
     spec.loader.exec_module(workloads)
-    assert [command[0] for command in ab.COLD_COMMANDS.values()] == ["dp", "solve", "sweep", *["validate"] * 5]
+    assert [command[0] for command in ab.COLD_COMMANDS.values()] == ["dp", "solve", "solve", "sweep",
+                                                                     *["validate"] * 5]
+    assert ab.COLD_COMMANDS["solve_oracle_s"][1] == "--oracle"
     suites = {command[2]: int(command[4]) for command in ab.COLD_COMMANDS.values() if command[0] == "validate"}
     # the oracle workload runs its suite at --trials 1, one seed per op
     assert suites == {**dict(workloads.ERM_SUITES), "oracle": 1} and set(suites) == set(SUITES)
-    assert list(ab.COLD_COMMANDS) == ["dp_s", "solve_s", "sweep_s", *(f"validate_{s}_s" for s in suites)]
+    assert list(ab.COLD_COMMANDS) == ["dp_s", "solve_s", "solve_oracle_s", "sweep_s",
+                                      *(f"validate_{s}_s" for s in suites)]
     for command in ab.COLD_COMMANDS.values():  # each runs from its side's root; the writers write under it
         assert "--config" not in command or (ROOT / command[command.index("--config") + 1]).is_file()
         assert command[0] == "dp" or command[-2:] == ["--out", "cold-out"]

@@ -1589,7 +1589,8 @@ def test_argparse_output_repeats_exactly(argv, argparse_session, capsys, monkeyp
 
 
 def test_commands_that_compute_nothing_load_no_numpy(tmp_path):
-    # dp, help, usage and config errors need no numpy; the first solve loads it
+    # dp, help, usage and config errors need no numpy, nor does a solve, which
+    # runs in plain floats
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text(MINIMAL + "users[0].typo = 1\n")
     out = str(tmp_path / "out")
@@ -1599,9 +1600,48 @@ def test_commands_that_compute_nothing_load_no_numpy(tmp_path):
               ["solve", "--config", str(shipped_config_path("default")), "--out", out]]
     calls = cli_session(argvs)["calls"]
     assert [(code, numpy) for _, _, code, _, numpy in calls] == [
-        (0, False), *((code, False) for code in ARGPARSE_EXITS.values()), (2, False), (2, False), (0, True)
+        (0, False), *((code, False) for code in ARGPARSE_EXITS.values()), (2, False), (2, False), (0, False)
     ]
     assert calls[-2][1] == "error: line 12: unknown key 'users[0].typo'\n"
+
+
+# a CLI call from a fresh interpreter's argv, for loaded_after
+CLI_CALL = "import sys, obfusgame.cli as cli; assert cli.main(sys.argv[1:]) == 0"
+
+
+def loaded_after(flags, code, argv, modules):
+    """Which of modules are loaded after code runs, with argv as its
+    arguments, in a fresh interpreter started with flags."""
+    code += f"\nimport sys; print([m for m in {modules!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, *flags, "-c", code, *argv], capture_output=True, text=True, check=True,
+                          env=CLI_ENV)
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("flags, modules", [
+    pytest.param([], ["obfusgame.solver", "numpy", "obfusgame.panel"], id="site"),
+    # -S: no site hook loads typing ahead of the package
+    pytest.param(["-S"], ["obfusgame.solver", "numpy", "obfusgame.panel", "typing"], id="no_site"),
+])
+def test_the_solver_and_a_solve_load_no_numpy(tmp_path, flags, modules):
+    # the solve and the per-user queries run in plain floats: numpy is
+    # obfusgame.panel's, which only the sweep and the oracle import
+    population = tmp_path / "population.cfg"
+    population.write_text(population_config(64))
+    runs = {
+        "import": ("import obfusgame.solver", []),
+        "star": ("from obfusgame import *", []),
+        "solve": (CLI_CALL, ["solve", "--config", str(shipped_config_path("default")), "--out", str(tmp_path / "1")]),
+        "solve_64": (CLI_CALL, ["solve", "--config", str(population), "--out", str(tmp_path / "64")]),
+    }
+    loaded = {name: loaded_after(flags, code, argv, modules) for name, (code, argv) in runs.items()}
+    assert loaded == dict.fromkeys(runs, ["obfusgame.solver"])
+
+
+@pytest.mark.parametrize("argv", [["solve", "--oracle", "--fine-step", "0.5"], ["sweep"]], ids=["oracle", "sweep"])
+def test_the_oracle_and_the_sweep_load_the_array_module(tmp_path, argv):
+    argv = [*argv, "--config", str(shipped_config_path("default")), "--out", str(tmp_path)]
+    assert loaded_after([], CLI_CALL, argv, ["numpy", "obfusgame.panel"]) == ["numpy", "obfusgame.panel"]
 
 
 # the package's exports by the module that defines them

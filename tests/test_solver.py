@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from obfusgame import solver
+from obfusgame import panel, solver
 from obfusgame.config_io import (
     SHIPPED_CONFIGS,
     load_shipped_config,
@@ -65,7 +65,7 @@ def dense_grid_argmax(config, i, sigma_L, step=1e-3):
 
 def scalar_responses(sigma_L, s_stars, cuts):
     """Each user's best response at one sigma_L, one user at a time: the
-    scalar reference for solver._best_responses."""
+    scalar reference for panel._best_responses."""
     return [math.sqrt(s * s - sigma_L * sigma_L) if sigma_L < t else 0.0 for s, t in zip(s_stars, cuts)]
 
 
@@ -551,8 +551,8 @@ class TestBruteForce:
         # one user may have 44,721 points: 1e-3 fits up to sigma_max = 44.72
         # (with sigma_max appended from 44.7195), and past it the default
         # is the step one point under the cap
-        grids, real = [], solver._grid
-        monkeypatch.setattr(solver, "_grid", lambda *args: grids.append(real(*args)) or grids[-1])
+        grids, real = [], panel._grid
+        monkeypatch.setattr(panel, "_grid", lambda *args: grids.append(real(*args)) or grids[-1])
         brute_force_equilibrium(never_perturbing_game(sigma_max))
         try:
             expected = real(0.0, sigma_max, 1e-3, 44_721)
@@ -604,8 +604,8 @@ class TestBruteForce:
         assert result.sigma_L_star == sigma_L
         assert result.sigma_S_star == sigma_S
         assert result.per_user_thresholds == thresholds
-        grid = solver._grid(0.0, config.solver.sigma_max, fine_step, 10**6)
-        table = solver._best_response_table(config, solver._user_columns(config), grid)
+        grid = panel._grid(0.0, config.solver.sigma_max, fine_step, 10**6)
+        table = panel._best_response_table(config, panel._user_columns(config), grid)
         assert (table > 0).sum(axis=1).tolist() == perturbing
 
     def test_agrees_with_solver_on_random_configs(self):
@@ -761,8 +761,8 @@ class TestBestResponseKernel:
             sigma[i] = sigma_S
             expected.append(user_utility(config, i, StrategyProfile(sigma_L, tuple(sigma))))
         levels = np.array(own)
-        params = solver._user_columns(config)[:, i]
-        assert solver._own_noise(config.n_users, params, sigma_L * sigma_L, levels, levels).tolist() == expected
+        params = panel._user_columns(config)[:, i]
+        assert panel._own_noise(config.n_users, params, sigma_L * sigma_L, levels, levels).tolist() == expected
 
     @settings(max_examples=100, deadline=None)
     @given(games(), sigma_levels)
@@ -882,12 +882,12 @@ def evaluations(monkeypatch):
     cells, margins = [], []
     for name, sizes in (("_own_noise", cells), ("_settled_row_blocks", margins)):
 
-        def counting(*args, real=getattr(solver, name), sizes=sizes):
+        def counting(*args, real=getattr(panel, name), sizes=sizes):
             values = real(*args)
             sizes.append(values.size)
             return values
 
-        monkeypatch.setattr(solver, name, counting)
+        monkeypatch.setattr(panel, name, counting)
     return cells, margins
 
 
@@ -898,11 +898,11 @@ def settled_rows(config, grid):
     n, m = config.n_users, len(grid)
     k = max(2, math.isqrt(m))
     blocks = np.append(grid, [grid[-1]] * (-m % k)).reshape(-1, k)
-    firsts, lasts, columns = blocks[:, 0], blocks[:, -1], solver._user_columns(config)
-    settled = solver._settled_row_blocks(n, columns, firsts * firsts, lasts * lasts, grid[1], grid[-1])
+    firsts, lasts, columns = blocks[:, 0], blocks[:, -1], panel._user_columns(config)
+    settled = panel._settled_row_blocks(n, columns, firsts * firsts, lasts * lasts, grid[1], grid[-1])
     sigma_sq = grid * grid
-    rest = solver._own_noise(n, columns, sigma_sq, grid[1:2], grid[-1:])
-    level_0 = solver._own_noise(n, columns, sigma_sq, grid[:1], grid[:1])
+    rest = panel._own_noise(n, columns, sigma_sq, grid[1:2], grid[-1:])
+    level_0 = panel._own_noise(n, columns, sigma_sq, grid[:1], grid[:1])
     return np.repeat(settled, k, axis=1)[:, :m], rest, level_0
 
 
@@ -920,13 +920,13 @@ class TestOwnNoiseKernel:
     def test_sweep_scores_its_own_noise_table_in_one_call(self, monkeypatch):
         # one broadcast over (samples, N, M), not a call per sample and user
         calls = []
-        real = solver._own_noise
+        real = panel._own_noise
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(solver, "_own_noise", counting)
+        monkeypatch.setattr(panel, "_own_noise", counting)
         config = mixed_population(8, 3)
         own = solver.sweep(config, 0.0, config.solver.sigma_max, config.solver.grid_step)[2]
         assert len(calls) == 1 and own.shape == (5, 8, 1001)
@@ -945,9 +945,9 @@ class TestOwnNoiseKernel:
         rounding."""
         i %= config.n_users
         block = np.sort(levels)
-        sigma_sq, n, params = sigma_L * sigma_L, config.n_users, solver._user_columns(config)[:, i]
-        bound = solver._own_noise(n, params, sigma_sq, block[:1], block[-1:])
-        assert (solver._own_noise(n, params, sigma_sq, block, block) <= bound).all()
+        sigma_sq, n, params = sigma_L * sigma_L, config.n_users, panel._user_columns(config)[:, i]
+        bound = panel._own_noise(n, params, sigma_sq, block[:1], block[-1:])
+        assert (panel._own_noise(n, params, sigma_sq, block, block) <= bound).all()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -963,9 +963,9 @@ class TestOwnNoiseKernel:
         The first level is scored exactly, as one of the row's candidates."""
         i %= config.n_users
         block = np.sort(levels)
-        sigma_sq, n, params = sigma_L * sigma_L, config.n_users, solver._user_columns(config)[:, i]
-        bound = solver._own_noise(n, params, sigma_sq, block[1:2], block[-1:])
-        assert (solver._own_noise(n, params, sigma_sq, block[1:], block[1:]) <= bound).all()
+        sigma_sq, n, params = sigma_L * sigma_L, config.n_users, panel._user_columns(config)[:, i]
+        bound = panel._own_noise(n, params, sigma_sq, block[1:2], block[-1:])
+        assert (panel._own_noise(n, params, sigma_sq, block[1:], block[1:]) <= bound).all()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_no_block_is_scanned_where_no_user_perturbs(self, seed, monkeypatch):
@@ -985,12 +985,12 @@ class TestOwnNoiseKernel:
         # at N = 1: its 212 blocks of 211 sigma_L rows settle, one margin a
         # block, and no cell is scored
         config = never_perturbing_game(50.0)
-        grid = solver._grid(0.0, 50.0, 50.0 / 44_720, 44_721)
+        grid = panel._grid(0.0, 50.0, 50.0 / 44_720, 44_721)
         assert len(grid) == math.isqrt(solver._BRUTE_FORCE_BUDGET)
         cells, margins = evaluations(monkeypatch)
         tracemalloc.start()
         try:
-            table = solver._best_response_table(config, solver._user_columns(config), grid)
+            table = panel._best_response_table(config, panel._user_columns(config), grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1002,10 +1002,10 @@ class TestOwnNoiseKernel:
         # the sigma_L blocks there stay open and each of their rows takes the
         # row test, 2 * N cells; blocks past both thresholds settle
         config = mixed_population(2, 3)
-        grid = solver._grid(0.0, 20.0, 0.05, 2001)
+        grid = panel._grid(0.0, 20.0, 0.05, 2001)
         m, k = 401, 20
         row_cells, settled = [], []
-        own_noise, settle = solver._own_noise, solver._settled_row_blocks
+        own_noise, settle = panel._own_noise, panel._settled_row_blocks
 
         def counting(*args):
             values = own_noise(*args)
@@ -1017,9 +1017,9 @@ class TestOwnNoiseKernel:
             settled.append(settle(*args))
             return settled[-1]
 
-        monkeypatch.setattr(solver, "_own_noise", counting)
-        monkeypatch.setattr(solver, "_settled_row_blocks", recording)
-        table = solver._best_response_table(config, solver._user_columns(config), grid)
+        monkeypatch.setattr(panel, "_own_noise", counting)
+        monkeypatch.setattr(panel, "_settled_row_blocks", recording)
+        table = panel._best_response_table(config, panel._user_columns(config), grid)
         [blocks] = settled
         open_rows = int(np.repeat(~blocks.all(axis=0), k)[:m].sum())
         assert len(grid) == m and blocks.shape == (2, 21)
@@ -1037,7 +1037,7 @@ class TestOwnNoiseKernel:
         every row's rest bound is at most level 0 and the full scan picks
         level 0: exactly, not up to rounding."""
         sigma_max = config.solver.sigma_max
-        grid = solver._grid(0.0, sigma_max, sigma_max / intervals, 301)
+        grid = panel._grid(0.0, sigma_max, sigma_max / intervals, 301)
         rows, rest, level_0 = settled_rows(config, grid)
         assert not (rows & (rest > level_0)).any()
         assert not (rows & (full_scan_table(config, grid) > 0)).any()
@@ -1051,7 +1051,7 @@ class TestOwnNoiseKernel:
         0.  Without _settled_row_blocks' rounding margin some of them do."""
         rng = np.random.Generator(np.random.PCG64(intervals))
         n, sigma_max = 2000, 10.0
-        grid = solver._grid(0.0, sigma_max, sigma_max / intervals, 301)
+        grid = panel._grid(0.0, sigma_max, sigma_max / intervals, 301)
         k = max(2, math.isqrt(len(grid)))
         s_hi, level_1, top = grid[k - 1] ** 2, float(grid[1]), float(grid[-1])
         gains = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(0.0, 3.0, n)
@@ -1089,8 +1089,8 @@ class TestOwnNoiseKernel:
     def test_table_equals_full_scan(self, make, intervals):
         config = make()
         sigma_max = config.solver.sigma_max
-        grid = solver._grid(0.0, sigma_max, sigma_max / intervals, 2001)
-        table = solver._best_response_table(config, solver._user_columns(config), grid)
+        grid = panel._grid(0.0, sigma_max, sigma_max / intervals, 2001)
+        table = panel._best_response_table(config, panel._user_columns(config), grid)
         assert table.tolist() == full_scan_table(config, grid).tolist()
         if config.users[0].accuracy_weight == 0:  # a flat row: ties go to the smallest level
             assert not table[0].any()
@@ -1099,17 +1099,17 @@ class TestOwnNoiseKernel:
         # the bound of a flat row's rest ties level 0, which wins the tie:
         # 2 * m cells in all, where the block stage would scan every cell
         config = flat_game(1, sigma_max=20.0)
-        grid = solver._grid(0.0, 20.0, 1e-3, 10**6)
+        grid = panel._grid(0.0, 20.0, 1e-3, 10**6)
         cells = []
-        real = solver._own_noise
+        real = panel._own_noise
 
         def counting(*args):
             values = real(*args)
             cells.append(values.size)
             return values
 
-        monkeypatch.setattr(solver, "_own_noise", counting)
-        table = solver._best_response_table(config, solver._user_columns(config), grid)
+        monkeypatch.setattr(panel, "_own_noise", counting)
+        table = panel._best_response_table(config, panel._user_columns(config), grid)
         assert not table.any() and sum(cells) == 2 * len(grid)
 
     def test_block_stage_memory_is_bounded(self, monkeypatch):
@@ -1119,21 +1119,21 @@ class TestOwnNoiseKernel:
         # the row stage's 2 * m.  A chunk of 8192 // 142 = 57 such rows
         # allocates the stage's largest arrays
         config = saturating_game(20.0)
-        grid = solver._grid(0.0, 20.0, 1e-3, 10**6)
+        grid = panel._grid(0.0, 20.0, 1e-3, 10**6)
         m, k, blocks = 20_001, 141, 142
         assert len(grid) == m and math.isqrt(m) == k and blocks * k >= m > (blocks - 1) * k
         cells = []
-        real = solver._own_noise
+        real = panel._own_noise
 
         def counting(*args):
             values = real(*args)
             cells.append(values.size)
             return values
 
-        monkeypatch.setattr(solver, "_own_noise", counting)
+        monkeypatch.setattr(panel, "_own_noise", counting)
         tracemalloc.start()
         try:
-            table = solver._best_response_table(config, solver._user_columns(config), grid)
+            table = panel._best_response_table(config, panel._user_columns(config), grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1151,8 +1151,8 @@ class TestOwnNoiseKernel:
         every other user at 0, is highest."""
         sigma_max = config.solver.sigma_max
         step = sigma_max / intervals
-        grid = solver._grid(0.0, sigma_max, step, 41).tolist()
-        table = solver._best_response_table(config, solver._user_columns(config), np.array(grid))
+        grid = panel._grid(0.0, sigma_max, step, 41).tolist()
+        table = panel._best_response_table(config, panel._user_columns(config), np.array(grid))
         n = config.n_users
         for sigma_L, row in zip(grid, table.T.tolist()):
             for i in range(n):
@@ -1196,9 +1196,9 @@ class TestUtilityPanel:
     def test_best_responses_equal_scalar_reference(self, config):
         s_stars = s_stars_of(config)
         cuts = solver._cuts(config, s_stars)
-        points = solver._grid(0.0, config.solver.sigma_max, config.solver.grid_step, 10**6).tolist()
+        points = panel._grid(0.0, config.solver.sigma_max, config.solver.grid_step, 10**6).tolist()
         points += [x for t in cuts for x in (math.nextafter(t, 0.0), t)]  # the one-sided limits
-        got = solver._best_responses(np.array(points), s_stars, cuts)
+        got = panel._best_responses(np.array(points), s_stars, cuts)
         assert got.T.tolist() == [scalar_responses(x, s_stars, cuts) for x in points]
 
     @pytest.mark.parametrize("config", panel_games())
@@ -1208,7 +1208,7 @@ class TestUtilityPanel:
         s_stars = s_stars_of(config)
         cuts = solver._cuts(config, s_stars)
         points = all_candidates(config, cuts)
-        got = solver._best_responses(np.array(points), s_stars, cuts).T.tolist()
+        got = panel._best_responses(np.array(points), s_stars, cuts).T.tolist()
         assert got == [[solver._response(x, s, t) for s, t in zip(s_stars, cuts)] for x in points]
 
     @pytest.mark.parametrize("config", panel_games())
@@ -1241,7 +1241,7 @@ class TestUtilityPanel:
 
     @pytest.mark.parametrize(
         "shape",
-        [(1, 500), (3, solver._ROW_SUM_WIDTH - 1), (3, solver._ROW_SUM_WIDTH), (16, 35), (16, 300), (3, 4001),
+        [(1, 500), (3, panel._ROW_SUM_WIDTH - 1), (3, panel._ROW_SUM_WIDTH), (16, 35), (16, 300), (3, 4001),
          (300, 2)],
     )
     def test_user_sum_equals_accumulate_on_both_sides_of_the_crossover(self, shape):
@@ -1253,21 +1253,21 @@ class TestUtilityPanel:
         rows.flat[5::211], rows.flat[7::307], rows.flat[11::401] = math.inf, -math.inf, math.nan
         with np.errstate(invalid="ignore"):  # inf + -inf
             expected = np.add.accumulate(rows, axis=0)[-1]
-            assert solver._user_sum(rows.copy()).tobytes() == expected.tobytes()
+            assert panel._user_sum(rows.copy()).tobytes() == expected.tobytes()
             if shape[0] > 2:
                 assert np.add.accumulate(rows[::-1], axis=0)[-1].tobytes() != expected.tobytes()
 
     @pytest.mark.parametrize("config", panel_games()[:5] + [mixed_population(8, 3)])
     def test_oracle_leader_row_equals_scalar_kernel(self, config, monkeypatch):
         calls = []
-        real = solver._utility_panel
+        real = panel._utility_panel
 
         def recording(config, columns, sigma_L, responses):
             result = real(config, columns, sigma_L, responses)
             calls.append((sigma_L.tolist(), np.transpose(responses).tolist(), result[0].tolist()))
             return result
 
-        monkeypatch.setattr(solver, "_utility_panel", recording)
+        monkeypatch.setattr(panel, "_utility_panel", recording)
         brute_force_equilibrium(config, config.solver.sigma_max / 400)
         [(grid, table, leader)] = calls
         assert len(grid) == 401
@@ -1356,8 +1356,8 @@ class TestResultFields:
         assert_results_are_the_public_definition(config)
 
     def test_solve_memory_is_bounded_in_n(self):
-        # the solve scores _CHUNK_CELLS cells at a time: one (N, candidates)
-        # block peaks near 35 MB here
+        # the solve holds O(N) plain floats, a few per user: 0.36 MB traced
+        # here and 0.66 MB at N = 2,048
         config = mixed_population(1024, 1)
         tracemalloc.start()
         try:
@@ -1365,7 +1365,7 @@ class TestResultFields:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4_000_000
+        assert peak < 1_000_000
 
 
 def corner_utilities(config, top):
@@ -1410,7 +1410,7 @@ class TestAdmissibility:
             return record
 
         # the oracle and the sweep score by the panel, the solve by the scalar scorer
-        monkeypatch.setattr(solver, "_utility_panel", recording(solver._utility_panel, panels))
+        monkeypatch.setattr(panel, "_utility_panel", recording(panel._utility_panel, panels))
         monkeypatch.setattr(solver, "_leader", recording(solver._leader, scores))
         result = stackelberg_solve(config)
         brute_force_equilibrium(config, settings.sigma_max / 200)
@@ -1437,7 +1437,7 @@ class TestAdmissibility:
             raise AssertionError("a kernel ran on an inadmissible game")
 
         for name in ("_utility_panel", "_own_noise", "_best_response_table"):
-            monkeypatch.setattr(solver, name, kernel)
+            monkeypatch.setattr(panel, name, kernel)
         with pytest.raises(SolverError, match=f"{OVERFLOW} = 50.0 "):
             run(parse_config_text(INADMISSIBLE))
 
@@ -1457,17 +1457,17 @@ class TestAdmissibility:
 
     def test_grid_stops_at_its_top(self):
         # 3 * 0.1 rounds to 0.30000000000000004
-        assert solver._grid(0.0, 0.3, 0.1, 10).tolist() == [0.0, 0.1, 0.2, 0.3]
+        assert panel._grid(0.0, 0.3, 0.1, 10).tolist() == [0.0, 0.1, 0.2, 0.3]
 
     def test_grid_keeps_a_last_point_an_ulp_short_of_its_top(self):
         # 3 * 0.3 rounds to 0.8999999999999999, one ulp below 0.9: no pad
-        assert solver._grid(0.0, 0.9, 0.3, 10).tolist() == [0.0, 0.3, 0.6, 0.8999999999999999]
+        assert panel._grid(0.0, 0.9, 0.3, 10).tolist() == [0.0, 0.3, 0.6, 0.8999999999999999]
 
     def test_grid_adds_no_near_duplicate_of_its_top(self):
         # 3071 steps of hi / 3071 round one ulp below hi, a rounding, not a
         # gap; above 8,192 that ulp exceeds 1e-12, so the tolerance scales with hi
         hi = 29410.020397065022
-        grid = solver._grid(0.0, hi, hi / 3071, 10**6)
+        grid = panel._grid(0.0, hi, hi / 3071, 10**6)
         assert len(grid) == 3072 and grid[-1] == math.nextafter(hi, 0.0)
 
 
@@ -1492,7 +1492,7 @@ class TestCandidateSet:
         def build(*args):
             raise AssertionError("stackelberg_solve built a grid")
 
-        monkeypatch.setattr(solver, "_grid", build)
+        monkeypatch.setattr(panel, "_grid", build)
         for config in (load_shipped_config("default"), mixed_population(8, seed=3)):
             result = stackelberg_solve(config)
             assert result.sigma_S_star == tuple(
@@ -2119,9 +2119,9 @@ def unpruned_solve(config):
     s_stars = solver._admissible(config, settings.sigma_max)
     cuts = solver._cuts(config, s_stars)
     grid = np.array(all_candidates(config, cuts))
-    responses = solver._best_responses(grid, s_stars, cuts)
-    leader, users = solver._utility_panel(config, solver._user_columns(config), grid, responses)
-    j = solver._winner(leader, settings.tie_epsilon)
+    responses = panel._best_responses(grid, s_stars, cuts)
+    leader, users = panel._utility_panel(config, panel._user_columns(config), grid, responses)
+    j = panel._winner(leader, settings.tie_epsilon)
     thresholds = tuple(None if t > settings.sigma_max else t for t in cuts)
     return solver.EquilibriumResult(float(grid[j]), tuple(responses[:, j].tolist()), float(leader[j]),
                                     tuple(users[:, j].tolist()), thresholds)
