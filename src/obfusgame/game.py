@@ -105,7 +105,8 @@ class UserParams(_Record):
 
 
 class SolverSettings(_Record):
-    """Search bounds and tolerances for the best-response solver."""
+    """The learner's search bound sigma_max (a user's own noise has none),
+    the sweep's default step and the solver's tolerances."""
 
     # the defaults, which callers also read off the class
     sigma_max = 50.0

@@ -130,21 +130,23 @@ def _user_sum(rows: np.ndarray) -> np.ndarray:
     return rows[0]
 
 
-def _best_response_table(config: GameConfig, columns: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """(N, m) table of each user's best own noise level on grid at each
-    sigma_L of grid, every other user at 0; ties go to the smaller one.
+def _best_response_table(config: GameConfig, columns: np.ndarray, grid: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """(N, m) table of each user's best own noise level at each sigma_L of
+    grid, every other user at 0; ties go to the smaller level.  levels is
+    (N, m), each user's column of own noise levels, non-decreasing from 0;
+    every cell is finite where they stay within solver._admissible's corner.
 
     Exact branch and bound.  In _own_noise every step (x*x, /N, +, sqrt,
     coef*, base -, rho*, 1 +, P /, -) is correctly rounded and monotone in
     each argument; every parameter but the gain G is >= 0 and rho, Lambda
-    > 0; and the column is non-decreasing.  So on a run [a, b] of levels
+    > 0; and each column is non-decreasing.  So on a run [a, b] of levels
     the accuracy term is highest at a, the privacy loss lowest at b and the
     flat cost lowest at a: no computed cell of the run exceeds its bound,
     _own_noise with acc = a and priv = b.  Row stage: level 0 is scored
     exactly and the rest of the (padded) column is one run; where its bound
     is at most level 0 the pick is 0, as no cell of the rest exceeds level
     0 and a tie goes to the smaller level.  The sigma_L rows are cut into
-    the blocks below first, and a block settles, each row picking 0, where
+    blocks of k rows first, and a block settles, each row picking 0, where
     _settled_row_blocks proves the rest's bound below level 0 in all its
     rows; the other blocks' rows are tested one by one.  A user whose cost
     outweighs its privacy gain settles whole blocks; a flat row, within the
@@ -161,46 +163,52 @@ def _best_response_table(config: GameConfig, columns: np.ndarray, grid: np.ndarr
     cells remain the budget, evaluated _CHUNK_CELLS at a time."""
     m, n = len(grid), config.n_users
     k = max(2, math.isqrt(m))
-    blocks = np.append(grid, [grid[-1]] * (-m % k)).reshape(-1, k)
-    column, firsts, seconds, lasts = blocks.ravel(), blocks[:, 0], blocks[:, 1], blocks[:, -1]
-    chunk = _CHUNK_CELLS // len(blocks)  # sigma_L rows bounded at once
+    levels = np.asarray(levels)
+    rows = np.append(grid, [grid[-1]] * (-m % k)).reshape(-1, k)  # the sigma_L blocks
+    padded = np.concatenate([levels, levels[:, -1:].repeat(-m % k, axis=1)], axis=1)
+    level_0, level_1, top = levels[:, :1], levels[:, 1:2], levels[:, -1:]
+    chunk = _CHUNK_CELLS // len(rows)  # sigma_L rows bounded at once
     batch = _CHUNK_CELLS // k  # live blocks evaluated at once
     width = max(1, _CHUNK_CELLS // n)  # sigma_L rows of the row stage, all N users at once
-    settled = _settled_row_blocks(n, columns, firsts * firsts, lasts * lasts, column[1], column[-1])
+    settled = _settled_row_blocks(n, columns, rows[:, 0] * rows[:, 0], rows[:, -1] * rows[:, -1], level_1, top)
     tested = np.flatnonzero(np.repeat(~settled.all(axis=0), k)[:m])  # rows of blocks some user leaves open
     unsettled = np.zeros((n, m), dtype=bool)  # rows whose rest's bound exceeds level 0
     for start in range(0, len(tested), width):
-        rows = tested[start : start + width]
-        sigma_sq = grid[rows] * grid[rows]
-        rest = _own_noise(n, columns, sigma_sq, column[1:2], column[-1:])
-        unsettled[:, rows] = rest > _own_noise(n, columns, sigma_sq, column[:1], column[:1])
-    picks = np.zeros((n, m), dtype=np.intp)
-    for params, user_picks, open_rows in zip(columns[:, :, 0].T.tolist(), picks, unsettled):  # floats beat (1,) arrays
+        at_rows = tested[start : start + width]
+        sigma_sq = grid[at_rows] * grid[at_rows]
+        rest = _own_noise(n, columns, sigma_sq, level_1, top)
+        unsettled[:, at_rows] = rest > _own_noise(n, columns, sigma_sq, level_0, level_0)
+    table = level_0.repeat(m, axis=1)
+    users = zip(columns[:, :, 0].T.tolist(), padded, table, unsettled)  # floats beat (1,) arrays
+    for params, column, user_table, open_rows in users:
+        blocks = column.reshape(-1, k)
+        firsts, seconds, lasts = blocks[:, 0], blocks[:, 1], blocks[:, -1]
         rows_left = np.flatnonzero(open_rows)
         for start in range(0, len(rows_left), chunk):
             at_rows = rows_left[start : start + chunk]
             sigma_sq = (grid[at_rows] * grid[at_rows])[:, None]
             best = _own_noise(n, params, sigma_sq, firsts, firsts)
             bound = _own_noise(n, params, sigma_sq, seconds, lasts)
-            rows, live = np.nonzero(bound >= best.max(axis=1, keepdims=True))
+            live_rows, live = np.nonzero(bound >= best.max(axis=1, keepdims=True))
             at = np.zeros(best.shape, dtype=np.intp)
-            for j in range(0, len(rows), batch):
-                r, b = rows[j : j + batch], live[j : j + batch]
+            for j in range(0, len(live_rows), batch):
+                r, b = live_rows[j : j + batch], live[j : j + batch]
                 cells = blocks[b]
                 values = _own_noise(n, params, sigma_sq[r], cells, cells)
                 best[r, b] = values.max(axis=1)
                 at[r, b] = values.argmax(axis=1)
             block = best.argmax(axis=1)
-            user_picks[at_rows] = block * k + at[np.arange(len(block)), block]
-    return column[picks]
+            user_table[at_rows] = column[block * k + at[np.arange(len(block)), block]]
+    return table
 
 
 def _settled_row_blocks(
-    n: int, columns: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray, level_1: float, top: float
+    n: int, columns: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray, level_1: np.ndarray, top: np.ndarray
 ) -> np.ndarray:
     """(N, blocks): True where every sigma_L row of a block has the bound of
     the column's rest below level 0, s_lo and s_hi the block's first and
-    last fl(sigma_L^2).  With q = fl(level_1^2) / N and T = fl(top^2), the
+    last fl(sigma_L^2), level_1 and top (N, 1), each user's second and last
+    level.  With q = fl(level_1^2) / N and T = fl(top^2), the
     floats both cells use, a row at s = fl(sigma_L^2) has, in reals, bound
     less level 0 = P/(1 + rho sqrt(s)) - P/(1 + rho sqrt(s + T)) - w q - c
     (the w s terms cancel; level_1 > 0 pays c), at most D = the same with
@@ -211,8 +219,8 @@ def _settled_row_blocks(
     fl(D) + 2^-46 M + 2^-1022 is finite and < 0, each row's computed bound
     is below its level 0.  A non-finite value settles nothing."""
     gain, weight, loss, rate, cost = columns
-    top_sq = top * top
     with np.errstate(over="ignore", invalid="ignore"):
+        top_sq = top * top
         gap = loss / (1.0 + rate * np.sqrt(s_lo)) - loss / (1.0 + rate * np.sqrt(s_hi + top_sq))
         gap -= weight * (level_1 * level_1 / n) + cost
         gap += 2.0**-46 * (np.abs(gain) + weight * (s_hi + top_sq) + loss + cost) + _NORMAL

@@ -137,10 +137,8 @@ def effective_noise_target(
 
     ValueError for a root_tol that is not finite and > 0.  Returns 0.0 when
     the user has no privacy stake; SolverError when s_star has no finite
-    square.  The cubic is solved in floats where the
-    right-hand side's partial products are normal floats and rho < 1e154,
-    and compared exactly (_exact_excess) elsewhere, where a float partial
-    would overflow or underflow or (1 + rho s)^2 could overflow near s_star.
+    square.  The cubic is solved in floats where _cubic's g runs in floats,
+    and compared exactly (_exact_excess) elsewhere.
 
     In floats _dyadic_cell reads _bisect_root(g, 0, hi, root_tol), hi the first
     power of two >= 1 with g(hi) >= 0, off its last cell.  For s >= 0 every
@@ -151,31 +149,17 @@ def effective_noise_target(
     2^m the first halving <= root_tol and j the one index below 2^m with g(j w)
     <= 0 < g((j + 1) w) or j + 1 = 2^m.  hi is the one power of two with g(hi)
     >= 0 > g(hi / 2) or hi = 1, so g(root_tol) < 0 where root_tol <= hi / 2.
-    Newton steps from min(rhs, cbrt(rhs / rho^2)) >= s_star guess hi and j, and
-    2-4 calls of g check them.  The bisection runs itself where a check fails
-    (s_star <= root_tol among them), where m > 50, and on the exact branch.
+    _cubic's Newton iterate guesses hi and j, and 2-4 calls of g check them.
+    The bisection runs itself where a check fails (s_star <= root_tol among
+    them), where m > 50, and on the exact branch.
     """
     _require_finite("root_tol", root_tol, ">")
     if user.max_privacy_loss == 0:
         return 0.0
-    rho, n, lam, gamma = user.privacy_rate, learner.population_size, learner.regularizer, user.accuracy_weight
-    head, lam_sq = user.max_privacy_loss * rho, lam**2
-    num = head * n**2 * lam_sq
-    rhs = num / (2.0 * gamma)
-    if rho < _FLOAT_RHO and _NORMAL <= head and _NORMAL <= lam_sq and _NORMAL <= num and _NORMAL <= rhs < math.inf:
-
-        def g(s: float) -> float:
-            t = 1.0 + rho * s
-            return s * (t * t) - rhs  # t ** 2 raises OverflowError where t * t is inf
-
-        s_star = _dyadic_cell(g, rho, rhs, root_tol)
-    else:  # a partial product left the normal range, or (1 + rho s)^2 may overflow below the root
-        g, s_star = _exact_excess(user.max_privacy_loss, rho, n, lam, gamma), None
+    g, s = _cubic(user, learner)
+    s_star = None if s is None else _dyadic_cell(g, s, root_tol)
     if s_star is None and g(root_tol) < 0:
-        hi = 1.0
-        while g(hi) < 0:
-            hi *= 2.0
-        s_star = _bisect_root(g, 0.0, hi, root_tol)
+        s_star = _bisect_root(g, 0.0, _bracket(g), root_tol)
     elif s_star is None:  # s_star <= root_tol: bisect to float resolution, not to root_tol
         s_star = _bisect_root(g, 0.0, root_tol, 0.0)
     if not math.isfinite(s_star * s_star):
@@ -183,14 +167,44 @@ def effective_noise_target(
     return s_star
 
 
-def _dyadic_cell(g: Callable[[float], float], rho: float, rhs: float, tol: float) -> float | None:
-    """effective_noise_target's float bisection, or None where a check fails."""
-    s = min(rhs, (rhs / rho / rho) ** (1.0 / 3.0))
-    for _ in range(64):  # from the right: g is convex, so Newton stays above the root
+def _cubic(user: UserParams, learner: LearnerParams) -> tuple[Callable[[float], float], float | None]:
+    """(g, s): g(s) has the sign of s (1 + rho s)^2 - rhs, rhs = P_bar rho N^2
+    Lambda^2 / (2 gamma), and does not fall in s >= 0.  Where rhs's partial
+    products are normal floats and rho < 1e154, g runs in floats and s is
+    Newton's iterate from min(rhs, cbrt(rhs / rho^2)), each at least the root
+    in reals; g is convex, so Newton stays above the root, up to rounding.
+    Elsewhere, where a float partial would overflow or underflow or (1 + rho
+    s)^2 could overflow near the root, g is _exact_excess and s is None."""
+    rho, n, lam, gamma = user.privacy_rate, learner.population_size, learner.regularizer, user.accuracy_weight
+    head, lam_sq = user.max_privacy_loss * rho, lam**2
+    num = head * n**2 * lam_sq
+    rhs = num / (2.0 * gamma)
+    if not (rho < _FLOAT_RHO and _NORMAL <= min(head, lam_sq, num) and _NORMAL <= rhs < math.inf):
+        return _exact_excess(user.max_privacy_loss, rho, n, lam, gamma), None
+
+    def g(s: float) -> float:
+        t = 1.0 + rho * s
+        return s * (t * t) - rhs  # t ** 2 raises OverflowError where t * t is inf
+
+    s = min(rhs, rhs ** (1.0 / 3.0) / rho ** (2.0 / 3.0))  # rhs / rho^2 may leave the float range
+    for _ in range(64):
         t = 1.0 + rho * s
         if not (step := s - (s * (t * t) - rhs) / (t * (t + 2.0 * rho * s))) < s:
             break
         s = step
+    return g, s
+
+
+def _bracket(g: Callable[[float], float]) -> float:
+    """The first power of two >= 1 at which g >= 0."""
+    hi = 1.0
+    while g(hi) < 0:
+        hi *= 2.0
+    return hi
+
+
+def _dyadic_cell(g: Callable[[float], float], s: float, tol: float) -> float | None:
+    """effective_noise_target's float bisection from the guess s, or None where a check fails."""
     k = max(0, math.frexp(math.nextafter(s, 0.0))[1])  # hi = 2^k, the first power of two >= max(s, 1)
     m = max(0, k - math.frexp(tol)[1] + 1)  # hi / 2^m <= tol < hi / 2^(m - 1)
     if m > 50 or k > 1023:
@@ -223,20 +237,20 @@ def _exact_excess(p: float, rho: float, n: int, lam: float, gamma: float) -> Cal
 def _admissible(config: GameConfig, top: float) -> list[float]:
     """Every user's s_star, or, before any kernel runs, one SolverError if a
     utility overflows at the corner of a command that plays sigma_L up to
-    top: sigma_L = top, every user at max(top, s_star), or at top if its
-    margin at sigma_L = 0 is <= 0, every privacy loss at P_bar and every
-    flat cost paid.  A utility is gain - coef * spread - privacy - cost,
-    and each of its steps (x*x, /N, the user-order sums, coef *, P / (1 +
-    rho * s), -) is correctly rounded and monotone in each argument (see
-    panel._best_response_table); a grid point is at most top, and a
-    response's square at most s_star's, or 0 where the user's cut is 0,
-    which its margin at 0 decides (_cut).  So no command evaluates a larger
-    spread, privacy loss or cost than the corner does, and no cell can be
-    less finite than it.  The kernels here and in panel take these s_stars
-    from their caller and trust sigma_L to be finite and >= 0."""
+    top: sigma_L = top, every user at max(top, _reach), every privacy loss
+    at P_bar and every flat cost paid.  A utility is gain - coef * spread -
+    privacy - cost, and each of its steps (x*x, /N, the user-order sums,
+    coef *, P / (1 + rho * s), -) is correctly rounded and monotone in each
+    argument (see panel._best_response_table); a grid point is at most top,
+    a response's square at most s_star's, or 0 where the user's cut is 0,
+    which its margin at 0 decides (_cut), and an oracle level at most
+    max(top, _reach).  So no command evaluates a larger spread, privacy
+    loss or cost than the corner does, and no cell can be less finite than
+    it.  The kernels here and in panel take these s_stars from their caller
+    and trust sigma_L to be finite and >= 0."""
     s_stars = [effective_noise_target(u, config.learner, config.solver.root_tol) for u in config.users]
     n, lp = config.n_users, config.learner
-    corner = [s if s > top and _margin(u, s, config)(0.0) > 0 else top for u, s in zip(config.users, s_stars)]
+    corner = [max(top, _reach(u, s, config)) for u, s in zip(config.users, s_stars)]
     spread, losses = _spread(top, corner, n), 0.0
     for u in config.users:
         losses += u.max_privacy_loss
@@ -245,6 +259,19 @@ def _admissible(config: GameConfig, top: float) -> list[float]:
     if not all(math.isfinite(g - w / (n * lp.regularizer**2) * spread - p - c) for g, w, p, c in players):
         raise SolverError(f"utilities overflow at sigma_L = {top} with every perturbing user at max(sigma_L, s*)")
     return s_stars
+
+
+def _reach(user: UserParams, s_star: float, config: GameConfig) -> float:
+    """The most own noise any command plays for the user: max(s_star, B)
+    where its margin at sigma_L = 0 is positive, and 0.0 where it is not,
+    as the user then plays 0 at every sigma_L.  B >= s_star up to root_tol
+    comes from the parameters alone, so that the oracle's columns need no
+    root: _cubic's Newton iterate, or where _cubic's g is exact, _bracket's
+    power of two."""
+    if _margin(user, s_star, config)(0.0) <= 0:
+        return 0.0
+    g, bound = _cubic(user, config.learner)
+    return max(s_star, _bracket(g) if bound is None else bound)
 
 
 def _margin(user: UserParams, s_star: float, config: GameConfig) -> Callable[[float], float]:
@@ -472,34 +499,43 @@ def sweep(config: GameConfig, lo: float, hi: float, step: float) -> tuple:
 def brute_force_equilibrium(config: GameConfig, fine_step: float | None = None) -> EquilibriumResult:
     """Exhaustive two-level grid search used as a test oracle.
 
-    For every sigma_L grid point each user's best response is the exact
-    argmax of a dense 1-D grid over [0, sigma_max] by fine_step (1e-3, or
-    where that is over the budget one point under it), by branch and
-    bound: two user utilities per row, level 0 and the bound of the rest,
-    and where that bound exceeds level 0, two per block of about sqrt(m)
-    levels and the whole block where its bound reaches the row's best
-    first level; about m^2 * N on m points if no block is pruned.  The
-    learner then picks the grid point with the highest utility (ties to
-    the smaller sigma_L).  A user's threshold is read off the same table:
-    0.0 if the user never perturbs, None if they still perturb at
-    sigma_max, and otherwise the grid point after the last sigma_L at
-    which they perturb.
+    The sigma_L grid runs over [0, sigma_max] by fine_step (1e-3, or where
+    that is over the budget one point under it).  Each user's own noise
+    axis is [0, A], A = max(sigma_max, _reach): past sigma_max, where the
+    user perturbs at sigma_L = 0, to B, the bound on s_star, the most noise
+    it can want, that _reach takes from its parameters alone.  A is its
+    level at _admissible's corner, so every cell is finite.  The column
+    is the grid itself where A = sigma_max, else the grid scaled to end at
+    A, the same m points by fine_step * A / sigma_max.  For every sigma_L
+    each user's best response is the exact argmax of its column, by branch
+    and bound: two user utilities per row, level 0 and the bound of the
+    rest, and where that bound exceeds level 0, two per block of about
+    sqrt(m) levels and the whole block where its bound reaches the row's
+    best first level; about m^2 * N on m points if no block is pruned.  The
+    learner then picks the grid point with the highest utility (ties to the
+    smaller sigma_L).  A user's threshold is read off the same table: 0.0
+    if the user never perturbs, None if they still perturb at sigma_max,
+    and otherwise the grid point after the last sigma_L at which they
+    perturb.
     """
     from .panel import _best_response_table, _grid, _user_columns, _utility_panel, _winner
     if fine_step is not None:
         _require_finite("fine_step", fine_step, ">")
     settings = config.solver
-    _admissible(config, settings.sigma_max)  # the solve's domain; the oracle needs no s_star
+    sigma_max = settings.sigma_max
+    s_stars = _admissible(config, sigma_max)  # the solve's domain; s_star only widens a column past B
     max_points = math.isqrt(_BRUTE_FORCE_BUDGET // config.n_users)  # m points cost m * m * N evaluations
     try:
-        grid = _grid(0.0, settings.sigma_max, fine_step or 1e-3, max_points)
+        grid = _grid(0.0, sigma_max, fine_step or 1e-3, max_points)
     except GridTooLargeError:
         if fine_step is not None:
             raise
-        grid = _grid(0.0, settings.sigma_max, settings.sigma_max / (max_points - 2), max_points)
+        grid = _grid(0.0, sigma_max, sigma_max / (max_points - 2), max_points)
 
+    unit = grid / sigma_max  # times A: the factor A / sigma_max can overflow
+    tops = [max(sigma_max, _reach(u, s, config)) for u, s in zip(config.users, s_stars)]
     columns = _user_columns(config)
-    responses = _best_response_table(config, columns, grid)
+    responses = _best_response_table(config, columns, grid, [grid if a == sigma_max else unit * a for a in tops])
     leader = _utility_panel(config, columns, grid, responses)[0]
 
     def table_threshold(row) -> float | None:

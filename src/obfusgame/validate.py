@@ -207,8 +207,9 @@ def random_small_config(seed: int) -> GameConfig:
     concave for sigma_L > 0, where a fine grid oracle is meaningful at the
     1e-6 level).  No suite checks user-side best responses; in tests/test_solver.py,
     TestBestResponseKernel::test_best_response_is_argmax_of_user_utility,
-    TestUserBestResponse::test_default_config_matches_grid_oracle and
-    TestBruteForce::test_thresholds_read_off_its_own_table do.
+    TestUserBestResponse::test_default_config_matches_grid_oracle,
+    TestBruteForce::test_thresholds_read_off_its_own_table and
+    TestPerturbingRegime::test_oracle_agrees_with_the_solve do.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     n = int(rng.integers(1, 4))

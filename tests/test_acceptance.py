@@ -155,9 +155,10 @@ def _random_game(rng) -> GameConfig:
 
 
 def _argmax_own(config: GameConfig, i: int, sigma_L: float, others) -> float:
-    """Independent argmax of user i's utility in its own noise level, via
-    sign bisection of a central-difference derivative of the full utility
-    (which includes the other users' levels)."""
+    """Independent argmax of user i's utility in its own noise level, on
+    [0, inf) as in the game, via sign bisection of a central-difference
+    derivative of the full utility (which includes the other users'
+    levels)."""
 
     def util(own: float) -> float:
         sigma = list(others)
@@ -169,11 +170,11 @@ def _argmax_own(config: GameConfig, i: int, sigma_L: float, others) -> float:
     def deriv(s: float) -> float:
         return util(s + h) - util(s - h)
 
-    lo, hi = h, config.solver.sigma_max - h
+    lo, hi = h, config.solver.sigma_max
+    while deriv(hi) > 0:  # own noise has no cap: past the optimum the accuracy term wins
+        hi *= 2.0
     if deriv(lo) <= 0:
         interior = 0.0
-    elif deriv(hi) >= 0:
-        interior = hi
     else:
         for _ in range(80):
             mid = 0.5 * (lo + hi)

@@ -37,7 +37,7 @@ from obfusgame.solver import (
     stackelberg_solve,
     user_best_response,
 )
-from obfusgame.validate import random_small_config
+from obfusgame.validate import _ORACLE_UTILITY_TOL, random_small_config
 from test_config_cli import NEVER_PERTURBS, OVERFLOW, THREE_USERS, fuzz_configs, replace
 
 
@@ -591,21 +591,22 @@ class TestBruteForce:
         [
             (lambda: load_shipped_config("default"), 0.01, 3.81, (0.0,), (3.81,), [381]),
             (
-                lambda: mixed_population(4, seed=3), 0.01, 8.84, (0.0, 0.0, 20.0, 0.0),
+                lambda: mixed_population(4, seed=3), 0.01, 7.38, (0.0, 0.0, 41.06905618343195, 0.0),
                 (2.32, 4.29, None, 0.36), [232, 429, 2001, 36],
             ),
             (lambda: random_small_config(0), 1e-3, 0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), [0, 0, 0]),
         ],
         ids=["default", "mixed_4", "random_0"],
     )
-    def test_pinned_results(self, make, fine_step, sigma_L, sigma_S, thresholds, perturbing):
+    def test_pinned_results(self, monkeypatch, make, fine_step, sigma_L, sigma_S, thresholds, perturbing):
         config = make()
+        tables, real = [], panel._best_response_table
+        monkeypatch.setattr(panel, "_best_response_table", lambda *args: tables.append(real(*args)) or tables[-1])
         result = brute_force_equilibrium(config, fine_step)
         assert result.sigma_L_star == sigma_L
         assert result.sigma_S_star == sigma_S
         assert result.per_user_thresholds == thresholds
-        grid = panel._grid(0.0, config.solver.sigma_max, fine_step, 10**6)
-        table = panel._best_response_table(config, panel._user_columns(config), grid)
+        [table] = tables
         assert (table > 0).sum(axis=1).tolist() == perturbing
 
     def test_agrees_with_solver_on_random_configs(self):
@@ -696,6 +697,48 @@ def mixed_population(n, seed, sigma_max=20.0):
         users=tuple(users),
         solver=SolverSettings(sigma_max=sigma_max, grid_step=0.02),
     )
+
+
+def default_at_sigma_max_2():
+    """default.cfg searched up to sigma_max = 2, below its user's s* = 6.96."""
+    config = load_shipped_config("default")
+    return replace(config, solver=replace(config.solver, sigma_max=2.0))
+
+
+class TestPerturbingRegime:
+    """The oracle and the solve play one game, in which a user's own noise
+    runs past sigma_max: where users want more noise than that, they agree."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [default_at_sigma_max_2, partial(mixed_population, 4, 3)]
+        + [partial(mixed_population, n, seed) for n in range(1, 7) for seed in range(3)],
+        ids=["default_sigma_max_2", "mixed_4_3"] + [f"mixed_{n}_{seed}" for n in range(1, 7) for seed in range(3)],
+    )
+    def test_oracle_agrees_with_the_solve(self, make):
+        """U_L within the users' own-noise grid error: a response off by up
+        to its column's step h_i = fine_step * max(sigma_max, s*_i) /
+        sigma_max moves U_L by about gamma_L * s*_i * h_i / (N Lambda)^2,
+        summed over users, plus _ORACLE_UTILITY_TOL."""
+        config, fine_step = make(), 0.01
+        fast, slow = stackelberg_solve(config), brute_force_equilibrium(config, fine_step)
+        n, lp, sigma_max = config.n_users, config.learner, config.solver.sigma_max
+        tol = _ORACLE_UTILITY_TOL
+        for s in s_stars_of(config):
+            tol += lp.accuracy_weight * s * (fine_step * max(sigma_max, s) / sigma_max) / (n * lp.regularizer) ** 2
+        assert abs(fast.learner_utility - slow.learner_utility) <= tol
+
+    @pytest.mark.parametrize(
+        "make",
+        [default_at_sigma_max_2, partial(mixed_population, 3, 0), partial(mixed_population, 4, 3),
+         partial(mixed_population, 6, 1)],
+        ids=["default_sigma_max_2", "mixed_3_0", "mixed_4_3", "mixed_6_1"],
+    )
+    def test_both_play_past_sigma_max(self, make):
+        config = make()
+        sigma_max = config.solver.sigma_max
+        for result in (stackelberg_solve(config), brute_force_equilibrium(config, 0.01)):
+            assert max(result.sigma_S_star) > sigma_max
 
 
 @st.composite
@@ -808,26 +851,35 @@ class TestBestResponseKernel:
             query(i, config)
 
 
-def full_scan_table(config, grid):
-    """The (N, m) best-response table by a scan of every cell, the oracle's
-    kernel before its branch and bound: the reference the pruned table must
-    equal."""
+def full_scan_table(config, grid, levels):
+    """The (N, m) best-response table by a scan of every cell, user i's own
+    noise over levels[i], the oracle's kernel before its branch and bound:
+    the reference the pruned table must equal."""
     n = config.n_users
-    column = np.asarray(grid)
-    squares = column * column
-    squares_n = squares / n
-    coefs = [u.accuracy_weight / (n * config.learner.regularizer**2) for u in config.users]
-    costs = [u.perturbation_cost * (column > 0) for u in config.users]
     table = []
-    for sigma_L in grid:
-        eff = np.sqrt(sigma_L * sigma_L + squares)
-        spread = sigma_L * sigma_L + squares_n
+    for u, column in zip(config.users, np.asarray(levels)):
+        squares = column * column
+        coef, cost = u.accuracy_weight / (n * config.learner.regularizer**2), u.perturbation_cost * (column > 0)
         row = []
-        for u, coef, cost in zip(config.users, coefs, costs):
+        for sigma_L in grid:
+            eff = np.sqrt(sigma_L * sigma_L + squares)
+            spread = sigma_L * sigma_L + squares / n
             utility = u.baseline_gain - coef * spread - u.max_privacy_loss / (1.0 + u.privacy_rate * eff) - cost
             row.append(column[utility.argmax()])
         table.append(row)
-    return np.array(table).T
+    return np.array(table)
+
+
+def same_column(config, grid):
+    """grid as every user's column of own noise levels."""
+    return np.tile(grid, (config.n_users, 1))
+
+
+def rescaled_columns(config, grid):
+    """Each user's column: grid scaled to end at 2.5, 0.4, 1 or 40 times its
+    last point, by user, as the oracle scales a user's column to its bound."""
+    unit = grid / grid[-1]
+    return np.array([unit * (grid[-1] * (2.5, 0.4, 1.0, 40.0)[i % 4]) for i in range(config.n_users)])
 
 
 def flat_game(n, sigma_max=10.0):
@@ -990,7 +1042,7 @@ class TestOwnNoiseKernel:
         cells, margins = evaluations(monkeypatch)
         tracemalloc.start()
         try:
-            table = panel._best_response_table(config, panel._user_columns(config), grid)
+            table = panel._best_response_table(config, panel._user_columns(config), grid, same_column(config, grid))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1019,13 +1071,13 @@ class TestOwnNoiseKernel:
 
         monkeypatch.setattr(panel, "_own_noise", counting)
         monkeypatch.setattr(panel, "_settled_row_blocks", recording)
-        table = panel._best_response_table(config, panel._user_columns(config), grid)
+        table = panel._best_response_table(config, panel._user_columns(config), grid, same_column(config, grid))
         [blocks] = settled
         open_rows = int(np.repeat(~blocks.all(axis=0), k)[:m].sum())
         assert len(grid) == m and blocks.shape == (2, 21)
         assert blocks.any() and 0 < open_rows < m
         assert sum(row_cells) == 2 * 2 * open_rows
-        assert table.tolist() == full_scan_table(config, grid).tolist()
+        assert table.tolist() == full_scan_table(config, grid, same_column(config, grid)).tolist()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1040,7 +1092,7 @@ class TestOwnNoiseKernel:
         grid = panel._grid(0.0, sigma_max, sigma_max / intervals, 301)
         rows, rest, level_0 = settled_rows(config, grid)
         assert not (rows & (rest > level_0)).any()
-        assert not (rows & (full_scan_table(config, grid) > 0)).any()
+        assert not (rows & (full_scan_table(config, grid, same_column(config, grid)) > 0)).any()
 
     @pytest.mark.parametrize("intervals", [1, 7, 40, 300])
     def test_margin_covers_the_cells_rounding_at_near_ties(self, intervals):
@@ -1090,8 +1142,9 @@ class TestOwnNoiseKernel:
         config = make()
         sigma_max = config.solver.sigma_max
         grid = panel._grid(0.0, sigma_max, sigma_max / intervals, 2001)
-        table = panel._best_response_table(config, panel._user_columns(config), grid)
-        assert table.tolist() == full_scan_table(config, grid).tolist()
+        for levels in (same_column(config, grid), rescaled_columns(config, grid)):
+            table = panel._best_response_table(config, panel._user_columns(config), grid, levels)
+            assert table.tolist() == full_scan_table(config, grid, levels).tolist()
         if config.users[0].accuracy_weight == 0:  # a flat row: ties go to the smallest level
             assert not table[0].any()
 
@@ -1109,7 +1162,7 @@ class TestOwnNoiseKernel:
             return values
 
         monkeypatch.setattr(panel, "_own_noise", counting)
-        table = panel._best_response_table(config, panel._user_columns(config), grid)
+        table = panel._best_response_table(config, panel._user_columns(config), grid, same_column(config, grid))
         assert not table.any() and sum(cells) == 2 * len(grid)
 
     def test_block_stage_memory_is_bounded(self, monkeypatch):
@@ -1133,7 +1186,7 @@ class TestOwnNoiseKernel:
         monkeypatch.setattr(panel, "_own_noise", counting)
         tracemalloc.start()
         try:
-            table = panel._best_response_table(config, panel._user_columns(config), grid)
+            table = panel._best_response_table(config, panel._user_columns(config), grid, same_column(config, grid))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1145,14 +1198,16 @@ class TestOwnNoiseKernel:
     @given(
         st.one_of(games(), st.builds(mixed_population, st.integers(1, 6), st.integers(0, 2**32 - 1))),
         st.integers(1, 40),
+        st.sampled_from([same_column, rescaled_columns]),
     )
-    def test_table_is_argmax_of_user_utility(self, config, intervals):
-        """Each entry is the first grid point at which user i's utility, with
-        every other user at 0, is highest."""
+    def test_table_is_argmax_of_user_utility(self, config, intervals, columns):
+        """Each entry is the first level of user i's column at which its
+        utility, with every other user at 0, is highest."""
         sigma_max = config.solver.sigma_max
         step = sigma_max / intervals
         grid = panel._grid(0.0, sigma_max, step, 41).tolist()
-        table = panel._best_response_table(config, panel._user_columns(config), np.array(grid))
+        levels = columns(config, np.array(grid)).tolist()
+        table = panel._best_response_table(config, panel._user_columns(config), np.array(grid), levels)
         n = config.n_users
         for sigma_L, row in zip(grid, table.T.tolist()):
             for i in range(n):
@@ -1162,7 +1217,7 @@ class TestOwnNoiseKernel:
                         config, i, StrategyProfile(sigma_L, tuple(s if k == i else 0.0 for k in range(n)))
                     )
 
-                assert row[i] == max(grid, key=utility)
+                assert row[i] == max(levels[i], key=utility)
 
 
 def panel_games():
