@@ -7,9 +7,10 @@ Each mutant is one exact edit of one file: an old string, which must occur
 exactly once, a new string, and the verdict expected of the tests, killed
 or a reason the mutant survives.  Each runs in a fresh copy of the working
 tree's tracked and unignored files (tier-1 runs scripts/ and perfbench/
-too), with tier-1's command:
+too), with tier-1's command less tests/test_mutants.py, which checks that
+every old string occurs once, and so fails on every mutant:
 
-    PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
+    PYTHONPATH=src python -m pytest -q --continue-on-collection-errors --ignore tests/test_mutants.py
 
 A mutant is killed when that command exits non-zero.  For each mutant the
 script prints its verdict, its wall time and every test that failed, a
@@ -36,15 +37,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 KILLED = "killed"
 SOLVER = "src/obfusgame/solver.py"
-TIER_1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+TIER_1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--ignore", "tests/test_mutants.py"]
 
 # name: (file, old, new, expected verdict)
 MUTANTS = {
     # the oracle's user columns stop at sigma_max again, as before one strategy space for every player
     "oracle_column_capped_at_sigma_max": (
         SOLVER,
-        "    tops = [max(sigma_max, _reach(u, s, config)) for u, s in zip(config.users, s_stars)]\n",
-        "    tops = [sigma_max for u, s in zip(config.users, s_stars)]\n",
+        "    tops = [max(sigma_max, r) for r in _admissible(config, sigma_max)[1]]",
+        "    tops = [sigma_max for r in _admissible(config, sigma_max)[1]]",
+        KILLED,
+    ),
+    # the float branch's fallback bisection brackets s_star with the Newton iterate, not _bracket's power of two
+    "s_star_bisection_bracketed_by_newton": (
+        SOLVER,
+        "s_star = _bisect_root(g, 0.0, bound if s is None else _bracket(g), root_tol)",
+        "s_star = _bisect_root(g, 0.0, bound, root_tol)",
+        KILLED,
+    ),
+    # every user's reach is max(s_star, B), also where its margin at sigma_L = 0 is not positive
+    "reach_without_margin_test": (
+        SOLVER,
+        "return max(s_star, bound) if p - coef * (s_star * s_star) - floor > 0 else 0.0",
+        "return max(s_star, bound)",
         KILLED,
     ),
     # the pruned solve's bounds and prune tests (TestPrunedSolve)

@@ -15,7 +15,7 @@ dissuasion threshold t, the root of that gain less tie_epsilon, bisected
 to float resolution.  The pair (s_star, t) is the user's whole best
 response: sqrt(s_star^2 - sigma_L^2) if sigma_L < t, else 0: _response in
 plain floats, panel._best_responses over numpy arrays, the same floats.  It
-depends on the user alone, so a solve or sweep finds it once per user, and
+depends on the user alone, so every command finds it once per user, and
 each public per-user query finds it with _pair.  The solve scores sigma_L
 values with _leader, the sweep and the oracle with panel._utility_panel;
 both equal game.learner_utility and user_utility bit for bit.
@@ -154,17 +154,26 @@ def effective_noise_target(
     them), where m > 50, and on the exact branch.
     """
     _require_finite("root_tol", root_tol, ">")
+    return _target(user, learner, root_tol)[0]
+
+
+def _target(user: UserParams, learner: LearnerParams, root_tol: float) -> tuple[float, float]:
+    """(s_star, B) from one _cubic call: effective_noise_target's s_star and
+    B >= s_star up to root_tol from the parameters alone, the Newton iterate,
+    or on the exact branch _bracket's power of two.  The bisection to root_tol
+    brackets with _bracket's hi, never the iterate: its cell depends on hi."""
     if user.max_privacy_loss == 0:
-        return 0.0
+        return 0.0, 0.0
     g, s = _cubic(user, learner)
+    bound = _bracket(g) if s is None else s
     s_star = None if s is None else _dyadic_cell(g, s, root_tol)
     if s_star is None and g(root_tol) < 0:
-        s_star = _bisect_root(g, 0.0, _bracket(g), root_tol)
+        s_star = _bisect_root(g, 0.0, bound if s is None else _bracket(g), root_tol)
     elif s_star is None:  # s_star <= root_tol: bisect to float resolution, not to root_tol
         s_star = _bisect_root(g, 0.0, root_tol, 0.0)
     if not math.isfinite(s_star * s_star):
         raise SolverError(f"effective noise target {s_star} has no finite square")
-    return s_star
+    return s_star, bound
 
 
 def _cubic(user: UserParams, learner: LearnerParams) -> tuple[Callable[[float], float], float | None]:
@@ -234,69 +243,60 @@ def _exact_excess(p: float, rho: float, n: int, lam: float, gamma: float) -> Cal
     return excess
 
 
-def _admissible(config: GameConfig, top: float) -> list[float]:
-    """Every user's s_star, or, before any kernel runs, one SolverError if a
-    utility overflows at the corner of a command that plays sigma_L up to
-    top: sigma_L = top, every user at max(top, _reach), every privacy loss
-    at P_bar and every flat cost paid.  A utility is gain - coef * spread -
-    privacy - cost, and each of its steps (x*x, /N, the user-order sums,
-    coef *, P / (1 + rho * s), -) is correctly rounded and monotone in each
-    argument (see panel._best_response_table); a grid point is at most top,
-    a response's square at most s_star's, or 0 where the user's cut is 0,
-    which its margin at 0 decides (_cut), and an oracle level at most
-    max(top, _reach).  So no command evaluates a larger spread, privacy
+def _admissible(config: GameConfig, top: float) -> tuple[list[float], list[float]]:
+    """Every user's s_star and _reach, one _target call a user, or, before
+    any kernel runs, one SolverError if a utility overflows at the corner of
+    a command that plays sigma_L up to top: sigma_L = top, every user at
+    max(top, reach), every privacy loss at P_bar and every flat cost paid.
+    A utility is gain - coef * spread - privacy - cost, and each of its steps
+    (x*x, /N, the user-order sums, coef *, P / (1 + rho * s), -) is correctly
+    rounded and monotone in each argument (see panel._best_response_table);
+    a grid point is at most top, a response's square at most s_star's, or 0
+    where the user's reach, and so its cut, is 0, and an oracle level at
+    most max(top, reach).  So no command evaluates a larger spread, privacy
     loss or cost than the corner does, and no cell can be less finite than
     it.  The kernels here and in panel take these s_stars from their caller
     and trust sigma_L to be finite and >= 0."""
-    s_stars = [effective_noise_target(u, config.learner, config.solver.root_tol) for u in config.users]
+    targets = [_target(u, config.learner, config.solver.root_tol) for u in config.users]
+    s_stars = [s for s, bound in targets]
+    reaches = [_reach(u, s, bound, config) for u, (s, bound) in zip(config.users, targets)]
     n, lp = config.n_users, config.learner
-    corner = [max(top, _reach(u, s, config)) for u, s in zip(config.users, s_stars)]
-    spread, losses = _spread(top, corner, n), 0.0
+    spread, losses = _spread(top, [max(top, r) for r in reaches], n), 0.0
     for u in config.users:
         losses += u.max_privacy_loss
     players = [(lp.baseline_gain, lp.accuracy_weight, losses / n, lp.perturbation_cost)]
     players += [(u.baseline_gain, u.accuracy_weight, u.max_privacy_loss, u.perturbation_cost) for u in config.users]
     if not all(math.isfinite(g - w / (n * lp.regularizer**2) * spread - p - c) for g, w, p, c in players):
         raise SolverError(f"utilities overflow at sigma_L = {top} with every perturbing user at max(sigma_L, s*)")
-    return s_stars
+    return s_stars, reaches
 
 
-def _reach(user: UserParams, s_star: float, config: GameConfig) -> float:
-    """The most own noise any command plays for the user: max(s_star, B)
-    where its margin at sigma_L = 0 is positive, and 0.0 where it is not,
-    as the user then plays 0 at every sigma_L.  B >= s_star up to root_tol
-    comes from the parameters alone, so that the oracle's columns need no
-    root: _cubic's Newton iterate, or where _cubic's g is exact, _bracket's
-    power of two."""
-    if _margin(user, s_star, config)(0.0) <= 0:
-        return 0.0
-    g, bound = _cubic(user, config.learner)
-    return max(s_star, _bracket(g) if bound is None else bound)
-
-
-def _margin(user: UserParams, s_star: float, config: GameConfig) -> Callable[[float], float]:
-    """The user's gain from topping up to s_star over not perturbing, in
-    closed form (every other user's term cancels), less tie_epsilon, as a
-    function of sigma_L.  It falls strictly on [0, s_star] to -cost -
-    tie_epsilon <= 0 at s_star."""
+def _reach(user: UserParams, s_star: float, bound: float, config: GameConfig) -> float:
+    """The most own noise any command plays for the user: max(s_star, B) where
+    its margin at sigma_L = 0 is positive, else 0.0, as it then plays 0 at
+    every sigma_L.  The margin, its gain from topping up to s_star over not
+    perturbing (every other user's term cancels) less tie_epsilon, falls
+    strictly on [0, s_star] to -cost - tie_epsilon <= 0 at s_star."""
     coef = user.accuracy_weight / (config.n_users**2 * config.learner.regularizer**2)
     p, rho = user.max_privacy_loss, user.privacy_rate
     floor = p / (1.0 + rho * s_star) + user.perturbation_cost + config.solver.tie_epsilon
-    return lambda sigma_L: p / (1.0 + rho * sigma_L) - coef * (s_star * s_star - sigma_L * sigma_L) - floor
+    return max(s_star, bound) if p - coef * (s_star * s_star) - floor > 0 else 0.0
 
 
-def _cut(user: UserParams, s_star: float, config: GameConfig) -> float:
-    """The sigma_L from which the user plays 0: the root of its _margin (<= 0
-    at s_star), to float resolution, or 0.0 when the margin is <= 0 at 0.
-    The loop is _bisect_root(margin, 0.0, s_star, 0.0)'s, the margin inline
-    and x - floor >= 0 as x >= floor: the same test in floats (a difference
-    is 0 only between equal floats, and -inf and NaN compare alike)."""
+def _cut(user: UserParams, s_star: float, reach: float, config: GameConfig) -> float:
+    """The sigma_L from which the user plays 0: the root of its _reach margin,
+    to float resolution, or 0.0 where reach is 0.0.  The loop is
+    _bisect_root(margin, 0.0, s_star, 0.0)'s, the margin inline and x - floor
+    >= 0 as x >= floor: the same test in floats (a difference is 0 only
+    between equal floats, and -inf and NaN compare alike).  Its first test
+    is _reach's, p - coef * sq in floats at 0, and a positive margin at 0
+    has s_star > 0, as it is <= 0 at s_star, so reach >= s_star > 0."""
+    if reach == 0.0:
+        return 0.0
     coef = user.accuracy_weight / (config.n_users**2 * config.learner.regularizer**2)
     p, rho, sq = user.max_privacy_loss, user.privacy_rate, s_star * s_star
     floor = p / (1.0 + rho * s_star) + user.perturbation_cost + config.solver.tie_epsilon
     lo, hi = 0.0, s_star
-    if p / (1.0 + rho * lo) - coef * (sq - lo * lo) - floor <= 0:
-        return 0.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if p / (1.0 + rho * mid) - coef * (sq - mid * mid) >= floor:
             lo = mid
@@ -305,8 +305,8 @@ def _cut(user: UserParams, s_star: float, config: GameConfig) -> float:
     return 0.5 * (lo + hi)
 
 
-def _cuts(config: GameConfig, s_stars: list[float]) -> list[float]:
-    return [_cut(u, s, config) for u, s in zip(config.users, s_stars)]
+def _cuts(config: GameConfig, s_stars: list[float], reaches: list[float]) -> list[float]:
+    return [_cut(u, s, r, config) for u, s, r in zip(config.users, s_stars, reaches)]
 
 
 def _response(sigma_L: float, s_star: float, cut: float) -> float:
@@ -320,8 +320,8 @@ def _pair(config: GameConfig, i: int) -> tuple[float, float]:
     """User i's whole best response: its s_star and its cut."""
     _check_user(config, i)
     user = config.users[i]
-    s_star = effective_noise_target(user, config.learner, config.solver.root_tol)
-    return s_star, _cut(user, s_star, config)
+    s_star, bound = _target(user, config.learner, config.solver.root_tol)
+    return s_star, _cut(user, s_star, _reach(user, s_star, bound, config), config)
 
 
 def user_best_response(sigma_L: float, i: int, config: GameConfig) -> float:
@@ -445,8 +445,8 @@ def stackelberg_solve(config: GameConfig) -> EquilibriumResult:
     the smaller sigma_L."""
     settings, n = config.solver, config.n_users
     sigma_max, tie = settings.sigma_max, settings.tie_epsilon
-    s_stars = _admissible(config, sigma_max)
-    cuts = _cuts(config, s_stars)
+    s_stars, reaches = _admissible(config, sigma_max)
+    cuts = _cuts(config, s_stars, reaches)
     users = [(u.max_privacy_loss, u.privacy_rate, s, t) for u, s, t in zip(config.users, s_stars, cuts)]
     scored = {x: _leader(config, x, users) for x in (0.0, sigma_max)}
     best = max(scored.values())
@@ -485,13 +485,13 @@ def sweep(config: GameConfig, lo: float, hi: float, step: float) -> tuple:
         raise ValueError(f"invalid sweep range [{lo}, {hi}] with step {step}")
     n = config.n_users
     grid = _grid(lo, hi, step, _SWEEP_MAX_CELLS // (8 * n + 13))
-    s_stars = _admissible(config, hi)
+    s_stars, reaches = _admissible(config, hi)
     m = len(grid)
     count = min(5, m)
     samples = grid[[int(k * (m - 1) / max(count - 1, 1)) for k in range(count)]]
     columns = _user_columns(config)
     own = _own_noise(n, columns, (samples * samples)[:, None, None], grid, grid)
-    responses = _best_responses(grid, s_stars, _cuts(config, s_stars))
+    responses = _best_responses(grid, s_stars, _cuts(config, s_stars, reaches))
     leader, users = _utility_panel(config, columns, grid, responses)
     return grid, samples, own, responses, leader, users
 
@@ -503,7 +503,7 @@ def brute_force_equilibrium(config: GameConfig, fine_step: float | None = None) 
     that is over the budget one point under it).  Each user's own noise
     axis is [0, A], A = max(sigma_max, _reach): past sigma_max, where the
     user perturbs at sigma_L = 0, to B, the bound on s_star, the most noise
-    it can want, that _reach takes from its parameters alone.  A is its
+    it can want, that _target takes from its parameters alone.  A is its
     level at _admissible's corner, so every cell is finite.  The column
     is the grid itself where A = sigma_max, else the grid scaled to end at
     A, the same m points by fine_step * A / sigma_max.  For every sigma_L
@@ -523,7 +523,7 @@ def brute_force_equilibrium(config: GameConfig, fine_step: float | None = None) 
         _require_finite("fine_step", fine_step, ">")
     settings = config.solver
     sigma_max = settings.sigma_max
-    s_stars = _admissible(config, sigma_max)  # the solve's domain; s_star only widens a column past B
+    tops = [max(sigma_max, r) for r in _admissible(config, sigma_max)[1]]  # the solve's domain
     max_points = math.isqrt(_BRUTE_FORCE_BUDGET // config.n_users)  # m points cost m * m * N evaluations
     try:
         grid = _grid(0.0, sigma_max, fine_step or 1e-3, max_points)
@@ -533,7 +533,6 @@ def brute_force_equilibrium(config: GameConfig, fine_step: float | None = None) 
         grid = _grid(0.0, sigma_max, sigma_max / (max_points - 2), max_points)
 
     unit = grid / sigma_max  # times A: the factor A / sigma_max can overflow
-    tops = [max(sigma_max, _reach(u, s, config)) for u, s in zip(config.users, s_stars)]
     columns = _user_columns(config)
     responses = _best_response_table(config, columns, grid, [grid if a == sigma_max else unit * a for a in tops])
     leader = _utility_panel(config, columns, grid, responses)[0]

@@ -79,6 +79,11 @@ def s_stars_of(config):
     return [solver.effective_noise_target(u, config.learner, config.solver.root_tol) for u in config.users]
 
 
+def cuts_of(config):
+    """Every user's cut, as the solve finds them."""
+    return solver._cuts(config, *solver._admissible(config, config.solver.sigma_max))
+
+
 def interior_point(sigma_L, config, i=0):
     """User i's positive stationary point sqrt(s_star^2 - sigma_L^2), or None
     when the learner's noise already reaches s_star."""
@@ -762,18 +767,28 @@ sigma_levels = st.floats(0.0, 12.0)
 
 class TestBestResponseKernel:
     def test_one_s_star_per_user_per_solve(self, monkeypatch):
-        config = mixed_population(8, seed=3)
+        # every user of these games perturbs at sigma_L = 0, so each command
+        # needs both s_star and the bound B on it, from one Newton a user
+        config, small = mixed_population(8, seed=3), mixed_population(6, seed=5)
         calls = []
-        real = solver.effective_noise_target
+        real = solver._cubic
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             calls.append(args[0])
-            return real(*args, **kwargs)
+            return real(*args)
 
-        monkeypatch.setattr(solver, "effective_noise_target", counting)
-        result = stackelberg_solve(config)
-        assert len(calls) == config.n_users
+        monkeypatch.setattr(solver, "_cubic", counting)
+        commands = [
+            (config, stackelberg_solve),
+            (config, lambda game: solver.sweep(game, 0.0, game.solver.sigma_max, game.solver.grid_step)),
+            (small, lambda game: brute_force_equilibrium(game, game.solver.sigma_max / 40)),
+        ]
+        for game, command in commands:
+            calls.clear()
+            command(game)
+            assert calls == list(game.users)
         monkeypatch.undo()
+        result = stackelberg_solve(config)
         # the population mixes users the learner dissuades, users it leaves
         # perturbing and users no sigma_L in range dissuades
         thresholds = result.per_user_thresholds
@@ -792,7 +807,7 @@ class TestBestResponseKernel:
         expected = learner_utility(config, StrategyProfile(sigma_L, brs))
         assert leader_objective(sigma_L, config) == expected
         s_stars = s_stars_of(config)
-        assert scalar_objective(config, sigma_L, s_stars, solver._cuts(config, s_stars)) == expected
+        assert scalar_objective(config, sigma_L, s_stars, cuts_of(config)) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(games(), sigma_levels, st.lists(sigma_levels, min_size=1, max_size=5), st.integers(0, 3))
@@ -1231,7 +1246,7 @@ def scalar_columns(config, points):
     """Best responses, U_L and each U_S at each sigma_L in points, by the
     scalar responses and the public utilities."""
     s_stars = s_stars_of(config)
-    cuts = solver._cuts(config, s_stars)
+    cuts = cuts_of(config)
     responses, leader, users = [], [], []
     for x in points:
         profile = StrategyProfile(x, scalar_responses(x, s_stars, cuts))
@@ -1250,7 +1265,7 @@ class TestUtilityPanel:
     @pytest.mark.parametrize("config", panel_games())
     def test_best_responses_equal_scalar_reference(self, config):
         s_stars = s_stars_of(config)
-        cuts = solver._cuts(config, s_stars)
+        cuts = cuts_of(config)
         points = panel._grid(0.0, config.solver.sigma_max, config.solver.grid_step, 10**6).tolist()
         points += [x for t in cuts for x in (math.nextafter(t, 0.0), t)]  # the one-sided limits
         got = panel._best_responses(np.array(points), s_stars, cuts)
@@ -1261,7 +1276,7 @@ class TestUtilityPanel:
         # the scalar response, which the solve and the per-user queries play,
         # is _best_responses bit for bit at every candidate of the solve
         s_stars = s_stars_of(config)
-        cuts = solver._cuts(config, s_stars)
+        cuts = cuts_of(config)
         points = all_candidates(config, cuts)
         got = panel._best_responses(np.array(points), s_stars, cuts).T.tolist()
         assert got == [[solver._response(x, s, t) for s, t in zip(s_stars, cuts)] for x in points]
@@ -1287,8 +1302,7 @@ class TestUtilityPanel:
                     sigma[i] = float(grid[k])
                     assert row[k] == user_utility(config, i, StrategyProfile(x, sigma))
         # the two one-sided limits at each cut, each as a one-point sweep
-        s_stars = s_stars_of(config)
-        for t in solver._cuts(config, s_stars):
+        for t in cuts_of(config):
             for x in (math.nextafter(t, 0.0), t):
                 _, _, _, responses, leader, users = solver.sweep(config, x, x, 1.0)
                 got = (responses.T.tolist(), leader.tolist(), users.T.tolist())
@@ -1503,7 +1517,7 @@ class TestAdmissibility:
         # learner's accuracy term overflows
         s_stars = s_stars_of(NEVER_AT_TOP)
         assert dissuasion_threshold(0, NEVER_AT_TOP) == 0.0 and s_stars[0] > 1e66
-        assert solver._admissible(NEVER_AT_TOP, 1.0) == s_stars
+        assert solver._admissible(NEVER_AT_TOP, 1.0)[0] == s_stars
         user = replace(NEVER_AT_TOP.users[0], perturbation_cost=0.0)
         perturbs = replace(NEVER_AT_TOP, users=(user,))
         assert dissuasion_threshold(0, perturbs) != 0.0
@@ -1533,7 +1547,7 @@ def assert_no_grid_point_beats_the_solve(config, points):
     where every user perturbs the objective is flat, and its evaluations
     differ in the last bit."""
     s_stars = s_stars_of(config)
-    cuts = solver._cuts(config, s_stars)
+    cuts = cuts_of(config)
     best = max(
         scalar_objective(config, s, s_stars, cuts)
         for s in np.linspace(0.0, config.solver.sigma_max, points).tolist()
@@ -1648,20 +1662,28 @@ class TestRootLoops:
         games = panel_games() + [parse_config_text(text) for text, _ in fuzz_configs(1, 150)]
         cuts_found = roots_found = 0
         for config in games:
-            s_stars = []
+            s_stars, reaches = [], []
             for user in config.users:
                 try:
-                    s_stars.append(solver.effective_noise_target(user, config.learner, config.solver.root_tol))
+                    s, bound = solver._target(user, config.learner, config.solver.root_tol)
                 except SolverError:
                     s_stars.append(None)
-            for user, s in zip(config.users, s_stars):
-                if s is not None:
-                    cut = solver._cut(user, s, config)
-                    margin = solver._margin(user, s, config)
-                    assert cut == (0.0 if margin(0.0) <= 0 else solver._bisect_root(margin, 0.0, s, 0.0))
-                    cuts_found += cut > 0
+                    continue
+                # the user's gain from topping up to s over not perturbing, less tie_epsilon
+                coef = user.accuracy_weight / (config.n_users**2 * config.learner.regularizer**2)
+                p, rho = user.max_privacy_loss, user.privacy_rate
+                floor = p / (1.0 + rho * s) + user.perturbation_cost + config.solver.tie_epsilon
+
+                def margin(x):
+                    return p / (1.0 + rho * x) - coef * (s * s - x * x) - floor
+
+                s_stars.append(s)
+                reaches.append(solver._reach(user, s, bound, config))
+                cut = solver._cut(user, s, reaches[-1], config)
+                assert cut == (0.0 if margin(0.0) <= 0 else solver._bisect_root(margin, 0.0, s, 0.0))
+                cuts_found += cut > 0
             if None not in s_stars:
-                cuts = solver._cuts(config, s_stars)
+                cuts = solver._cuts(config, s_stars, reaches)
                 candidates = all_candidates(config, cuts)
                 assert candidates == bisected_candidates(config, cuts)
                 roots_found += len(set(candidates) - {0.0, config.solver.sigma_max, *cuts,
@@ -1742,7 +1764,7 @@ class TestFloatExactCandidates:
     def test_piece_slope_is_the_objective_derivative(self, n, seed):
         config = mixed_population(n, seed)
         s_stars = s_stars_of(config)
-        cuts = solver._cuts(config, s_stars)
+        cuts = cuts_of(config)
         sigma_max = config.solver.sigma_max
         thresholds = {dissuasion_threshold(i, config) for i in range(n)}
         edges = [0.0, *sorted(t for t in thresholds if t is not None and 0 < t < sigma_max), sigma_max]
@@ -2096,9 +2118,8 @@ class TestComparativeStatics:
     @staticmethod
     def _cut_relation(config):
         # a higher cost raises the margin's floor; s* does not read the cost
-        s_stars = s_stars_of(config)
         costlier = TestComparativeStatics._users(config, "perturbation_cost")
-        assert all(b <= a for a, b in zip(solver._cuts(config, s_stars), solver._cuts(costlier, s_stars))), config
+        assert all(b <= a for a, b in zip(cuts_of(config), cuts_of(costlier))), config
 
     @staticmethod
     def _s_star_relation(config):
@@ -2171,8 +2192,8 @@ def unpruned_solve(config):
     """The solve without pruning: every candidate of every piece scored by
     _best_responses and _utility_panel, the winner by _winner."""
     settings = config.solver
-    s_stars = solver._admissible(config, settings.sigma_max)
-    cuts = solver._cuts(config, s_stars)
+    s_stars, reaches = solver._admissible(config, settings.sigma_max)
+    cuts = solver._cuts(config, s_stars, reaches)
     grid = np.array(all_candidates(config, cuts))
     responses = panel._best_responses(grid, s_stars, cuts)
     leader, users = panel._utility_panel(config, panel._user_columns(config), grid, responses)
@@ -2208,7 +2229,7 @@ class TestPrunedSolve:
         objective is flat, and its bound is the utility there."""
         n, lp, sigma_max = config.n_users, config.learner, config.solver.sigma_max
         s_stars = s_stars_of(config)
-        cuts = solver._cuts(config, s_stars)
+        cuts = cuts_of(config)
         users = [(u.max_privacy_loss, u.privacy_rate, s, t) for u, s, t in zip(config.users, s_stars, cuts)]
         pieces, margin = solver._piece_bounds(config, sorted(users, key=lambda user: user[3]))
         assert 0 < margin < 1e-9 * max(1.0, abs(lp.baseline_gain))
@@ -2238,7 +2259,7 @@ class TestPrunedSolve:
 
     def test_scores_a_few_candidates_at_n_1024(self, monkeypatch):
         config = interior_solve(1024)[0]
-        cuts = solver._cuts(config, s_stars_of(config))
+        cuts = cuts_of(config)
         assert len(all_candidates(config, cuts)) > 1300
         scored, live, leader, candidates = [], [], solver._leader, solver._candidates
         monkeypatch.setattr(solver, "_leader", lambda *args: scored.append(args[1]) or leader(*args))
